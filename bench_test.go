@@ -449,6 +449,12 @@ func BenchmarkEngineStepLarge(b *testing.B) {
 	b.Run("sharded", perf.EngineStepLarge(4, true))
 }
 
+// BenchmarkEngineResetLarge — one Reset of the million-node engine after a
+// run in which every node drew from its private stream: the rewind a
+// pooled engine pays before each job. Expensive set-up, like
+// BenchmarkEngineStepLarge; opt in with -bench BenchmarkEngineResetLarge.
+func BenchmarkEngineResetLarge(b *testing.B) { perf.EngineResetLarge()(b) }
+
 // BenchmarkLargeLoad — the two million-node ingest paths: text edge-list
 // parse vs the mmap-backed binary CSR container.
 func BenchmarkLargeLoad(b *testing.B) {

@@ -132,3 +132,56 @@ func TestQuickExperimentsRun(t *testing.T) {
 		})
 	}
 }
+
+// TestPaperExponents asserts the paper's round-complexity claims on the
+// cmd/experiments -quick tables (sizes 24..64, seed 1), so a change that
+// alters round behaviour fails here rather than in review:
+//   - e4 (Theorem 1 finder) and e5 (Theorem 2 lister) fit a round exponent
+//     within ±0.1 of their theory curve over the same sizes, with R² ≥ 0.95,
+//     and every row found a triangle / listed all of them;
+//   - e7 (Theorem 3) fits |P(T_w)| no flatter than its n^{4/3} theory
+//     exponent minus 0.1 — the same band, one-sided because it is a lower
+//     bound — and every row's measured rounds sit above the Ω(n^{1/3}/log n)
+//     curve.
+func TestPaperExponents(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long: runs the quick e4, e5 and e7 sweeps")
+	}
+	const band = 0.1
+	cfg := Config{Quick: true, Seed: 1}
+	for _, tc := range []struct{ id, okCol string }{{"e4", "found"}, {"e5", "complete"}} {
+		tbl := runQuick(t, tc.id, cfg)
+		m, th := tbl.Measured, tbl.Theory
+		if !m.OK || !th.OK || math.Abs(m.Exponent-th.Exponent) > band || m.R2 < 0.95 {
+			t.Errorf("%s: rounds ~ n^%.3f (R2=%.3f, ok=%v), want within %.1f of theory n^%.3f with R2 >= 0.95",
+				tc.id, m.Exponent, m.R2, m.OK, band, th.Exponent)
+		}
+		for _, p := range tbl.Points {
+			if p.Vals[tc.okCol] != 1 {
+				t.Errorf("%s n=%d: %s = %v, want 1", tc.id, p.N, tc.okCol, p.Vals[tc.okCol])
+			}
+		}
+	}
+	tbl := runQuick(t, "e7", cfg)
+	if m, th := tbl.Measured, tbl.Theory; !m.OK || !th.OK || m.Exponent < th.Exponent-band {
+		t.Errorf("e7: PTw ~ n^%.3f (ok=%v), want >= theory n^%.3f - %.1f", m.Exponent, m.OK, th.Exponent, band)
+	}
+	for _, p := range tbl.Points {
+		if p.Vals["measuredRounds"] < p.Vals["lbShape"] {
+			t.Errorf("e7 n=%d: %v rounds below the lower-bound curve %v", p.N, p.Vals["measuredRounds"], p.Vals["lbShape"])
+		}
+	}
+}
+
+func runQuick(t *testing.T, id string, cfg Config) *Table {
+	t.Helper()
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := e.Run(cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return tbl
+}

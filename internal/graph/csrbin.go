@@ -126,8 +126,8 @@ func parseCSRBinHeader(h []byte) (csrbinHeaderInfo, error) {
 	if n > math.MaxInt32 {
 		return hi, fmt.Errorf("graph: csrbin: %d vertices exceed the int32 id space: %w", n, ErrGraphTooLarge)
 	}
-	if m > MaxEdges {
-		return hi, fmt.Errorf("graph: csrbin: %d edges: %w", m, ErrGraphTooLarge)
+	if err := checkEdgeSpace(int64(min(m, math.MaxInt64))); err != nil {
+		return hi, fmt.Errorf("graph: csrbin: %w", err)
 	}
 	for _, b := range h[32:csrbinHeaderLen] {
 		if b != 0 {

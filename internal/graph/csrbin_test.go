@@ -9,8 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
-	"unsafe"
 )
 
 // testGraphs is the shape matrix the container tests run over: the empty
@@ -330,20 +331,25 @@ func TestReadEdgeListLineNumbers(t *testing.T) {
 	}
 }
 
-// TestErrGraphTooLarge pins the typed boundary error: construction past
-// the int32 edge space names the limit and satisfies errors.Is through
-// wrapping. One oversized slab serves both construction paths — a second
-// giant allocation would reuse the first's scavenged pages and pay tens of
-// seconds re-zeroing them.
-func TestErrGraphTooLarge(t *testing.T) {
-	edges := make([]Edge, MaxEdges+1)
-	if _, err := FromSortedEdges(4, edges); !errors.Is(err, ErrGraphTooLarge) {
-		t.Fatalf("FromSortedEdges overflow: %v", err)
+// TestCheckEdgeSpace pins the int32 edge-space boundary that every
+// constructor and loader guards through (FromSortedEdges, FromCSR, the
+// .csrbin header, Builder.AddEdge, text and SNAP ingest): the limit itself
+// fits, one past it is ErrGraphTooLarge naming the count, through wrapping.
+// The callers hand it a length, so no test needs a graph-sized allocation;
+// TestCSRBinaryErrors covers the header wiring with a 32-byte mutation.
+func TestCheckEdgeSpace(t *testing.T) {
+	for _, m := range []int64{0, 1, MaxEdges} {
+		if err := checkEdgeSpace(m); err != nil {
+			t.Errorf("checkEdgeSpace(%d) = %v, want nil", m, err)
+		}
 	}
-	// Both guards fire on length alone, before any element is read, so the
-	// same untouched memory can back the FromCSR slab.
-	tgts := unsafe.Slice((*int32)(unsafe.Pointer(&edges[0])), 2*MaxEdges+2)
-	if _, err := FromCSR(1, []int32{0, 0}, tgts); !errors.Is(err, ErrGraphTooLarge) {
-		t.Fatalf("FromCSR overflow: %v", err)
+	for _, m := range []int64{MaxEdges + 1, 1 << 40, math.MaxInt64} {
+		err := checkEdgeSpace(m)
+		if !errors.Is(err, ErrGraphTooLarge) {
+			t.Fatalf("checkEdgeSpace(%d) = %v, want ErrGraphTooLarge", m, err)
+		}
+		if want := strconv.FormatInt(m, 10); !strings.Contains(err.Error(), want) {
+			t.Errorf("checkEdgeSpace(%d) = %q, want it to name the count", m, err)
+		}
 	}
 }

@@ -137,6 +137,17 @@ const MaxEdges = (1<<31 - 1) / 2
 // errors the builders and loaders return.
 var ErrGraphTooLarge = fmt.Errorf("graph exceeds the int32 CSR edge space (max %d undirected edges)", MaxEdges)
 
+// checkEdgeSpace reports ErrGraphTooLarge when a graph of m undirected
+// edges would not fit the int32 edge space. Every constructor and loader
+// guards through it on a length alone, before allocating or reading an
+// element, so the boundary is testable with plain integers.
+func checkEdgeSpace(m int64) error {
+	if m > MaxEdges {
+		return fmt.Errorf("%d undirected edges: %w", m, ErrGraphTooLarge)
+	}
+	return nil
+}
+
 // Builder accumulates edges and produces an immutable Graph. Duplicate edges
 // and self-loops are rejected at Finalize time (AddEdge reports them too).
 type Builder struct {
@@ -159,8 +170,10 @@ func (b *Builder) AddEdge(a, c int) error {
 		return fmt.Errorf("edge {%d,%d} out of range [0,%d)", a, c, b.n)
 	}
 	e := NewEdge(a, c)
-	if _, dup := b.edges[e]; !dup && len(b.edges) >= MaxEdges {
-		return fmt.Errorf("adding edge {%d,%d}: %w", a, c, ErrGraphTooLarge)
+	if _, dup := b.edges[e]; !dup {
+		if err := checkEdgeSpace(int64(len(b.edges)) + 1); err != nil {
+			return fmt.Errorf("adding edge {%d,%d}: %w", a, c, err)
+		}
 	}
 	b.edges[e] = struct{}{}
 	return nil
@@ -221,8 +234,8 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 // construction). Building n=10^6 with m=4*10^6 this way costs two linear
 // scans instead of an O(m) hash map.
 func FromSortedEdges(n int, edges []Edge) (*Graph, error) {
-	if len(edges) > MaxEdges {
-		return nil, fmt.Errorf("graph: FromSortedEdges with %d edges: %w", len(edges), ErrGraphTooLarge)
+	if err := checkEdgeSpace(int64(len(edges))); err != nil {
+		return nil, fmt.Errorf("graph: FromSortedEdges: %w", err)
 	}
 	offs := make([]int32, n+1)
 	for i, e := range edges {
@@ -280,8 +293,8 @@ func FromCSR(n int, offsets, targets []int32) (*Graph, error) {
 	if len(targets)%2 != 0 {
 		return nil, fmt.Errorf("graph: FromCSR odd target count %d", len(targets))
 	}
-	if len(targets) > 2*MaxEdges {
-		return nil, fmt.Errorf("graph: FromCSR with %d directed slots: %w", len(targets), ErrGraphTooLarge)
+	if err := checkEdgeSpace(int64(len(targets) / 2)); err != nil {
+		return nil, fmt.Errorf("graph: FromCSR: %w", err)
 	}
 	g := &Graph{n: n, m: len(targets) / 2, offs: offsets, tgts: targets}
 	if err := g.Validate(); err != nil {

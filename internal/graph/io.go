@@ -81,8 +81,8 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if u < 0 || u >= n || v < 0 || v >= n {
 			return nil, fmt.Errorf("line %d: edge {%d,%d} out of range [0,%d)", line, u, v, n)
 		}
-		if len(edges) >= MaxEdges {
-			return nil, fmt.Errorf("line %d: %w", line, ErrGraphTooLarge)
+		if err := checkEdgeSpace(int64(len(edges)) + 1); err != nil {
+			return nil, fmt.Errorf("line %d: %w", line, err)
 		}
 		edges = append(edges, NewEdge(u, v))
 	}

@@ -48,8 +48,10 @@ func ReadSNAPEdgeList(r io.Reader) (*Graph, []int64, error) {
 		if u == v {
 			continue
 		}
-		if len(pairs) >= 2*MaxEdges {
-			return nil, nil, fmt.Errorf("line %d: %w", line, ErrGraphTooLarge)
+		// A SNAP file may list each edge once per direction, so 2·MaxEdges
+		// raw pairs can still deduplicate into the edge space.
+		if err := checkEdgeSpace((int64(len(pairs)) + 2) / 2); err != nil {
+			return nil, nil, fmt.Errorf("line %d: %w", line, err)
 		}
 		pairs = append(pairs, pair{u, v})
 	}
@@ -77,9 +79,6 @@ func ReadSNAPEdgeList(r io.Reader) (*Graph, []int64, error) {
 		return cmp.Compare(a.V, b.V)
 	})
 	edges = slices.Compact(edges)
-	if len(edges) > MaxEdges {
-		return nil, nil, ErrGraphTooLarge
-	}
 	g, err := FromSortedEdges(len(labels), edges)
 	if err != nil {
 		return nil, nil, err

@@ -79,6 +79,7 @@ func Suites() []Suite {
 			{Name: "LargeLoad/csrbin", Fn: LargeLoadCSRBin()},
 			{Name: "EngineStepLarge/seq", Fn: EngineStepLarge(0, false)},
 			{Name: "EngineStepLarge/sharded", Fn: EngineStepLarge(largeShards, true), NoAllocGate: true},
+			{Name: "EngineReset/large", Fn: EngineResetLarge()},
 		}},
 	}
 }
@@ -505,6 +506,44 @@ func EngineStepLarge(shards int, parallel bool) func(*testing.B) {
 		g, _, _ := largeWorkload(b)
 		engineStep(b, g, func(id int) sim.Node { return largeNode{beacon: id%largeBeaconStride == 0} },
 			sim.Config{Seed: 1, Shards: shards, Parallel: parallel})
+	}
+}
+
+// drawNode draws once from its private stream in Init and finishes, so
+// every node's stream has moved when the run ends.
+type drawNode struct{}
+
+func (drawNode) Init(ctx *sim.Context) {
+	ctx.RNG().Uint64()
+	ctx.SetDone()
+}
+
+func (drawNode) Round(ctx *sim.Context, round int, inbox []sim.Delivery) { ctx.SetDone() }
+
+// EngineResetLarge measures Engine.Reset of the million-node engine after
+// a run in which every node drew: the rewind a pooled engine pays before
+// each job, reseeding every node's stream.
+func EngineResetLarge() func(*testing.B) {
+	return func(b *testing.B) {
+		g, _, _ := largeWorkload(b)
+		nodes := make([]sim.Node, g.N())
+		for v := range nodes {
+			nodes[v] = drawNode{}
+		}
+		eng, err := sim.NewEngine(g, nodes, sim.Config{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.RunUntilQuiescent(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := eng.Reset(nodes, int64(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/faults"
@@ -398,7 +399,7 @@ func NewEngine(input *graph.Graph, nodes []Node, cfg Config) (*Engine, error) {
 			id:        v,
 			n:         n,
 			banw:      cfg.BandwidthWords,
-			rngSeed:   nodeSeed(cfg.Seed, v),
+			src:       nodeStream{seed: uint64(nodeSeed(cfg.Seed, v))},
 			comm:      e.commTgts[e.commOffs[v]:e.commOffs[v+1]],
 			input:     inTgts[inOffs[v]:inOffs[v+1]],
 			bcastOnly: cfg.Mode == ModeBroadcast,
@@ -433,11 +434,7 @@ func NewEngine(input *graph.Graph, nodes []Node, cfg Config) (*Engine, error) {
 // nodeSeed mixes the engine seed with the node id (splitmix64 finalizer) so
 // per-node streams are independent and engine-order independent.
 func nodeSeed(seed int64, id int) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(id+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return int64(z & 0x7fffffffffffffff)
+	return int64(mix64(uint64(seed)+golden*uint64(id+1)) & math.MaxInt64)
 }
 
 func (e *Engine) initNodes() {
@@ -1045,9 +1042,10 @@ func (e *Engine) clearRun(nodes []Node, seed int64) {
 	e.nodes = nodes
 	e.cfg.Seed = seed
 	for v, ctx := range e.ctxs {
-		ctx.rngSeed = nodeSeed(seed, v)
 		if ctx.rng != nil {
-			ctx.rng.Seed(ctx.rngSeed)
+			ctx.rng.Seed(nodeSeed(seed, v)) // also drops Read's buffered bytes
+		} else {
+			ctx.src.Seed(nodeSeed(seed, v))
 		}
 		ctx.pending = ctx.pending[:0]
 		ctx.sendBuf = ctx.sendBuf[:0]

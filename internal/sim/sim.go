@@ -56,9 +56,8 @@ type Context struct {
 	id        int
 	n         int
 	banw      int
-	rng       *rand.Rand // built lazily from rngSeed on first RNG() call
-	rngSrc    *countingSource
-	rngSeed   int64
+	rng       *rand.Rand // wraps &src; built on the first RNG() call
+	src       nodeStream
 	comm      []int32 // communication neighbors (sorted); aliases the CSR slab
 	input     []int32 // input-graph neighbors (sorted); == comm in CONGEST mode
 	pending   []pendingSend
@@ -89,19 +88,43 @@ func (c *Context) N() int { return c.n }
 // Bandwidth returns B, the words deliverable per directed edge per round.
 func (c *Context) Bandwidth() int { return c.banw }
 
-// RNG returns this node's private random stream. The generator is
-// materialized on first use: a rand.Rand costs ~5 KB of state, which at
-// n=10^6 would be ~5 GB if built eagerly, while most algorithms touch the
-// RNG on only a few nodes (or none). Lazy construction from the recorded
-// seed yields the exact same stream as an eagerly built generator. The
-// source is wrapped in a draw counter so engine snapshots can record the
-// stream position and restores can replay to it.
+// RNG returns this node's private random stream: splitmix64 over a
+// per-node draw counter, seeded by nodeSeed(engine seed, id). The stream's
+// whole state is two words held in the Context, so seeding, Reset and
+// snapshot restore are O(1) per node; only the 48-byte rand.Rand wrapper is
+// allocated, on first use, and kept across Reset.
 func (c *Context) RNG() *rand.Rand {
 	if c.rng == nil {
-		c.rngSrc = &countingSource{src: rand.NewSource(c.rngSeed).(rand.Source64)}
-		c.rng = rand.New(c.rngSrc)
+		c.rng = rand.New(&c.src)
 	}
 	return c.rng
+}
+
+// nodeStream is splitmix64 (Steele, Lea & Flood, OOPSLA 2014) in counter
+// form: draw k, counting from 1, is mix64(seed + k·golden). The draw
+// counter is therefore the stream position, and repositioning to any draw
+// is a single store. Int63 and Uint64 each consume one draw.
+type nodeStream struct {
+	seed, draws uint64
+}
+
+func (s *nodeStream) Uint64() uint64 {
+	s.draws++
+	return mix64(s.seed + s.draws*golden)
+}
+
+func (s *nodeStream) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+func (s *nodeStream) Seed(seed int64) { *s = nodeStream{seed: uint64(seed)} }
+
+// golden is splitmix64's increment: 2^64 divided by the golden ratio, odd.
+const golden = 0x9e3779b97f4a7c15
+
+// mix64 is splitmix64's output finalizer.
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // CommNeighbors returns the sorted communication neighbors. In the CONGEST

@@ -353,7 +353,38 @@ func TestNodeSeedsDifferAndAreDeterministic(t *testing.T) {
 		t.Fatal("engine seeds do not separate streams")
 	}
 	if a0 < 0 {
-		t.Fatal("seed must be non-negative for rand.NewSource use")
+		t.Fatal("node seeds are masked to 63 bits; a negative seed means the derivation changed")
+	}
+}
+
+// TestNodeStreamPinned pins the first three draws of engine seed 1, node 0,
+// through Context.RNG. Snapshots record only a draw count, so a count
+// taken under one generator is meaningless under another: changing the
+// stream means bumping snapVersion and adding its pins here on purpose.
+func TestNodeStreamPinned(t *testing.T) {
+	pins := map[uint32][3]uint64{
+		3: {0xb7d9d44da50c8456, 0xf4adabc84c8b3e6c, 0x69442a86b875d5ee},
+	}
+	want, ok := pins[snapVersion]
+	if !ok {
+		t.Fatalf("no pinned draws for snapVersion %d", snapVersion)
+	}
+	var got [3]uint64
+	nodes := []Node{&recorder{initFn: func(ctx *Context) {
+		for i := range got {
+			got[i] = ctx.RNG().Uint64()
+		}
+		ctx.SetDone()
+	}}}
+	eng, err := NewEngine(pathGraph(1), nodes, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RunUntilQuiescent(); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("seed 1 node 0 draws = %#x, want %#x", got, want)
 	}
 }
 

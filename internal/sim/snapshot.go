@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"repro/internal/graph"
@@ -64,33 +63,11 @@ var (
 // arming. The crash cursor and dead set are deliberately NOT serialized:
 // both are pure functions of (plan, round) and are re-derived on
 // restore, and the loss/dup/delay coins themselves are stateless hashes,
-// so "fault RNG state" rides the snapshot for free.
-const snapVersion = 2
-
-// countingSource wraps a node's random source and counts the draws taken
-// from it, so a snapshot can record the stream position and a restore can
-// replay exactly that many draws. Both Int63 and Uint64 consume one step
-// of the underlying generator, so replaying with Uint64 alone reproduces
-// any mix of draw kinds.
-type countingSource struct {
-	src rand.Source64
-	n   uint64
-}
-
-func (c *countingSource) Int63() int64 {
-	c.n++
-	return c.src.Int63()
-}
-
-func (c *countingSource) Uint64() uint64 {
-	c.n++
-	return c.src.Uint64()
-}
-
-func (c *countingSource) Seed(seed int64) {
-	c.n = 0
-	c.src.Seed(seed)
-}
+// so "fault RNG state" rides the snapshot for free. Version 3 replaced
+// math/rand's per-node source with the splitmix64 counter stream: the
+// per-node draw count keeps its place but now positions the new stream,
+// so version-2 payloads (math/rand positions) are refused.
+const snapVersion = 3
 
 // SnapWriter serializes snapshot state as little-endian binary. All
 // lengths are explicit so SnapReader can validate against the remaining
@@ -470,11 +447,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 		w.Int(ctx.offset)
 		w.Bool(ctx.done)
 		w.I64(ctx.wordsSent)
-		var draws uint64
-		if ctx.rngSrc != nil {
-			draws = ctx.rngSrc.n
-		}
-		w.U64(draws)
+		w.U64(ctx.src.draws)
 		w.U32(uint32(len(ctx.outputs)))
 		for _, t := range ctx.outputs {
 			w.I32(int32(t.A))
@@ -712,7 +685,7 @@ func (e *Engine) Restore(payload []byte) error {
 		ctx.offset = r.Int()
 		ctx.done = r.Bool()
 		ctx.wordsSent = r.I64()
-		draws := r.U64()
+		ctx.src.draws = r.U64()
 		nout := r.sliceLen(12)
 		if r.Err() != nil {
 			return r.Err()
@@ -732,12 +705,6 @@ func (e *Engine) Restore(payload []byte) error {
 		e.doneMark[v] = ctx.done
 		if !ctx.done {
 			notDone++
-		}
-		if draws > 0 {
-			ctx.RNG()
-			for i := uint64(0); i < draws; i++ {
-				ctx.rngSrc.Uint64()
-			}
 		}
 	}
 	e.notDone = notDone

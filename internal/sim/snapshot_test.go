@@ -8,6 +8,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -199,8 +200,9 @@ func TestSnapshotStable(t *testing.T) {
 }
 
 // TestSnapshotRejects is the fail-closed matrix: mismatched configs,
-// truncations at every prefix length, trailing garbage and a flipped byte
-// must all error out — never restore successfully into a wrong state.
+// truncations at every prefix length, trailing garbage, a flipped byte and
+// a payload from the version-2 layout must all error out — never restore
+// successfully into a wrong state.
 func TestSnapshotRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	g := graph.Gnp(24, 0.25, rng)
@@ -270,6 +272,44 @@ func TestSnapshotRejects(t *testing.T) {
 	bad[0] ^= 0xFF
 	if err := fresh(cfg).Restore(bad); !errors.Is(err, ErrSnapshotMismatch) {
 		t.Fatalf("version corruption: got %v, want ErrSnapshotMismatch", err)
+	}
+	// Version 2 recorded math/rand stream positions, which mean nothing to
+	// the counter stream: refused, never resumed on the wrong coins.
+	binary.LittleEndian.PutUint32(bad, 2)
+	if err := fresh(cfg).Restore(bad); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Fatalf("version-2 payload: got %v, want ErrSnapshotMismatch", err)
+	}
+}
+
+// TestRestoreRepositionsInConstantTime: a node 2^62 draws into its stream
+// snapshots and restores at once — the snapshot records the draw counter
+// and Restore stores it, with no per-draw replay — and the restored node's
+// next draw is the stream's draw number 2^62+1.
+func TestRestoreRepositionsInConstantTime(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	g := graph.Gnp(12, 0.3, rng)
+	cfg := Config{Seed: 9}
+	eng, err := NewEngine(g, snapNodes(g.N(), cfg.Mode), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run(1)
+	draws := uint64(1 << 62)
+	eng.ctxs[0].src.draws = draws
+	payload, err := eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng2, err := NewEngine(g, snapNodes(g.N(), cfg.Mode), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng2.Restore(payload); err != nil {
+		t.Fatal(err)
+	}
+	want := mix64(uint64(nodeSeed(cfg.Seed, 0)) + (draws+1)*golden)
+	if got := eng2.ctxs[0].RNG().Uint64(); got != want {
+		t.Fatalf("restored node's next draw = %#x, want draw 2^62+1 = %#x", got, want)
 	}
 }
 
