@@ -377,21 +377,6 @@ func BenchmarkServiceThroughput(b *testing.B) {
 	b.Run("par", perf.ServiceThroughput(0))
 }
 
-// BenchmarkEngineParallel — substrate bench: parallel vs sequential engine
-// on the Theorem-2 lister (see BenchmarkE5Listing for the sequential run).
-func BenchmarkEngineParallel(b *testing.B) {
-	g := benchGnp(b, 5)
-	var res core.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = core.ListAllTriangles(g, core.ListerOptions{}, sim.Config{Seed: int64(i), Parallel: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, res)
-}
-
 // --- Engine-level microbenchmarks -------------------------------------
 //
 // These measure the simulator substrate itself, independent of any paper
@@ -402,12 +387,8 @@ func BenchmarkEngineParallel(b *testing.B) {
 // stepper. One benchmark op is exactly one engine round, so the reported
 // allocs/op is allocs/round. Workload bodies live in internal/perf.
 
-func BenchmarkEngineStepGnp(b *testing.B)         { perf.EngineStepGnp(false)(b) }
-func BenchmarkEngineStepGnpParallel(b *testing.B) { perf.EngineStepGnp(true)(b) }
-func BenchmarkEngineStepPowerLaw(b *testing.B)    { perf.EngineStepPowerLaw(false)(b) }
-func BenchmarkEngineStepPowerLawParallel(b *testing.B) {
-	perf.EngineStepPowerLaw(true)(b)
-}
+func BenchmarkEngineStepGnp(b *testing.B)      { perf.EngineStepGnp()(b) }
+func BenchmarkEngineStepPowerLaw(b *testing.B) { perf.EngineStepPowerLaw()(b) }
 
 // BenchmarkEngineStepSparse — the phased low-duty-cycle regime (most nodes
 // asleep between phase boundaries): the dense/activity pair is the
@@ -445,8 +426,8 @@ func BenchmarkCheckpoint(b *testing.B) {
 // regexes (CI, README) deliberately exclude it; opt in with
 // -bench BenchmarkEngineStepLarge.
 func BenchmarkEngineStepLarge(b *testing.B) {
-	b.Run("seq", perf.EngineStepLarge(0, false))
-	b.Run("sharded", perf.EngineStepLarge(4, true))
+	b.Run("seq", perf.EngineStepLarge(0))
+	b.Run("sharded", perf.EngineStepLarge(4))
 }
 
 // BenchmarkEngineResetLarge — one Reset of the million-node engine after a

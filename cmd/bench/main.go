@@ -18,7 +18,8 @@
 // GOMAXPROCS setting; the gate compares against the run matching this
 // one's. The floors themselves depend on effective parallelism
 // (min(GOMAXPROCS, cores)): at >= 4 the multicore speedup floors arm —
-// parallel EngineStep and CountTriangles must beat sequential by >= 2x —
+// parallel CountTriangles must beat sequential by >= 2x, the sharded
+// million-node engine by >= 1.2x —
 // and CI passes -require-procs 4 so that gate cannot silently run
 // single-core and disarm them. Re-baseline the current proc count with
 //

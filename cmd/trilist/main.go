@@ -54,8 +54,7 @@ func run(args []string) error {
 		b        = fs.Int("b", 2, "bandwidth in words per edge per round")
 		eps      = fs.Float64("eps", 0, "heaviness exponent override (0 = algorithm default)")
 		show     = fs.Int("show", 5, "triangles to print (0 = none)")
-		parallel = fs.Bool("parallel", false, "run node state machines on all CPUs")
-		shards   = fs.Int("shards", 0, "engine node shards for large graphs (0 = unsharded; bit-identical)")
+		shards   = fs.Int("shards", 0, "engine node shards, run on all CPUs (0 = unsharded sequential engine; bit-identical)")
 		workers  = fs.Int("workers", 0, "centralized-oracle worker pool size (0 = all CPUs)")
 		verify   = fs.Bool("verify", true, "verify output against the centralized oracle")
 		explain  = fs.Bool("explain", false, "print the per-segment round budget")
@@ -80,7 +79,6 @@ func run(args []string) error {
 		Seed:      gf.Seed,
 		Eps:       *eps,
 		Probes:    *probes,
-		Parallel:  *parallel,
 		Shards:    *shards,
 	}
 	if !*verify {

@@ -24,7 +24,7 @@ func TestRunAlgorithms(t *testing.T) {
 		{"-gen", "gnp", "-n", "24", "-p", "0.5", "-algo", "count"},
 		{"-gen", "gnp", "-n", "24", "-p", "0.5", "-algo", "tester"},
 		{"-gen", "gnp", "-n", "24", "-p", "0.5", "-algo", "bcast-twohop"},
-		{"-gen", "ba", "-n", "24", "-k", "3", "-algo", "list", "-parallel"},
+		{"-gen", "ba", "-n", "24", "-k", "3", "-algo", "list", "-shards", "2"},
 		{"-gen", "planted", "-n", "30", "-k", "4", "-algo", "find", "-eps", "0.4"},
 		{"-gen", "bipartite", "-n", "20", "-p", "0.5", "-algo", "find"},
 	}

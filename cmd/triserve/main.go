@@ -31,8 +31,8 @@
 // keep their results, interrupted jobs re-run (resuming from their
 // latest checkpoint when checkpointing was on). SIGTERM/SIGINT drain
 // gracefully: admission stops, running jobs are cancelled at their next
-// checkpoint boundary and journaled as preempted, and the process exits
-// within -drain-timeout.
+// checkpoint boundary and left without a terminal record, so the next
+// start re-runs them, and the process exits within -drain-timeout.
 //
 // Example:
 //
@@ -104,8 +104,8 @@ func run(args []string) error {
 		return err
 	case <-ctx.Done():
 		// Drain: stop accepting connections, then drain the service —
-		// running jobs stop at their next checkpoint boundary and are
-		// journaled as preempted, so the next start resumes them.
+		// running jobs stop at their next checkpoint boundary without a
+		// terminal record, so the next start resumes them.
 		fmt.Fprintf(os.Stderr, "triserve: draining (bound %s)\n", *drain)
 		drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()

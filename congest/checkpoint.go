@@ -44,7 +44,7 @@ type CheckpointMeta struct {
 }
 
 // SpecHash returns the job's checkpoint identity: an FNV-64a over the
-// canonical spec JSON with the placement fields (Parallel, Shards) and the
+// canonical spec JSON with Shards, the ignored Parallel field and the
 // checkpoint config itself zeroed. Two specs with the same hash produce
 // bit-identical runs, so their checkpoints are interchangeable; placement
 // may legally differ between the saving and the resuming run.
@@ -98,7 +98,6 @@ func ckptMetaOf(spec JobSpec, g *graph.Graph, cfg sim.Config) checkpoint.Meta {
 		Mode:      int(cfg.Mode),
 		Scheduler: int(cfg.Scheduler),
 		Shards:    cfg.Shards,
-		Parallel:  cfg.Parallel,
 	}
 }
 
@@ -164,13 +163,11 @@ func (s *Session) Replay(spec JobSpec, from, to int, obs Observer) (ReplayInfo, 
 	if spec.Checkpoint == nil {
 		return ReplayInfo{}, fmt.Errorf("congest: replay needs a checkpoint spec")
 	}
-	sg, err := s.graphFor(spec.Graph)
+	g, err := s.Graph(spec.Graph)
 	if err != nil {
 		return ReplayInfo{}, err
 	}
-	g := sg.g
-	cfg := sim.Config{Mode: modeFor(spec.Algo), BandwidthWords: spec.bandwidth(), Seed: spec.Seed,
-		Parallel: spec.Parallel, Shards: spec.Shards, Faults: spec.Faults.plan()}
+	cfg := spec.engineConfig()
 	meta := ckptMetaOf(spec, g, cfg)
 	ck, _, err := checkpoint.Nearest(spec.Checkpoint.Dir, meta.SpecHash, from)
 	if err != nil {

@@ -47,7 +47,8 @@ func TestCheckpointSpecValidate(t *testing.T) {
 }
 
 // TestSpecHashPlacementInvariance: the checkpoint identity ignores
-// placement (Parallel, Shards) and the checkpoint config itself — those may
+// placement (Shards), the ignored Parallel field and the checkpoint config
+// itself — those may
 // legally differ between the saving and the resuming run — but pins
 // everything that changes the bits of the run.
 func TestSpecHashPlacementInvariance(t *testing.T) {
@@ -156,8 +157,8 @@ func TestCutAndResumeAllAlgos(t *testing.T) {
 }
 
 // TestCutAndResumePlacementMigration: a checkpoint written by one engine
-// layout restores under any other — sharded+parallel to unsharded serial
-// and back — with the straight-through Result.
+// layout restores under any other — sharded to unsharded serial and
+// back — with the straight-through Result.
 func TestCutAndResumePlacementMigration(t *testing.T) {
 	want, err := Run(context.Background(), ckptSpec("list", t.TempDir(), 4))
 	if err != nil {
@@ -165,30 +166,28 @@ func TestCutAndResumePlacementMigration(t *testing.T) {
 	}
 	cut := want.Meta.ExecutedRounds / 3
 	layouts := []struct {
-		name                 string
-		shards0, shards1     int
-		parallel0, parallel1 bool
+		name             string
+		shards0, shards1 int
 	}{
-		{"sharded-to-serial", 4, 0, true, false},
-		{"serial-to-sharded", 0, 4, false, true},
+		{"sharded-to-serial", 4, 0},
+		{"serial-to-sharded", 0, 4},
 	}
 	for _, lay := range layouts {
 		t.Run(lay.name, func(t *testing.T) {
 			dir := t.TempDir()
 			saver := ckptSpec("list", dir, 4)
-			saver.Shards, saver.Parallel = lay.shards0, lay.parallel0
+			saver.Shards = lay.shards0
 			cancelRun(t, saver, cut)
 
 			resumer := ckptSpec("list", dir, 4)
-			resumer.Shards, resumer.Parallel = lay.shards1, lay.parallel1
+			resumer.Shards = lay.shards1
 			resumer.Checkpoint.Resume = true
 			got, err := Run(context.Background(), resumer)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Engine layout is declared, not behavioral: normalize it and the
-			// directory, everything else must match bit for bit.
-			got.Meta.Parallel = want.Meta.Parallel
+			// The directory is the one declared difference; everything else
+			// must match bit for bit.
 			got.Meta.Checkpoint.Dir = want.Meta.Checkpoint.Dir
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("migrated resume diverges\ngot:  %+v\nwant: %+v", got, want)

@@ -60,6 +60,14 @@ func verifyModeFor(spec JobSpec) string {
 	}
 }
 
+// engineConfig is the engine configuration a spec runs under. Parallel is
+// not part of it: the field is accepted for wire compatibility and has no
+// effect on execution.
+func (s JobSpec) engineConfig() sim.Config {
+	return sim.Config{Mode: modeFor(s.Algo), BandwidthWords: s.bandwidth(), Seed: s.Seed,
+		Shards: s.Shards, Faults: s.Faults.plan()}
+}
+
 // bandwidth resolves the spec's B.
 func (s JobSpec) bandwidth() int {
 	if s.Bandwidth > 0 {
@@ -85,14 +93,11 @@ func (s *Session) runJob(ctx context.Context, spec JobSpec, obs Observer) (Resul
 	if spec.Algo == "churn" {
 		return s.runChurn(ctx, spec, obs)
 	}
-	sg, err := s.graphFor(spec.Graph)
+	g, err := s.Graph(spec.Graph)
 	if err != nil {
 		return Result{}, err
 	}
-	g := sg.g
-	b := spec.bandwidth()
-	cfg := sim.Config{Mode: modeFor(spec.Algo), BandwidthWords: b, Seed: spec.Seed,
-		Parallel: spec.Parallel, Shards: spec.Shards, Faults: spec.Faults.plan()}
+	cfg := spec.engineConfig()
 	if spec.Algo == "count" {
 		return s.runCount(ctx, spec, g, cfg)
 	}
@@ -106,19 +111,18 @@ func (s *Session) runJob(ctx context.Context, spec JobSpec, obs Observer) (Resul
 	if err != nil {
 		return Result{}, err
 	}
-	run := sg.runner(cfg)
 	var res core.Result
 	var runErr error
 	if ab.segs != nil {
-		res, runErr = run.RunSequenceCheckpointed(ctx, ab.segs, spec.Seed, cobs, ckPlan)
+		res, runErr = s.engines.RunSequenceCheckpointed(ctx, g, ab.segs, cfg, cobs, ckPlan)
 	} else {
-		res, runErr = run.RunSingleCheckpointed(ctx, ab.sched, ab.mk, spec.Seed, cobs, ckPlan)
+		res, runErr = s.engines.RunSingleCheckpointed(ctx, g, ab.sched, ab.mk, cfg, cobs, ckPlan)
 	}
 	if runErr != nil && !res.Meta.Cancelled {
 		return Result{}, runErr
 	}
 
-	meta := metaOf(spec.Algo, res.Meta, ab.eps, ab.reps)
+	meta := metaOf(spec, res.Meta, ab.eps, ab.reps)
 	meta.Checkpoint = ckMeta
 	meta.Faults = faultSummaryOf(spec.Faults)
 	out := Result{
@@ -299,20 +303,20 @@ func (s *Session) runCount(ctx context.Context, spec JobSpec, g *graph.Graph, cf
 // the observer as a segment; born triangles stream through OnTriangle with
 // node -1. Cancellation is honored at epoch boundaries.
 func (s *Session) runChurn(ctx context.Context, spec JobSpec, obs Observer) (Result, error) {
-	sg, err := s.graphFor(spec.Graph)
+	g, err := s.Graph(spec.Graph)
 	if err != nil {
 		return Result{}, err
 	}
 	cs := *spec.Churn
 	if cs.BatchSize <= 0 {
-		cs.BatchSize = sg.g.N()
+		cs.BatchSize = g.N()
 	}
 	if cs.Epochs <= 0 {
 		cs.Epochs = 4
 	}
 	// Every churn job mutates its own copy of the seed graph; the cached
 	// graph is never touched.
-	d := dynamic.FromGraph(sg.g)
+	d := dynamic.FromGraph(g)
 	o := dynamic.NewIncrementalOracle(d)
 	w, err := dynamic.NewWorkloadByName(cs.Workload, d, cs.BatchSize, cs.Window)
 	if err != nil {
@@ -357,7 +361,7 @@ func (s *Session) runChurn(ctx context.Context, spec JobSpec, obs Observer) (Res
 			Algo: spec.Algo, Seed: spec.Seed, Bandwidth: spec.bandwidth(),
 			Mode: "dynamic", Cancelled: runErr != nil,
 		},
-		Graph:         graphInfoOf(sg.g),
+		Graph:         graphInfoOf(g),
 		Found:         len(final) > 0,
 		TriangleCount: len(final),
 		Triangles:     trianglesOf(graph.NewTriangleSet(final), spec.MaxTriangles),

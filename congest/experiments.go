@@ -35,8 +35,6 @@ type SweepSpec struct {
 	Bandwidth int `json:"bandwidth,omitempty"`
 	// Quick shrinks defaults for smoke runs.
 	Quick bool `json:"quick,omitempty"`
-	// Parallel runs node state machines on all CPUs.
-	Parallel bool `json:"parallel,omitempty"`
 	// Workers bounds the sweep-cell worker pool (0 = all CPUs, 1 =
 	// sequential); tables are byte-identical for every value.
 	Workers int `json:"workers,omitempty"`
@@ -69,7 +67,6 @@ func RunExperiment(ctx context.Context, id string, spec SweepSpec) (*Table, erro
 		Seed:      spec.Seed,
 		Bandwidth: spec.Bandwidth,
 		Quick:     spec.Quick,
-		Parallel:  spec.Parallel,
 		Workers:   spec.Workers,
 	})
 	if err != nil {

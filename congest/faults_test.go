@@ -233,7 +233,8 @@ func TestFaultyCheckpointPlanMismatch(t *testing.T) {
 }
 
 // TestFaultyParallelShardParity: the facade-level determinism matrix —
-// the faulty job's Result is bit-identical across Parallel and Shards.
+// the faulty job's Result is bit-identical at every shard count, and the
+// ignored Parallel field changes nothing but its own echo in the meta.
 func TestFaultyParallelShardParity(t *testing.T) {
 	base := faultySpec("list")
 	want, err := Run(context.Background(), base)
@@ -243,13 +244,16 @@ func TestFaultyParallelShardParity(t *testing.T) {
 	for _, alt := range []struct {
 		parallel bool
 		shards   int
-	}{{true, 0}, {false, 4}, {true, 4}} {
+	}{{true, 0}, {false, 2}, {false, 4}, {true, 7}} {
 		spec := base
 		spec.Parallel = alt.parallel
 		spec.Shards = alt.shards
 		got, err := Run(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if got.Meta.Parallel != alt.parallel {
+			t.Fatalf("par=%v: meta echoes parallel=%v", alt.parallel, got.Meta.Parallel)
 		}
 		got.Meta.Parallel = want.Meta.Parallel
 		if !reflect.DeepEqual(got, want) {

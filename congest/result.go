@@ -77,7 +77,9 @@ type RunMeta struct {
 	// Mode is the communication topology: "congest", "clique" or
 	// "broadcast".
 	Mode string `json:"mode"`
-	// Parallel records whether the parallel engine ran.
+	// Parallel echoes JobSpec.Parallel, which has no effect on execution.
+	// It stays in the Result so stored Results re-encode to the bytes
+	// they were acknowledged with.
 	Parallel bool `json:"parallel,omitempty"`
 	// Eps is the resolved heaviness exponent (0 for algorithms without
 	// one).
@@ -286,17 +288,17 @@ func trianglesOf(union graph.TriangleSet, max int) []Triangle {
 }
 
 // metaOf converts core run provenance, filling the algorithm-level fields.
-func metaOf(algo string, m core.RunMeta, eps float64, reps int) RunMeta {
+func metaOf(spec JobSpec, m core.RunMeta, eps float64, reps int) RunMeta {
 	segs := make([]SegmentPlan, len(m.Segments))
 	for i, sp := range m.Segments {
 		segs[i] = SegmentPlan{Name: sp.Name, Rounds: sp.Rounds}
 	}
 	return RunMeta{
-		Algo:                algo,
+		Algo:                spec.Algo,
 		Seed:                m.Seed,
 		Bandwidth:           m.BandwidthWords,
 		Mode:                modeName(m.Mode),
-		Parallel:            m.Parallel,
+		Parallel:            spec.Parallel,
 		Eps:                 eps,
 		Repetitions:         reps,
 		ScheduledRounds:     m.ScheduledRounds,

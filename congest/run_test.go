@@ -177,3 +177,33 @@ func TestChurnVerified(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionAlternatingGraphs follows the triserve "serve" traffic: jobs
+// over four gnp(48, 0.2) graphs alternate through one Session, so its
+// engine cache keeps moving pooled engines between graphs (Engine.Rebind)
+// and back onto the same one (Engine.Reset). Every Result must be
+// byte-equal to the same job's in a fresh session.
+func TestSessionAlternatingGraphs(t *testing.T) {
+	algos := []string{"a1", "tester", "twohop", "count", "dolev"}
+	s := NewSession()
+	for i := 0; i < 20; i++ {
+		spec := JobSpec{
+			Graph: GraphSpec{Generator: "gnp", N: 48, P: 0.2, Seed: int64(i % 4)},
+			Algo:  algos[i%len(algos)],
+			Seed:  int64(100 + i),
+		}
+		got, err := s.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewSession().Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, _ := json.Marshal(got)
+		wantJSON, _ := json.Marshal(want)
+		if string(gotJSON) != string(wantJSON) {
+			t.Fatalf("job %d (%s on graph %d): pooled Result differs from a fresh session's", i, spec.Algo, i%4)
+		}
+	}
+}

@@ -129,11 +129,12 @@ func (j *Job) Wait(ctx context.Context) (Result, error) {
 // is a *SaturatedError with a Retry-After hint, never a silent stall.
 // Queued jobs run highest-priority first, FIFO within a priority.
 //
-// With WithJournal the Service is durable: every submission, start,
-// terminal result, preemption and deletion is fsync'd to an append-only
-// journal, and OpenService rebuilds the job table from it — jobs that
-// were in flight when the process died are re-run (resuming from their
-// latest checkpoint when they have one) with byte-identical results.
+// With WithJournal the Service is durable: every submission, terminal
+// result and deletion is fsync'd to an append-only journal, and
+// OpenService rebuilds the job table from it — jobs with no terminal
+// record (in flight when the process died, or preempted by a drain) are
+// re-run, resuming from their latest checkpoint when they have one, with
+// byte-identical results.
 type Service struct {
 	session  *Session
 	store    *jobStore // nil without WithJournal
@@ -458,9 +459,6 @@ func (s *Service) runJob(j *Job) {
 	j.mu.Lock()
 	j.status = JobRunning
 	j.mu.Unlock()
-	if s.store != nil {
-		s.store.running(j.id)
-	}
 	ctx := j.ctx
 	if j.deadline > 0 {
 		var cancel context.CancelFunc
@@ -473,8 +471,8 @@ func (s *Service) runJob(j *Job) {
 
 // finishJob records a job's terminal state, journals it, and releases its
 // admission accounting. A job cancelled by a drain (preempted) skips the
-// terminal record on purpose: the journal then shows it in flight, and
-// the next OpenService re-runs it.
+// terminal record on purpose: the journal then holds only its submission,
+// and the next OpenService re-runs it.
 func (s *Service) finishJob(j *Job, res Result, err error) {
 	j.cancel()
 	j.finish(res, err)
@@ -660,9 +658,9 @@ func (s *Service) Stats() ServiceStats {
 // (persisting a checkpoint first when checkpointing is on), and Close
 // blocks until every job is terminal and the worker pool has exited.
 // Idempotent; concurrent and repeat calls all block until the drain
-// completes. On a journaled service the interrupted jobs are recorded as
-// preempted, so the next OpenService re-runs them. For a bounded
-// shutdown, use CloseContext.
+// completes. On a journaled service the interrupted jobs get no terminal
+// record, so the next OpenService re-runs them. For a bounded shutdown,
+// use CloseContext.
 func (s *Service) Close() {
 	s.CloseContext(context.Background())
 }
@@ -671,8 +669,10 @@ func (s *Service) Close() {
 // waits for it to complete, returning nil on a clean drain or ctx's error
 // if the deadline expires first. The drain itself keeps going in the
 // background either way — only the wait is abandoned, so a caller that
-// times out can exit knowing the journal already holds every preemption
-// record (they are written before the jobs are cancelled).
+// times out can exit knowing every interrupted job stays recoverable:
+// each is marked preempted before it is cancelled, so its cancellation
+// never writes a terminal record, and the journal keeps showing it in
+// flight.
 func (s *Service) CloseContext(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -684,9 +684,8 @@ func (s *Service) CloseContext(ctx context.Context) error {
 			j.index = -1
 		}
 		s.pending = s.pending[:0]
-		// Journal the preemptions before any cancellation, so even a
-		// drain that is itself killed leaves every in-flight job
-		// recoverable.
+		// Mark the preemptions before any cancellation, so no interrupted
+		// job journals a terminal record and each stays recoverable.
 		var interrupted []*Job
 		for _, id := range s.order {
 			j := s.jobs[id]
@@ -697,9 +696,6 @@ func (s *Service) CloseContext(ctx context.Context) error {
 			}
 			j.mu.Unlock()
 			if !terminal {
-				if s.store != nil {
-					s.store.preempted(j.id)
-				}
 				interrupted = append(interrupted, j)
 			}
 		}

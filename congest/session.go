@@ -6,68 +6,43 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/graph"
-	"repro/internal/sim"
 )
 
 // Session executes jobs while caching the expensive state between them:
-// graphs are materialized once per GraphSpec and engines are pooled per
-// (graph, engine configuration) through core.Runner, so repeated jobs over
-// the same input reuse one slab allocation. A Session is safe for
-// concurrent use; Service builds on it.
+// graphs are materialized once per GraphSpec, and engines are pooled in
+// one core.EngineCache keyed by engine shape, so repeated jobs reuse one
+// slab allocation. A Session is safe for concurrent use; Service builds
+// on it.
 //
 // Results are deterministic: a job is fully determined by its JobSpec, and
 // pooled engines are bit-identical to fresh ones.
 type Session struct {
-	opts options
+	opts    options
+	engines *core.EngineCache
 
 	mu     sync.Mutex
-	graphs map[string]*sessionGraph
-}
-
-// sessionGraph is one cached graph plus its engine pools.
-type sessionGraph struct {
-	g *graph.Graph
-
-	mu      sync.Mutex
-	runners map[runnerKey]*core.Runner
-}
-
-// runnerKey identifies an engine configuration (seed excluded: every run
-// names its own). The fault-plan fingerprint is part of the identity:
-// pooled engines carry their compiled plan across resets, so runs under
-// different plans must never share a pool.
-type runnerKey struct {
-	mode     sim.Mode
-	b        int
-	parallel bool
-	shards   int
-	faults   uint64
+	graphs map[string]*graph.Graph
 }
 
 // NewSession returns an empty session. WithOracleWorkers defaults to all
 // CPUs here; see the option docs.
 func NewSession(opts ...Option) *Session {
-	return &Session{opts: resolveOptions(opts), graphs: make(map[string]*sessionGraph)}
+	return &Session{
+		opts:    resolveOptions(opts),
+		engines: core.NewEngineCache(),
+		graphs:  make(map[string]*graph.Graph),
+	}
 }
 
 // Graph materializes (or returns the cached) graph for a spec. File-backed
 // specs are cached by path for the session's lifetime.
 func (s *Session) Graph(gs GraphSpec) (*graph.Graph, error) {
-	sg, err := s.graphFor(gs)
-	if err != nil {
-		return nil, err
-	}
-	return sg.g, nil
-}
-
-func (s *Session) graphFor(gs GraphSpec) (*sessionGraph, error) {
 	key := gs.key()
 	s.mu.Lock()
-	if sg, ok := s.graphs[key]; ok {
+	if g, ok := s.graphs[key]; ok {
 		s.mu.Unlock()
-		return sg, nil
+		return g, nil
 	}
 	s.mu.Unlock()
 	// Admission control BEFORE materialization where the size is declared
@@ -88,26 +63,11 @@ func (s *Session) graphFor(gs GraphSpec) (*sessionGraph, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sg, ok := s.graphs[key]; ok {
-		return sg, nil
+	if cached, ok := s.graphs[key]; ok {
+		return cached, nil
 	}
-	sg := &sessionGraph{g: g, runners: make(map[runnerKey]*core.Runner)}
-	s.graphs[key] = sg
-	return sg, nil
-}
-
-// runner returns the cached engine pool for (graph, config).
-func (sg *sessionGraph) runner(cfg sim.Config) *core.Runner {
-	key := runnerKey{mode: cfg.Mode, b: cfg.BandwidthWords, parallel: cfg.Parallel,
-		shards: cfg.Shards, faults: faults.Fingerprint(cfg.Faults)}
-	sg.mu.Lock()
-	defer sg.mu.Unlock()
-	r, ok := sg.runners[key]
-	if !ok {
-		r = core.NewRunner(sg.g, cfg)
-		sg.runners[key] = r
-	}
-	return r
+	s.graphs[key] = g
+	return g, nil
 }
 
 // Run executes one job to completion (or cancellation) and returns its

@@ -233,14 +233,16 @@ type JobSpec struct {
 	LogCorrected bool `json:"logCorrected,omitempty"`
 	// Probes is the property tester's probe-batch count. Zero means 16.
 	Probes int `json:"probes,omitempty"`
-	// Parallel runs the engine's node state machines on all CPUs; results
-	// are bit-identical either way.
+	// Parallel is accepted and ignored: it has no effect on execution. It
+	// stays so specs that set it — stored journals, older clients — still
+	// parse under ParseJobSpec's strict decoding, and Result.Meta.Parallel
+	// echoes it. Shards is the placement setting.
 	Parallel bool `json:"parallel,omitempty"`
 	// Shards partitions the engine's per-round work into that many
 	// contiguous node shards with deterministic cross-shard message
-	// exchange — the large-graph execution path, usually combined with
-	// Parallel. Zero or one runs unsharded; results are bit-identical at
-	// every shard count.
+	// exchange — the large-graph execution path; the shards run on all
+	// CPUs. Zero or one runs the sequential single-shard engine; results
+	// are bit-identical at every shard count.
 	Shards int `json:"shards,omitempty"`
 	// Verify selects the verification mode; see VerifyAuto.
 	Verify string `json:"verify,omitempty"`

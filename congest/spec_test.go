@@ -95,7 +95,7 @@ func TestJobSpecValidate(t *testing.T) {
 
 // TestRunCSRBinFileAndShards pins the large-graph plumbing end to end: a
 // .csrbin GraphSpec file is detected by suffix and loaded through the
-// binary (mmap) path, a sharded+parallel job runs over it, and the result
+// binary (mmap) path, a sharded job runs over it, and the result
 // is bit-identical to the same job over the generator-sourced graph with
 // the default unsharded engine.
 func TestRunCSRBinFileAndShards(t *testing.T) {
@@ -124,14 +124,10 @@ func TestRunCSRBinFileAndShards(t *testing.T) {
 	sharded := base
 	sharded.Graph = GraphSpec{File: path}
 	sharded.Shards = 4
-	sharded.Parallel = true
 	got, err := Run(context.Background(), sharded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The runs differ only in declared engine layout; normalize those
-	// fields and everything else must match bit for bit.
-	got.Meta.Parallel = want.Meta.Parallel
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("csrbin+sharded result diverges\ngot:  %+v\nwant: %+v", got, want)
 	}

@@ -10,19 +10,21 @@ import (
 )
 
 // Journal record kinds. The payload of every kind is a JSON storeRecord;
-// which fields are set depends on the kind.
+// which fields are set depends on the kind. The service writes only what
+// recovery reads: submissions, terminal records and deletions. A job
+// without a terminal record is re-run on the next open.
 const (
 	// recSubmitted: a job entered the service. Carries the full spec and
 	// admission metadata — everything needed to re-create the job.
 	recSubmitted uint32 = 1
-	// recRunning: a worker started the job. Provenance only; recovery
-	// re-runs any job without a terminal record regardless.
+	// recRunning: a worker started the job. No longer written; journals
+	// from older builds hold it, and replay skips it.
 	recRunning uint32 = 2
 	// recTerminal: the job finished. Carries status, Result and error.
 	recTerminal uint32 = 3
-	// recPreempted: a drain cancelled the job before it finished. The job
-	// stays recoverable — restart re-runs it, resuming from its latest
-	// checkpoint when it has one.
+	// recPreempted: a drain cancelled the job before it finished. No
+	// longer written (a preempted job simply gets no terminal record);
+	// journals from older builds hold it, and replay skips it.
 	recPreempted uint32 = 4
 	// recDeleted: the job was deleted (or evicted from history); recovery
 	// must not resurrect it.
@@ -82,20 +84,12 @@ func (st *jobStore) submitted(j *Job) error {
 	})
 }
 
-func (st *jobStore) running(id string) error {
-	return st.append(recRunning, storeRecord{ID: id})
-}
-
 func (st *jobStore) terminal(id string, status JobStatus, res Result, err error) error {
 	rec := storeRecord{ID: id, Status: status, Result: &res}
 	if err != nil {
 		rec.Error = err.Error()
 	}
 	return st.append(recTerminal, rec)
-}
-
-func (st *jobStore) preempted(id string) error {
-	return st.append(recPreempted, storeRecord{ID: id})
 }
 
 func (st *jobStore) deleted(id string) error {
@@ -174,8 +168,9 @@ func openJobStore(path string) (*jobStore, []recoveredJob, error) {
 			}
 			order = append(order, sr.ID)
 		case recRunning, recPreempted:
-			// Provenance only: recovery re-runs any job without a terminal
-			// record, whether or not it had started or been preempted.
+			// Written by older builds; recovery re-runs any job without a
+			// terminal record, whether or not it had started or been
+			// preempted.
 		case recTerminal:
 			if j := jobs[sr.ID]; j != nil {
 				j.status = sr.Status

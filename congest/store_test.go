@@ -130,7 +130,9 @@ func TestServiceRecoverRerunsFromScratch(t *testing.T) {
 	if err := st.submitted(&Job{id: "job-1", tenant: "acme", spec: spec}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.running("job-1"); err != nil {
+	// A running record, which older builds wrote when a worker started
+	// the job: replay must still accept it.
+	if err := st.append(recRunning, storeRecord{ID: "job-1"}); err != nil {
 		t.Fatal(err)
 	}
 	st.close()
@@ -160,8 +162,8 @@ func TestServiceRecoverRerunsFromScratch(t *testing.T) {
 }
 
 // TestServiceDrainRecoverResume is the drain/recovery contract end to
-// end: CloseContext preempts a running checkpointing job (journaling the
-// preemption, no terminal record), and the next OpenService re-runs it —
+// end: CloseContext preempts a running checkpointing job (it gets no
+// terminal record), and the next OpenService re-runs it —
 // resuming from its latest checkpoint — to a Result byte-identical to a
 // straight-through run.
 func TestServiceDrainRecoverResume(t *testing.T) {
@@ -369,10 +371,15 @@ func TestServiceDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-g.started
 	// Hold the job past its deadline, then let it reach the next round
-	// boundary, where the expired context stops it.
-	time.Sleep(20 * time.Millisecond)
+	// boundary, where the expired context stops it. Under load the
+	// deadline can expire before round 0 ends, and the job then finishes
+	// without ever starting the gate.
+	select {
+	case <-g.started:
+		time.Sleep(20 * time.Millisecond)
+	case <-j.Done():
+	}
 	g.release()
 	res, err := j.Wait(context.Background())
 	if !errors.Is(err, context.DeadlineExceeded) {

@@ -69,10 +69,12 @@ var (
 )
 
 // Meta is the provenance block. Identity fields (everything the
-// determinism contract keys on) must match for a resume; Shards, Workers
-// and Parallel are recorded for observability only — the restored run is
-// bit-identical under any of their values, so migrating a checkpoint
-// across worker or shard counts is legal and tested.
+// determinism contract keys on) must match for a resume; Shards is
+// recorded for observability only — the restored run is bit-identical at
+// any shard count, so migrating a checkpoint across shard counts is legal
+// and tested. Decoding ignores fields Meta does not know, so containers
+// written with the removed workers and parallel fields still load, and
+// the kept raw meta bytes re-encode them byte-identically.
 type Meta struct {
 	SpecHash  string `json:"spec_hash"`  // canonical job spec hash
 	GraphHash string `json:"graph_hash"` // FNV-64a over the CSR slabs
@@ -84,9 +86,7 @@ type Meta struct {
 	Bandwidth int    `json:"bandwidth"`
 	Mode      int    `json:"mode"`
 	Scheduler int    `json:"scheduler"`
-	Shards    int    `json:"shards"`   // provenance only
-	Workers   int    `json:"workers"`  // provenance only
-	Parallel  bool   `json:"parallel"` // provenance only
+	Shards    int    `json:"shards"` // provenance only
 }
 
 // CompatibleWith returns nil when a run described by want may resume from

@@ -29,8 +29,6 @@ func testMeta() Meta {
 		Mode:      0,
 		Scheduler: 0,
 		Shards:    4,
-		Workers:   2,
-		Parallel:  true,
 	}
 }
 
@@ -129,18 +127,37 @@ func TestDecodeRejects(t *testing.T) {
 	}
 }
 
+// TestDecodeLegacyPlacementMeta: containers written while the engine still
+// had workers and parallel placement settings carry them in their meta.
+// They decode to the same Meta, and re-encode byte-identically from the
+// kept raw meta bytes.
+func TestDecodeLegacyPlacementMeta(t *testing.T) {
+	meta := []byte(`{"spec_hash":"f00dfeedcafe0123","graph_hash":"0123456789abcdef","algo":"list",` +
+		`"seed":42,"round":16,"n":1000,"m":4999,"bandwidth":2,"mode":0,"scheduler":0,` +
+		`"shards":4,"workers":2,"parallel":true}`)
+	data := rawContainer(meta, []byte("engine payload"), 16, 1000)
+	c, err := Decode(data)
+	if err != nil {
+		t.Fatalf("legacy container rejected: %v", err)
+	}
+	if c.Meta != testMeta() {
+		t.Fatalf("legacy meta decoded to %+v, want %+v", c.Meta, testMeta())
+	}
+	if again := mustEncode(t, c); !bytes.Equal(again, data) {
+		t.Fatal("legacy container did not re-encode byte-identically")
+	}
+}
+
 func TestCompatibleWith(t *testing.T) {
 	base := testMeta()
 	if err := base.CompatibleWith(base); err != nil {
 		t.Fatalf("identical meta rejected: %v", err)
 	}
 
-	// Placement fields may differ freely: checkpoints migrate across
-	// shard/worker counts and parallelism.
+	// Placement may differ freely: checkpoints migrate across shard
+	// counts.
 	moved := base
 	moved.Shards = 1
-	moved.Workers = 16
-	moved.Parallel = false
 	if err := base.CompatibleWith(moved); err != nil {
 		t.Fatalf("placement-only change rejected: %v", err)
 	}

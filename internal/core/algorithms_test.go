@@ -485,21 +485,21 @@ func TestVerifyFindingRequiresOutputOnTriangles(t *testing.T) {
 
 // --- Engine parity -------------------------------------------------------
 
-// TestSequentialParallelParity: the parallel engine must produce byte-for-
+// TestSequentialParallelParity: the sharded engine must produce byte-for-
 // byte identical outputs and communication metrics for the same seed.
 func TestSequentialParallelParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := graph.Gnp(28, 0.4, rng)
-	run := func(parallel bool) Result {
+	run := func(shards int) Result {
 		res, err := ListAllTriangles(g, ListerOptions{RepetitionsOverride: 3},
-			sim.Config{Seed: 18, Parallel: parallel})
+			sim.Config{Seed: 18, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	seq := run(false)
-	par := run(true)
+	seq := run(0)
+	par := run(4)
 	if !seq.Union.Equal(par.Union) {
 		t.Fatalf("outputs differ: %d vs %d", len(seq.Union), len(par.Union))
 	}

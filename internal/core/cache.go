@@ -9,24 +9,25 @@ import (
 	"repro/internal/sim"
 )
 
-// EngineCache pools engines and node slices across independent runs over
-// DIFFERENT graphs, keyed by everything that fixes an engine's slab shape:
-// vertex count, mode, bandwidth, parallelism, scheduler and shard count. It is the
-// sweep-cell reuse path: consecutive cells run over freshly generated
-// graphs of recurring sizes, so a per-graph Runner never gets a second hit,
-// but a size-keyed cache re-points a drained engine at the next cell's
-// graph with Engine.Rebind (or Engine.Reset when the graph is the very
-// same), keeping every slab allocation. Results are identical to the
-// one-shot package functions for the same (graph, config, seed) — the
-// determinism contract — which the pooled-vs-fresh tests assert.
+// EngineCache is the engine pool: it recycles engines and node slices
+// across runs, keyed by everything that fixes an engine's slab shape —
+// vertex count, mode, bandwidth, scheduler, shard count and fault plan.
+// A borrowed engine is rewound with Engine.Reset when it last ran over the
+// very same graph and re-pointed with Engine.Rebind otherwise, keeping
+// every slab allocation either way. That serves both reuse patterns: a
+// Session running many jobs over one cached graph, and sweep cells running
+// over freshly generated graphs of recurring sizes. Results are identical
+// to the one-shot package functions for the same (graph, config, seed) —
+// the determinism contract — which the pooled-vs-fresh tests assert.
 //
 // The cache is safe for concurrent use; each borrowed engine belongs to one
-// run until it is returned. Config.MaxRounds is not part of the key: the
-// planned runs the cache executes drive the engine with explicit round
-// budgets and never consult it. Idle retention is bounded at maxFreePerKey
-// engines (and node slices) per shape — enough for a full sweep fan-out's
-// concurrency — so a long-lived process's memory scales with concurrent
-// load, not with the variety of shapes it has ever served.
+// run until it is returned, so k concurrent runs of one shape cost k
+// engines. Config.MaxRounds is not part of the key: the planned runs the
+// cache executes drive the engine with explicit round budgets and never
+// consult it. Idle retention is bounded at maxFreePerKey engines (and node
+// slices) per shape — enough for a full sweep fan-out's concurrency — so a
+// long-lived process's memory scales with concurrent load, not with the
+// variety of shapes it has ever served.
 type EngineCache struct {
 	mu      sync.Mutex
 	engines map[engineKey][]*sim.Engine
@@ -37,8 +38,6 @@ type engineKey struct {
 	n         int
 	mode      sim.Mode
 	bandwidth int
-	parallel  bool
-	workers   int
 	scheduler sim.Scheduler
 	shards    int
 	// faults is the fault-plan fingerprint: engines carry their compiled
@@ -63,8 +62,7 @@ func NewEngineCache() *EngineCache {
 func keyFor(n int, cfg sim.Config) engineKey {
 	cfg = cfg.Normalized()
 	return engineKey{n: n, mode: cfg.Mode, bandwidth: cfg.BandwidthWords,
-		parallel: cfg.Parallel, workers: cfg.Workers, scheduler: cfg.Scheduler,
-		shards: cfg.Shards, faults: faults.Fingerprint(cfg.Faults)}
+		scheduler: cfg.Scheduler, shards: cfg.Shards, faults: faults.Fingerprint(cfg.Faults)}
 }
 
 func (c *EngineCache) getNodes(n int) []sim.Node {
@@ -125,14 +123,24 @@ func (c *EngineCache) putEngine(cfg sim.Config, e *sim.Engine) {
 	c.mu.Unlock()
 }
 
-func (c *EngineCache) run(g *graph.Graph, mkNodes func(nodes []sim.Node), plan []SegmentPlan, cfg sim.Config) (Result, error) {
+// Idle reports how many returned engines the cache holds for n-vertex
+// graphs under cfg, ready for reuse.
+func (c *EngineCache) Idle(n int, cfg sim.Config) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.engines[keyFor(n, cfg)])
+}
+
+func (c *EngineCache) run(ctx context.Context, g *graph.Graph, mkNodes func(nodes []sim.Node), plan []SegmentPlan, cfg sim.Config, obs Observer, ckpt *CheckpointPlan) (Result, error) {
 	nodes := c.getNodes(g.N())
 	mkNodes(nodes)
 	eng, err := c.getEngine(g, nodes, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := runPlanned(context.Background(), eng, plan, nil, nil)
+	res, err := runPlanned(ctx, eng, plan, obs, ckpt)
+	// A cancelled engine still has queued words; Reset and Rebind drain
+	// them on the next borrow, so returning it is safe either way.
 	c.putEngine(cfg, eng)
 	c.putNodes(nodes)
 	return res, err
@@ -141,24 +149,40 @@ func (c *EngineCache) run(g *graph.Graph, mkNodes func(nodes []sim.Node), plan [
 // RunSingle is the package-level RunSingle with cached engine and node
 // state.
 func (c *EngineCache) RunSingle(g *graph.Graph, sched *sim.Schedule, mk func(id int) sim.Node, cfg sim.Config) (Result, error) {
-	return c.run(g, func(nodes []sim.Node) {
+	return c.RunSingleCheckpointed(context.Background(), g, sched, mk, cfg, nil, nil)
+}
+
+// RunSingleCheckpointed is RunSingle with cancellation, streaming
+// observation and a checkpoint plan (see the package-level
+// RunSingleContext for the cancellation contract): the run snapshots at
+// the plan's cadence and on cancellation and, when the plan carries a
+// resume point, starts from it instead of round 0. A nil obs or ckpt
+// disables that part.
+func (c *EngineCache) RunSingleCheckpointed(ctx context.Context, g *graph.Graph, sched *sim.Schedule, mk func(id int) sim.Node, cfg sim.Config, obs Observer, ckpt *CheckpointPlan) (Result, error) {
+	return c.run(ctx, g, func(nodes []sim.Node) {
 		for v := range nodes {
 			nodes[v] = mk(v)
 		}
-	}, singlePlan(sched), cfg)
+	}, singlePlan(sched), cfg, obs, ckpt)
 }
 
 // RunSequence is the package-level RunSequence with cached engine and node
 // state.
 func (c *EngineCache) RunSequence(g *graph.Graph, segs []Segment, cfg sim.Config) (Result, error) {
+	return c.RunSequenceCheckpointed(context.Background(), g, segs, cfg, nil, nil)
+}
+
+// RunSequenceCheckpointed is RunSequence with cancellation, streaming
+// observation and a checkpoint plan (see RunSingleCheckpointed).
+func (c *EngineCache) RunSequenceCheckpointed(ctx context.Context, g *graph.Graph, segs []Segment, cfg sim.Config, obs Observer, ckpt *CheckpointPlan) (Result, error) {
 	if len(segs) == 0 {
 		return Result{}, errEmptySequence
 	}
-	return c.run(g, func(nodes []sim.Node) {
+	return c.run(ctx, g, func(nodes []sim.Node) {
 		for v := range nodes {
 			nodes[v] = NewSequenceNode(segs, v)
 		}
-	}, Plan(segs), cfg)
+	}, Plan(segs), cfg, obs, ckpt)
 }
 
 // FindTriangles is the package-level FindTriangles with cached engine and

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -117,3 +118,101 @@ var errDiverged = &divergedError{}
 type divergedError struct{}
 
 func (*divergedError) Error() string { return "cached run diverges from one-shot" }
+
+// TestRunnerMatchesRunSingle pins the cache's same-graph reuse path (every
+// borrow after the first rewinds the engine with Engine.Reset) to the
+// one-shot path: for every seed, identical Result.
+func TestRunnerMatchesRunSingle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := graph.Gnp(28, 0.4, rng)
+	sched, mk := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopGlobal)
+	c := core.NewEngineCache()
+	for seed := int64(0); seed < 4; seed++ {
+		cfg := sim.Config{Mode: sim.ModeCONGEST, Seed: seed}
+		got, err := c.RunSingle(g, sched, mk, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.RunSingle(g, sched, mk, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: pooled RunSingle diverges from one-shot", seed)
+		}
+	}
+	if idle := c.Idle(g.N(), sim.Config{}); idle != 1 {
+		t.Fatalf("%d idle engines after sequential runs, want 1", idle)
+	}
+}
+
+// TestRunnerMatchesRunSequence does the same for segment sequences (the
+// Theorem-2 lister) through the observed entry point: across repeated
+// pooled runs, the Result and the observation stream both match the
+// one-shot run's.
+func TestRunnerMatchesRunSequence(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := graph.Gnp(24, 0.5, rng)
+	segs, err := core.NewLister(g.N(), 2, core.ListerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := core.NewEngineCache()
+	for seed := int64(10); seed < 13; seed++ {
+		cfg := sim.Config{Mode: sim.ModeCONGEST, Seed: seed}
+		gotObs := &stream{}
+		got, err := c.RunSequenceCheckpointed(context.Background(), g, segs, cfg, gotObs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantObs := &stream{}
+		want, err := core.RunSequenceContext(context.Background(), g, segs, cfg, wantObs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: pooled RunSequence diverges from one-shot", seed)
+		}
+		if !gotObs.equal(wantObs) {
+			t.Fatalf("seed %d: pooled observation stream diverges from one-shot", seed)
+		}
+	}
+}
+
+// TestRunnerConcurrent shares one cache across goroutines running one graph
+// under -race, at mixed seeds and shard counts; every run must still match
+// the one-shot result for its seed.
+func TestRunnerConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := graph.Gnp(20, 0.4, rng)
+	sched, mk := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopGlobal)
+	want := make([]core.Result, 4)
+	for seed := range want {
+		res, err := core.RunSingle(g, sched, mk, sim.Config{Seed: int64(seed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[seed] = res
+	}
+	c := core.NewEngineCache()
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				seed := (w + i) % len(want)
+				cfg := sim.Config{Seed: int64(seed), Shards: 2 * (w % 2)}
+				got, err := c.RunSingle(g, sched, mk, cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, want[seed]) {
+					t.Errorf("worker %d: seed %d diverges", w, seed)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}

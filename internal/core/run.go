@@ -19,9 +19,6 @@ type RunMeta struct {
 	BandwidthWords int
 	// Mode is the communication topology the run executed under.
 	Mode sim.Mode
-	// Parallel records whether the parallel engine ran (results are
-	// bit-identical either way; recorded for completeness).
-	Parallel bool
 	// ScheduledRounds is the algorithm's scheduled (worst-case) duration —
 	// the quantity the paper's round-complexity bounds describe.
 	ScheduledRounds int
@@ -218,7 +215,6 @@ func runPlanned(ctx context.Context, eng *sim.Engine, plan []SegmentPlan, obs Ob
 			Seed:                cfg.Seed,
 			BandwidthWords:      cfg.BandwidthWords,
 			Mode:                cfg.Mode,
-			Parallel:            cfg.Parallel,
 			ScheduledRounds:     scheduled,
 			ExecutedRounds:      eng.Round(),
 			FastForwardedRounds: metrics.FastForwardedRounds,

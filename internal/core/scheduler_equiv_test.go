@@ -1,8 +1,8 @@
 package core_test
 
 // Differential property tests for the engine's activity-driven scheduler:
-// every algorithm in the zoo, in every communication mode, with Parallel
-// on and off, must be bit-identical under SchedulerActivity (ready set +
+// every algorithm in the zoo, in every communication mode, unsharded and
+// sharded, must be bit-identical under SchedulerActivity (ready set +
 // wake wheel + idle fast-forward) and SchedulerDense (the retained
 // reference stepper that scans all n nodes every round) — outputs, union,
 // metrics, the full observation stream, and cancellation prefixes. The
@@ -104,18 +104,18 @@ func zoo(t *testing.T, g *graph.Graph) map[string]zooRun {
 	}
 }
 
-// TestSchedulerEquivalence: for every algorithm, with Parallel off and on,
-// the activity scheduler's Result and observation stream are bit-identical
+// TestSchedulerEquivalence: for every algorithm, unsharded and at four
+// shards (which the dense reference ignores), the activity scheduler's Result and observation stream are bit-identical
 // to the dense reference stepper's.
 func TestSchedulerEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.Gnp(40, 0.3, rng)
 	for name, run := range zoo(t, g) {
-		for _, parallel := range []bool{false, true} {
-			name, run, parallel := name, run, parallel
+		for _, shards := range []int{0, 4} {
+			name, run, shards := name, run, shards
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				cfg := sim.Config{Seed: 11, Parallel: parallel}
+				cfg := sim.Config{Seed: 11, Shards: shards}
 
 				cfg.Scheduler = sim.SchedulerDense
 				dObs := &stream{}
@@ -131,11 +131,11 @@ func TestSchedulerEquivalence(t *testing.T) {
 				}
 
 				if !reflect.DeepEqual(normalize(dense), normalize(act)) {
-					t.Fatalf("parallel=%v: activity Result diverges from dense reference", parallel)
+					t.Fatalf("shards=%d: activity Result diverges from dense reference", shards)
 				}
 				if !dObs.equal(aObs) {
-					t.Fatalf("parallel=%v: observation streams diverge (%d vs %d rounds observed)",
-						parallel, len(dObs.rounds), len(aObs.rounds))
+					t.Fatalf("shards=%d: observation streams diverge (%d vs %d rounds observed)",
+						shards, len(dObs.rounds), len(aObs.rounds))
 				}
 				if dense.Metrics.FastForwardedRounds != 0 {
 					t.Fatal("dense reference reported fast-forwarded rounds")

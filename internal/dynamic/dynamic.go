@@ -172,8 +172,8 @@ func (d *DynamicGraph) deleteEdge(u, v int) {
 // Snapshot freezes the current state into an immutable CSR graph.Graph,
 // returning it with the epoch it captures. The snapshot shares no storage
 // with the dynamic graph: later batches never disturb it, so simulator
-// engines and oracles can hold it across epochs (and EnginePool.Rebind can
-// re-point pooled engines at a newer one).
+// engines and oracles can hold it across epochs (and core.EngineCache can
+// re-point pooled engines at a newer one with Engine.Rebind).
 func (d *DynamicGraph) Snapshot() (*graph.Graph, uint64) {
 	offs := make([]int32, d.n+1)
 	for v := 0; v < d.n; v++ {

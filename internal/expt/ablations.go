@@ -209,10 +209,9 @@ func runAbGood(cfg Config) (*Table, error) {
 	}
 	want := graph.NewTriangleSet(graph.TrianglesInDeltaX(g, x))
 	rFull := p.GoodThreshold()
-	// All cells run over the same graph, so they share one pooled Runner:
-	// sequential sweeps reuse a single engine across fracs, parallel sweeps
-	// one engine per worker.
-	runner := core.NewRunner(g, cfg.simCfg(0, sim.ModeCONGEST))
+	// All cells run over the same graph, so the package cell cache
+	// rewinds one engine per worker with Engine.Reset across fracs.
+	simCfg := cfg.simCfg(cfg.Seed+33, sim.ModeCONGEST)
 	fracs := []float64{0.02, 0.05, 0.1, 0.25, 0.5, 1.0}
 	type goodRow struct {
 		frac float64
@@ -228,7 +227,7 @@ func runAbGood(cfg Config) (*Table, error) {
 			R:   r,
 			InX: func(id int) bool { return x.Has(id) },
 		})
-		res, err := runner.RunSingle(sched, mk, cfg.Seed+33)
+		res, err := cells.RunSingle(g, sched, mk, simCfg)
 		if err != nil {
 			return goodRow{}, false, err
 		}

@@ -7,13 +7,14 @@ import (
 	"repro/internal/graph"
 )
 
-// Per-cell resource reuse. Every sweep cell generates its own graph, so a
-// per-graph Runner never gets a second hit — but cell SIZES recur, both
+// Per-cell resource reuse. Most sweep cells generate their own graph, so a
+// per-graph pool would never get a second hit — but cell SIZES recur, both
 // across an experiment's repetitions and across repeated sweeps (benchmark
 // loops, the regression gate, service-driven experiment jobs). The
 // package-level EngineCache re-points drained engines at each cell's fresh
-// graph (Engine.Rebind keyed by shape: n, mode, bandwidth, parallelism,
-// scheduler), and the scratch pool reuses the centralized oracle's buffers
+// graph (Engine.Rebind keyed by shape: n, mode, bandwidth, shards,
+// scheduler, fault plan) and rewinds them with Engine.Reset when cells
+// share a graph (the ab-good ablation), and the scratch pool reuses the centralized oracle's buffers
 // for per-cell verification. Together they cut a steady-state sweep's
 // allocations to graph generation plus the per-node state machines (see
 // the allocs-per-op bound in alloc_test.go).

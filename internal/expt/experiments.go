@@ -27,8 +27,6 @@ type Config struct {
 	Bandwidth int
 	// Quick shrinks defaults for smoke runs.
 	Quick bool
-	// Parallel runs node state machines on all CPUs.
-	Parallel bool
 	// Workers bounds the sweep-cell worker pool: independent (algorithm,
 	// size, seed) cells run concurrently, with row order and every value
 	// byte-identical to a sequential sweep. 0 selects GOMAXPROCS; 1 forces
@@ -60,7 +58,6 @@ func (c Config) simCfg(seed int64, mode sim.Mode) sim.Config {
 		Mode:           mode,
 		BandwidthWords: c.bandwidth(),
 		Seed:           seed,
-		Parallel:       c.Parallel,
 	}
 }
 

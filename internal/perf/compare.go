@@ -40,10 +40,10 @@ func DefaultTolerance() Tolerance {
 // is a dispatch-overhead regression at any width, not a missing core.
 //
 // At >= 4 effective procs the multicore floors arm: this is the "make
-// parallel pay" contract — a 4-core machine must see >= 2x on the engine's
-// uniform flood and on streaming triangle counting, >= 1.5x on listing
-// (output writing has a sequential tail) and on the skewed power-law flood
-// (hub rounds have a longer critical path). CI runs this on a 4-vCPU
+// parallel pay" contract — a 4-core machine must see >= 2x on streaming
+// triangle counting, >= 1.5x on listing (output writing has a sequential
+// tail), >= 1.2x from the sharded engine on the million-node round loop
+// and >= 1.5x from the service worker pool. CI runs this on a 4-vCPU
 // runner with -require-procs so the floors can never silently disarm.
 func DefaultToleranceFor(procs int) Tolerance {
 	floors := map[string]float64{
@@ -78,8 +78,6 @@ func DefaultToleranceFor(procs int) Tolerance {
 		"fault_nilplan_vs_sparse": 0.85,
 	}
 	if procs >= 4 {
-		floors["speedup_engine_gnp_par_vs_seq"] = 2.0
-		floors["speedup_engine_powerlaw_par_vs_seq"] = 1.5
 		floors["speedup_oracle_count_par_vs_seq"] = 2.0
 		floors["speedup_oracle_list_par_vs_seq"] = 1.5
 		// With real cores behind the shard fan-outs, the sharded engine

@@ -93,6 +93,7 @@ func TestDefaultToleranceFor(t *testing.T) {
 		"speedup_dynamic_incremental_vs_full",
 		"speedup_oracle_count_par_vs_seq",
 		"speedup_oracle_list_par_vs_seq",
+		"speedup_large_sharded_vs_seq",
 		"fault_nilplan_vs_sparse",
 	} {
 		if _, ok := lo.Floors[key]; !ok {
@@ -102,14 +103,13 @@ func TestDefaultToleranceFor(t *testing.T) {
 	if lo.Floors["speedup_oracle_count_par_vs_seq"] != 0.8 {
 		t.Fatalf("1-proc count floor = %v, want the 0.8 par-not-worse guard", lo.Floors)
 	}
-	if _, ok := lo.Floors["speedup_engine_gnp_par_vs_seq"]; ok {
-		t.Fatalf("multicore floor armed at 1 proc: %v", lo.Floors)
+	if lo.Floors["speedup_large_sharded_vs_seq"] != 0.5 {
+		t.Fatalf("1-proc sharded floor = %v, want the 0.5 sharding-overhead guard", lo.Floors)
 	}
 	hi := DefaultToleranceFor(4)
-	if hi.Floors["speedup_engine_gnp_par_vs_seq"] != 2.0 ||
-		hi.Floors["speedup_oracle_count_par_vs_seq"] != 2.0 ||
+	if hi.Floors["speedup_oracle_count_par_vs_seq"] != 2.0 ||
 		hi.Floors["speedup_oracle_list_par_vs_seq"] != 1.5 ||
-		hi.Floors["speedup_engine_powerlaw_par_vs_seq"] != 1.5 {
+		hi.Floors["speedup_large_sharded_vs_seq"] != 1.2 {
 		t.Fatalf("4-proc floors = %v", hi.Floors)
 	}
 }

@@ -124,8 +124,6 @@ func (r *Report) Merge(fresh Report) {
 var derivedRatios = []struct{ Key, Num, Den string }{
 	{"speedup_sparse_activity_vs_dense", "EngineStepSparse/dense", "EngineStepSparse/activity"},
 	{"speedup_dynamic_incremental_vs_full", "DynamicApply/full", "DynamicApply/incremental"},
-	{"speedup_engine_gnp_par_vs_seq", "EngineStep/gnp", "EngineStep/gnp-par"},
-	{"speedup_engine_powerlaw_par_vs_seq", "EngineStep/powerlaw", "EngineStep/powerlaw-par"},
 	{"speedup_oracle_list_par_vs_seq", "ListTriangles/seq", "ListTriangles/par"},
 	{"speedup_oracle_count_par_vs_seq", "CountTriangles/seq", "CountTriangles/par"},
 	{"speedup_sweep_par_vs_seq", "Sweep/seq", "Sweep/par"},

@@ -44,10 +44,8 @@ type Suite struct {
 func Suites() []Suite {
 	return []Suite{
 		{Name: "engine", Benches: []Bench{
-			{Name: "EngineStep/gnp", Fn: EngineStepGnp(false)},
-			{Name: "EngineStep/gnp-par", Fn: EngineStepGnp(true), NoAllocGate: true},
-			{Name: "EngineStep/powerlaw", Fn: EngineStepPowerLaw(false)},
-			{Name: "EngineStep/powerlaw-par", Fn: EngineStepPowerLaw(true), NoAllocGate: true},
+			{Name: "EngineStep/gnp", Fn: EngineStepGnp()},
+			{Name: "EngineStep/powerlaw", Fn: EngineStepPowerLaw()},
 			{Name: "EngineStepSparse/dense", Fn: EngineStepSparse(sim.SchedulerDense)},
 			{Name: "EngineStepSparse/activity", Fn: EngineStepSparse(sim.SchedulerActivity)},
 			{Name: "EngineStepFaulty/nilplan", Fn: EngineStepFaulty(false)},
@@ -77,8 +75,8 @@ func Suites() []Suite {
 		{Name: "large", Benches: []Bench{
 			{Name: "LargeLoad/text", Fn: LargeLoadText()},
 			{Name: "LargeLoad/csrbin", Fn: LargeLoadCSRBin()},
-			{Name: "EngineStepLarge/seq", Fn: EngineStepLarge(0, false)},
-			{Name: "EngineStepLarge/sharded", Fn: EngineStepLarge(largeShards, true), NoAllocGate: true},
+			{Name: "EngineStepLarge/seq", Fn: EngineStepLarge(0)},
+			{Name: "EngineStepLarge/sharded", Fn: EngineStepLarge(largeShards), NoAllocGate: true},
 			{Name: "EngineReset/large", Fn: EngineResetLarge()},
 		}},
 	}
@@ -194,18 +192,16 @@ func EnginePowerLawGraph() *graph.Graph {
 }
 
 // EngineStepGnp floods a G(512, 0.05) graph every round.
-func EngineStepGnp(parallel bool) func(*testing.B) {
+func EngineStepGnp() func(*testing.B) {
 	return func(b *testing.B) {
-		engineStep(b, EngineGnpGraph(), func(int) sim.Node { return floodNode{} },
-			sim.Config{Seed: 1, Parallel: parallel})
+		engineStep(b, EngineGnpGraph(), func(int) sim.Node { return floodNode{} }, sim.Config{Seed: 1})
 	}
 }
 
 // EngineStepPowerLaw floods a Barabasi-Albert graph every round.
-func EngineStepPowerLaw(parallel bool) func(*testing.B) {
+func EngineStepPowerLaw() func(*testing.B) {
 	return func(b *testing.B) {
-		engineStep(b, EnginePowerLawGraph(), func(int) sim.Node { return floodNode{} },
-			sim.Config{Seed: 1, Parallel: parallel})
+		engineStep(b, EnginePowerLawGraph(), func(int) sim.Node { return floodNode{} }, sim.Config{Seed: 1})
 	}
 }
 
@@ -501,11 +497,11 @@ func (s largeNode) Round(ctx *sim.Context, round int, inbox []sim.Delivery) {
 
 // EngineStepLarge measures steady-state rounds on the million-node graph
 // with the given shard count (0 = the unsharded engine).
-func EngineStepLarge(shards int, parallel bool) func(*testing.B) {
+func EngineStepLarge(shards int) func(*testing.B) {
 	return func(b *testing.B) {
 		g, _, _ := largeWorkload(b)
 		engineStep(b, g, func(id int) sim.Node { return largeNode{beacon: id%largeBeaconStride == 0} },
-			sim.Config{Seed: 1, Shards: shards, Parallel: parallel})
+			sim.Config{Seed: 1, Shards: shards})
 	}
 }
 

@@ -1,11 +1,10 @@
 package sim_test
 
 // Property tests for the engine's determinism contract: for a fixed seed,
-// Config.Parallel must be unobservable — identical Metrics, Outputs and
-// round counts, bit for bit. The receiver-sharded delivery phase and the
-// worker pool running node state machines both rely on single-writer
-// ownership of per-receiver state; run this file under -race to have the
-// race detector audit that ownership (the CI workflow does).
+// Config.Shards must be unobservable — identical Metrics, Outputs and
+// round counts, bit for bit. The sharded phases rely on single-writer
+// ownership of shard state; run this file under -race to have the race
+// detector audit that ownership (the CI workflow does).
 
 import (
 	"math/rand"
@@ -80,8 +79,8 @@ func runChatter(t *testing.T, g *graph.Graph, cfg sim.Config, rounds int) (sim.M
 }
 
 // TestParallelMatchesSequential is the determinism property test: across
-// random graph families, sizes and seeds, a parallel run must be
-// indistinguishable from a sequential one.
+// random graph families, sizes and seeds, a sharded run must be
+// indistinguishable from the sequential single-shard one.
 func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 12; trial++ {
@@ -99,7 +98,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			seed := rng.Int63()
 			seqCfg := sim.Config{Mode: mode, Seed: seed, BandwidthWords: 1 + rng.Intn(3)}
 			parCfg := seqCfg
-			parCfg.Parallel = true
+			parCfg.Shards = 4
 			rounds := 10 + rng.Intn(30)
 			sm, so, sr := runChatter(t, g, seqCfg, rounds)
 			pm, po, pr := runChatter(t, g, parCfg, rounds)
@@ -116,14 +115,13 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestWorkerCountsBitIdentical pins the work-balanced sharding rework: for
-// every graph family and every worker count — including counts above the
-// machine's core count, which exercise shards smaller than the activity
-// would otherwise cut — the run is bit-identical to the sequential spine.
-// Shard boundaries depend on measured activity (queued words, inbox sizes),
-// so this is the test that would catch any observable state leaking into a
-// shard-shape-dependent order. Run under -race (CI does) to audit the
-// single-writer ownership the phases rely on.
+// TestWorkerCountsBitIdentical pins placement independence: for every
+// graph family and every shard count — including counts above the
+// machine's core count — the run is bit-identical to the sequential spine.
+// Shard boundaries depend on degree weights, so this is the test that
+// would catch any observable state leaking into a shard-shape-dependent
+// order. Run under -race (CI does) to audit the single-writer ownership
+// the phases rely on.
 func TestWorkerCountsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	families := []struct {
@@ -143,19 +141,18 @@ func TestWorkerCountsBitIdentical(t *testing.T) {
 				rounds := 12 + rng.Intn(20)
 				seqCfg := sim.Config{Seed: seed, BandwidthWords: 1 + rng.Intn(3)}
 				sm, so, sr := runChatter(t, g, seqCfg, rounds)
-				for _, workers := range []int{1, 2, 4, 7} {
+				for _, shards := range []int{1, 2, 4, 7} {
 					parCfg := seqCfg
-					parCfg.Parallel = true
-					parCfg.Workers = workers
+					parCfg.Shards = shards
 					pm, po, pr := runChatter(t, g, parCfg, rounds)
 					if sr != pr {
-						t.Fatalf("trial %d workers %d: rounds %d (seq) != %d (par)", trial, workers, sr, pr)
+						t.Fatalf("trial %d shards %d: rounds %d (seq) != %d (sharded)", trial, shards, sr, pr)
 					}
 					if !reflect.DeepEqual(sm, pm) {
-						t.Fatalf("trial %d workers %d: metrics diverge:\nseq %+v\npar %+v", trial, workers, sm, pm)
+						t.Fatalf("trial %d shards %d: metrics diverge:\nseq     %+v\nsharded %+v", trial, shards, sm, pm)
 					}
 					if !reflect.DeepEqual(so, po) {
-						t.Fatalf("trial %d workers %d: outputs diverge", trial, workers)
+						t.Fatalf("trial %d shards %d: outputs diverge", trial, shards)
 					}
 				}
 			}
@@ -164,8 +161,8 @@ func TestWorkerCountsBitIdentical(t *testing.T) {
 }
 
 // TestParallelMatchesSequentialBroadcast covers the broadcast-CONGEST path,
-// whose delivery fan-out stays sequential but whose node phase still runs on
-// the worker pool.
+// whose delivery stays on the sharded engine's sequential spine but whose
+// node phases still run shard by shard.
 func TestParallelMatchesSequentialBroadcast(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 6; trial++ {
@@ -174,11 +171,11 @@ func TestParallelMatchesSequentialBroadcast(t *testing.T) {
 		seed := rng.Int63()
 		seqCfg := sim.Config{Mode: sim.ModeBroadcast, Seed: seed}
 		parCfg := seqCfg
-		parCfg.Parallel = true
+		parCfg.Shards = 4
 		sm, so, sr := runBcast(t, g, seqCfg)
 		pm, po, pr := runBcast(t, g, parCfg)
 		if sr != pr || !reflect.DeepEqual(sm, pm) || !reflect.DeepEqual(so, po) {
-			t.Fatalf("trial %d: broadcast parallel run diverges from sequential", trial)
+			t.Fatalf("trial %d: broadcast sharded run diverges from sequential", trial)
 		}
 	}
 }
@@ -227,7 +224,7 @@ func TestResetMatchesFresh(t *testing.T) {
 		n := 8 + rng.Intn(40)
 		g := graph.Gnp(n, 0.2, rng)
 		seedA, seedB := rng.Int63(), rng.Int63()
-		cfg := sim.Config{Seed: seedA, Parallel: trial%2 == 0}
+		cfg := sim.Config{Seed: seedA, Shards: 4 * (trial % 2)}
 		mkNodes := func() []sim.Node {
 			nodes := make([]sim.Node, g.N())
 			for v := range nodes {

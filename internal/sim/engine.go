@@ -54,17 +54,6 @@ type Config struct {
 	BandwidthWords int
 	// Seed derives every node's private random stream.
 	Seed int64
-	// Parallel shards the delivery, compute and merge word-copy phases
-	// across a worker pool. Results are bit-identical to the sequential
-	// engine for the same seed (see DESIGN.md, "determinism contract").
-	// Phases whose measured activity falls below parallelMinWords — and any
-	// run resolving to a single worker — take the sequential path regardless.
-	Parallel bool
-	// Workers bounds the Parallel fan-out width: 0 selects GOMAXPROCS,
-	// 1 forces the sequential path. The output is identical for every value
-	// (the work-balanced sharding property tests drive 1/2/4/7 workers on
-	// one machine and assert bit-equality).
-	Workers int
 	// Shards statically partitions the nodes into that many contiguous
 	// engine shards (cut by degree weight), each owning its nodes' channel
 	// queues, inboxes and scheduling lists; cross-shard sends go through
@@ -72,9 +61,11 @@ type Config struct {
 	// ascending shard order, so outputs, metrics, Round(), hook streams and
 	// cancellation prefixes are bit-identical to the single-shard engine for
 	// every shard count (see DESIGN.md, "Sharded engine & binary CSR").
-	// 0 and 1 select the single-shard engine. Sharding is independent of
-	// Parallel: with Parallel the shards run on the worker pool, without it
-	// they run sequentially in ascending shard order with identical results.
+	// It is the engine's only placement setting: 0 and 1 select the
+	// sequential single-shard engine; with more shards, every phase that
+	// moves at least parallelMinWords words runs one shard per worker-pool
+	// goroutine when GOMAXPROCS > 1, and the shards run in ascending order
+	// on the caller's goroutine otherwise, with identical results.
 	// Requires the activity scheduler (the default); under SchedulerDense
 	// the value is ignored.
 	Shards int
@@ -87,8 +78,8 @@ type Config struct {
 	// fault plan — crash-stop schedules, per-link loss/duplication coins
 	// and delay arming — on the delivery phase (see faults.go). The plan
 	// participates in the determinism contract exactly like the seed:
-	// results are bit-identical across Workers/Shards/Parallel and
-	// checkpoint cut-and-resume for the same plan, and snapshots embed
+	// results are bit-identical across shard counts and checkpoint
+	// cut-and-resume for the same plan, and snapshots embed
 	// the plan fingerprint so a restore under a different plan fails with
 	// ErrSnapshotMismatch. A nil or empty plan leaves every hot path on
 	// its fault-free fast path.
@@ -134,7 +125,7 @@ type RoundDelta struct {
 
 // Hooks are the engine's streaming observation points. Both callbacks fire
 // on the engine's sequential spine (never from a delivery or node worker),
-// in a deterministic order that does not depend on Config.Parallel:
+// in a deterministic order that does not depend on Config.Shards:
 // Triangle fires during the merge phase in ascending node order, once per
 // newly recorded output; Round fires after each round completes.
 //
@@ -227,13 +218,9 @@ type Engine struct {
 	recvActive [][]int32
 	activeRecv []int32
 
-	// Queued-word accounting for work-balanced sharding and the
-	// activity-aware parallel gates: recvQueued[v] is the unicast words
-	// currently queued toward receiver v, queuedWords their total. Both are
-	// maintained on the sequential spine (activatePending) and decremented
-	// by the delivery phase (recvQueued by the single worker owning v,
-	// queuedWords from the folded shard counters).
-	recvQueued  []int64
+	// queuedWords is the unicast words currently queued on all channels,
+	// the sharded delivery fan-out's gate. It is credited on activation and
+	// debited from the folded delivery counters, always on the spine.
 	queuedWords int64
 
 	// Broadcast-mode state: one shared outgoing queue per node.
@@ -243,7 +230,6 @@ type Engine struct {
 
 	inboxes   [][]Delivery
 	scheduled []int32 // pooled across rounds
-	shards    []deliveryShard
 	metrics   Metrics
 	hooks     Hooks
 	round     int
@@ -254,15 +240,9 @@ type Engine struct {
 	// no-plan hot path at its fault-free cost).
 	flt *faultState
 
-	// Parallel-phase scratch, reused across rounds: the persistent worker
-	// pool, the weighted shard plan and weight buffer, and pre-built
-	// per-phase thunks so dispatching a fan-out allocates nothing.
-	wpool     *workerPool
-	shardPlan []int32
-	weightBuf []int64
-	deliverFn func(worker int)
-	computeFn func(worker int)
-	mergeFn   func(worker int)
+	// wpool is the persistent worker pool the sharded stepper fans out on,
+	// built on first use.
+	wpool *workerPool
 
 	// Activity-scheduler state. notDone counts nodes with ctx.done unset
 	// (maintained on the sequential spine against doneMark, never from node
@@ -304,9 +284,10 @@ type Engine struct {
 	shardDrainFn   func(s int)
 }
 
-// deliveryShard accumulates one worker's delivery-phase counters; padded to
-// 128 bytes — two cache lines, because the adjacent-line hardware
-// prefetcher pairs lines — so workers do not false-share. The fault
+// deliveryShard accumulates one engine shard's delivery-phase counters (the
+// single-shard engine uses one); padded to 128 bytes — two cache lines,
+// because the adjacent-line hardware prefetcher pairs lines — so shards
+// delivering concurrently do not false-share. The fault
 // counters (popped through delayed) are written only by deliverToFaulty
 // and folded on the spine like the base pair.
 type deliveryShard struct {
@@ -368,26 +349,6 @@ func NewEngine(input *graph.Graph, nodes []Node, cfg Config) (*Engine, error) {
 	}
 	e.recvStamp = make([]uint32, n)
 	e.recvActive = make([][]int32, n)
-	e.recvQueued = make([]int64, n)
-	e.deliverFn = func(worker int) {
-		lo, hi := e.shardPlan[worker], e.shardPlan[worker+1]
-		shard := &e.shards[worker]
-		for _, v := range e.activeRecv[lo:hi] {
-			e.deliverTo(v, shard)
-		}
-	}
-	e.computeFn = func(worker int) {
-		lo, hi := e.shardPlan[worker], e.shardPlan[worker+1]
-		for _, v := range e.scheduled[lo:hi] {
-			e.nodes[v].Round(e.ctxs[v], e.round, e.inboxes[v])
-		}
-	}
-	e.mergeFn = func(worker int) {
-		lo, hi := e.shardPlan[worker], e.shardPlan[worker+1]
-		for _, v := range e.scheduled[lo:hi] {
-			e.copyPending(int(v))
-		}
-	}
 	if cfg.Mode == ModeBroadcast {
 		e.bcastQ = make([]wordQueue, n)
 		e.bcastInSet = make([]bool, n)
@@ -508,49 +469,21 @@ func (e *Engine) emitOutputs(v int) {
 	ctx.seenOut = len(ctx.outputs)
 }
 
-// flushPending moves ctx.pending into channel queues, updating the active
-// stamps and lists. Always called in ascending node order (activation runs
-// on the sequential spine), which is what makes per-receiver activation
-// order — and hence inbox order — deterministic regardless of
-// Config.Parallel. It is split in two so the merge phase can parallelize
-// the expensive half: copyPending moves the words (touching only
-// sender-owned queues, safe under sender sharding) and activatePending does
-// the order-sensitive bookkeeping.
+// flushPending moves node v's pending send spans into its outgoing channel
+// queues, folds its sent-words counter, records the activations (stamps,
+// active lists, queued-word account) and clears the pending list and send
+// arena. It runs on the sequential spine in ascending node order, and the
+// append order of recvActive/activeRecv it produces is the determinism
+// contract's source of per-receiver delivery order. The sharded engine
+// splits the same work across its merge barrier (shardMergeWork and
+// shardDrainWork) and reproduces that order.
 func (e *Engine) flushPending(v int) {
-	e.copyPending(v)
-	e.activatePending(v)
-}
-
-// copyPending appends node v's pending send spans to its outgoing channel
-// queues and folds its sent-words counters. Every queue it touches is owned
-// by sender v (unicast queues are indexed by the sender's CSR row; bcastQ[v]
-// is v's own), and the counters are v-owned, so distinct senders can copy
-// concurrently. Activation state (stamps, active lists, queued-word
-// accounting) is deliberately untouched — that is activatePending's job, on
-// the sequential spine.
-func (e *Engine) copyPending(v int) {
 	ctx := e.ctxs[v]
 	for _, ps := range ctx.pending {
 		ws := ctx.sendBuf[ps.off : ps.off+ps.n]
+		ctx.wordsSent += int64(len(ws))
 		if ps.nbrIdx == bcastIdx {
 			e.bcastQ[v].push(ws)
-		} else {
-			e.queues[e.commOffs[v]+ps.nbrIdx].push(ws)
-		}
-		ctx.wordsSent += int64(len(ws))
-	}
-	e.metrics.PerNodeWordsSent[v] = ctx.wordsSent
-}
-
-// activatePending updates the activation stamps, active lists and
-// queued-word accounting for node v's pending sends, then clears the
-// pending list and send arena. Must run on the sequential spine in
-// ascending node order — the append order of recvActive/activeRecv is the
-// determinism contract's source of per-receiver delivery order.
-func (e *Engine) activatePending(v int) {
-	ctx := e.ctxs[v]
-	for _, ps := range ctx.pending {
-		if ps.nbrIdx == bcastIdx {
 			if !e.bcastInSet[v] {
 				e.bcastInSet[v] = true
 				e.bcastActive = append(e.bcastActive, int32(v))
@@ -558,11 +491,11 @@ func (e *Engine) activatePending(v int) {
 			continue
 		}
 		eid := e.commOffs[v] + ps.nbrIdx
-		to := e.commTgts[eid]
-		e.recvQueued[to] += int64(ps.n)
+		e.queues[eid].push(ws)
 		e.queuedWords += int64(ps.n)
 		if e.edgeStamp[eid] != e.epoch {
 			e.edgeStamp[eid] = e.epoch
+			to := e.commTgts[eid]
 			e.recvActive[to] = append(e.recvActive[to], eid)
 			if e.recvStamp[to] != e.epoch {
 				e.recvStamp[to] = e.epoch
@@ -578,14 +511,15 @@ func (e *Engine) activatePending(v int) {
 			}
 		}
 	}
+	e.metrics.PerNodeWordsSent[v] = ctx.wordsSent
 	ctx.pending = ctx.pending[:0]
 	ctx.sendBuf = ctx.sendBuf[:0]
 }
 
 // deliverTo drains up to B words from every active in-edge of receiver v
 // into v's inbox. It touches only v-owned state (v's inbox, v's in-edge
-// queues and stamps, v's recv counter) plus the caller's shard, so distinct
-// receivers can be processed concurrently.
+// queues and stamps, v's recv counter) plus the caller's counters, so
+// engine shards can deliver to their own receivers concurrently.
 func (e *Engine) deliverTo(v int32, shard *deliveryShard) {
 	if e.flt != nil {
 		e.deliverToFaulty(v, shard)
@@ -601,7 +535,6 @@ func (e *Engine) deliverTo(v int32, shard *deliveryShard) {
 			shard.messages++
 			shard.words += int64(len(ws))
 			e.metrics.PerNodeWordsRecv[v] += int64(len(ws))
-			e.recvQueued[v] -= int64(len(ws))
 			shard.moved = true
 		}
 		if !q.empty() {
@@ -613,9 +546,10 @@ func (e *Engine) deliverTo(v int32, shard *deliveryShard) {
 	e.recvActive[v] = keep
 }
 
-// step executes one round: deliver up to B words on each active channel
-// (receiver-major, sharded across workers when Parallel), then run every
-// scheduled node, then flush sends in node order.
+// step executes one round of the single-shard engine: deliver up to B
+// words on each active channel (receiver-major), then run every scheduled
+// node, then flush sends in node order, all sequentially. Sharded engines
+// step through stepSharded instead.
 //
 // Under SchedulerActivity the scheduled set is assembled from activity
 // alone: every receiver in this round's delivery sets (which all get at
@@ -624,15 +558,9 @@ func (e *Engine) deliverTo(v int32, shard *deliveryShard) {
 // ascending so the merge phase visits nodes in the same deterministic order
 // as the dense scan.
 func (e *Engine) step() {
-	if e.nshards > 1 {
-		e.stepSharded()
-		return
-	}
 	b := e.cfg.BandwidthWords
 	msgs0, words0 := e.metrics.MessagesDelivered, e.metrics.WordsDelivered
 	activity := e.cfg.Scheduler != SchedulerDense
-	workers := e.poolWorkers()
-	usePar := e.cfg.Parallel && workers > 1
 	if e.flt != nil {
 		e.applyDueCrashes()
 	}
@@ -708,70 +636,24 @@ func (e *Engine) step() {
 		}
 	}
 	e.bcastActive = stillBcast
-	// Unicast channels, receiver-major. Workers own disjoint receivers, so
-	// every mutation in deliverTo is single-writer; the deterministic part —
-	// which receiver gets which deliveries in which order — is fixed by
-	// recvActive's activation order, not by worker interleaving. Shards are
-	// cut by deliverable queued words per receiver (capacity-capped at B per
-	// active in-edge), not receiver count, so a hub receiver does not
-	// serialize its shard; the gate thresholds on queued words for the same
-	// reason. Delivered words are folded back into the global queued counter
-	// from the shard totals.
-	delivered := int64(0)
-	popped := int64(0)
-	if usePar && e.queuedWords >= parallelMinWords && len(e.activeRecv) > 1 {
-		weights := resizeInt64(&e.weightBuf, len(e.activeRecv))
-		total := int64(0)
-		bw := int64(b)
-		for i, v := range e.activeRecv {
-			w := e.recvQueued[v]
-			if lim := bw * int64(len(e.recvActive[v])); w > lim {
-				w = lim
-			}
-			w++
-			weights[i] = w
-			total += w
-		}
-		e.shardPlan = weightedShards(e.shardPlan, len(e.activeRecv), workers, weights, total)
-		nshards := len(e.shardPlan) - 1
-		if cap(e.shards) < nshards {
-			e.shards = make([]deliveryShard, nshards)
-		}
-		shards := e.shards[:nshards]
-		for i := range shards {
-			shards[i] = deliveryShard{}
-		}
-		e.pool().run(nshards, e.deliverFn)
-		for i := range shards {
-			e.metrics.MessagesDelivered += shards[i].messages
-			delivered += shards[i].words
-			moved = moved || shards[i].moved
-			if e.flt != nil {
-				popped += e.foldFaultShard(&shards[i])
-			}
-		}
-		e.metrics.WordsDelivered += delivered
-	} else if len(e.activeRecv) > 0 {
+	// Unicast channels, receiver-major: which receiver gets which
+	// deliveries in which order is fixed by recvActive's activation order.
+	if len(e.activeRecv) > 0 {
 		var shard deliveryShard
 		for _, v := range e.activeRecv {
 			e.deliverTo(v, &shard)
 		}
 		e.metrics.MessagesDelivered += shard.messages
-		delivered = shard.words
-		e.metrics.WordsDelivered += delivered
+		e.metrics.WordsDelivered += shard.words
 		moved = moved || shard.moved
+		// Under faults the queued-word account is debited by the words
+		// popped off queues (lost and crash-dropped batches pop without
+		// delivering, duplicated ones deliver without popping).
 		if e.flt != nil {
-			popped += e.foldFaultShard(&shard)
+			e.queuedWords -= e.foldFaultShard(&shard)
+		} else {
+			e.queuedWords -= shard.words
 		}
-	}
-	// Under faults the queued-word account is debited by the words popped
-	// off queues (lost and crash-dropped batches pop without delivering,
-	// duplicated ones deliver without popping); fault-free, popped ==
-	// delivered and the cheaper counter is already folded.
-	if e.flt != nil {
-		e.queuedWords -= popped
-	} else {
-		e.queuedWords -= delivered
 	}
 	// Compact the receiver list sequentially (preserves activation order).
 	// The faulty activity path also schedules receivers here, from their
@@ -840,53 +722,15 @@ func (e *Engine) step() {
 		}
 	}
 	e.scheduled = scheduled
-	// Compute fan-out, gated on measured activity: words delivered this
-	// round plus the scheduled count (a node's Round cost scales with its
-	// inbox, plus a constant), with shards weighted the same way.
-	computeActivity := int64(len(scheduled)) + (e.metrics.WordsDelivered - words0)
-	if usePar && computeActivity >= parallelMinWords && len(scheduled) > 1 {
-		weights := resizeInt64(&e.weightBuf, len(scheduled))
-		total := int64(0)
-		for i, v := range scheduled {
-			w := int64(1 + len(e.inboxes[v]))
-			weights[i] = w
-			total += w
-		}
-		e.shardPlan = weightedShards(e.shardPlan, len(scheduled), workers, weights, total)
-		e.pool().run(len(e.shardPlan)-1, e.computeFn)
-	} else {
-		for _, v := range scheduled {
-			e.nodes[v].Round(e.ctxs[v], e.round, e.inboxes[v])
-		}
+	for _, v := range scheduled {
+		e.nodes[v].Round(e.ctxs[v], e.round, e.inboxes[v])
 	}
-	// Phase 3: merge (deterministic node order — scheduled is ascending).
-	// The word-copy half is sender-sharded (each queue has one sender) and
-	// weighted by pending send-arena words; activation, output emission and
-	// scheduler tracking stay on the sequential spine, which is what keeps
-	// per-receiver delivery order — and hook streams — bit-identical to the
-	// sequential engine.
-	if usePar && len(scheduled) > 1 {
-		weights := resizeInt64(&e.weightBuf, len(scheduled))
-		total := int64(0)
-		for i, v := range scheduled {
-			w := int64(1 + len(e.ctxs[v].sendBuf))
-			weights[i] = w
-			total += w
-		}
-		if total >= parallelMinWords {
-			e.shardPlan = weightedShards(e.shardPlan, len(scheduled), workers, weights, total)
-			e.pool().run(len(e.shardPlan)-1, e.mergeFn)
-			for _, v := range scheduled {
-				e.activatePending(int(v))
-				e.emitOutputs(int(v))
-				e.inboxes[v] = e.inboxes[v][:0]
-				e.trackNode(int(v), e.round+1)
-			}
-		} else {
-			e.mergeSeq(scheduled)
-		}
-	} else {
-		e.mergeSeq(scheduled)
+	// Phase 3: merge, in ascending node order (scheduled is sorted).
+	for _, v := range scheduled {
+		e.flushPending(int(v))
+		e.emitOutputs(int(v))
+		e.inboxes[v] = e.inboxes[v][:0]
+		e.trackNode(int(v), e.round+1)
 	}
 	e.round++
 	e.metrics.Rounds = e.round
@@ -897,26 +741,6 @@ func (e *Engine) step() {
 			Moved:    moved,
 		})
 	}
-}
-
-// mergeSeq is the sequential merge phase: flush, emit, reset and track each
-// scheduled node in ascending order.
-func (e *Engine) mergeSeq(scheduled []int32) {
-	for _, v := range scheduled {
-		e.flushPending(int(v))
-		e.emitOutputs(int(v))
-		e.inboxes[v] = e.inboxes[v][:0]
-		e.trackNode(int(v), e.round+1)
-	}
-}
-
-// resizeInt64 grows *buf to n entries (contents undefined) and returns it.
-func resizeInt64(buf *[]int64, n int) []int64 {
-	if cap(*buf) < n {
-		*buf = make([]int64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
 }
 
 // Reset rewinds the engine for a fresh run over the same graph and
@@ -1029,7 +853,6 @@ func (e *Engine) clearRun(nodes []Node, seed int64) {
 	for i := range e.staging {
 		e.staging[i] = e.staging[i][:0]
 	}
-	clear(e.recvQueued)
 	e.queuedWords = 0
 	for _, u := range e.bcastActive {
 		q := &e.bcastQ[u]
@@ -1130,7 +953,11 @@ func (e *Engine) advance(limit int) {
 	}
 	next := e.nextEventRound()
 	if next <= e.round {
-		e.step()
+		if e.nshards > 1 {
+			e.stepSharded()
+		} else {
+			e.step()
+		}
 		return
 	}
 	if next > limit {

@@ -5,8 +5,8 @@ import "repro/internal/faults"
 // Fault injection (Config.Faults): the engine interposes the compiled
 // fault plan on its delivery phase. Every decision is a pure function of
 // (plan seed, fault kind, round, sender, receiver) — see package faults —
-// so the injected behavior is bit-identical across Workers, Shards,
-// Parallel on/off and both schedulers, and checkpoint cut-and-resume only
+// so the injected behavior is bit-identical across shard counts, worker
+// placement and both schedulers, and checkpoint cut-and-resume only
 // has to carry the crash cursor (derivable from the round) and the
 // per-edge delay arming (serialized in snapshots).
 //
@@ -198,8 +198,8 @@ func (e *Engine) nextCrashRound() int {
 // deliverToFaulty is deliverTo with the fault plan interposed; see the
 // file comment for the gating order (dead receiver, delay arming, loss,
 // duplication). Like deliverTo it touches only receiver-owned state plus
-// the caller's shard counters, so delivery workers stay lock-free; the
-// coins are pure functions, so worker placement cannot change them.
+// the caller's counters, so sharded delivery stays lock-free; the coins
+// are pure functions, so shard placement cannot change them.
 func (e *Engine) deliverToFaulty(v int32, shard *deliveryShard) {
 	f := e.flt
 	b := e.cfg.BandwidthWords
@@ -222,7 +222,6 @@ func (e *Engine) deliverToFaulty(v int32, shard *deliveryShard) {
 		ws := q.popUpTo(b)
 		if nw := int64(len(ws)); nw > 0 {
 			shard.popped += nw
-			e.recvQueued[v] -= nw
 			shard.moved = true
 			from := int(e.edgeFrom[eid])
 			switch {

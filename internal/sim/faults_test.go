@@ -2,7 +2,7 @@ package sim
 
 // Fault-injection property tests: fault plans (crash-stop, loss, dup,
 // delay, adversarial links) must not weaken the determinism contract —
-// bit-identical runs across Workers × Shards × Parallel on/off, across
+// bit-identical runs across shard counts, across
 // the activity and dense schedulers, and across snapshot cut-and-resume —
 // plus targeted semantics tests pinning the drain/drop rule, per-burst
 // delay arming and the loss/dup accounting. Run under -race (CI does).
@@ -53,6 +53,13 @@ func testPlans(n int) map[string]*faults.Plan {
 // everything observable, fault events included.
 func runFaulty(t *testing.T, g *graph.Graph, cfg Config) (Metrics, [][]graph.Triangle, int, *faultRec) {
 	t.Helper()
+	eng, rec := runFaultyEngine(t, g, cfg)
+	return eng.Metrics(), eng.Outputs(), eng.Round(), rec
+}
+
+// runFaultyEngine is runFaulty returning the finished engine itself.
+func runFaultyEngine(t *testing.T, g *graph.Graph, cfg Config) (*Engine, *faultRec) {
+	t.Helper()
 	eng, err := NewEngine(g, snapNodes(g.N(), cfg.Mode), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -62,53 +69,60 @@ func runFaulty(t *testing.T, g *graph.Graph, cfg Config) (Metrics, [][]graph.Tri
 	if err := eng.RunUntilQuiescent(); err != nil {
 		t.Fatal(err)
 	}
-	return eng.Metrics(), eng.Outputs(), eng.Round(), rec
+	return eng, rec
 }
 
 // TestFaultsBitIdenticalAcrossExecution is the fault-layer determinism
-// matrix: for every fault plan, runs across Workers ∈ {1, 2, 4, 7} ×
-// Shards ∈ {1, 4} × Parallel on/off are bit-identical to the sequential
-// single-shard spine — metrics (fault counters included), outputs, final
-// round and the full hook stream with fault events.
+// matrix: for every fault plan, runs at Shards ∈ {1, 2, 4, 7} are
+// bit-identical to the sequential single-shard spine — metrics (fault
+// counters included), outputs, final round and the full hook stream with
+// fault events — including on an input large enough that every sharded
+// phase fans out on the worker pool.
 func TestFaultsBitIdenticalAcrossExecution(t *testing.T) {
+	check := func(t *testing.T, label string, g *graph.Graph, base Config, wantPool bool) {
+		t.Helper()
+		bm, bout, bround, brec := runFaulty(t, g, base)
+		for _, shards := range []int{1, 2, 4, 7} {
+			cfg := base
+			cfg.Shards = shards
+			eng, rec := runFaultyEngine(t, g, cfg)
+			m, out, round := eng.Metrics(), eng.Outputs(), eng.Round()
+			label := fmt.Sprintf("%s shards=%d", label, shards)
+			if round != bround {
+				t.Fatalf("%s: rounds %d vs %d", label, round, bround)
+			}
+			if !reflect.DeepEqual(m, bm) {
+				t.Fatalf("%s: metrics diverge\nbase: %+v\ngot:  %+v", label, bm, m)
+			}
+			if !reflect.DeepEqual(out, bout) {
+				t.Fatalf("%s: outputs diverge", label)
+			}
+			if !reflect.DeepEqual(rec, brec) {
+				t.Fatalf("%s: hook streams diverge (%d vs %d fault events)", label, len(rec.events), len(brec.events))
+			}
+			if wantPool && shards > 1 {
+				assertPoolRan(t, label, eng)
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(41))
 	for _, mode := range []Mode{ModeCONGEST, ModeBroadcast} {
 		g := graph.Gnp(40, 0.15, rng)
 		for pname, plan := range testPlans(g.N()) {
 			base := Config{Mode: mode, Seed: 77, Faults: plan}
-			bm, bout, bround, brec := runFaulty(t, g, base)
-			if pname == "crash" && bm.Faults.NodesCrashed == 0 {
-				t.Fatalf("mode=%v/%s: crash plan crashed nobody", mode, pname)
-			}
-			for _, parallel := range []bool{false, true} {
-				for _, workers := range []int{1, 2, 4, 7} {
-					if !parallel && workers != 1 {
-						continue // Workers is a parallel-only knob
-					}
-					for _, shards := range []int{1, 4} {
-						cfg := base
-						cfg.Parallel = parallel
-						cfg.Workers = workers
-						cfg.Shards = shards
-						m, out, round, rec := runFaulty(t, g, cfg)
-						label := fmt.Sprintf("mode=%v plan=%s par=%v w=%d s=%d", mode, pname, parallel, workers, shards)
-						if round != bround {
-							t.Fatalf("%s: rounds %d vs %d", label, round, bround)
-						}
-						if !reflect.DeepEqual(m, bm) {
-							t.Fatalf("%s: metrics diverge\nbase: %+v\ngot:  %+v", label, bm, m)
-						}
-						if !reflect.DeepEqual(out, bout) {
-							t.Fatalf("%s: outputs diverge", label)
-						}
-						if !reflect.DeepEqual(rec, brec) {
-							t.Fatalf("%s: hook streams diverge (%d vs %d fault events)", label, len(rec.events), len(brec.events))
-						}
-					}
+			if pname == "crash" {
+				if m, _, _, _ := runFaulty(t, g, base); m.Faults.NodesCrashed == 0 {
+					t.Fatalf("mode=%v/%s: crash plan crashed nobody", mode, pname)
 				}
 			}
+			check(t, fmt.Sprintf("mode=%v plan=%s", mode, pname), g, base, false)
 		}
 	}
+	t.Run("pool", func(t *testing.T) {
+		requirePool(t)
+		g := fanOutGraph()
+		check(t, "gnp3000 plan=combined", g, Config{Seed: 77, BandwidthWords: 1, Faults: testPlans(g.N())["combined"]}, true)
+	})
 }
 
 // TestFaultsActivityMatchesDense: with faults on, the activity scheduler
@@ -124,13 +138,13 @@ func TestFaultsActivityMatchesDense(t *testing.T) {
 	for gname, g := range graphs {
 		for pname, plan := range testPlans(g.N()) {
 			for _, mode := range []Mode{ModeCONGEST, ModeClique, ModeBroadcast} {
-				for _, parallel := range []bool{false, true} {
-					cfg := Config{Mode: mode, Seed: 99, Parallel: parallel, Faults: plan}
+				for _, shards := range []int{0, 4} {
+					cfg := Config{Mode: mode, Seed: 99, Shards: shards, Faults: plan}
 					cfg.Scheduler = SchedulerDense
 					dm, dout, dround, drec := runFaulty(t, g, cfg)
 					cfg.Scheduler = SchedulerActivity
 					am, aout, around, arec := runFaulty(t, g, cfg)
-					label := fmt.Sprintf("%s plan=%s mode=%v par=%v", gname, pname, mode, parallel)
+					label := fmt.Sprintf("%s plan=%s mode=%v shards=%d", gname, pname, mode, shards)
 					if dround != around {
 						t.Fatalf("%s: rounds %d (dense) vs %d (activity)", label, dround, around)
 					}
@@ -195,7 +209,7 @@ func runFaultyCut(t *testing.T, g *graph.Graph, cfg, cfg2 Config, k int) (snapOb
 
 // TestFaultsSnapshotCutAndResume: cutting a faulty run at any point —
 // before, at and after scheduled crashes, inside delay-armed windows —
-// and resuming (possibly at a different shard count or parallelism)
+// and resuming (possibly at a different shard count)
 // reproduces the straight-through run exactly, fault metrics, events and
 // arming included. This is the test that forces delay arming and the
 // fault-plan hash into the snapshot payload.
@@ -212,17 +226,15 @@ func TestFaultsSnapshotCutAndResume(t *testing.T) {
 			}
 			for _, k := range []int{0, 1, 2, 4, total / 2, total - 2} {
 				for _, alt := range []struct {
-					name     string
-					shards   int
-					parallel bool
+					name   string
+					shards int
 				}{
-					{"same", cfg.Shards, cfg.Parallel},
-					{"shards4", 4, false},
-					{"parallel", 0, true},
+					{"same", cfg.Shards},
+					{"shards4", 4},
+					{"shards7", 7},
 				} {
 					cfg2 := cfg
 					cfg2.Shards = alt.shards
-					cfg2.Parallel = alt.parallel
 					got, gotRec := runFaultyCut(t, g, cfg, cfg2, k)
 					label := fmt.Sprintf("plan=%s sched=%v k=%d %s", pname, sched, k, alt.name)
 					assertSameRun(t, label, full, got)
@@ -401,10 +413,10 @@ func TestFaultsDelayExactArming(t *testing.T) {
 	}
 	plan := &faults.Plan{DelayLinks: []faults.LinkDelay{{From: 0, To: 1, K: 3}}}
 	for _, sched := range []Scheduler{SchedulerActivity, SchedulerDense} {
-		for _, parallel := range []bool{false, true} {
+		for _, shards := range []int{0, 2} {
 			recv := &recvProbe{}
 			eng, err := NewEngine(g, []Node{burstSender{}, recv}, Config{
-				Seed: 1, Scheduler: sched, Parallel: parallel, Faults: plan,
+				Seed: 1, Scheduler: sched, Shards: shards, Faults: plan,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -412,12 +424,12 @@ func TestFaultsDelayExactArming(t *testing.T) {
 			eng.Run(20)
 			want := []int{3, 9}
 			if !reflect.DeepEqual(recv.got, want) {
-				t.Fatalf("sched=%v par=%v: deliveries at rounds %v, want %v", sched, parallel, recv.got, want)
+				t.Fatalf("sched=%v shards=%d: deliveries at rounds %v, want %v", sched, shards, recv.got, want)
 			}
 			m := eng.Metrics()
 			// Each burst defers 3 delivery attempts before its arm round.
 			if m.Faults.DelayedDeliveries != 6 {
-				t.Fatalf("sched=%v par=%v: DelayedDeliveries = %d, want 6", sched, parallel, m.Faults.DelayedDeliveries)
+				t.Fatalf("sched=%v shards=%d: DelayedDeliveries = %d, want 6", sched, shards, m.Faults.DelayedDeliveries)
 			}
 		}
 	}

@@ -5,19 +5,11 @@ import (
 	"sync"
 )
 
-// Parallel execution machinery for the engine's three fan-out phases
-// (delivery, compute, merge word-copy): a persistent per-engine worker pool
-// and work-balanced contiguous sharding.
-//
-// The old parallelFor spawned GOMAXPROCS goroutines per fan-out and cut the
-// item list into equal-count contiguous chunks. That loses twice on real
-// multicore hardware: goroutine spawn/teardown costs a few microseconds per
-// round (a measurable fraction of a ~100µs parallel round), and equal-count
-// chunks are badly imbalanced whenever activity is skewed (a power-law hub
-// receives hundreds of words while a leaf receives one). The pool parks
-// workers on a channel between rounds, and shards are cut by measured
-// activity weight (queued words for delivery, inbox size for compute,
-// pending send words for merge), so workers finish together.
+// Parallel execution machinery for the sharded engine (see sharded.go): a
+// persistent per-engine worker pool that runs one engine shard per
+// goroutine, and the weighted cut that sizes the shards. The pool parks
+// its goroutines on a channel between fan-outs, so a round pays no
+// goroutine spawn.
 
 // workerPool is a persistent pool of parked goroutines. run dispatches one
 // contiguous shard to each worker; the caller's goroutine acts as worker 0,
@@ -81,14 +73,13 @@ func (p *workerPool) run(workers int, fn func(worker int)) {
 }
 
 // weightedShards cuts nitems items into at most maxShards contiguous shards
-// of near-equal total weight, writing the boundary list into plan (reused
-// across rounds; shard s covers [plan[s], plan[s+1])). weights[i] is item
-// i's measured cost and total is their precomputed sum. The greedy cut
-// re-targets the remaining weight over the remaining shards at every
-// boundary, so one oversized item cannot starve the shards after it.
-// Shard boundaries never affect observable engine state — every phase that
-// uses them touches only item-owned state — so the plan is free to depend
-// on activity, worker count, or anything else.
+// of near-equal total weight, writing the boundary list into plan (shard s
+// covers [plan[s], plan[s+1])). weights[i] is item i's cost and total is
+// their precomputed sum. The greedy cut re-targets the remaining weight
+// over the remaining shards at every boundary, so one oversized item (a
+// power-law hub) cannot starve the shards after it. Shard boundaries never
+// affect observable engine state, so the plan is free to depend on degree
+// weights or anything else.
 func weightedShards(plan []int32, nitems, maxShards int, weights []int64, total int64) []int32 {
 	plan = plan[:0]
 	plan = append(plan, 0)
@@ -120,23 +111,13 @@ func weightedShards(plan []int32, nitems, maxShards int, weights []int64, total 
 }
 
 // parallelMinWords is the activity-aware sequential-fallback threshold: a
-// fan-out phase only pays for worker handoff when at least this many words
+// sharded phase only pays for worker handoff when at least this many words
 // move through it this round. Node counts alone are a bad proxy — a round
 // can schedule thousands of nodes that each do nothing — so the delivery
-// gate thresholds on deliverable queued words, the compute gate on words
-// delivered this round plus scheduled nodes, and the merge gate on pending
-// send words (see step).
+// gate thresholds on queued words, the compute gate on words delivered
+// this round plus scheduled nodes, and the merge gate on pending send
+// words plus scheduled nodes (see stepSharded).
 const parallelMinWords = 1024
-
-// poolWorkers resolves the engine's fan-out width: Config.Workers when set,
-// else GOMAXPROCS. Deliberately not capped at NumCPU so determinism tests
-// can drive any worker count on any machine.
-func (e *Engine) poolWorkers() int {
-	if e.cfg.Workers > 0 {
-		return e.cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // pool lazily creates the engine's worker pool, registering a cleanup that
 // releases the pool's goroutines when the engine becomes unreachable.

@@ -1,12 +1,22 @@
 package sim_test
 
+// Engine reuse. core.EngineCache is the engine pool: it hands a returned
+// engine to the next run of the same shape, rewound with Engine.Reset when
+// the graph is the same and re-pointed with Engine.Rebind when it is not.
+// These tests drive those two paths through the cache — pooling mechanics,
+// pooled-vs-fresh bit identity and concurrent borrowers here, rebinding
+// across graph snapshots in rebind_test.go.
+
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -18,6 +28,26 @@ func poolNodes(n, rounds int) []sim.Node {
 	}
 	return nodes
 }
+
+// chatterMk builds chatter machines that stop sending after the given round.
+func chatterMk(rounds int) func(id int) sim.Node {
+	return func(int) sim.Node { return &chatterNode{rounds: rounds} }
+}
+
+// chatterSched is a one-phase schedule long enough for chatter machines of
+// up to 8 rounds to finish and drain every queued word.
+func chatterSched() *sim.Schedule {
+	s := &sim.Schedule{}
+	s.Add("chatter", 64)
+	return s
+}
+
+// roundObs is a core.Observer that calls fn after every round.
+type roundObs func(round int)
+
+func (roundObs) OnSegment(core.SegmentInfo)              {}
+func (f roundObs) OnRound(round int, _ sim.RoundDelta)   { f(round) }
+func (roundObs) OnTriangle(node int, tri graph.Triangle) {}
 
 // drawNode is the every-node-draws regime: each node draws from its
 // private stream in Init, outputs a triangle named by the draw (so the
@@ -41,86 +71,90 @@ func drawNodes(n int) []sim.Node {
 }
 
 // TestPoolReusesEngines checks the pooling mechanics: a returned engine is
-// handed out again instead of a new allocation.
+// handed out again instead of a new allocation, and a run that borrows
+// while another run holds the only idle engine gets a distinct one.
 func TestPoolReusesEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := graph.Gnp(24, 0.3, rng)
-	p := sim.NewEnginePool(g, sim.Config{})
-	e1, err := p.Get(poolNodes(g.N(), 4), 1)
-	if err != nil {
-		t.Fatal(err)
+	c := core.NewEngineCache()
+	sched := chatterSched()
+	run := func(seed int64, obs core.Observer) {
+		t.Helper()
+		cfg := sim.Config{Seed: seed}
+		if _, err := c.RunSingleCheckpointed(context.Background(), g, sched, chatterMk(4), cfg, obs, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	p.Put(e1)
-	if p.Size() != 1 {
-		t.Fatalf("pool size %d after one Put, want 1", p.Size())
+	idle := func() int { return c.Idle(g.N(), sim.Config{}) }
+	run(1, nil)
+	if idle() != 1 {
+		t.Fatalf("%d idle engines after one run, want 1", idle())
 	}
-	e2, err := p.Get(poolNodes(g.N(), 4), 2)
-	if err != nil {
-		t.Fatal(err)
+	run(2, nil)
+	if idle() != 1 {
+		t.Fatalf("%d idle engines after a second run, want 1: the cache built a new engine while one was free", idle())
 	}
-	if e1 != e2 {
-		t.Fatal("pool built a new engine while one was free")
+	// Start a second run from inside the first one's first round: the two
+	// overlap, so they must hold two distinct engines.
+	nested := false
+	run(3, roundObs(func(int) {
+		if !nested {
+			nested = true
+			run(4, nil)
+		}
+	}))
+	if idle() != 2 {
+		t.Fatalf("%d idle engines after two overlapping runs, want 2", idle())
 	}
-	if p.Size() != 0 {
-		t.Fatalf("pool size %d after Get, want 0", p.Size())
-	}
-	// Two concurrent borrowers get distinct engines.
-	e3, err := p.Get(poolNodes(g.N(), 4), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2 == e3 {
-		t.Fatal("pool handed the same engine to two borrowers")
-	}
-	p.Put(e2)
-	p.Put(e3)
 }
 
 // TestPooledRunMatchesFresh is the pool's determinism contract: a run on a
-// recycled engine is bit-identical (metrics, outputs, rounds) to one on a
-// freshly built engine with the same seed.
+// recycled engine — one returned dirty from a cancelled run — is
+// bit-identical to a one-shot run on a freshly built engine with the same
+// seed, unsharded and sharded.
 func TestPooledRunMatchesFresh(t *testing.T) {
-	for name, mk := range map[string]func(n int) []sim.Node{
-		"chatter": func(n int) []sim.Node { return poolNodes(n, 8) },
-		"draw":    drawNodes,
+	sched := chatterSched()
+	for name, mk := range map[string]func(id int) sim.Node{
+		"chatter": chatterMk(8),
+		"draw":    func(int) sim.Node { return drawNode{} },
 	} {
 		rng := rand.New(rand.NewSource(23))
 		for trial := 0; trial < 5; trial++ {
 			n := 10 + rng.Intn(30)
 			g := graph.Gnp(n, 0.25, rng)
-			cfg := sim.Config{Parallel: trial%2 == 0}
-			p := sim.NewEnginePool(g, cfg)
-			// Warm the pool with a throwaway run so later Gets recycle.
-			warm, err := p.Get(poolNodes(n, 6), 999)
-			if err != nil {
-				t.Fatal(err)
+			cfg := sim.Config{Shards: 4 * (trial % 2)}
+			c := core.NewEngineCache()
+			// Warm the cache with a run abandoned mid-way: pooled engines
+			// may come back with words in flight.
+			ctx, cancel := context.WithCancel(context.Background())
+			warm := cfg
+			warm.Seed = 999
+			stop := roundObs(func(round int) {
+				if round == 2 {
+					cancel()
+				}
+			})
+			if _, err := c.RunSingleCheckpointed(ctx, g, sched, chatterMk(6), warm, stop, nil); !errors.Is(err, context.Canceled) {
+				t.Fatalf("warm-up run: err %v, want context.Canceled", err)
 			}
-			warm.Run(3) // abandon mid-run: pooled engines may come back dirty
-			p.Put(warm)
+			cancel()
 			for run := 0; run < 3; run++ {
-				seed := rng.Int63()
-				eng, err := p.Get(mk(n), seed)
+				runCfg := cfg
+				runCfg.Seed = rng.Int63()
+				got, err := c.RunSingle(g, sched, mk, runCfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := eng.RunUntilQuiescent(); err != nil {
-					t.Fatal(err)
-				}
-				freshCfg := cfg
-				freshCfg.Seed = seed
-				fresh, err := sim.NewEngine(g, mk(n), freshCfg)
+				want, err := core.RunSingle(g, sched, mk, runCfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := fresh.RunUntilQuiescent(); err != nil {
-					t.Fatal(err)
-				}
-				if eng.Round() != fresh.Round() ||
-					!reflect.DeepEqual(eng.Metrics(), fresh.Metrics()) ||
-					!reflect.DeepEqual(eng.Outputs(), fresh.Outputs()) {
+				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s trial %d run %d: pooled run diverges from fresh engine", name, trial, run)
 				}
-				p.Put(eng)
+			}
+			if idle := c.Idle(n, cfg); idle != 1 {
+				t.Fatalf("%s trial %d: %d idle engines, want the one recycled engine", name, trial, idle)
 			}
 		}
 	}
@@ -162,23 +196,22 @@ func TestDrawFootprint(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrentBorrowers hammers one pool from several goroutines under
-// the race detector; every borrower must see its own deterministic run.
+// TestPoolConcurrentBorrowers hammers one cache from several goroutines
+// under the race detector; every borrower must see its own deterministic
+// run.
 func TestPoolConcurrentBorrowers(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	g := graph.Gnp(20, 0.3, rng)
-	p := sim.NewEnginePool(g, sim.Config{})
-	want := make(map[int64][][]graph.Triangle)
+	sched := chatterSched()
+	want := make(map[int64]core.Result)
 	for seed := int64(0); seed < 4; seed++ {
-		eng, err := sim.NewEngine(g, poolNodes(g.N(), 6), sim.Config{Seed: seed})
+		res, err := core.RunSingle(g, sched, chatterMk(6), sim.Config{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.RunUntilQuiescent(); err != nil {
-			t.Fatal(err)
-		}
-		want[seed] = eng.Outputs()
+		want[seed] = res
 	}
+	c := core.NewEngineCache()
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for w := 0; w < 8; w++ {
@@ -187,19 +220,14 @@ func TestPoolConcurrentBorrowers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
 				seed := int64((w + i) % 4)
-				eng, err := p.Get(poolNodes(g.N(), 6), seed)
+				got, err := c.RunSingle(g, sched, chatterMk(6), sim.Config{Seed: seed})
 				if err != nil {
 					errs <- err
 					return
 				}
-				if err := eng.RunUntilQuiescent(); err != nil {
-					errs <- err
-					return
+				if !reflect.DeepEqual(got, want[seed]) {
+					t.Errorf("worker %d: result diverges for seed %d", w, seed)
 				}
-				if !reflect.DeepEqual(eng.Outputs(), want[seed]) {
-					t.Errorf("worker %d: outputs diverge for seed %d", w, seed)
-				}
-				p.Put(eng)
 			}
 		}(w)
 	}

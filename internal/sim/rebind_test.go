@@ -2,14 +2,16 @@ package sim_test
 
 // Rebind contract: an engine re-pointed at a new input snapshot (the
 // dynamic-graph churn path) must behave bit-identically to a freshly built
-// engine on that snapshot, and EnginePool.Rebind must hand back recycled
-// engines, not new allocations.
+// engine on that snapshot, and core.EngineCache, which rebinds pooled
+// engines across graphs, must hand back recycled engines, not new
+// allocations.
 
 import (
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -139,53 +141,29 @@ func TestRebindRejectsVertexCountChange(t *testing.T) {
 	}
 }
 
-// TestPoolRebind checks the pool-level path: after Rebind, a pooled engine
-// is recycled (same pointer), points at the new snapshot, and its run is
+// TestPoolRebind checks the pool-level path: runs over successive snapshots
+// of one dynamic graph recycle the one pooled engine, which the cache
+// re-points at each new snapshot with Engine.Rebind, and each run is
 // bit-identical to a fresh engine's.
 func TestPoolRebind(t *testing.T) {
 	snaps := churnSnapshots(t, 24, 90, 40, 3, 31)
-	p := sim.NewEnginePool(snaps[0], sim.Config{})
-	e0, err := p.Get(poolNodes(24, 6), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e0.RunUntilQuiescent(); err != nil {
-		t.Fatal(err)
-	}
-	p.Put(e0)
-	for ep := 1; ep < len(snaps); ep++ {
-		g := snaps[ep]
-		p.Rebind(g)
-		if p.Graph() != g {
-			t.Fatal("pool did not adopt the new snapshot")
-		}
-		seed := int64(40 + ep)
-		e, err := p.Get(poolNodes(24, 6), seed)
+	c := core.NewEngineCache()
+	sched := chatterSched()
+	for ep, g := range snaps {
+		cfg := sim.Config{Seed: int64(40 + ep)}
+		got, err := c.RunSingle(g, sched, chatterMk(6), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e != e0 {
-			t.Fatal("pool built a new engine instead of rebinding the pooled one")
-		}
-		if e.Input() != g {
-			t.Fatal("pooled engine not rebound to the new snapshot")
-		}
-		if err := e.RunUntilQuiescent(); err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := sim.NewEngine(g, poolNodes(24, 6), sim.Config{Seed: seed})
+		want, err := core.RunSingle(g, sched, chatterMk(6), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := fresh.RunUntilQuiescent(); err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("epoch %d: pooled rebound run diverges from fresh", ep)
 		}
-		if !reflect.DeepEqual(e.Metrics(), fresh.Metrics()) {
-			t.Fatalf("epoch %d: pooled rebound metrics diverge from fresh", ep)
+		if idle := c.Idle(g.N(), cfg); idle != 1 {
+			t.Fatalf("epoch %d: %d idle engines: the cache built a new engine instead of rebinding the pooled one", ep, idle)
 		}
-		if !reflect.DeepEqual(e.Outputs(), fresh.Outputs()) {
-			t.Fatalf("epoch %d: pooled rebound outputs diverge from fresh", ep)
-		}
-		p.Put(e)
 	}
 }

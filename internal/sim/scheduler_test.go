@@ -3,7 +3,7 @@ package sim
 // Differential stress tests for the activity-driven scheduler at the
 // engine level: randomized state machines that sleep, send, finish and
 // revive on private randomness, compared bit-for-bit against the dense
-// reference stepper across graph families, modes and parallelism — plus
+// reference stepper across graph families, modes and shard counts — plus
 // the fast-forward accounting, the quiescence counter and the wake-wheel
 // unit behavior.
 
@@ -100,6 +100,13 @@ func (h *hookRec) hooks() Hooks {
 // returns everything observable.
 func runChatter(t *testing.T, g *graph.Graph, cfg Config, observe bool) (Metrics, [][]graph.Triangle, int, *hookRec) {
 	t.Helper()
+	eng, rec := runChatterEngine(t, g, cfg, observe)
+	return eng.Metrics(), eng.Outputs(), eng.Round(), rec
+}
+
+// runChatterEngine is runChatter returning the finished engine itself.
+func runChatterEngine(t *testing.T, g *graph.Graph, cfg Config, observe bool) (*Engine, *hookRec) {
+	t.Helper()
 	n := g.N()
 	nodes := make([]Node, n)
 	for v := range nodes {
@@ -120,11 +127,11 @@ func runChatter(t *testing.T, g *graph.Graph, cfg Config, observe bool) (Metrics
 	if err := eng.RunUntilQuiescent(); err != nil {
 		t.Fatal(err)
 	}
-	return eng.Metrics(), eng.Outputs(), eng.Round(), rec
+	return eng, rec
 }
 
 // TestActivityMatchesDenseChatter is the engine-level differential
-// property: across graph families, modes, parallelism and observation, the
+// property: across graph families, modes, shard counts and observation, the
 // activity scheduler's metrics, outputs, final round and hook stream are
 // identical to the dense reference stepper's.
 func TestActivityMatchesDenseChatter(t *testing.T) {
@@ -136,9 +143,9 @@ func TestActivityMatchesDenseChatter(t *testing.T) {
 	}
 	for gname, g := range graphs {
 		for _, mode := range []Mode{ModeCONGEST, ModeClique, ModeBroadcast} {
-			for _, parallel := range []bool{false, true} {
+			for _, shards := range []int{0, 4} {
 				for _, observe := range []bool{false, true} {
-					cfg := Config{Mode: mode, Seed: 77, Parallel: parallel}
+					cfg := Config{Mode: mode, Seed: 77, Shards: shards}
 
 					cfg.Scheduler = SchedulerDense
 					dm, dout, dround, drec := runChatter(t, g, cfg, observe)
@@ -147,18 +154,18 @@ func TestActivityMatchesDenseChatter(t *testing.T) {
 
 					label := gname
 					if dround != around {
-						t.Fatalf("%s mode=%v par=%v obs=%v: rounds %d vs %d", label, mode, parallel, observe, dround, around)
+						t.Fatalf("%s mode=%v shards=%d obs=%v: rounds %d vs %d", label, mode, shards, observe, dround, around)
 					}
 					am.FastForwardedRounds = 0
 					if !reflect.DeepEqual(dm, am) {
-						t.Fatalf("%s mode=%v par=%v obs=%v: metrics diverge\ndense: %+v\nact:   %+v", label, mode, parallel, observe, dm, am)
+						t.Fatalf("%s mode=%v shards=%d obs=%v: metrics diverge\ndense: %+v\nact:   %+v", label, mode, shards, observe, dm, am)
 					}
 					if !reflect.DeepEqual(dout, aout) {
-						t.Fatalf("%s mode=%v par=%v obs=%v: outputs diverge", label, mode, parallel, observe)
+						t.Fatalf("%s mode=%v shards=%d obs=%v: outputs diverge", label, mode, shards, observe)
 					}
 					if !reflect.DeepEqual(drec, arec) {
-						t.Fatalf("%s mode=%v par=%v obs=%v: hook streams diverge (%d vs %d rounds)",
-							label, mode, parallel, observe, len(drec.rounds), len(arec.rounds))
+						t.Fatalf("%s mode=%v shards=%d obs=%v: hook streams diverge (%d vs %d rounds)",
+							label, mode, shards, observe, len(drec.rounds), len(arec.rounds))
 					}
 				}
 			}

@@ -1,17 +1,20 @@
 package sim
 
-import "slices"
+import (
+	"runtime"
+	"slices"
+)
 
 // Sharded engine (Config.Shards > 1): the nodes are statically partitioned
 // into S contiguous shards cut by degree weight, and every per-node phase of
-// the round runs shard-at-a-time — on the worker pool under Config.Parallel,
+// the round runs shard-at-a-time — one shard per worker-pool goroutine when
+// GOMAXPROCS > 1 and the phase moves at least parallelMinWords words,
 // sequentially in ascending shard order otherwise, with bit-identical
-// results either way.
+// results either way. This is the engine's only parallel code.
 //
 // Ownership discipline: shard s owns the nodes in
 // [shardBounds[s], shardBounds[s+1]) and with them their inboxes, their
-// incoming channel queues and stamps (recvActive, recvQueued, edgeStamp of
-// in-edges), their outgoing queue buffers (a queue is indexed by its
+// incoming channel queues and stamps (recvActive, edgeStamp of in-edges), their outgoing queue buffers (a queue is indexed by its
 // sender's CSR row), their contexts, and their entries in shardRecv and
 // shardSched. Every fan-out below touches only owner state, so no phase
 // needs locks; determinism comes from ordering, not synchronization.
@@ -19,7 +22,7 @@ import "slices"
 // The one cross-shard data flow is activation: sender v in shard s finishing
 // a round must mark its out-channels active, and those channels belong to
 // receivers in arbitrary shards. The single-shard engine does this on the
-// sequential spine in ascending sender order (activatePending), which is the
+// sequential spine in ascending sender order (flushPending), which is the
 // determinism contract's source of per-receiver delivery order. The sharded
 // engine reproduces exactly that order with a shard barrier: during the
 // merge fan-out each sender shard s appends an activation record per pending
@@ -50,7 +53,7 @@ func (e *Engine) initShards() {
 	if n == 0 {
 		return
 	}
-	weights := resizeInt64(&e.weightBuf, n)
+	weights := make([]int64, n)
 	total := int64(0)
 	for v := 0; v < n; v++ {
 		w := int64(1 + e.commOffs[v+1] - e.commOffs[v])
@@ -179,7 +182,6 @@ func (e *Engine) shardDrainWork(t int) {
 		row := e.staging[s*S+t]
 		for _, rec := range row {
 			to := e.commTgts[rec.eid]
-			e.recvQueued[to] += int64(rec.n)
 			ctr.words += int64(rec.n)
 			if e.edgeStamp[rec.eid] != e.epoch {
 				e.edgeStamp[rec.eid] = e.epoch
@@ -195,8 +197,8 @@ func (e *Engine) shardDrainWork(t int) {
 }
 
 // stepSharded executes one round of the sharded engine. The phase structure
-// mirrors step() with the receiver/compute/merge fan-outs replaced by static
-// shard fan-outs and a staging barrier in the merge:
+// mirrors step(), with each per-node phase run shard by shard and a staging
+// barrier in the merge:
 //
 //	spine:  broadcast delivery (senders fan out across shards)
 //	shards: ready snapshot + unicast delivery + receiver-list compaction
@@ -211,8 +213,7 @@ func (e *Engine) stepSharded() {
 	b := e.cfg.BandwidthWords
 	S := e.nshards
 	msgs0, words0 := e.metrics.MessagesDelivered, e.metrics.WordsDelivered
-	workers := e.poolWorkers()
-	usePar := e.cfg.Parallel && workers > 1
+	usePar := runtime.GOMAXPROCS(0) > 1
 	if e.flt != nil {
 		e.applyDueCrashes()
 	}
@@ -273,8 +274,8 @@ func (e *Engine) stepSharded() {
 		}
 	}
 	e.bcastActive = stillBcast
-	// Unicast delivery fan-out. The parallel gate mirrors step(): below
-	// parallelMinWords queued words the handoff costs more than the work.
+	// Unicast delivery fan-out: below parallelMinWords queued words the
+	// handoff costs more than the work.
 	if e.hasActiveRecv() {
 		for i := range e.shardCtr {
 			e.shardCtr[i] = deliveryShard{}
@@ -298,7 +299,7 @@ func (e *Engine) stepSharded() {
 		}
 		e.metrics.WordsDelivered += delivered
 		if e.flt != nil {
-			e.queuedWords -= popped // see step(): popped ≠ delivered under faults
+			e.queuedWords -= popped // popped ≠ delivered under faults; see step()
 		} else {
 			e.queuedWords -= delivered
 		}
@@ -338,7 +339,9 @@ func (e *Engine) stepSharded() {
 	for s := 0; s < S; s++ {
 		nsched += len(e.shardSched[s])
 	}
-	// Compute fan-out (each shard sorts its own list first).
+	// Compute fan-out (each shard sorts its own list first), gated on
+	// words delivered this round plus scheduled nodes: a node's Round cost
+	// scales with its inbox, plus a constant.
 	computeActivity := int64(nsched) + (e.metrics.WordsDelivered - words0)
 	if usePar && computeActivity >= parallelMinWords && nsched > 1 {
 		e.pool().run(S, e.shardComputeFn)
@@ -347,8 +350,8 @@ func (e *Engine) stepSharded() {
 			e.shardComputeFn(s)
 		}
 	}
-	// Merge: copy+stage, barrier, drain. The gate weighs pending send words
-	// like step()'s merge gate.
+	// Merge: copy+stage, barrier, drain, gated on pending send words plus
+	// scheduled nodes.
 	mergeWork := int64(nsched)
 	for s := 0; s < S; s++ {
 		for _, v := range e.shardSched[s] {

@@ -1,7 +1,7 @@
 package sim
 
 // Differential tests for the sharded engine: across shard counts, graph
-// families, modes and parallelism, every observable — metrics, outputs,
+// families and modes, every observable — metrics, outputs,
 // final round, hook streams, cancellation prefixes, Reset/Rebind reuse —
 // must be bit-identical to the single-shard engine. The chatter machines
 // from scheduler_test.go supply the adversarial behavior (random sleeps,
@@ -9,18 +9,49 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
 )
 
+// fanOutGraph is an input large enough that, under chatter traffic at
+// B=1, the sharded delivery, compute and merge phases each move at least
+// parallelMinWords words in some round — so with GOMAXPROCS > 1 every
+// phase really runs on the worker pool instead of the sequential fallback.
+func fanOutGraph() *graph.Graph {
+	return graph.Gnp(3000, 8.0/3000, rand.New(rand.NewSource(61)))
+}
+
+// requirePool skips a fan-out test where the pool can never run.
+func requirePool(t *testing.T) {
+	t.Helper()
+	if runtime.GOMAXPROCS(0) == 1 {
+		t.Skip("GOMAXPROCS=1: sharded phases always take the sequential path")
+	}
+}
+
+// assertPoolRan fails unless eng's worker pool spawned S-1 goroutines for
+// its S shards, which it does only on an S-wide fan-out.
+func assertPoolRan(t *testing.T, label string, eng *Engine) {
+	t.Helper()
+	spawned := 0
+	if eng.wpool != nil {
+		spawned = eng.wpool.spawned
+	}
+	if eng.nshards < 2 || spawned != eng.nshards-1 {
+		t.Fatalf("%s: pool spawned %d workers for %d shards", label, spawned, eng.nshards)
+	}
+}
+
 // TestShardEquivalenceChatter is the tentpole property test: shard counts
-// {1, 2, 4, 7} x {gnp, powerlaw, ring} x {CONGEST, clique, broadcast} x
-// Parallel on/off, every combination bit-identical to the unsharded engine.
-// Run under -race this also proves the fan-out phases touch only shard-owned
-// state.
+// {1, 2, 4, 7} x {gnp, powerlaw, ring} x {CONGEST, clique, broadcast},
+// every combination bit-identical to the unsharded engine, plus one input
+// large enough that every sharded phase fans out on the pool. Run under
+// -race this also proves the fan-out phases touch only shard-owned state.
 func TestShardEquivalenceChatter(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	graphs := map[string]*graph.Graph{
@@ -28,33 +59,41 @@ func TestShardEquivalenceChatter(t *testing.T) {
 		"powerlaw": graph.BarabasiAlbert(48, 3, rng),
 		"ring":     graph.RingWithChords(32, 8, rng),
 	}
-	for gname, g := range graphs {
-		for _, mode := range []Mode{ModeCONGEST, ModeClique, ModeBroadcast} {
-			base := Config{Mode: mode, Seed: 77}
-			wm, wout, wround, wrec := runChatter(t, g, base, true)
-			for _, shards := range []int{1, 2, 4, 7} {
-				for _, parallel := range []bool{false, true} {
-					cfg := base
-					cfg.Shards = shards
-					cfg.Parallel = parallel
-					m, out, round, rec := runChatter(t, g, cfg, true)
-					if round != wround {
-						t.Fatalf("%s mode=%v shards=%d par=%v: rounds %d vs %d", gname, mode, shards, parallel, round, wround)
-					}
-					if !reflect.DeepEqual(m, wm) {
-						t.Fatalf("%s mode=%v shards=%d par=%v: metrics diverge\nsharded: %+v\nsingle:  %+v", gname, mode, shards, parallel, m, wm)
-					}
-					if !reflect.DeepEqual(out, wout) {
-						t.Fatalf("%s mode=%v shards=%d par=%v: outputs diverge", gname, mode, shards, parallel)
-					}
-					if !reflect.DeepEqual(rec, wrec) {
-						t.Fatalf("%s mode=%v shards=%d par=%v: hook streams diverge (%d vs %d rounds)",
-							gname, mode, shards, parallel, len(rec.rounds), len(wrec.rounds))
-					}
-				}
+	check := func(t *testing.T, label string, g *graph.Graph, base Config, shardCounts []int, wantPool bool) {
+		t.Helper()
+		wm, wout, wround, wrec := runChatter(t, g, base, true)
+		for _, shards := range shardCounts {
+			cfg := base
+			cfg.Shards = shards
+			eng, rec := runChatterEngine(t, g, cfg, true)
+			m, out, round := eng.Metrics(), eng.Outputs(), eng.Round()
+			label := fmt.Sprintf("%s shards=%d", label, shards)
+			if round != wround {
+				t.Fatalf("%s: rounds %d vs %d", label, round, wround)
+			}
+			if !reflect.DeepEqual(m, wm) {
+				t.Fatalf("%s: metrics diverge\nsharded: %+v\nsingle:  %+v", label, m, wm)
+			}
+			if !reflect.DeepEqual(out, wout) {
+				t.Fatalf("%s: outputs diverge", label)
+			}
+			if !reflect.DeepEqual(rec, wrec) {
+				t.Fatalf("%s: hook streams diverge (%d vs %d rounds)", label, len(rec.rounds), len(wrec.rounds))
+			}
+			if wantPool {
+				assertPoolRan(t, label, eng)
 			}
 		}
 	}
+	for gname, g := range graphs {
+		for _, mode := range []Mode{ModeCONGEST, ModeClique, ModeBroadcast} {
+			check(t, fmt.Sprintf("%s mode=%v", gname, mode), g, Config{Mode: mode, Seed: 77}, []int{1, 2, 4, 7}, false)
+		}
+	}
+	t.Run("pool", func(t *testing.T) {
+		requirePool(t)
+		check(t, "gnp3000", fanOutGraph(), Config{Seed: 77, BandwidthWords: 1}, []int{2, 4, 7}, true)
+	})
 }
 
 // TestShardEquivalenceDense cross-checks the sharded engine against the
@@ -64,7 +103,7 @@ func TestShardEquivalenceDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := graph.Gnp(40, 0.2, rng)
 	dm, dout, dround, _ := runChatter(t, g, Config{Seed: 5, Scheduler: SchedulerDense}, false)
-	sm, sout, sround, _ := runChatter(t, g, Config{Seed: 5, Shards: 4, Parallel: true}, false)
+	sm, sout, sround, _ := runChatter(t, g, Config{Seed: 5, Shards: 4}, false)
 	if sround != dround {
 		t.Fatalf("rounds %d vs %d", sround, dround)
 	}
@@ -91,7 +130,7 @@ func TestShardCancellationPrefix(t *testing.T) {
 		return nodes
 	}
 	for _, shards := range []int{1, 4} {
-		cfg := Config{Seed: 23, Shards: shards, Parallel: true}
+		cfg := Config{Seed: 23, Shards: shards}
 		full, err := NewEngine(g, mk(), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -118,7 +157,7 @@ func TestShardCancellationPrefix(t *testing.T) {
 		}
 	}
 	// Context cancellation stops cleanly at a round boundary.
-	cfg := Config{Seed: 23, Shards: 4, Parallel: true}
+	cfg := Config{Seed: 23, Shards: 4}
 	eng, err := NewEngine(g, mk(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +183,7 @@ func TestShardResetRebind(t *testing.T) {
 		}
 		return nodes
 	}
-	cfg := Config{Seed: 1, Shards: 3, Parallel: true}
+	cfg := Config{Seed: 1, Shards: 3}
 	fresh := func(g *graph.Graph, seed int64) (Metrics, [][]graph.Triangle) {
 		c := cfg
 		c.Seed = seed

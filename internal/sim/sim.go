@@ -14,11 +14,10 @@
 // incident input edges, the value of n, its private randomness, and the
 // words delivered to it — the CONGEST knowledge discipline.
 //
-// Two engines with identical semantics are provided: a deterministic
-// sequential engine and a parallel engine that runs one worker per CPU over
-// the nodes of each round (goroutines synchronized by a barrier, matching
-// the natural goroutine-per-node reading of the model). For the same seed
-// both produce identical outputs and metrics.
+// The engine steps each round sequentially by default. Config.Shards cuts
+// the nodes into contiguous shards that run each phase of the round on a
+// worker pool (goroutines synchronized by a barrier); for the same seed
+// every shard count produces identical outputs and metrics.
 package sim
 
 import (

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -435,7 +436,8 @@ func TestContextAccessors(t *testing.T) {
 }
 
 // TestParallelEngineInPackage runs the worker-pool path directly with many
-// nodes, checking output parity against the sequential engine.
+// nodes, checking output parity against the sequential engine and, where
+// GOMAXPROCS allows, that the sharded phases really fanned out.
 func TestParallelEngineInPackage(t *testing.T) {
 	g := graph.Complete(40)
 	mkNodes := func() []Node {
@@ -456,13 +458,16 @@ func TestParallelEngineInPackage(t *testing.T) {
 		}
 		return nodes
 	}
-	run := func(parallel bool) (Metrics, int) {
-		eng, err := NewEngine(g, mkNodes(), Config{Seed: 5, Parallel: parallel})
+	run := func(shards int) (Metrics, int) {
+		eng, err := NewEngine(g, mkNodes(), Config{Seed: 5, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.RunUntilQuiescent(); err != nil {
 			t.Fatal(err)
+		}
+		if shards > 1 && runtime.GOMAXPROCS(0) > 1 {
+			assertPoolRan(t, "complete(40)", eng)
 		}
 		outs := 0
 		for _, o := range eng.Outputs() {
@@ -470,8 +475,8 @@ func TestParallelEngineInPackage(t *testing.T) {
 		}
 		return eng.Metrics(), outs
 	}
-	ms, os := run(false)
-	mp, op := run(true)
+	ms, os := run(0)
+	mp, op := run(4)
 	if ms.WordsDelivered != mp.WordsDelivered || os != op || ms.Rounds != mp.Rounds {
 		t.Fatalf("parallel parity broken: %v/%d vs %v/%d",
 			ms.WordsDelivered, os, mp.WordsDelivered, op)

@@ -14,7 +14,7 @@ import (
 // Engine.Restore rebuilds it into a freshly reset engine over the same
 // graph and config so the continued run is bit-identical to one that never
 // stopped — outputs, metrics, hook streams and cancellation prefixes
-// included, for any Parallel/Workers/Shards setting on either side.
+// included, for any shard count on either side.
 //
 // What is serialized is exactly the state the determinism contract can
 // observe: pending channel words in per-receiver activation order (the
@@ -472,8 +472,8 @@ func (e *Engine) Snapshot() ([]byte, error) {
 
 // Restore rebuilds a snapshot into this engine, which must be freshly
 // constructed or Reset with the same graph, node machines, seed and
-// config (Parallel, Workers and Shards are free to differ — the restored
-// run is bit-identical regardless). Init is not called on the nodes;
+// config (Shards is free to differ — the restored run is bit-identical
+// regardless). Init is not called on the nodes;
 // RestoreState replaces it. A failed restore leaves the engine in an
 // undefined state that the next Reset fully recovers.
 func (e *Engine) Restore(payload []byte) error {
@@ -603,7 +603,6 @@ func (e *Engine) Restore(payload []byte) error {
 			}
 		}
 		e.recvStamp[v] = e.epoch
-		e.recvQueued[v] = total
 		e.queuedWords += total
 		if e.nshards > 1 {
 			t := e.shardOf[v]

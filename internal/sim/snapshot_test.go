@@ -1,8 +1,8 @@
 package sim
 
 // Engine snapshot/restore tests: cut-and-resume equality against
-// straight-through runs across modes, schedulers, parallelism and shard
-// counts (including restoring at a different shard count than the snapshot
+// straight-through runs across modes, schedulers and shard counts
+// (including restoring at a different shard count than the snapshot
 // was taken at), snapshot byte-stability through a restore cycle, and the
 // fail-closed rejection matrix for mismatched or corrupted payloads.
 
@@ -63,8 +63,7 @@ func runStraight(t *testing.T, g *graph.Graph, cfg Config) snapObs {
 }
 
 // runCut runs k rounds under cfg, snapshots, restores into a fresh engine
-// built under cfg2 (same graph/seed/mode/scheduler; shards/parallel may
-// differ), and continues to quiescence. The hook recorder spans both
+// built under cfg2 (same graph/seed/mode/scheduler; shards may differ), and continues to quiescence. The hook recorder spans both
 // halves, so the returned stream is the stitched prefix+suffix.
 func runCut(t *testing.T, g *graph.Graph, cfg, cfg2 Config, k int) snapObs {
 	t.Helper()
@@ -115,7 +114,7 @@ func assertSameRun(t *testing.T, label string, want, got snapObs) {
 
 // TestSnapshotCutAndResume is the engine-level correctness spine: for cut
 // points spread over the run, snapshotting at k and restoring into a fresh
-// engine — possibly with a different shard count or parallelism — then
+// engine — possibly with a different shard count — then
 // running to quiescence reproduces the straight-through run exactly:
 // metrics, outputs, final round, and the full hook stream.
 func TestSnapshotCutAndResume(t *testing.T) {
@@ -131,17 +130,15 @@ func TestSnapshotCutAndResume(t *testing.T) {
 			}
 			for _, k := range []int{0, 1, total / 3, total / 2, total - 2} {
 				for _, alt := range []struct {
-					name     string
-					shards   int
-					parallel bool
+					name   string
+					shards int
 				}{
-					{"same", cfg.Shards, cfg.Parallel},
-					{"shards4", 4, false},
-					{"parallel", 0, true},
+					{"same", cfg.Shards},
+					{"shards4", 4},
+					{"shards7", 7},
 				} {
 					cfg2 := cfg
 					cfg2.Shards = alt.shards
-					cfg2.Parallel = alt.parallel
 					got := runCut(t, g, cfg, cfg2, k)
 					label := fmt.Sprintf("mode=%v sched=%v k=%d %s", mode, sched, k, alt.name)
 					assertSameRun(t, label, full, got)
@@ -157,7 +154,7 @@ func TestSnapshotCutAndResume(t *testing.T) {
 func TestSnapshotShardedCut(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := graph.Gnp(64, 0.12, rng)
-	cfg1 := Config{Seed: 5, Shards: 4, Parallel: true}
+	cfg1 := Config{Seed: 5, Shards: 4}
 	cfg2 := Config{Seed: 5}
 	full := runStraight(t, g, cfg2)
 	for _, k := range []int{1, full.round / 2} {

@@ -3,7 +3,7 @@ package repro
 // The million-node acceptance test (ROADMAP item: "million-node runs"):
 // generate a sparse G(10^6, p) graph through the generator's geometric-skip
 // fast path, round-trip it through the binary CSR container, load it back
-// via mmap, and run a short sharded+parallel job whose observables are
+// via mmap, and run a short sharded job whose observables are
 // bit-identical to the single-shard run. This is the one test that
 // exercises the whole large-graph pipeline end to end at full scale;
 // everything it checks is also pinned at small sizes by the per-package
@@ -92,7 +92,7 @@ func TestMillionNodePipeline(t *testing.T) {
 		t.Fatal("csrbin round trip changed the million-node graph")
 	}
 
-	// A short sharded+parallel run over the mapped graph must be
+	// A short sharded run over the mapped graph must be
 	// bit-identical to the single-shard run over the original.
 	const rounds = 8
 	run := func(g *graph.Graph, cfg sim.Config) (sim.Metrics, int) {
@@ -108,7 +108,7 @@ func TestMillionNodePipeline(t *testing.T) {
 		return eng.Metrics(), eng.Round()
 	}
 	wantM, wantRound := run(g, sim.Config{Seed: 7})
-	gotM, gotRound := run(lg, sim.Config{Seed: 7, Shards: 4, Parallel: true})
+	gotM, gotRound := run(lg, sim.Config{Seed: 7, Shards: 4})
 	if gotRound != wantRound {
 		t.Fatalf("rounds %d vs %d", gotRound, wantRound)
 	}
