@@ -14,10 +14,11 @@ import (
 //
 // Ownership discipline: shard s owns the nodes in
 // [shardBounds[s], shardBounds[s+1]) and with them their inboxes, their
-// incoming channel queues and stamps (recvActive, edgeStamp of in-edges), their outgoing queue buffers (a queue is indexed by its
-// sender's CSR row), their contexts, and their entries in shardRecv and
-// shardSched. Every fan-out below touches only owner state, so no phase
-// needs locks; determinism comes from ordering, not synchronization.
+// incoming channel queues and stamps (recvActive, edgeStamp of in-edges),
+// their outgoing queue buffers (a queue is indexed by its sender's CSR
+// row), their contexts, and their entries in shardRecv and shardSched.
+// Every fan-out below touches only owner state, so no phase needs locks;
+// determinism comes from ordering, not synchronization.
 //
 // The one cross-shard data flow is activation: sender v in shard s finishing
 // a round must mark its out-channels active, and those channels belong to
