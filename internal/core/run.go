@@ -159,9 +159,9 @@ func runPlanned(ctx context.Context, eng *sim.Engine, plan []SegmentPlan, obs Ob
 	// checkpoint plus the (cheap) fast-forward replay already reproduces it.
 	// Skipping those saves keeps long idle tails from writing thousands of
 	// identical containers.
-	lastSave, lastSaveFF := resumeRound, eng.Metrics().FastForwardedRounds
+	lastSave, lastSaveFF := resumeRound, eng.FastForwardedRounds()
 	idleSince := func(round int) bool {
-		return eng.Metrics().FastForwardedRounds-lastSaveFF == round-lastSave
+		return eng.FastForwardedRounds()-lastSaveFF == round-lastSave
 	}
 	var runErr error
 	start := 0
@@ -190,7 +190,7 @@ func runPlanned(ctx context.Context, eng *sim.Engine, plan []SegmentPlan, obs Ob
 				if err := saveAt(cur); err != nil {
 					return Result{}, err
 				}
-				lastSave, lastSaveFF = cur, eng.Metrics().FastForwardedRounds
+				lastSave, lastSaveFF = cur, eng.FastForwardedRounds()
 			}
 		}
 		if runErr != nil {

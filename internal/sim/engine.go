@@ -55,12 +55,13 @@ type Config struct {
 	// Seed derives every node's private random stream.
 	Seed int64
 	// Shards statically partitions the nodes into that many contiguous
-	// engine shards (cut by degree weight), each owning its nodes' channel
-	// queues, inboxes and scheduling lists; cross-shard sends go through
-	// per-(sender-shard, receiver-shard) staging buffers drained in
-	// ascending shard order, so outputs, metrics, Round(), hook streams and
-	// cancellation prefixes are bit-identical to the single-shard engine for
-	// every shard count (see DESIGN.md, "Sharded engine & binary CSR").
+	// engine shards (cut by degree weight), each owning its nodes' send
+	// arena and channel queues, inboxes and scheduling lists; cross-shard
+	// channel activations go through per-(sender-shard, receiver-shard)
+	// staging lists drained in ascending shard order, so outputs, metrics,
+	// Round(), hook streams and cancellation prefixes are bit-identical to
+	// the single-shard engine for every shard count (see DESIGN.md,
+	// "Sharded engine & binary CSR").
 	// It is the engine's only placement setting: 0 and 1 select the
 	// sequential single-shard engine; with more shards, every phase that
 	// moves at least parallelMinWords words runs one shard per worker-pool
@@ -143,53 +144,14 @@ type Hooks struct {
 // SetHooks installs streaming observation callbacks for the current run.
 func (e *Engine) SetHooks(h Hooks) { e.hooks = h }
 
-// wordQueue is a FIFO of words with an amortized O(1) pop-front.
-//
-// Slices returned by popUpTo alias buf and stay valid until the next push:
-// pops happen in the delivery phase, pushes in the merge phase after every
-// node has consumed its inbox, so compacting dead head space at push time
-// never clobbers words a node is still reading.
-type wordQueue struct {
-	buf  []Word
-	head int
-}
-
-func (q *wordQueue) push(ws []Word) {
-	if q.head > 4096 && q.head*2 > len(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
-	q.buf = append(q.buf, ws...)
-}
-
-func (q *wordQueue) popUpTo(k int) []Word {
-	avail := len(q.buf) - q.head
-	if avail == 0 {
-		return nil
-	}
-	if k > avail {
-		k = avail
-	}
-	out := q.buf[q.head : q.head+k]
-	q.head += k
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return out
-}
-
-func (q *wordQueue) empty() bool { return q.head == len(q.buf) }
-
-func (q *wordQueue) pending() int { return len(q.buf) - q.head }
-
 // Engine simulates one algorithm run over one input graph.
 //
 // Channel state lives in a single flat slab: the communication topology is a
 // CSR adjacency (commOffs, commTgts) and the directed channel from u to its
 // i-th communication neighbor is slot commOffs[u]+i of every per-edge array
-// (queues, edgeFrom, edgeStamp). Active channels are tracked with
+// (queues, edgeFrom). A queue holds spans of the sender shard's send
+// arena, never words (see arena.go), and its channel is active iff it is
+// non-empty. Active channels are tracked with
 // epoch-stamped dense arrays plus compacted lists, so a round touches only
 // live state and steady-state rounds allocate nothing.
 type Engine struct {
@@ -205,9 +167,8 @@ type Engine struct {
 	commTgts []int32
 
 	// Flat per-directed-edge slabs, indexed by eid = commOffs[u]+i.
-	queues    []wordQueue
-	edgeFrom  []int32  // sender u of edge eid
-	edgeStamp []uint32 // == epoch iff the channel has queued words
+	queues   []spanQueue
+	edgeFrom []int32 // sender u of edge eid
 
 	// Receiver-major active tracking: recvActive[v] lists the active in-edge
 	// ids of v in activation order; activeRecv lists receivers with at least
@@ -218,15 +179,22 @@ type Engine struct {
 	recvActive [][]int32
 	activeRecv []int32
 
-	// queuedWords is the unicast words currently queued on all channels,
-	// the sharded delivery fan-out's gate. It is credited on activation and
-	// debited from the folded delivery counters, always on the spine.
+	// queuedWords is the words currently queued on all channels and
+	// broadcast queues: the sharded delivery fan-out's gate, the arena
+	// flip and compaction trigger, and PendingWords. It is credited at the
+	// merge and debited from the folded delivery counters, always on the
+	// spine.
 	queuedWords int64
 
-	// Broadcast-mode state: one shared outgoing queue per node.
-	bcastQ      []wordQueue
+	// arenas holds one send arena per shard (one for the single-shard
+	// engine): every sent word is stored there once, and queues hold spans
+	// of it (see arena.go).
+	arenas []*sendArena
+
+	// Broadcast-mode state: one shared outgoing queue per node, and the
+	// senders whose queue is non-empty, in activation order.
+	bcastQ      []spanQueue
 	bcastActive []int32
-	bcastInSet  []bool
 
 	inboxes   [][]Delivery
 	scheduled []int32 // pooled across rounds
@@ -266,16 +234,16 @@ type Engine struct {
 	// sharded.go). Nodes are cut into nshards contiguous ranges
 	// (shardBounds, len nshards+1) by degree weight; shardOf maps node to
 	// shard. shardRecv/shardSched are the per-shard splits of activeRecv and
-	// scheduled; staging[s*nshards+t] holds sender-shard s's activation
-	// records toward receiver-shard t; stagedBcast[s] holds shard s's newly
-	// broadcast-active senders; shardCtr carries per-shard counters across
-	// the fan-out barriers. All empty/nil when nshards <= 1.
+	// scheduled; staging[s*nshards+t] holds the channels sender-shard s
+	// activated toward receiver-shard t; stagedBcast[s] holds shard s's
+	// newly broadcast-active senders; shardCtr carries per-shard counters
+	// across the fan-out barriers. All empty/nil when nshards <= 1.
 	nshards        int
 	shardBounds    []int32
 	shardOf        []int32
 	shardRecv      [][]int32
 	shardSched     [][]int32
-	staging        [][]stagedSend
+	staging        [][]int32
 	stagedBcast    [][]int32
 	shardCtr       []deliveryShard
 	shardDeliverFn func(s int)
@@ -339,9 +307,8 @@ func NewEngine(input *graph.Graph, nodes []Node, cfg Config) (*Engine, error) {
 		e.commOffs, e.commTgts = input.CSR()
 	}
 	ne := len(e.commTgts) // directed channel count
-	e.queues = make([]wordQueue, ne)
+	e.queues = make([]spanQueue, ne)
 	e.edgeFrom = make([]int32, ne)
-	e.edgeStamp = make([]uint32, ne)
 	for v := 0; v < n; v++ {
 		for eid := e.commOffs[v]; eid < e.commOffs[v+1]; eid++ {
 			e.edgeFrom[eid] = int32(v)
@@ -350,8 +317,7 @@ func NewEngine(input *graph.Graph, nodes []Node, cfg Config) (*Engine, error) {
 	e.recvStamp = make([]uint32, n)
 	e.recvActive = make([][]int32, n)
 	if cfg.Mode == ModeBroadcast {
-		e.bcastQ = make([]wordQueue, n)
-		e.bcastInSet = make([]bool, n)
+		e.bcastQ = make([]spanQueue, n)
 	}
 	inOffs, inTgts := input.CSR()
 	e.ctxs = make([]*Context, n)
@@ -382,6 +348,7 @@ func NewEngine(input *graph.Graph, nodes []Node, cfg Config) (*Engine, error) {
 	if cfg.Shards > 1 {
 		e.initShards()
 	}
+	e.bindArenas()
 	if !cfg.Faults.Empty() {
 		flt, err := newFaultState(cfg.Faults, n, len(e.queues), cfg.Mode == ModeBroadcast)
 		if err != nil {
@@ -404,8 +371,10 @@ func (e *Engine) initNodes() {
 	}
 	e.started = true
 	for v, nd := range e.nodes {
-		nd.Init(e.ctxs[v])
-		e.flushPending(v)
+		ctx := e.ctxs[v]
+		nd.Init(ctx)
+		e.flushLog(ctx.arena)
+		e.metrics.PerNodeWordsSent[v] = ctx.wordsSent
 		e.emitOutputs(v)
 		e.trackNode(v, 0)
 	}
@@ -469,78 +438,33 @@ func (e *Engine) emitOutputs(v int) {
 	ctx.seenOut = len(ctx.outputs)
 }
 
-// flushPending moves node v's pending send spans into its outgoing channel
-// queues, folds its sent-words counter, records the activations (stamps,
-// active lists, queued-word account) and clears the pending list and send
-// arena. It runs on the sequential spine in ascending node order, and the
-// append order of recvActive/activeRecv it produces is the determinism
-// contract's source of per-receiver delivery order. The sharded engine
-// splits the same work across its merge barrier (shardMergeWork and
-// shardDrainWork) and reproduces that order.
-func (e *Engine) flushPending(v int) {
-	ctx := e.ctxs[v]
-	for _, ps := range ctx.pending {
-		ws := ctx.sendBuf[ps.off : ps.off+ps.n]
-		ctx.wordsSent += int64(len(ws))
-		if ps.nbrIdx == bcastIdx {
-			e.bcastQ[v].push(ws)
-			if !e.bcastInSet[v] {
-				e.bcastInSet[v] = true
-				e.bcastActive = append(e.bcastActive, int32(v))
-			}
-			continue
-		}
-		eid := e.commOffs[v] + ps.nbrIdx
-		e.queues[eid].push(ws)
-		e.queuedWords += int64(ps.n)
-		if e.edgeStamp[eid] != e.epoch {
-			e.edgeStamp[eid] = e.epoch
-			to := e.commTgts[eid]
-			e.recvActive[to] = append(e.recvActive[to], eid)
-			if e.recvStamp[to] != e.epoch {
-				e.recvStamp[to] = e.epoch
-				// Sharded engines keep the receiver list split per shard
-				// (this path runs only from initNodes there; steady-state
-				// sharded activation goes through the staging drain).
-				if e.nshards > 1 {
-					t := e.shardOf[to]
-					e.shardRecv[t] = append(e.shardRecv[t], to)
-				} else {
-					e.activeRecv = append(e.activeRecv, to)
-				}
-			}
-		}
-	}
-	e.metrics.PerNodeWordsSent[v] = ctx.wordsSent
-	ctx.pending = ctx.pending[:0]
-	ctx.sendBuf = ctx.sendBuf[:0]
-}
-
 // deliverTo drains up to B words from every active in-edge of receiver v
 // into v's inbox. It touches only v-owned state (v's inbox, v's in-edge
-// queues and stamps, v's recv counter) plus the caller's counters, so
-// engine shards can deliver to their own receivers concurrently.
-func (e *Engine) deliverTo(v int32, shard *deliveryShard) {
+// queues and active list, v's recv counter), the scratch of v's shard
+// arena a and the caller's counters, so engine shards can deliver to
+// their own receivers concurrently. Senders' arenas are only read.
+func (e *Engine) deliverTo(v int32, shard *deliveryShard, a *sendArena) {
 	if e.flt != nil {
-		e.deliverToFaulty(v, shard)
+		e.deliverToFaulty(v, shard, a)
 		return
 	}
 	b := e.cfg.BandwidthWords
+	src := e.arenas[0]
 	keep := e.recvActive[v][:0]
 	for _, eid := range e.recvActive[v] {
 		q := &e.queues[eid]
-		ws := q.popUpTo(b)
-		if len(ws) > 0 {
-			e.inboxes[v] = append(e.inboxes[v], Delivery{From: int(e.edgeFrom[eid]), Words: ws})
-			shard.messages++
-			shard.words += int64(len(ws))
-			e.metrics.PerNodeWordsRecv[v] += int64(len(ws))
-			shard.moved = true
+		from := e.edgeFrom[eid]
+		if e.nshards > 1 {
+			src = e.arenas[e.shardOf[from]]
 		}
-		if !q.empty() {
+		ws := a.pop(q, src, b)
+		e.inboxes[v] = append(e.inboxes[v], Delivery{From: int(from), Words: ws})
+		shard.messages++
+		shard.words += int64(len(ws))
+		e.metrics.PerNodeWordsRecv[v] += int64(len(ws))
+		shard.moved = true
+		if q.n != 0 {
 			keep = append(keep, eid)
-		} else {
-			e.edgeStamp[eid] = 0
 		}
 	}
 	e.recvActive[v] = keep
@@ -561,6 +485,8 @@ func (e *Engine) step() {
 	b := e.cfg.BandwidthWords
 	msgs0, words0 := e.metrics.MessagesDelivered, e.metrics.WordsDelivered
 	activity := e.cfg.Scheduler != SchedulerDense
+	a := e.arenas[0]
+	a.scratch.reset() // last round's inboxes are consumed
 	if e.flt != nil {
 		e.applyDueCrashes()
 	}
@@ -594,9 +520,10 @@ func (e *Engine) step() {
 			continue
 		}
 		q := &e.bcastQ[u]
-		ws := q.popUpTo(b)
+		ws := a.pop(q, a, b)
 		if len(ws) > 0 {
 			nw := int64(len(ws))
+			e.queuedWords -= nw
 			for _, to := range e.commTgts[e.commOffs[u]:e.commOffs[u+1]] {
 				if f := e.flt; f != nil {
 					if f.dead[to] {
@@ -626,13 +553,10 @@ func (e *Engine) step() {
 			}
 			moved = true
 		}
-		if !q.empty() {
+		if q.n != 0 {
 			stillBcast = append(stillBcast, u)
-		} else {
-			e.bcastInSet[u] = false
-			if f := e.flt; f != nil && f.hasDelay {
-				f.bcastArmStamp[u] = 0
-			}
+		} else if f := e.flt; f != nil && f.hasDelay {
+			f.bcastArmStamp[u] = 0
 		}
 	}
 	e.bcastActive = stillBcast
@@ -641,7 +565,7 @@ func (e *Engine) step() {
 	if len(e.activeRecv) > 0 {
 		var shard deliveryShard
 		for _, v := range e.activeRecv {
-			e.deliverTo(v, &shard)
+			e.deliverTo(v, &shard, a)
 		}
 		e.metrics.MessagesDelivered += shard.messages
 		e.metrics.WordsDelivered += shard.words
@@ -671,6 +595,7 @@ func (e *Engine) step() {
 		}
 	}
 	e.activeRecv = stillRecv
+	e.flipIfDrained()
 	if moved {
 		e.metrics.ActiveRounds++
 	}
@@ -725,13 +650,17 @@ func (e *Engine) step() {
 	for _, v := range scheduled {
 		e.nodes[v].Round(e.ctxs[v], e.round, e.inboxes[v])
 	}
-	// Phase 3: merge, in ascending node order (scheduled is sorted).
+	// Phase 3: merge. The send log is in ascending sender order (scheduled
+	// is sorted), so linking it in order activates channels exactly as
+	// the determinism contract requires.
+	e.flushLog(a)
 	for _, v := range scheduled {
-		e.flushPending(int(v))
+		e.metrics.PerNodeWordsSent[v] = e.ctxs[v].wordsSent
 		e.emitOutputs(int(v))
-		e.inboxes[v] = e.inboxes[v][:0]
+		e.consumeInbox(v)
 		e.trackNode(int(v), e.round+1)
 	}
+	e.compactIfSparse()
 	e.round++
 	e.metrics.Rounds = e.round
 	if e.hooks.Round != nil {
@@ -743,12 +672,20 @@ func (e *Engine) step() {
 	}
 }
 
+// consumeInbox empties node v's inbox after its Round call, zeroing the
+// entries so their word slices pin no arena or scratch memory.
+func (e *Engine) consumeInbox(v int32) {
+	clear(e.inboxes[v])
+	e.inboxes[v] = e.inboxes[v][:0]
+}
+
 // Reset rewinds the engine for a fresh run over the same graph and
-// topology: a new node set, a new seed, zeroed metrics and empty channels,
-// while every slab (queues, stamps, lists, inboxes, send arenas) keeps its
-// capacity. Bumping the epoch invalidates all channel and receiver stamps
-// in O(1); only channels that were still active have queued words to
-// discard, so resetting a drained engine is O(n). Repeated runs (benchmark
+// topology: a new node set, a new seed, zeroed metrics, empty channels and
+// empty send arenas (both halves), while every slab (queues, stamps,
+// lists, inboxes, arena chunks) keeps its capacity. Bumping the epoch
+// invalidates all receiver stamps in O(1); only channels that were still
+// active have queued words to discard, so resetting a drained engine is
+// O(n). Repeated runs (benchmark
 // loops, repetition-amplified algorithms) reuse one engine allocation-free.
 func (e *Engine) Reset(nodes []Node, seed int64) error {
 	if len(nodes) != len(e.nodes) {
@@ -768,11 +705,10 @@ func (e *Engine) Config() Config { return e.cfg }
 // Rebind re-points the engine at a NEW input graph over the same vertex
 // set — the dynamic-graph epoch-snapshot path — and rewinds it for a fresh
 // run like Reset. The per-channel slabs are resized to the new topology
-// reusing their capacity (and, queue by queue, each queue's buffer), so
-// rebinding across snapshots of comparable density allocates little to
-// nothing: only growth beyond any previously seen edge count pays. In
-// clique mode the communication topology does not depend on the input
-// edges, so only the per-node input views change.
+// reusing their capacity, so rebinding across snapshots of comparable
+// density allocates little to nothing: only growth beyond any previously
+// seen edge count pays. In clique mode the communication topology does not
+// depend on the input edges, so only the per-node input views change.
 func (e *Engine) Rebind(input *graph.Graph, nodes []Node, seed int64) error {
 	n := len(e.nodes)
 	if input.N() != n {
@@ -791,19 +727,13 @@ func (e *Engine) Rebind(input *graph.Graph, nodes []Node, seed int64) error {
 		e.commOffs, e.commTgts = inOffs, inTgts
 		ne := len(e.commTgts)
 		// Every queue is empty after clearRun, including ones a previous
-		// rebind sliced away, so growing back over the slab's capacity
-		// recovers their buffers instead of zeroing them.
-		e.queues = e.queues[:cap(e.queues)]
-		for len(e.queues) < ne {
-			e.queues = append(e.queues, wordQueue{})
+		// rebind sliced away, so the slab regrows over its capacity as is.
+		if cap(e.queues) < ne {
+			e.queues = make([]spanQueue, ne)
+			e.edgeFrom = make([]int32, ne)
 		}
 		e.queues = e.queues[:ne]
-		if cap(e.edgeFrom) < ne {
-			e.edgeFrom = make([]int32, ne)
-			e.edgeStamp = make([]uint32, ne)
-		}
 		e.edgeFrom = e.edgeFrom[:ne]
-		e.edgeStamp = e.edgeStamp[:ne]
 		for v := 0; v < n; v++ {
 			for eid := e.commOffs[v]; eid < e.commOffs[v+1]; eid++ {
 				e.edgeFrom[eid] = int32(v)
@@ -818,8 +748,10 @@ func (e *Engine) Rebind(input *graph.Graph, nodes []Node, seed int64) error {
 		e.flt.resizeEdges(len(e.queues))
 	}
 	if e.cfg.Shards > 1 {
-		// Degree weights changed with the topology; recut the shard plan.
+		// Degree weights changed with the topology; recut the shard plan
+		// and re-point the contexts at their new shards' arenas.
 		e.initShards()
+		e.bindArenas()
 	}
 	return nil
 }
@@ -830,9 +762,7 @@ func (e *Engine) Rebind(input *graph.Graph, nodes []Node, seed int64) error {
 func (e *Engine) clearRun(nodes []Node, seed int64) {
 	for _, v := range e.activeRecv {
 		for _, eid := range e.recvActive[v] {
-			q := &e.queues[eid]
-			q.buf = q.buf[:0]
-			q.head = 0
+			e.queues[eid] = spanQueue{}
 		}
 		e.recvActive[v] = e.recvActive[v][:0]
 	}
@@ -840,9 +770,7 @@ func (e *Engine) clearRun(nodes []Node, seed int64) {
 	for s := range e.shardRecv {
 		for _, v := range e.shardRecv[s] {
 			for _, eid := range e.recvActive[v] {
-				q := &e.queues[eid]
-				q.buf = q.buf[:0]
-				q.head = 0
+				e.queues[eid] = spanQueue{}
 			}
 			e.recvActive[v] = e.recvActive[v][:0]
 		}
@@ -855,12 +783,12 @@ func (e *Engine) clearRun(nodes []Node, seed int64) {
 	}
 	e.queuedWords = 0
 	for _, u := range e.bcastActive {
-		q := &e.bcastQ[u]
-		q.buf = q.buf[:0]
-		q.head = 0
-		e.bcastInSet[u] = false
+		e.bcastQ[u] = spanQueue{}
 	}
 	e.bcastActive = e.bcastActive[:0]
+	for _, a := range e.arenas {
+		a.clear()
+	}
 	e.epoch++
 	e.nodes = nodes
 	e.cfg.Seed = seed
@@ -870,15 +798,13 @@ func (e *Engine) clearRun(nodes []Node, seed int64) {
 		} else {
 			ctx.src.Seed(nodeSeed(seed, v))
 		}
-		ctx.pending = ctx.pending[:0]
-		ctx.sendBuf = ctx.sendBuf[:0]
 		ctx.outputs = ctx.outputs[:0]
 		ctx.seenOut = 0
 		ctx.wake = 0
 		ctx.offset = 0
 		ctx.done = false
 		ctx.wordsSent = 0
-		e.inboxes[v] = e.inboxes[v][:0]
+		e.consumeInbox(int32(v))
 	}
 	e.hooks = Hooks{}
 	e.metrics.Rounds = 0
@@ -1073,30 +999,16 @@ func (e *Engine) hasActiveRecv() bool {
 
 // PendingWords reports the words still queued on all channels (0 once all
 // phases drained — asserted by tests at phase boundaries).
-func (e *Engine) PendingWords() int {
-	total := 0
-	for _, v := range e.activeRecv {
-		for _, eid := range e.recvActive[v] {
-			total += e.queues[eid].pending()
-		}
-	}
-	for s := range e.shardRecv {
-		for _, v := range e.shardRecv[s] {
-			for _, eid := range e.recvActive[v] {
-				total += e.queues[eid].pending()
-			}
-		}
-	}
-	for _, u := range e.bcastActive {
-		total += e.bcastQ[u].pending()
-	}
-	return total
-}
+func (e *Engine) PendingWords() int { return int(e.queuedWords) }
 
 // Round returns the number of rounds executed so far.
 func (e *Engine) Round() int { return e.round }
 
-// Metrics returns a copy of the run metrics.
+// FastForwardedRounds returns Metrics().FastForwardedRounds in O(1),
+// without copying the per-node metric slabs.
+func (e *Engine) FastForwardedRounds() int { return e.metrics.FastForwardedRounds }
+
+// Metrics returns a copy of the run metrics, per-node slabs included.
 func (e *Engine) Metrics() Metrics {
 	m := e.metrics
 	m.PerNodeWordsRecv = append([]int64(nil), e.metrics.PerNodeWordsRecv...)

@@ -77,7 +77,7 @@ type faultState struct {
 	nextCrash int
 	dead      []bool
 
-	// Delay arming, epoch-stamped like edgeStamp: edge eid is armed iff
+	// Delay arming, epoch-stamped: edge eid is armed iff
 	// armStamp[eid] == engine epoch, and then delivers no earlier than
 	// round armAt[eid]. Cleared when the edge drains so the next
 	// activation burst redraws. Nil unless the plan has delay.
@@ -200,7 +200,7 @@ func (e *Engine) nextCrashRound() int {
 // duplication). Like deliverTo it touches only receiver-owned state plus
 // the caller's counters, so sharded delivery stays lock-free; the coins
 // are pure functions, so shard placement cannot change them.
-func (e *Engine) deliverToFaulty(v int32, shard *deliveryShard) {
+func (e *Engine) deliverToFaulty(v int32, shard *deliveryShard, a *sendArena) {
 	f := e.flt
 	b := e.cfg.BandwidthWords
 	dead := f.dead[v]
@@ -219,7 +219,7 @@ func (e *Engine) deliverToFaulty(v int32, shard *deliveryShard) {
 				continue
 			}
 		}
-		ws := q.popUpTo(b)
+		ws := a.pop(q, e.arenaOf(e.edgeFrom[eid]), b)
 		if nw := int64(len(ws)); nw > 0 {
 			shard.popped += nw
 			shard.moved = true
@@ -243,13 +243,10 @@ func (e *Engine) deliverToFaulty(v int32, shard *deliveryShard) {
 				}
 			}
 		}
-		if !q.empty() {
+		if q.n != 0 {
 			keep = append(keep, eid)
-		} else {
-			e.edgeStamp[eid] = 0
-			if f.hasDelay {
-				f.armStamp[eid] = 0 // next activation burst redraws
-			}
+		} else if f.hasDelay {
+			f.armStamp[eid] = 0 // next activation burst redraws
 		}
 	}
 	e.recvActive[v] = keep

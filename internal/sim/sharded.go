@@ -13,35 +13,35 @@ import (
 // results either way. This is the engine's only parallel code.
 //
 // Ownership discipline: shard s owns the nodes in
-// [shardBounds[s], shardBounds[s+1]) and with them their inboxes, their
-// incoming channel queues and stamps (recvActive, edgeStamp of in-edges),
-// their outgoing queue buffers (a queue is indexed by its sender's CSR
-// row), their contexts, and their entries in shardRecv and shardSched.
-// Every fan-out below touches only owner state, so no phase needs locks;
-// determinism comes from ordering, not synchronization.
+// [shardBounds[s], shardBounds[s+1]) and with them their contexts, their
+// inboxes, their entries in shardRecv and shardSched, the receiver side of
+// their in-channels (recvActive, recvStamp), and send arena s (see
+// arena.go) with the queues of their out-channels — a channel's queue is
+// indexed by its sender's CSR slot — and broadcast queues. The sender's
+// shard appends words and links spans; the receiver's shard pops them,
+// reading but never writing the sender's arena; and the barrier between
+// the phases orders the two. Every fan-out below touches only owner state,
+// so no phase needs locks; determinism comes from ordering, not
+// synchronization.
 //
-// The one cross-shard data flow is activation: sender v in shard s finishing
-// a round must mark its out-channels active, and those channels belong to
-// receivers in arbitrary shards. The single-shard engine does this on the
-// sequential spine in ascending sender order (flushPending), which is the
-// determinism contract's source of per-receiver delivery order. The sharded
-// engine reproduces exactly that order with a shard barrier: during the
-// merge fan-out each sender shard s appends an activation record per pending
-// send to staging[s*S+t] (t = receiver's shard) — senders ascending within
-// s, records in pending order — and after the barrier each receiver shard t
-// drains columns s = 0..S-1 in ascending order. Shards are contiguous and
-// ascending, so "ascending shard, then ascending sender within shard" is
-// exactly "ascending sender": every recvActive list receives its edge ids in
-// the same order as the single-shard spine, and the delivery phase reading
-// those lists reproduces identical inboxes. Scheduled sets get the same
-// treatment: per-shard lists sorted at the start of the compute fan-out
-// concatenate (shard 0, 1, ...) to the globally sorted order, so node
-// visitation, output emission and hook streams match the single-shard engine
-// bit for bit.
-type stagedSend struct {
-	eid int32 // directed channel id (sender's CSR slot)
-	n   int32 // words queued on it by this pending send
-}
+// The one cross-shard data flow is activation: sender v in shard s linking
+// a span onto an empty queue must add that channel to its receiver's active
+// list, and receivers live in arbitrary shards. The single-shard engine
+// does this on the sequential spine in ascending sender order (flushLog),
+// which is the determinism contract's source of per-receiver delivery
+// order. The sharded engine reproduces exactly that order with a shard
+// barrier: during the merge fan-out each sender shard s walks its send log
+// and stages every channel it activates in staging[s*S+t] (t = receiver's
+// shard) — senders ascending within s, channels in send order — and after
+// the barrier each receiver shard t drains columns s = 0..S-1 in ascending
+// order. Shards are contiguous and ascending, so "ascending shard, then
+// ascending sender within shard" is exactly "ascending sender": every
+// recvActive list receives its edge ids in the same order as the
+// single-shard spine, and the delivery phase reading those lists reproduces
+// identical inboxes. Scheduled sets get the same treatment: per-shard lists
+// sorted at the start of the compute fan-out concatenate (shard 0, 1, ...)
+// to the globally sorted order, so node visitation, output emission and
+// hook streams match the single-shard engine bit for bit.
 
 // initShards (re)computes the static shard plan for the current topology and
 // builds the per-shard state. Called from NewEngine and again from Rebind —
@@ -78,7 +78,7 @@ func (e *Engine) initShards() {
 	}
 	e.shardRecv = make([][]int32, S)
 	e.shardSched = make([][]int32, S)
-	e.staging = make([][]stagedSend, S*S)
+	e.staging = make([][]int32, S*S)
 	e.stagedBcast = make([][]int32, S)
 	e.shardCtr = make([]deliveryShard, S)
 	e.shardDeliverFn = e.shardDeliverWork
@@ -106,8 +106,9 @@ func (e *Engine) shardDeliverWork(s int) {
 		}
 	}
 	ctr := &e.shardCtr[s]
+	a := e.arenas[s]
 	for _, v := range e.shardRecv[s] {
-		e.deliverTo(v, ctr)
+		e.deliverTo(v, ctr, a)
 	}
 	keep := e.shardRecv[s][:0]
 	for _, v := range e.shardRecv[s] {
@@ -136,64 +137,74 @@ func (e *Engine) shardComputeWork(s int) {
 	}
 }
 
-// shardMergeWork is shard s's half of the merge before the barrier: for each
-// scheduled sender (ascending), copy pending words into the sender-owned
-// queues, record one activation entry per unicast send in the staging row
-// toward the receiver's shard, collect newly broadcast-active senders, then
-// clear the send arena and the sender's consumed inbox. The activation
-// bookkeeping itself — the order-sensitive half — is deferred to
-// shardDrainWork on the other side of the barrier.
+// shardMergeWork is sender shard s's half of the merge before the
+// barrier: walk the shard's send log (ascending sender, then send order),
+// link every span into its queues, stage each channel that was empty in
+// the staging row toward its receiver's shard, collect newly
+// broadcast-active senders, then publish the senders' sent-word counters
+// and consume their inboxes. The shard's queued-word delta accumulates in
+// shardCtr[s].words for the spine to fold. No word is copied; the
+// activation bookkeeping itself — the order-sensitive half — is deferred
+// to shardDrainWork on the other side of the barrier.
 func (e *Engine) shardMergeWork(s int) {
 	S := e.nshards
-	for _, v := range e.shardSched[s] {
-		ctx := e.ctxs[v]
-		for _, ps := range ctx.pending {
-			ws := ctx.sendBuf[ps.off : ps.off+ps.n]
-			if ps.nbrIdx == bcastIdx {
-				e.bcastQ[v].push(ws)
-				if !e.bcastInSet[v] {
-					e.bcastInSet[v] = true
-					e.stagedBcast[s] = append(e.stagedBcast[s], v)
-				}
-			} else {
-				eid := e.commOffs[v] + ps.nbrIdx
-				e.queues[eid].push(ws)
-				t := e.shardOf[e.commTgts[eid]]
-				e.staging[s*S+int(t)] = append(e.staging[s*S+int(t)], stagedSend{eid: eid, n: ps.n})
-			}
-			ctx.wordsSent += int64(len(ws))
+	a := e.arenas[s]
+	ctr := &e.shardCtr[s]
+	link := func(eid int32, off, n uint32) {
+		if a.push(&e.queues[eid], off, n) {
+			t := int(e.shardOf[e.commTgts[eid]])
+			e.staging[s*S+t] = append(e.staging[s*S+t], eid)
 		}
-		e.metrics.PerNodeWordsSent[v] = ctx.wordsSent
-		ctx.pending = ctx.pending[:0]
-		ctx.sendBuf = ctx.sendBuf[:0]
-		e.inboxes[v] = e.inboxes[v][:0]
+		ctr.words += int64(n)
+	}
+	off, from := a.logBase, int32(0)
+	for ci := range a.log.nchunks() {
+		for _, r := range a.log.chunk(ci) {
+			switch r.nbr {
+			case senderMark:
+				from = int32(r.n)
+				continue
+			case bcastIdx:
+				if a.push(&e.bcastQ[from], off, r.n) {
+					e.stagedBcast[s] = append(e.stagedBcast[s], from)
+				}
+				ctr.words += int64(r.n)
+			case allIdx:
+				for eid := e.commOffs[from]; eid < e.commOffs[from+1]; eid++ {
+					link(eid, off, r.n)
+				}
+			default:
+				link(e.commOffs[from]+r.nbr, off, r.n)
+			}
+			off += r.n
+		}
+	}
+	a.clearLog()
+	e.retireSenders(s)
+}
+
+// shardDrainWork is receiver shard t's half of the merge after the
+// barrier: drain the staging columns in ascending sender-shard order,
+// appending each newly active channel to its receiver's active list — in
+// the identical ascending-sender order the single-shard spine produces
+// (see the package comment above).
+func (e *Engine) shardDrainWork(t int) {
+	S := e.nshards
+	for s := 0; s < S; s++ {
+		row := e.staging[s*S+t]
+		for _, eid := range row {
+			e.activate(eid, &e.shardRecv[t])
+		}
+		e.staging[s*S+t] = row[:0]
 	}
 }
 
-// shardDrainWork is receiver shard t's half of the merge after the barrier:
-// drain the staging columns in ascending sender-shard order, performing the
-// activation bookkeeping the single-shard spine would have done — in the
-// identical ascending-sender order (see the package comment above). The
-// shard's queued-word delta accumulates in shardCtr[t].words for the spine
-// to fold.
-func (e *Engine) shardDrainWork(t int) {
-	S := e.nshards
-	ctr := &e.shardCtr[t]
-	for s := 0; s < S; s++ {
-		row := e.staging[s*S+t]
-		for _, rec := range row {
-			to := e.commTgts[rec.eid]
-			ctr.words += int64(rec.n)
-			if e.edgeStamp[rec.eid] != e.epoch {
-				e.edgeStamp[rec.eid] = e.epoch
-				e.recvActive[to] = append(e.recvActive[to], rec.eid)
-				if e.recvStamp[to] != e.epoch {
-					e.recvStamp[to] = e.epoch
-					e.shardRecv[t] = append(e.shardRecv[t], to)
-				}
-			}
-		}
-		e.staging[s*S+t] = row[:0]
+// retireSenders publishes shard s's scheduled nodes' sent-word counters
+// and consumes their inboxes, the per-node tail of shard s's merge.
+func (e *Engine) retireSenders(s int) {
+	for _, v := range e.shardSched[s] {
+		e.metrics.PerNodeWordsSent[v] = e.ctxs[v].wordsSent
+		e.consumeInbox(v)
 	}
 }
 
@@ -203,18 +214,23 @@ func (e *Engine) shardDrainWork(t int) {
 //
 //	spine:  broadcast delivery (senders fan out across shards)
 //	shards: ready snapshot + unicast delivery + receiver-list compaction
-//	spine:  fold delivery counters; wake-ups routed to their shards
-//	shards: sort scheduled list, run nodes
-//	shards: copy pending words, stage cross-shard activations   (merge 1/2)
+//	spine:  fold delivery counters; flip arenas if every channel drained;
+//	        wake-ups routed to their shards
+//	shards: sort scheduled list, run nodes (sends fill shard arenas)
+//	shards: link logged spans, stage new channel activations    (merge 1/2)
 //	        — barrier —
 //	shards: drain staging columns in shard order                (merge 2/2)
 //	spine:  fold queued-word deltas, collect broadcast-active senders,
-//	        emit outputs + track nodes in ascending order, fire Round hook
+//	        emit outputs + track nodes in ascending order, compact arenas
+//	        if sparse, fire Round hook
 func (e *Engine) stepSharded() {
 	b := e.cfg.BandwidthWords
 	S := e.nshards
 	msgs0, words0 := e.metrics.MessagesDelivered, e.metrics.WordsDelivered
 	usePar := runtime.GOMAXPROCS(0) > 1
+	for _, a := range e.arenas {
+		a.scratch.reset() // last round's inboxes are consumed
+	}
 	if e.flt != nil {
 		e.applyDueCrashes()
 	}
@@ -232,9 +248,11 @@ func (e *Engine) stepSharded() {
 			continue
 		}
 		q := &e.bcastQ[u]
-		ws := q.popUpTo(b)
+		a := e.arenaOf(u)
+		ws := a.pop(q, a, b)
 		if len(ws) > 0 {
 			nw := int64(len(ws))
+			e.queuedWords -= nw
 			for _, to := range e.commTgts[e.commOffs[u]:e.commOffs[u+1]] {
 				if f := e.flt; f != nil {
 					if f.dead[to] {
@@ -265,13 +283,10 @@ func (e *Engine) stepSharded() {
 			}
 			moved = true
 		}
-		if !q.empty() {
+		if q.n != 0 {
 			stillBcast = append(stillBcast, u)
-		} else {
-			e.bcastInSet[u] = false
-			if f := e.flt; f != nil && f.hasDelay {
-				f.bcastArmStamp[u] = 0
-			}
+		} else if f := e.flt; f != nil && f.hasDelay {
+			f.bcastArmStamp[u] = 0
 		}
 	}
 	e.bcastActive = stillBcast
@@ -305,6 +320,7 @@ func (e *Engine) stepSharded() {
 			e.queuedWords -= delivered
 		}
 	}
+	e.flipIfDrained()
 	if moved {
 		e.metrics.ActiveRounds++
 	}
@@ -351,13 +367,11 @@ func (e *Engine) stepSharded() {
 			e.shardComputeFn(s)
 		}
 	}
-	// Merge: copy+stage, barrier, drain, gated on pending send words plus
-	// scheduled nodes.
+	// Merge, gated on the channel-words sent this round plus scheduled
+	// nodes.
 	mergeWork := int64(nsched)
-	for s := 0; s < S; s++ {
-		for _, v := range e.shardSched[s] {
-			mergeWork += int64(len(e.ctxs[v].sendBuf))
-		}
+	for _, a := range e.arenas {
+		mergeWork += a.sent
 	}
 	for i := range e.shardCtr {
 		e.shardCtr[i] = deliveryShard{}
@@ -365,16 +379,16 @@ func (e *Engine) stepSharded() {
 	if usePar && mergeWork >= parallelMinWords && nsched > 1 {
 		e.pool().run(S, e.shardMergeFn)
 		e.pool().run(S, e.shardDrainFn)
+		for i := range e.shardCtr {
+			e.queuedWords += e.shardCtr[i].words
+		}
 	} else {
-		for s := 0; s < S; s++ {
-			e.shardMergeFn(s)
+		// Sequentially, one ascending pass over the logs on the spine
+		// produces the same state without staging.
+		for s, a := range e.arenas {
+			e.flushLog(a)
+			e.retireSenders(s)
 		}
-		for t := 0; t < S; t++ {
-			e.shardDrainFn(t)
-		}
-	}
-	for i := range e.shardCtr {
-		e.queuedWords += e.shardCtr[i].words
 	}
 	// Newly broadcast-active senders, ascending shard then ascending sender
 	// = ascending sender, the single-shard activation order.
@@ -391,6 +405,7 @@ func (e *Engine) stepSharded() {
 		}
 		e.shardSched[s] = e.shardSched[s][:0]
 	}
+	e.compactIfSparse()
 	e.round++
 	e.metrics.Rounds = e.round
 	if e.hooks.Round != nil {

@@ -34,6 +34,13 @@ import (
 type Word = uint64
 
 // Delivery is the batch of words received from one neighbor in one round.
+//
+// Words points into engine memory — the sender shard's send arena, or a
+// scratch buffer when the batch spans two sends — and is valid only during
+// the Round call that receives it: the engine reuses that memory in later
+// rounds. A node that keeps words past its Round call must copy them, and
+// no node may write to Words: one arena span may be delivered to many
+// receivers.
 type Delivery struct {
 	From  int // sender node id
 	Words []Word
@@ -57,10 +64,9 @@ type Context struct {
 	banw      int
 	rng       *rand.Rand // wraps &src; built on the first RNG() call
 	src       nodeStream
-	comm      []int32 // communication neighbors (sorted); aliases the CSR slab
-	input     []int32 // input-graph neighbors (sorted); == comm in CONGEST mode
-	pending   []pendingSend
-	sendBuf   []Word // arena backing pending sends; reset every flush
+	comm      []int32    // communication neighbors (sorted); aliases the CSR slab
+	input     []int32    // input-graph neighbors (sorted); == comm in CONGEST mode
+	arena     *sendArena // the node's shard arena; Send and Broadcast append here
 	outputs   []graph.Triangle
 	seenOut   int // outputs already streamed through Hooks.Triangle
 	wake      int
@@ -69,13 +75,6 @@ type Context struct {
 	bcastOnly bool
 
 	wordsSent int64
-}
-
-// pendingSend records one queued send as a span of the context's arena, so
-// enqueuing a message costs no allocation once the arena has warmed up.
-type pendingSend struct {
-	nbrIdx int32
-	off, n int32
 }
 
 // ID returns this node's identifier in [0, n).
@@ -162,8 +161,9 @@ const bcastIdx = -1
 // round, in FIFO order. In the broadcast CONGEST model unicast is illegal
 // and Send panics.
 //
-// The words are copied into a per-node arena that the engine recycles every
-// round, so sending is allocation-free at steady state.
+// The words are copied once, into the send arena of the node's engine
+// shard, so the caller may reuse its slice as soon as Send returns, and
+// sending is allocation-free once the arena has warmed up.
 func (c *Context) Send(nbrIdx int, words ...Word) {
 	if len(words) == 0 {
 		return
@@ -174,14 +174,7 @@ func (c *Context) Send(nbrIdx int, words ...Word) {
 	if nbrIdx < 0 || nbrIdx >= len(c.comm) {
 		panic(fmt.Sprintf("sim: node %d sends to invalid neighbor index %d", c.id, nbrIdx))
 	}
-	c.enqueue(int32(nbrIdx), words)
-}
-
-// enqueue appends words to the arena and records the span.
-func (c *Context) enqueue(nbrIdx int32, words []Word) {
-	off := int32(len(c.sendBuf))
-	c.sendBuf = append(c.sendBuf, words...)
-	c.pending = append(c.pending, pendingSend{nbrIdx: nbrIdx, off: off, n: int32(len(words))})
+	c.record(int32(nbrIdx), words, 1)
 }
 
 // SendTo queues words to the communication neighbor with node id u.
@@ -195,18 +188,23 @@ func (c *Context) SendTo(u int, words ...Word) {
 
 // Broadcast queues the same words to every communication neighbor. In the
 // broadcast CONGEST model this is the only legal primitive and consumes one
-// shared B-word channel per round; in the unicast models it expands to one
-// copy per neighbor (each on its own channel).
+// shared B-word channel per round; in the unicast models every channel
+// carries the words at B words per round, exactly as one Send per
+// neighbor would.
+//
+// Like Send, Broadcast copies the words once, into the shard arena — in
+// the unicast models too, where all the node's channels queue that one
+// copy — so the caller may reuse its slice as soon as Broadcast returns.
 func (c *Context) Broadcast(words ...Word) {
 	if len(words) == 0 {
 		return
 	}
 	if c.bcastOnly {
-		c.enqueue(bcastIdx, words)
+		c.record(bcastIdx, words, 1)
 		return
 	}
-	for i := range c.comm {
-		c.Send(i, words...)
+	if len(c.comm) > 0 {
+		c.record(allIdx, words, len(c.comm))
 	}
 }
 

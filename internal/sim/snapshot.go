@@ -311,6 +311,14 @@ func (r *SnapReader) Bools() []bool {
 	return vs
 }
 
+// restoreSpan stores a restored queue's words once, in sender u's shard
+// arena, and returns the single-span queue holding them.
+func (e *Engine) restoreSpan(u int32, ws []Word) spanQueue {
+	a := e.arenaOf(u)
+	off := a.words.add(ws)
+	return spanQueue{off: uint32(off), n: uint32(len(ws))}
+}
+
 // Quiescent reports whether every node is done and all channels are
 // drained — the condition under which RunUntilQuiescent stops. Exposed for
 // replay drivers that step a restored engine round by round.
@@ -325,10 +333,12 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	if !e.started {
 		return nil, fmt.Errorf("%w: engine has not started", ErrSnapshotState)
 	}
-	for v, ctx := range e.ctxs {
-		if len(ctx.pending) != 0 || len(ctx.sendBuf) != 0 {
-			return nil, fmt.Errorf("%w: node %d has unflushed sends", ErrSnapshotState, v)
+	for _, a := range e.arenas {
+		if a.log.n != 0 {
+			return nil, fmt.Errorf("%w: node %d has unflushed sends", ErrSnapshotState, a.log.at(0).n)
 		}
+	}
+	for v := range e.ctxs {
 		if len(e.inboxes[v]) != 0 {
 			return nil, fmt.Errorf("%w: node %d has an unconsumed inbox", ErrSnapshotState, v)
 		}
@@ -388,13 +398,14 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	}
 	slices.Sort(recvs)
 	w.U32(uint32(len(recvs)))
+	var buf []Word
 	for _, v := range recvs {
 		w.U32(uint32(v))
 		w.U32(uint32(len(e.recvActive[v])))
 		for _, eid := range e.recvActive[v] {
 			w.U32(uint32(eid))
-			q := &e.queues[eid]
-			w.Words(q.buf[q.head:])
+			buf = e.arenaOf(e.edgeFrom[eid]).appendQueued(buf[:0], &e.queues[eid])
+			w.Words(buf)
 			if e.flt != nil {
 				// Delay arming is the one piece of mutable fault state a
 				// resume cannot re-derive (the draw round is gone).
@@ -413,8 +424,9 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	w.U32(uint32(len(e.bcastActive)))
 	for _, u := range e.bcastActive {
 		w.U32(uint32(u))
-		q := &e.bcastQ[u]
-		w.Words(q.buf[q.head:])
+		a := e.arenaOf(u)
+		buf = a.appendQueued(buf[:0], &e.bcastQ[u])
+		w.Words(buf)
 		if e.flt != nil {
 			if e.flt.bcastArmStamp != nil && e.flt.bcastArmStamp[u] == e.epoch {
 				w.Bool(true)
@@ -584,13 +596,10 @@ func (e *Engine) Restore(payload []byte) error {
 			if len(ws) == 0 {
 				return fmt.Errorf("%w: active channel %d with no queued words", ErrBadSnapshot, eid)
 			}
-			if e.edgeStamp[eid] == e.epoch {
+			if e.queues[eid].n != 0 {
 				return fmt.Errorf("%w: channel %d appears twice", ErrBadSnapshot, eid)
 			}
-			e.edgeStamp[eid] = e.epoch
-			q := &e.queues[eid]
-			q.buf = append(q.buf[:0], ws...)
-			q.head = 0
+			e.queues[eid] = e.restoreSpan(e.edgeFrom[eid], ws)
 			e.recvActive[v] = append(e.recvActive[v], eid)
 			total += int64(len(ws))
 			if e.flt != nil && r.Bool() {
@@ -623,14 +632,12 @@ func (e *Engine) Restore(payload []byte) error {
 		if int(u) >= n || e.bcastQ == nil {
 			return fmt.Errorf("%w: broadcast sender %d invalid for this mode", ErrBadSnapshot, u)
 		}
-		if len(ws) == 0 || e.bcastInSet[u] {
+		if len(ws) == 0 || e.bcastQ[u].n != 0 {
 			return fmt.Errorf("%w: broadcast sender %d empty or duplicated", ErrBadSnapshot, u)
 		}
-		e.bcastInSet[u] = true
 		e.bcastActive = append(e.bcastActive, u)
-		q := &e.bcastQ[u]
-		q.buf = append(q.buf[:0], ws...)
-		q.head = 0
+		e.bcastQ[u] = e.restoreSpan(u, ws)
+		e.queuedWords += int64(len(ws))
 		if e.flt != nil && r.Bool() {
 			armAt := r.I32()
 			if e.flt.bcastArmStamp == nil {
