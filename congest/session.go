@@ -3,6 +3,7 @@ package congest
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -12,8 +13,9 @@ import (
 // Session executes jobs while caching the expensive state between them:
 // graphs are materialized once per GraphSpec, and engines are pooled in
 // one core.EngineCache keyed by engine shape, so repeated jobs reuse one
-// slab allocation. A Session is safe for concurrent use; Service builds
-// on it.
+// slab allocation. Both caches are bounded, whatever specs arrive: the
+// session keeps the 8 most recently used graphs and at most 16 idle
+// engines. A Session is safe for concurrent use; Service builds on it.
 //
 // Results are deterministic: a job is fully determined by its JobSpec, and
 // pooled engines are bit-identical to fresh ones.
@@ -22,8 +24,19 @@ type Session struct {
 	engines *core.EngineCache
 
 	mu     sync.Mutex
-	graphs map[string]*graph.Graph
+	graphs []cachedGraph // least recently used first
 }
+
+// cachedGraph is one materialized graph and its GraphSpec key.
+type cachedGraph struct {
+	key string
+	g   *graph.Graph
+}
+
+// maxCachedGraphs bounds the graphs a Session keeps materialized; using
+// one more evicts the least recently used. The Session and Graph docs
+// quote its value.
+const maxCachedGraphs = 8
 
 // NewSession returns an empty session. WithOracleWorkers defaults to all
 // CPUs here; see the option docs.
@@ -31,20 +44,17 @@ func NewSession(opts ...Option) *Session {
 	return &Session{
 		opts:    resolveOptions(opts),
 		engines: core.NewEngineCache(),
-		graphs:  make(map[string]*graph.Graph),
 	}
 }
 
 // Graph materializes (or returns the cached) graph for a spec. File-backed
-// specs are cached by path for the session's lifetime.
+// specs are cached by path. The session keeps the 8 most recently used
+// graphs.
 func (s *Session) Graph(gs GraphSpec) (*graph.Graph, error) {
 	key := gs.key()
-	s.mu.Lock()
-	if g, ok := s.graphs[key]; ok {
-		s.mu.Unlock()
+	if g := s.cachedGraph(key); g != nil {
 		return g, nil
 	}
-	s.mu.Unlock()
 	// Admission control BEFORE materialization where the size is declared
 	// (generator and inline specs): an oversized spec must not cost the
 	// build. File specs reveal their size only after reading.
@@ -63,11 +73,33 @@ func (s *Session) Graph(gs GraphSpec) (*graph.Graph, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cached, ok := s.graphs[key]; ok {
+	if cached := s.touchGraph(key); cached != nil {
 		return cached, nil
 	}
-	s.graphs[key] = g
+	s.graphs = append(s.graphs, cachedGraph{key: key, g: g})
+	if len(s.graphs) > maxCachedGraphs {
+		s.graphs = slices.Delete(s.graphs, 0, 1)
+	}
 	return g, nil
+}
+
+// cachedGraph returns the cached graph for key, or nil.
+func (s *Session) cachedGraph(key string) *graph.Graph {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.touchGraph(key)
+}
+
+// touchGraph returns the cached graph for key, marking it the most
+// recently used, or nil. The caller holds s.mu.
+func (s *Session) touchGraph(key string) *graph.Graph {
+	for i, c := range s.graphs {
+		if c.key == key {
+			s.graphs = append(slices.Delete(s.graphs, i, i+1), c)
+			return c.g
+		}
+	}
+	return nil
 }
 
 // Run executes one job to completion (or cancellation) and returns its

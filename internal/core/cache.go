@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"repro/internal/faults"
@@ -24,14 +25,21 @@ import (
 // run until it is returned, so k concurrent runs of one shape cost k
 // engines. Config.MaxRounds is not part of the key: the planned runs the
 // cache executes drive the engine with explicit round budgets and never
-// consult it. Idle retention is bounded at maxFreePerKey engines (and node
-// slices) per shape — enough for a full sweep fan-out's concurrency — so a
-// long-lived process's memory scales with concurrent load, not with the
-// variety of shapes it has ever served.
+// consult it. Idle retention is bounded at MaxIdleEngines engines, and as
+// many node slices, across all shapes: a return beyond the bound drops the
+// oldest idle one. Every key field can come from an untrusted request, so
+// a long-lived process's memory then scales with concurrent load, not
+// with the variety of shapes it has ever served.
 type EngineCache struct {
 	mu      sync.Mutex
-	engines map[engineKey][]*sim.Engine
-	nodes   map[int][][]sim.Node
+	engines []idleEngine // oldest first
+	nodes   [][]sim.Node // oldest first
+}
+
+// idleEngine is a returned engine and the shape it was keyed under.
+type idleEngine struct {
+	key engineKey
+	eng *sim.Engine
 }
 
 type engineKey struct {
@@ -45,17 +53,14 @@ type engineKey struct {
 	faults uint64
 }
 
-// maxFreePerKey bounds the idle engines (and node slices) retained per
-// shape; returns beyond it are dropped for the GC.
-const maxFreePerKey = 8
+// MaxIdleEngines bounds the idle engines an EngineCache retains across all
+// shapes, and separately its idle node slices: enough for a sweep fan-out
+// over one shape or a service mixing a few shapes at full concurrency.
+// congest.Session's doc quotes its value.
+const MaxIdleEngines = 16
 
 // NewEngineCache returns an empty cache.
-func NewEngineCache() *EngineCache {
-	return &EngineCache{
-		engines: make(map[engineKey][]*sim.Engine),
-		nodes:   make(map[int][][]sim.Node),
-	}
-}
+func NewEngineCache() *EngineCache { return &EngineCache{} }
 
 // keyFor keys on the engine's own default resolution, so explicit and
 // defaulted configs share a pool.
@@ -68,21 +73,21 @@ func keyFor(n int, cfg sim.Config) engineKey {
 func (c *EngineCache) getNodes(n int) []sim.Node {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	bufs := c.nodes[n]
-	if len(bufs) == 0 {
-		return make([]sim.Node, n)
+	for i := len(c.nodes) - 1; i >= 0; i-- {
+		if buf := c.nodes[i]; len(buf) == n {
+			c.nodes = slices.Delete(c.nodes, i, i+1)
+			return buf
+		}
 	}
-	buf := bufs[len(bufs)-1]
-	bufs[len(bufs)-1] = nil
-	c.nodes[n] = bufs[:len(bufs)-1]
-	return buf
+	return make([]sim.Node, n)
 }
 
 func (c *EngineCache) putNodes(nodes []sim.Node) {
 	clear(nodes) // drop node references before pooling the slice
 	c.mu.Lock()
-	if len(c.nodes[len(nodes)]) < maxFreePerKey {
-		c.nodes[len(nodes)] = append(c.nodes[len(nodes)], nodes)
+	c.nodes = append(c.nodes, nodes)
+	if len(c.nodes) > MaxIdleEngines {
+		c.nodes = slices.Delete(c.nodes, 0, 1)
 	}
 	c.mu.Unlock()
 }
@@ -93,10 +98,12 @@ func (c *EngineCache) getEngine(g *graph.Graph, nodes []sim.Node, cfg sim.Config
 	key := keyFor(g.N(), cfg)
 	c.mu.Lock()
 	var e *sim.Engine
-	if free := c.engines[key]; len(free) > 0 {
-		e = free[len(free)-1]
-		free[len(free)-1] = nil
-		c.engines[key] = free[:len(free)-1]
+	for i := len(c.engines) - 1; i >= 0; i-- {
+		if c.engines[i].key == key {
+			e = c.engines[i].eng
+			c.engines = slices.Delete(c.engines, i, i+1)
+			break
+		}
 	}
 	c.mu.Unlock()
 	if e == nil {
@@ -117,8 +124,9 @@ func (c *EngineCache) getEngine(g *graph.Graph, nodes []sim.Node, cfg sim.Config
 func (c *EngineCache) putEngine(cfg sim.Config, e *sim.Engine) {
 	key := keyFor(e.Input().N(), cfg)
 	c.mu.Lock()
-	if len(c.engines[key]) < maxFreePerKey {
-		c.engines[key] = append(c.engines[key], e)
+	c.engines = append(c.engines, idleEngine{key: key, eng: e})
+	if len(c.engines) > MaxIdleEngines {
+		c.engines = slices.Delete(c.engines, 0, 1)
 	}
 	c.mu.Unlock()
 }
@@ -126,9 +134,24 @@ func (c *EngineCache) putEngine(cfg sim.Config, e *sim.Engine) {
 // Idle reports how many returned engines the cache holds for n-vertex
 // graphs under cfg, ready for reuse.
 func (c *EngineCache) Idle(n int, cfg sim.Config) int {
+	key := keyFor(n, cfg)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.engines[keyFor(n, cfg)])
+	count := 0
+	for _, ie := range c.engines {
+		if ie.key == key {
+			count++
+		}
+	}
+	return count
+}
+
+// IdleEngines reports how many returned engines the cache holds across
+// all shapes; it never exceeds MaxIdleEngines.
+func (c *EngineCache) IdleEngines() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.engines)
 }
 
 func (c *EngineCache) run(ctx context.Context, g *graph.Graph, mkNodes func(nodes []sim.Node), plan []SegmentPlan, cfg sim.Config, obs Observer, ckpt *CheckpointPlan) (Result, error) {

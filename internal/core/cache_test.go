@@ -2,8 +2,10 @@ package core_test
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -215,4 +217,45 @@ func TestRunnerConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// sleeperNode sleeps through the whole run, so every round is
+// fast-forwarded.
+type sleeperNode struct{}
+
+func (sleeperNode) Init(ctx *sim.Context)                                   { ctx.SleepUntil(math.MaxInt32) }
+func (sleeperNode) Round(ctx *sim.Context, round int, inbox []sim.Delivery) {}
+
+// TestCheckpointBoundariesAllocateNothing pins the cost of a checkpoint
+// boundary the run skips because nothing happened since the last save: it
+// reads the engine's fast-forward counter and allocates nothing. Copying
+// the engine's metrics there would copy both per-node slabs, 16n bytes, at
+// every boundary.
+func TestCheckpointBoundariesAllocateNothing(t *testing.T) {
+	const n, rounds = 5000, 400
+	g := graph.Empty(n)
+	sched := &sim.Schedule{}
+	sched.Add("idle", rounds)
+	mk := func(int) sim.Node { return sleeperNode{} }
+	c := core.NewEngineCache()
+	saves := 0
+	ckpt := &core.CheckpointPlan{Every: 1, Save: func(int, []byte) error { saves++; return nil }}
+	run := func(plan *core.CheckpointPlan) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := c.RunSingleCheckpointed(context.Background(), g, sched, mk, sim.Config{Seed: 1}, nil, plan); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	run(nil) // warm the engine cache
+	plain := run(nil)
+	checkpointed := run(ckpt)
+	if saves != 0 {
+		t.Fatalf("%d checkpoints saved over an idle run, want 0", saves)
+	}
+	if perBoundary := (checkpointed - plain) / rounds; perBoundary > 64 {
+		t.Errorf("each skipped checkpoint boundary allocates %d B, want <= 64", perBoundary)
+	}
 }
