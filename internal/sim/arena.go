@@ -34,10 +34,14 @@ import "math"
 // leaves every channel empty, each shard flips halves in O(1) and empties
 // its slab: the retired half stays readable for this round's inboxes, and
 // the next flip empties it. Runs whose channels never all drain are bounded
-// by compaction: after the merge, when the arenas' words and slab spans
-// exceed twice the queued words plus compactSlack, the spine copies every
-// queued word into its sender shard's spare half, rewrites each queue as
-// one span and flips.
+// by compaction: after a merge that linked words, when the arenas' words
+// and slab spans exceed twice the queued words plus compactSlack, the spine
+// copies every queued word into its sender shard's spare half, rewrites
+// each queue as one span and flips. Only merges can grow the arenas, so
+// checking after them keeps the load within twice the peak queued words
+// plus compactSlack at all times, and a phase that only drains is never
+// compacted: it would copy words about to be delivered, and the spare half
+// would grow to hold them.
 
 // sendRec is one send-log entry: n words queued toward nbr, which is a
 // communication-neighbour index, bcastIdx for a broadcast-mode emission or
@@ -186,15 +190,21 @@ func (a *sendArena) pop(q *spanQueue, src *sendArena, b int) []Word {
 		sc.n += chunkLen - i // keep the gathered words in one chunk
 	}
 	sc.reserve(b)
-	start := sc.n
+	buf := sc.chunks[sc.n>>chunkShift][sc.n&chunkMask:][:0:b]
 	for k > 0 && q.n > 0 {
 		take := min(k, q.n)
-		src.words.copyTo(sc, int(q.off), int(take))
+		if ws, ok := src.words.view(int(q.off), int(take)); ok {
+			for _, w := range ws { // pieces are short: no memmove call
+				buf = append(buf, w)
+			}
+		} else {
+			buf = src.words.appendTo(buf, int(q.off), int(take))
+		}
 		k -= take
 		src.consume(q, take)
 	}
-	ws, _ := sc.view(start, sc.n-start)
-	return ws
+	sc.n += len(buf)
+	return buf[:len(buf):len(buf)]
 }
 
 // consume drops k <= q.n words from q's head span, promoting the next
@@ -363,7 +373,8 @@ func (e *Engine) arenaLoad() int64 {
 	return total
 }
 
-// compactIfSparse runs after the merge, on the spine: when the arenas
+// compactIfSparse runs on the spine after a merge that linked words
+// (linked reports whether any send log was non-empty): when the arenas
 // hold more than twice the queued words plus compactSlack in words and
 // spans, it copies every queued word into its sender shard's spare half,
 // rewrites each queue as one span and flips every arena. Inboxes are
@@ -371,8 +382,8 @@ func (e *Engine) arenaLoad() int64 {
 // leaves the load at the queued words, at most half of what triggered it,
 // and its cost — the queued words — is paid for by the words delivered or
 // sent since the previous one.
-func (e *Engine) compactIfSparse() {
-	if e.arenaLoad() <= 2*e.queuedWords+compactSlack {
+func (e *Engine) compactIfSparse(linked bool) {
+	if !linked || e.arenaLoad() <= 2*e.queuedWords+compactSlack {
 		return
 	}
 	for _, a := range e.arenas {

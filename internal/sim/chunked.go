@@ -60,6 +60,11 @@ func (c *chunked[T]) push(x T) int {
 // add appends xs and returns the index of the first.
 func (c *chunked[T]) add(xs []T) int {
 	off := c.n
+	if i := off & chunkMask; off+len(xs) <= c.cap && i+len(xs) <= chunkLen {
+		copy(c.chunks[off>>chunkShift][i:], xs)
+		c.n += len(xs)
+		return off
+	}
 	c.reserve(len(xs))
 	for len(xs) > 0 {
 		k := copy(c.chunks[c.n>>chunkShift][c.n&chunkMask:], xs)

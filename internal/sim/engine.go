@@ -653,6 +653,7 @@ func (e *Engine) step() {
 	// Phase 3: merge. The send log is in ascending sender order (scheduled
 	// is sorted), so linking it in order activates channels exactly as
 	// the determinism contract requires.
+	linked := a.log.n > 0
 	e.flushLog(a)
 	for _, v := range scheduled {
 		e.metrics.PerNodeWordsSent[v] = e.ctxs[v].wordsSent
@@ -660,7 +661,7 @@ func (e *Engine) step() {
 		e.consumeInbox(v)
 		e.trackNode(int(v), e.round+1)
 	}
-	e.compactIfSparse()
+	e.compactIfSparse(linked)
 	e.round++
 	e.metrics.Rounds = e.round
 	if e.hooks.Round != nil {

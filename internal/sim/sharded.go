@@ -370,8 +370,10 @@ func (e *Engine) stepSharded() {
 	// Merge, gated on the channel-words sent this round plus scheduled
 	// nodes.
 	mergeWork := int64(nsched)
+	linked := false
 	for _, a := range e.arenas {
 		mergeWork += a.sent
+		linked = linked || a.log.n > 0
 	}
 	for i := range e.shardCtr {
 		e.shardCtr[i] = deliveryShard{}
@@ -405,7 +407,7 @@ func (e *Engine) stepSharded() {
 		}
 		e.shardSched[s] = e.shardSched[s][:0]
 	}
-	e.compactIfSparse()
+	e.compactIfSparse(linked)
 	e.round++
 	e.metrics.Rounds = e.round
 	if e.hooks.Round != nil {
