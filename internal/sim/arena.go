@@ -221,15 +221,21 @@ func (a *sendArena) consume(q *spanQueue, k uint32) {
 	}
 }
 
+// eachSpan calls fn for each span of q, one of this shard's queues, in
+// FIFO order.
+func (a *sendArena) eachSpan(q *spanQueue, fn func(off, n uint32)) {
+	fn(q.off, q.n)
+	for i := q.next; i != 0; {
+		l := a.spans.at(int(i))
+		fn(l.off, l.n)
+		i = l.next
+	}
+}
+
 // appendQueued appends the words of q, one of this shard's queues, to dst
 // in FIFO order.
 func (a *sendArena) appendQueued(dst []Word, q *spanQueue) []Word {
-	dst = a.words.appendTo(dst, int(q.off), int(q.n))
-	for i := q.next; i != 0; {
-		l := a.spans.at(int(i))
-		dst = a.words.appendTo(dst, int(l.off), int(l.n))
-		i = l.next
-	}
+	a.eachSpan(q, func(off, n uint32) { dst = a.words.appendTo(dst, int(off), int(n)) })
 	return dst
 }
 
@@ -237,12 +243,7 @@ func (a *sendArena) appendQueued(dst []Word, q *spanQueue) []Word {
 // spare half and rewrites q as the single span holding them there.
 func (a *sendArena) compactQueue(q *spanQueue) {
 	off := a.spare.n
-	a.words.copyTo(&a.spare, int(q.off), int(q.n))
-	for i := q.next; i != 0; {
-		l := a.spans.at(int(i))
-		a.words.copyTo(&a.spare, int(l.off), int(l.n))
-		i = l.next
-	}
+	a.eachSpan(q, func(o, n uint32) { a.words.copyTo(&a.spare, int(o), int(n)) })
 	*q = spanQueue{off: uint32(off), n: uint32(a.spare.n - off)}
 }
 
@@ -304,12 +305,19 @@ func (e *Engine) activate(eid int32, recvs *[]int32) {
 	}
 }
 
-// flushLog merges a's send log on the spine: link every record's span into
-// its queues in log order, activate the channels that were empty, credit
-// the queued-word account and empty the log. It is the single-shard
-// engine's whole merge, and the sharded engine's merge whenever that runs
-// sequentially (shard by shard, in ascending order) or for Init sends.
-func (e *Engine) flushLog(a *sendArena) {
+// linkLog links every record of a's send log into its queues in log
+// order — ascending sender, then send order — and empties the log. It
+// calls activated for each channel whose queue was empty and
+// bcastActivated for each sender whose broadcast queue was empty, in that
+// order, and returns the words queued. No word is copied.
+func (e *Engine) linkLog(a *sendArena, activated, bcastActivated func(int32)) int64 {
+	queued := int64(0)
+	link := func(eid int32, off, n uint32) {
+		if a.push(&e.queues[eid], off, n) {
+			activated(eid)
+		}
+		queued += int64(n)
+	}
 	off, from := a.logBase, int32(0)
 	for ci := range a.log.nchunks() {
 		for _, r := range a.log.chunk(ci) {
@@ -319,27 +327,29 @@ func (e *Engine) flushLog(a *sendArena) {
 				continue
 			case bcastIdx:
 				if a.push(&e.bcastQ[from], off, r.n) {
-					e.bcastActive = append(e.bcastActive, from)
+					bcastActivated(from)
 				}
-				e.queuedWords += int64(r.n)
+				queued += int64(r.n)
 			case allIdx:
 				for eid := e.commOffs[from]; eid < e.commOffs[from+1]; eid++ {
-					if a.push(&e.queues[eid], off, r.n) {
-						e.activate(eid, e.recvListOf(e.commTgts[eid]))
-					}
-					e.queuedWords += int64(r.n)
+					link(eid, off, r.n)
 				}
 			default:
-				eid := e.commOffs[from] + r.nbr
-				if a.push(&e.queues[eid], off, r.n) {
-					e.activate(eid, e.recvListOf(e.commTgts[eid]))
-				}
-				e.queuedWords += int64(r.n)
+				link(e.commOffs[from]+r.nbr, off, r.n)
 			}
 			off += r.n
 		}
 	}
 	a.clearLog()
+	return queued
+}
+
+// flushLog is the merge of a's send log on the spine: the single-shard
+// engine's whole merge, and the sharded engine's for Init sends.
+func (e *Engine) flushLog(a *sendArena) {
+	e.queuedWords += e.linkLog(a,
+		func(eid int32) { e.activate(eid, e.recvListOf(e.commTgts[eid])) },
+		func(u int32) { e.bcastActive = append(e.bcastActive, u) })
 }
 
 // recvListOf returns the active-receiver list receiver v belongs on: the

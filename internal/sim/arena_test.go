@@ -27,17 +27,12 @@ func checkQueues(t *testing.T, e *Engine) {
 		if q.n == 0 {
 			t.Fatalf("round %d: %s is listed active but empty", e.round, what)
 		}
-		for off, n, i := q.off, q.n, q.next; ; {
+		src.eachSpan(q, func(off, n uint32) {
 			if int(off+n) > src.words.n {
 				t.Fatalf("round %d: %s span [%d,+%d) beyond the arena's %d words", e.round, what, off, n, src.words.n)
 			}
 			total += int64(n)
-			if i == 0 {
-				break
-			}
-			l := src.spans.at(int(i))
-			off, n, i = l.off, l.n, l.next
-		}
+		})
 	}
 	e.eachActiveChannel(func(eid int32) {
 		check(fmt.Sprintf("channel %d", eid), &e.queues[eid], e.arenaOf(e.edgeFrom[eid]))

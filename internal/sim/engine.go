@@ -449,15 +449,11 @@ func (e *Engine) deliverTo(v int32, shard *deliveryShard, a *sendArena) {
 		return
 	}
 	b := e.cfg.BandwidthWords
-	src := e.arenas[0]
 	keep := e.recvActive[v][:0]
 	for _, eid := range e.recvActive[v] {
 		q := &e.queues[eid]
 		from := e.edgeFrom[eid]
-		if e.nshards > 1 {
-			src = e.arenas[e.shardOf[from]]
-		}
-		ws := a.pop(q, src, b)
+		ws := a.pop(q, e.arenaOf(from), b)
 		e.inboxes[v] = append(e.inboxes[v], Delivery{From: int(from), Words: ws})
 		shard.messages++
 		shard.words += int64(len(ws))

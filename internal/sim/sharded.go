@@ -148,38 +148,12 @@ func (e *Engine) shardComputeWork(s int) {
 // to shardDrainWork on the other side of the barrier.
 func (e *Engine) shardMergeWork(s int) {
 	S := e.nshards
-	a := e.arenas[s]
-	ctr := &e.shardCtr[s]
-	link := func(eid int32, off, n uint32) {
-		if a.push(&e.queues[eid], off, n) {
+	e.shardCtr[s].words += e.linkLog(e.arenas[s],
+		func(eid int32) {
 			t := int(e.shardOf[e.commTgts[eid]])
 			e.staging[s*S+t] = append(e.staging[s*S+t], eid)
-		}
-		ctr.words += int64(n)
-	}
-	off, from := a.logBase, int32(0)
-	for ci := range a.log.nchunks() {
-		for _, r := range a.log.chunk(ci) {
-			switch r.nbr {
-			case senderMark:
-				from = int32(r.n)
-				continue
-			case bcastIdx:
-				if a.push(&e.bcastQ[from], off, r.n) {
-					e.stagedBcast[s] = append(e.stagedBcast[s], from)
-				}
-				ctr.words += int64(r.n)
-			case allIdx:
-				for eid := e.commOffs[from]; eid < e.commOffs[from+1]; eid++ {
-					link(eid, off, r.n)
-				}
-			default:
-				link(e.commOffs[from]+r.nbr, off, r.n)
-			}
-			off += r.n
-		}
-	}
-	a.clearLog()
+		},
+		func(u int32) { e.stagedBcast[s] = append(e.stagedBcast[s], u) })
 	e.retireSenders(s)
 }
 
@@ -381,16 +355,16 @@ func (e *Engine) stepSharded() {
 	if usePar && mergeWork >= parallelMinWords && nsched > 1 {
 		e.pool().run(S, e.shardMergeFn)
 		e.pool().run(S, e.shardDrainFn)
-		for i := range e.shardCtr {
-			e.queuedWords += e.shardCtr[i].words
-		}
 	} else {
-		// Sequentially, one ascending pass over the logs on the spine
-		// produces the same state without staging.
-		for s, a := range e.arenas {
-			e.flushLog(a)
-			e.retireSenders(s)
+		for s := 0; s < S; s++ {
+			e.shardMergeFn(s)
 		}
+		for t := 0; t < S; t++ {
+			e.shardDrainFn(t)
+		}
+	}
+	for i := range e.shardCtr {
+		e.queuedWords += e.shardCtr[i].words
 	}
 	// Newly broadcast-active senders, ascending shard then ascending sender
 	// = ascending sender, the single-shard activation order.
