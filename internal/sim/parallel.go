@@ -115,7 +115,7 @@ func weightedShards(plan []int32, nitems, maxShards int, weights []int64, total 
 // move through it this round. Node counts alone are a bad proxy — a round
 // can schedule thousands of nodes that each do nothing — so the delivery
 // gate thresholds on queued words, the compute gate on words delivered
-// this round plus scheduled nodes, and the merge gate on pending send
+// this round plus scheduled nodes, and the merge gate on sent channel-
 // words plus scheduled nodes (see stepSharded).
 const parallelMinWords = 1024
 

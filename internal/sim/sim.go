@@ -153,7 +153,7 @@ func (c *Context) NbrIndexOf(u int) int {
 	return -1
 }
 
-// bcastIdx marks a pending send as a broadcast-mode emission.
+// bcastIdx marks a send-log record as a broadcast-mode emission.
 const bcastIdx = -1
 
 // Send queues words on the directed channel to the nbrIdx-th communication
