@@ -24,6 +24,8 @@ import "math"
 //   - A pop of up to B words returns a view of the arena itself; only a pop
 //     that crosses from one span into the next, or from one storage chunk
 //     into the next, gathers its words into the popping shard's scratch.
+//     Either way a pop's work and memory scale with the words it takes,
+//     never with B, so any bandwidth is safe.
 //
 // Every arena store (both halves, the log, the slab and the scratch) is
 // chunked (see chunked.go): it grows by whole chunks and never copies
@@ -166,45 +168,58 @@ func (a *sendArena) push(q *spanQueue, off, n uint32) bool {
 // view of src's active half; one that crosses into the next span or chunk
 // gathers its words into a's scratch. Only q and a's scratch are written.
 func (a *sendArena) pop(q *spanQueue, src *sendArena, b int) []Word {
-	k := uint32(b)
-	if q.n >= k || q.next == 0 {
-		k = min(k, q.n)
-		if ws, ok := src.words.view(int(q.off), int(k)); ok {
-			src.consume(q, k)
+	if head := int(q.n); b <= head || q.next == 0 {
+		k := min(b, head)
+		if ws, ok := src.words.view(int(q.off), k); ok {
+			src.consume(q, uint32(k))
 			return ws
 		}
 	}
-	sc := &a.scratch
-	if b > chunkLen {
-		// No chunk fits the pop; a bandwidth this large is not a hot path.
-		ws := make([]Word, 0, b)
-		for k > 0 && q.n > 0 {
-			take := min(k, q.n)
-			ws = src.words.appendTo(ws, int(q.off), int(take))
-			k -= take
-			src.consume(q, take)
-		}
-		return ws
-	}
-	if i := sc.n & chunkMask; i+b > chunkLen {
-		sc.n += chunkLen - i // keep the gathered words in one chunk
-	}
-	sc.reserve(b)
-	buf := sc.chunks[sc.n>>chunkShift][sc.n&chunkMask:][:0:b]
-	for k > 0 && q.n > 0 {
-		take := min(k, q.n)
-		if ws, ok := src.words.view(int(q.off), int(take)); ok {
+	take := src.queued(q, b)
+	buf := a.gather(take)
+	for len(buf) < take {
+		k := min(take-len(buf), int(q.n))
+		if ws, ok := src.words.view(int(q.off), k); ok {
 			for _, w := range ws { // pieces are short: no memmove call
 				buf = append(buf, w)
 			}
 		} else {
-			buf = src.words.appendTo(buf, int(q.off), int(take))
+			buf = src.words.appendTo(buf, int(q.off), k)
 		}
-		k -= take
-		src.consume(q, take)
+		src.consume(q, uint32(k))
 	}
-	sc.n += len(buf)
-	return buf[:len(buf):len(buf)]
+	return buf
+}
+
+// queued returns the words queued in q, one of this shard's queues, or b
+// if that is fewer. It walks only the spans those words lie in.
+func (a *sendArena) queued(q *spanQueue, b int) int {
+	n := int(q.n)
+	for i := q.next; i != 0 && n < b; {
+		l := a.spans.at(int(i))
+		n += int(l.n)
+		i = l.next
+	}
+	return min(n, b)
+}
+
+// gather returns an empty slice with room for exactly k words, for a pop
+// to fill: in the scratch's current chunk, or at the start of the next one
+// when the current cannot hold them, so the scratch uses at most twice
+// the words gathered this round. A gather larger than a chunk gets a slice
+// of its own.
+func (a *sendArena) gather(k int) []Word {
+	if k > chunkLen {
+		return make([]Word, 0, k)
+	}
+	sc := &a.scratch
+	if i := sc.n & chunkMask; i+k > chunkLen {
+		sc.n += chunkLen - i
+	}
+	sc.reserve(k)
+	buf := sc.chunks[sc.n>>chunkShift][sc.n&chunkMask:][:0:k]
+	sc.n += k
+	return buf
 }
 
 // consume drops k <= q.n words from q's head span, promoting the next

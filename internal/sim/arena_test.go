@@ -2,8 +2,9 @@ package sim
 
 // Tests for the store-once send path (arena.go): the retained footprint of
 // a Broadcast-heavy round, the compaction bound on runs whose channels
-// never all drain, the chunked store, and the queued-word account against
-// a walk of every queue.
+// never all drain, pops at bandwidths far above the words queued, the
+// chunked store, and the queued-word account against a walk of every
+// queue.
 
 import (
 	"fmt"
@@ -242,6 +243,143 @@ func TestArenaBacklogBounded(t *testing.T) {
 			assertPoolRan(t, fmt.Sprintf("gnp200 shards=%d", shards), eng)
 		}
 	})
+}
+
+// bulkNode sends three bulkWords-word messages in Init, alternating
+// between its first two channels: its arena share crosses chunk
+// boundaries, and its first channel queues two spans that one pop at a
+// large B gathers, more words than a scratch chunk holds.
+type bulkNode struct {
+	digest uint64
+}
+
+const bulkWords = 9000
+
+func (h *bulkNode) Init(ctx *Context) {
+	ctx.SetDone()
+	if ctx.CommDegree() < 2 {
+		return
+	}
+	ws := make([]Word, bulkWords)
+	for k := 0; k < 3; k++ {
+		for i := range ws {
+			ws[i] = Word(k)<<40 | Word(ctx.ID())<<20 | Word(i)
+		}
+		ctx.Send(k%2, ws...)
+	}
+}
+
+func (h *bulkNode) Round(ctx *Context, round int, inbox []Delivery) {
+	for _, d := range inbox {
+		for _, w := range d.Words {
+			h.digest = mix64(h.digest ^ uint64(d.From)<<32 ^ w)
+		}
+	}
+}
+
+func (h *bulkNode) SnapshotState(w *SnapWriter) error { w.U64(h.digest); return nil }
+func (h *bulkNode) RestoreState(r *SnapReader) error  { h.digest = r.U64(); return nil }
+
+// hugeRun is everything observable about one run of TestHugeBandwidth,
+// plus what it cost.
+type hugeRun struct {
+	metrics   Metrics
+	round     int
+	rounds    []RoundDelta
+	states    [][]byte // each node's SnapshotState bytes
+	gathered  bool     // some pop crossed a span boundary
+	allocated uint64   // bytes allocated building and running the engine
+}
+
+// TestHugeBandwidth runs burst traffic, bulk sends, the neighbour-list
+// broadcast and a broadcast-mode machine at B = 2^31 and B = 2^32, and
+// also at B = chunkLen where that is at least the total words sent. Each
+// run must match the run at B = the total words sent, where every pop
+// likewise takes all that is queued, and allocate at most 64 KiB more
+// than that run: a pop's work and memory scale with the words it takes,
+// never with B. A B truncated to 32 bits would pop nothing at 2^32 and
+// hit MaxRounds; a gather buffer sized by B would allocate 16 GiB at
+// 2^31, and at chunkLen would start a fresh scratch chunk for most
+// gathers.
+func TestHugeBandwidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	gnp := graph.Gnp(48, 0.15, rng)
+	dense := graph.Gnp(40, 0.3, rng)
+	burst := func() Node { return &burstNode{} }
+	cases := []struct {
+		name   string
+		g      *graph.Graph
+		cfg    Config
+		mk     func() Node
+		gather bool // the run must exercise the gathering pop
+	}{
+		{"burst", gnp, Config{Seed: 4}, burst, true},
+		{"burst/shards=4", gnp, Config{Seed: 4, Shards: 4}, burst, true},
+		{"bulk", graph.Gnp(12, 0.5, rng), Config{Seed: 6}, func() Node { return &bulkNode{} }, true},
+		{"nbrlist", dense, Config{Seed: 5}, func() Node { return &nbrListNode{} }, false},
+		{"broadcast", gnp, Config{Seed: 7, Mode: ModeBroadcast}, func() Node { return &bcastChatterNode{} }, false},
+	}
+	for _, c := range cases {
+		run := func(b int) hugeRun {
+			t.Helper()
+			var r hugeRun
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			nodes := make([]Node, c.g.N())
+			for v := range nodes {
+				nodes[v] = c.mk()
+			}
+			cfg := c.cfg
+			cfg.BandwidthWords = b
+			cfg.MaxRounds = 1 << 16
+			eng, err := NewEngine(c.g, nodes, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.SetHooks(Hooks{Round: func(round int, d RoundDelta) {
+				r.rounds = append(r.rounds, d)
+				for _, a := range eng.arenas {
+					r.gathered = r.gathered || a.scratch.n > 0
+				}
+			}})
+			if err := eng.RunUntilQuiescent(); err != nil {
+				t.Fatalf("%s at B=%d: %v", c.name, b, err)
+			}
+			runtime.ReadMemStats(&after)
+			r.allocated = after.TotalAlloc - before.TotalAlloc
+			r.metrics, r.round = eng.Metrics(), eng.Round()
+			for _, nd := range nodes {
+				var w SnapWriter
+				if err := nd.(Snapshotter).SnapshotState(&w); err != nil {
+					t.Fatal(err)
+				}
+				r.states = append(r.states, w.Bytes())
+			}
+			return r
+		}
+		total := 0
+		for _, w := range run(2).metrics.PerNodeWordsSent {
+			total += int(w)
+		}
+		want := run(total)
+		if c.gather && !want.gathered {
+			t.Fatalf("%s: no pop crossed a span boundary; the case does not cover gathering", c.name)
+		}
+		for _, b := range []int{chunkLen, 1 << 31, 1 << 32} {
+			if b < total {
+				continue
+			}
+			got := run(b)
+			label := fmt.Sprintf("%s at B=%d", c.name, b)
+			if got.round != want.round || !reflect.DeepEqual(got.metrics, want.metrics) ||
+				!reflect.DeepEqual(got.rounds, want.rounds) || !reflect.DeepEqual(got.states, want.states) {
+				t.Fatalf("%s: run differs from the one at B=%d (the total words sent)", label, total)
+			}
+			if limit := want.allocated + 64<<10; got.allocated > limit {
+				t.Fatalf("%s: allocated %d bytes, the run at B=%d %d (limit %d)", label, got.allocated, total, want.allocated, limit)
+			}
+		}
+	}
 }
 
 // TestChunkedStore pins the chunked store's addressing across chunk
