@@ -486,8 +486,9 @@ func (e *Engine) Snapshot() ([]byte, error) {
 // constructed or Reset with the same graph, node machines, seed and
 // config (Shards is free to differ — the restored run is bit-identical
 // regardless). Init is not called on the nodes;
-// RestoreState replaces it. A failed restore leaves the engine in an
-// undefined state that the next Reset fully recovers.
+// RestoreState replaces it. A failed restore leaves the engine unusable
+// until the next Reset or Rebind, which recovers it fully: every queue
+// it restored is on an active list that clearRun drains.
 func (e *Engine) Restore(payload []byte) error {
 	if e.started || e.round != 0 {
 		return fmt.Errorf("%w: restore requires a freshly reset engine", ErrSnapshotState)
@@ -582,6 +583,10 @@ func (e *Engine) Restore(payload []byte) error {
 			}
 			return fmt.Errorf("%w: active receiver %d with no active channels", ErrBadSnapshot, v)
 		}
+		// List v before restoring its channels, so that a restore failing
+		// among them leaves every restored queue where clearRun finds it.
+		e.recvStamp[v] = e.epoch
+		*e.recvListOf(v) = append(*e.recvListOf(v), v)
 		total := int64(0)
 		e.recvActive[v] = e.recvActive[v][:0]
 		for j := 0; j < neid; j++ {
@@ -611,14 +616,7 @@ func (e *Engine) Restore(payload []byte) error {
 				e.flt.armAt[eid] = armAt
 			}
 		}
-		e.recvStamp[v] = e.epoch
 		e.queuedWords += total
-		if e.nshards > 1 {
-			t := e.shardOf[v]
-			e.shardRecv[t] = append(e.shardRecv[t], v)
-		} else {
-			e.activeRecv = append(e.activeRecv, v)
-		}
 	}
 
 	// Broadcast queues, activation order preserved.

@@ -278,6 +278,84 @@ func TestSnapshotRejects(t *testing.T) {
 	}
 }
 
+// TestFailedRestoreThenReset: a restore that fails partway — here at
+// every truncation of a payload taken while receivers have several
+// channels backlogged — leaves the engine unusable but not poisoned:
+// Reset, then a normal run, reproduces a fresh engine's run exactly,
+// unsharded and at 4 shards. A pooled engine whose checkpoint resume
+// failed is reset and reused this way.
+func TestFailedRestoreThenReset(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	g := graph.Gnp(24, 0.3, rng)
+	burst := func() []Node {
+		nodes := make([]Node, g.N())
+		for v := range nodes {
+			nodes[v] = &burstNode{}
+		}
+		return nodes
+	}
+	// run runs eng over nodes to quiescence and returns what it observed,
+	// the node digests included.
+	run := func(eng *Engine, nodes []Node) (snapObs, []uint64) {
+		t.Helper()
+		rec := &hookRec{}
+		eng.SetHooks(rec.hooks())
+		if err := eng.RunUntilQuiescent(); err != nil {
+			t.Fatal(err)
+		}
+		var digests []uint64
+		for _, nd := range nodes {
+			digests = append(digests, nd.(*burstNode).digest)
+		}
+		return snapObs{eng.Metrics(), eng.Outputs(), eng.Round(), rec}, digests
+	}
+	for _, shards := range []int{0, 4} {
+		cfg := Config{Seed: 9, BandwidthWords: 1, Shards: shards, MaxRounds: 1 << 12}
+		nodes := burst()
+		eng, err := NewEngine(g, nodes, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantDigests := run(eng, nodes)
+		src, err := NewEngine(g, burst(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.Run(5)
+		backlogged := 0
+		for v := range src.recvActive {
+			if len(src.recvActive[v]) > 1 {
+				backlogged++
+			}
+		}
+		if backlogged == 0 {
+			t.Fatal("no receiver has two active channels at the cut; no truncation falls between them")
+		}
+		payload, err := src.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut < len(payload); cut += 3 {
+			if err := eng.Reset(burst(), cfg.Seed); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Restore(payload[:cut]); err == nil {
+				t.Fatalf("truncation to %d bytes restored successfully", cut)
+			}
+			nodes := burst()
+			if err := eng.Reset(nodes, cfg.Seed); err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("shards=%d, run after a restore failed at %d bytes", shards, cut)
+			got, digests := run(eng, nodes)
+			assertSameRun(t, label, want, got)
+			if !reflect.DeepEqual(digests, wantDigests) {
+				t.Fatalf("%s: node states diverge", label)
+			}
+		}
+	}
+}
+
 // TestRestoreRepositionsInConstantTime: a node 2^62 draws into its stream
 // snapshots and restores at once — the snapshot records the draw counter
 // and Restore stores it, with no per-draw replay — and the restored node's
