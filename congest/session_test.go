@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 )
 
 // TestSessionRetentionBounded sends 200 jobs over distinct generated
@@ -41,14 +40,17 @@ func TestSessionRetentionBounded(t *testing.T) {
 	}
 }
 
-// TestSessionWorkloadMixesNeverEvict runs the benchmark's two mixes through
-// one Session each, twice: serve's (four graphs, five algorithms, two
-// engine shapes) and large's (one graph, three algorithms, unsharded and at
-// four shards — two shapes, here on a small graph). The second pass finds
-// every graph it built in the first and one idle engine per shape: neither
-// bound evicts anything these mixes use.
+// TestSessionWorkloadMixesNeverEvict runs a pass of each of the benchmark
+// harness's three mixes through its own Session: serve's (four graphs,
+// five algorithms, two engine shapes), large's (one graph, three
+// algorithms, unsharded and at four shards — two shapes, here on a small
+// graph) and paper's (the lister on 16 graphs and the finder on 8, gnp and
+// Barabási–Albert alternating, n from 64 to 256 — 24 graphs and 22 shapes,
+// one per vertex count). Afterwards every graph is still cached and one
+// idle engine per shape remains, so the next pass reuses them all:
+// neither bound evicts anything these mixes use.
 func TestSessionWorkloadMixesNeverEvict(t *testing.T) {
-	var serve, large []JobSpec
+	var serve, large, paper []JobSpec
 	for i := int64(0); i < 4; i++ {
 		gs := GraphSpec{Generator: "gnp", N: 48, P: 0.2, Seed: 100 + i}
 		for _, algo := range []string{"a1", "tester", "twohop", "count", "dolev"} {
@@ -59,27 +61,37 @@ func TestSessionWorkloadMixesNeverEvict(t *testing.T) {
 		gs := GraphSpec{Generator: "gnp", N: 300, P: 0.03, Seed: 7}
 		large = append(large, JobSpec{Graph: gs, Algo: algo, Seed: 1}, JobSpec{Graph: gs, Algo: algo, Seed: 1, Shards: 4})
 	}
-	for name, mix := range map[string][]JobSpec{"serve": serve, "large": large} {
+	for _, mix := range []struct {
+		algo  string
+		count int
+	}{{"list", 16}, {"find", 8}} {
+		for i := 0; i < mix.count; i++ {
+			n := 64 + 192*i/(mix.count-1)
+			gs := GraphSpec{Generator: "gnp", N: n, P: 8 / float64(n), Seed: int64(200 + len(paper))}
+			if i%2 == 1 {
+				gs = GraphSpec{Generator: "ba", N: n, K: 4, Seed: gs.Seed}
+			}
+			paper = append(paper, JobSpec{Graph: gs, Algo: mix.algo, Seed: int64(i)})
+		}
+	}
+	for _, mix := range []struct {
+		name   string
+		specs  []JobSpec
+		shapes int
+	}{{"serve", serve, 2}, {"large", large, 2}, {"paper", paper, 22}} {
 		s := NewSession()
-		first := make(map[string]*graph.Graph)
-		for pass := 0; pass < 2; pass++ {
-			for _, spec := range mix {
-				if _, err := s.Run(context.Background(), spec); err != nil {
-					t.Fatalf("%s %s: %v", name, spec.Algo, err)
-				}
-				g, err := s.Graph(spec.Graph)
-				if err != nil {
-					t.Fatal(err)
-				}
-				key := spec.Graph.key()
-				if prev, ok := first[key]; ok && prev != g {
-					t.Fatalf("%s pass %d: graph %s was evicted and rebuilt", name, pass, key)
-				}
-				first[key] = g
+		for _, spec := range mix.specs {
+			if _, err := s.Run(context.Background(), spec); err != nil {
+				t.Fatalf("%s %s: %v", mix.name, spec.Algo, err)
 			}
 		}
-		if idle := s.engines.IdleEngines(); idle != 2 {
-			t.Fatalf("%s: %d idle engines after two passes, want one per shape (2)", name, idle)
+		for _, spec := range mix.specs {
+			if s.cachedGraph(spec.Graph.key()) == nil {
+				t.Fatalf("%s: graph %s was evicted", mix.name, spec.Graph.key())
+			}
+		}
+		if idle := s.engines.IdleEngines(); idle != mix.shapes {
+			t.Fatalf("%s: %d idle engines after a pass, want one per shape (%d)", mix.name, idle, mix.shapes)
 		}
 	}
 }
