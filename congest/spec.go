@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
@@ -216,7 +217,9 @@ type JobSpec struct {
 	Graph GraphSpec `json:"graph"`
 	// Algo is the algorithm name; see AlgorithmNames.
 	Algo string `json:"algo"`
-	// Bandwidth is B, words per directed edge per round. Zero means 2.
+	// Bandwidth is B, words per directed edge per round. Zero means 2;
+	// the maximum is 2^32-1 (4294967295), the most an engine checkpoint
+	// records.
 	Bandwidth int `json:"bandwidth,omitempty"`
 	// Seed drives the engine's per-node randomness. A job is fully
 	// determined by its spec; the same spec always produces the same
@@ -296,6 +299,9 @@ func (s JobSpec) Validate() error {
 	}
 	if s.Bandwidth < 0 {
 		return fmt.Errorf("congest: negative bandwidth %d", s.Bandwidth)
+	}
+	if int64(s.Bandwidth) > math.MaxUint32 {
+		return fmt.Errorf("congest: bandwidth %d above the maximum %d", s.Bandwidth, int64(math.MaxUint32))
 	}
 	if s.Eps < 0 || s.Eps > 1 {
 		return fmt.Errorf("congest: eps %v outside [0, 1]", s.Eps)

@@ -80,6 +80,7 @@ func TestJobSpecValidate(t *testing.T) {
 		{Graph: GraphSpec{Generator: "gnp", N: 8}, Algo: "list", Churn: &ChurnSpec{Workload: "flip"}},
 		{Graph: GraphSpec{Generator: "gnp", N: 8}, Algo: "churn", Churn: &ChurnSpec{Workload: "nope"}},
 		{Graph: GraphSpec{Generator: "gnp", N: 8}, Algo: "list", Bandwidth: -1},
+		{Graph: GraphSpec{Generator: "gnp", N: 8}, Algo: "list", Bandwidth: 1 << 32},
 		{Graph: GraphSpec{Generator: "gnp", N: 8}, Algo: "list", Shards: -2},
 	}
 	for i, spec := range bad {
@@ -90,6 +91,10 @@ func TestJobSpecValidate(t *testing.T) {
 	good := JobSpec{Graph: GraphSpec{Generator: "gnp", N: 8, P: 0.5}, Algo: "list"}
 	if err := good.Validate(); err != nil {
 		t.Errorf("good spec rejected: %v", err)
+	}
+	good.Bandwidth = 1<<32 - 1
+	if err := good.Validate(); err != nil {
+		t.Errorf("spec at the maximum bandwidth rejected: %v", err)
 	}
 }
 

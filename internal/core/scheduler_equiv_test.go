@@ -4,7 +4,7 @@ package core_test
 // every algorithm in the zoo, in every communication mode, unsharded and
 // sharded, must be bit-identical under SchedulerActivity (ready set +
 // wake wheel + idle fast-forward) and SchedulerDense (the retained
-// reference stepper that scans all n nodes every round) — outputs, union,
+// reference branch that scans all n nodes every round) — outputs, union,
 // metrics, the full observation stream, and cancellation prefixes. The
 // only permitted divergence is the FastForwardedRounds provenance counter,
 // which is zeroed before comparison.
@@ -106,7 +106,7 @@ func zoo(t *testing.T, g *graph.Graph) map[string]zooRun {
 
 // TestSchedulerEquivalence: for every algorithm, unsharded and at four
 // shards (which the dense reference ignores), the activity scheduler's Result and observation stream are bit-identical
-// to the dense reference stepper's.
+// to the dense reference's.
 func TestSchedulerEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.Gnp(40, 0.3, rng)

@@ -125,7 +125,7 @@ func (floodNode) Round(ctx *sim.Context, round int, inbox []sim.Delivery) {
 // and is woken only by a beacon's delivery. Per period that is one send
 // round and one delivery round touching O(beacons·deg) nodes, then
 // period-2 globally idle rounds that the activity scheduler fast-forwards
-// — while the dense stepper scans all n contexts every round.
+// — while the dense reference scans all n contexts every round.
 type sparseNode struct {
 	period int
 	beacon bool

@@ -3,8 +3,8 @@ package sim
 import "math"
 
 // Store-once send path. Every sent word is written exactly once, into the
-// payload arena of the sender's shard (the single-shard engine has one
-// arena), and channels queue spans of that arena instead of copies:
+// payload arena of the sender's shard (a one-shard plan has one arena),
+// and channels queue spans of that arena instead of copies:
 //
 //   - Context.Send and Context.Broadcast append the words to the shard's
 //     active half and a sendRec to its send log. A unicast-mode Broadcast
@@ -12,9 +12,9 @@ import "math"
 //   - The merge walks the log in send order — ascending sender, then the
 //     sender's own call order — and links each record's span into its
 //     channel queues. No word is copied. A channel whose queue was empty
-//     becomes active: it joins its receiver's active list, which in the
-//     sharded engine the receiver's shard appends to from a staged list of
-//     channel ids (see sharded.go).
+//     becomes active: it joins its receiver's active list, which with
+//     more than one shard the receiver's shard appends to from a staged
+//     list of channel ids (see sharded.go).
 //   - A channel queue (and a broadcast-mode sender queue) is a pointer-free
 //     FIFO of spans of its sender shard's active half: the head span sits
 //     inline in the queue entry and any further spans in that shard's span
@@ -285,38 +285,31 @@ func (a *sendArena) clear() {
 	a.scratch.reset()
 }
 
-// arenaOf returns the arena of node v's shard.
-func (e *Engine) arenaOf(v int32) *sendArena {
-	if e.nshards > 1 {
-		return e.arenas[e.shardOf[v]]
-	}
-	return e.arenas[0]
-}
-
 // bindArenas sizes the arena list to the shard plan and points every
 // context at its shard's arena. The engine must be drained (NewEngine,
 // or Rebind after clearRun).
 func (e *Engine) bindArenas() {
-	S := max(e.nshards, 1)
-	for len(e.arenas) < S {
+	for len(e.arenas) < e.nshards {
 		e.arenas = append(e.arenas, newSendArena())
 	}
-	e.arenas = e.arenas[:S]
+	e.arenas = e.arenas[:e.nshards]
 	for v, ctx := range e.ctxs {
-		ctx.arena = e.arenaOf(int32(v))
+		ctx.arena = e.arenas[e.shardOf[v]]
 	}
 }
 
 // activate records that channel eid just became active: it joins its
 // receiver's active list in activation order — ascending sender, then send
 // order, the determinism contract's source of per-receiver delivery order
-// — and a receiver with its first active channel joins recvs.
-func (e *Engine) activate(eid int32, recvs *[]int32) {
+// — and a receiver with its first active channel joins its shard's
+// receiver list.
+func (e *Engine) activate(eid int32) {
 	to := e.commTgts[eid]
 	e.recvActive[to] = append(e.recvActive[to], eid)
 	if e.recvStamp[to] != e.epoch {
 		e.recvStamp[to] = e.epoch
-		*recvs = append(*recvs, to)
+		s := e.shardOf[to]
+		e.shardRecv[s] = append(e.shardRecv[s], to)
 	}
 }
 
@@ -359,21 +352,11 @@ func (e *Engine) linkLog(a *sendArena, activated, bcastActivated func(int32)) in
 	return queued
 }
 
-// flushLog is the merge of a's send log on the spine: the single-shard
-// engine's whole merge, and the sharded engine's for Init sends.
+// flushLog is the merge of a's send log on the spine: a one-shard plan's
+// whole merge, and every plan's for Init sends.
 func (e *Engine) flushLog(a *sendArena) {
-	e.queuedWords += e.linkLog(a,
-		func(eid int32) { e.activate(eid, e.recvListOf(e.commTgts[eid])) },
+	e.queuedWords += e.linkLog(a, e.activate,
 		func(u int32) { e.bcastActive = append(e.bcastActive, u) })
-}
-
-// recvListOf returns the active-receiver list receiver v belongs on: the
-// global list, or its shard's split in a sharded engine.
-func (e *Engine) recvListOf(v int32) *[]int32 {
-	if e.nshards > 1 {
-		return &e.shardRecv[e.shardOf[v]]
-	}
-	return &e.activeRecv
 }
 
 // flipIfDrained flips every arena when the delivery phase just run left
@@ -414,32 +397,18 @@ func (e *Engine) compactIfSparse(linked bool) {
 	for _, a := range e.arenas {
 		a.spare.reset()
 	}
-	e.eachActiveChannel(func(eid int32) {
-		e.arenaOf(e.edgeFrom[eid]).compactQueue(&e.queues[eid])
-	})
+	for _, recvs := range e.shardRecv {
+		for _, v := range recvs {
+			for _, eid := range e.recvActive[v] {
+				e.arenas[e.shardOf[e.edgeFrom[eid]]].compactQueue(&e.queues[eid])
+			}
+		}
+	}
 	for _, u := range e.bcastActive {
-		e.arenaOf(u).compactQueue(&e.bcastQ[u])
+		e.arenas[e.shardOf[u]].compactQueue(&e.bcastQ[u])
 	}
 	for _, a := range e.arenas {
 		a.words, a.spare = a.spare, a.words
 		a.spans.n = 1
 	}
-}
-
-// eachActiveChannel calls fn for every channel with queued words.
-func (e *Engine) eachActiveChannel(fn func(eid int32)) {
-	visit := func(recvs []int32) {
-		for _, v := range recvs {
-			for _, eid := range e.recvActive[v] {
-				fn(eid)
-			}
-		}
-	}
-	if e.nshards > 1 {
-		for _, recvs := range e.shardRecv {
-			visit(recvs)
-		}
-		return
-	}
-	visit(e.activeRecv)
 }

@@ -35,11 +35,15 @@ func checkQueues(t *testing.T, e *Engine) {
 			total += int64(n)
 		})
 	}
-	e.eachActiveChannel(func(eid int32) {
-		check(fmt.Sprintf("channel %d", eid), &e.queues[eid], e.arenaOf(e.edgeFrom[eid]))
-	})
+	for _, recvs := range e.shardRecv {
+		for _, v := range recvs {
+			for _, eid := range e.recvActive[v] {
+				check(fmt.Sprintf("channel %d", eid), &e.queues[eid], e.arenas[e.shardOf[e.edgeFrom[eid]]])
+			}
+		}
+	}
 	for _, u := range e.bcastActive {
-		check(fmt.Sprintf("broadcast queue %d", u), &e.bcastQ[u], e.arenaOf(u))
+		check(fmt.Sprintf("broadcast queue %d", u), &e.bcastQ[u], e.arenas[e.shardOf[u]])
 	}
 	if total != e.queuedWords {
 		t.Fatalf("round %d: queues hold %d words, account says %d", e.round, total, e.queuedWords)

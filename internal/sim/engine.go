@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/faults"
 	"repro/internal/graph"
@@ -40,9 +39,11 @@ const (
 	// scheduler"). Observable behavior (outputs, metrics, Round(), hook
 	// stream, cancellation prefixes) is bit-identical to SchedulerDense.
 	SchedulerActivity Scheduler = iota
-	// SchedulerDense is the retained reference stepper: it scans all n nodes
-	// every round and never fast-forwards. It exists for differential
-	// testing of SchedulerActivity and costs O(n) per round.
+	// SchedulerDense is the retained reference scheduling branch of the
+	// round stepper: it picks each round's nodes by scanning all n nodes
+	// instead of the ready set and wake wheel, and never fast-forwards. It
+	// exists for differential testing of SchedulerActivity, always runs on
+	// one shard, and costs O(n) per round.
 	SchedulerDense
 )
 
@@ -54,17 +55,18 @@ type Config struct {
 	BandwidthWords int
 	// Seed derives every node's private random stream.
 	Seed int64
-	// Shards statically partitions the nodes into that many contiguous
-	// engine shards (cut by degree weight), each owning its nodes' send
-	// arena and channel queues, inboxes and scheduling lists; cross-shard
-	// channel activations go through per-(sender-shard, receiver-shard)
-	// staging lists drained in ascending shard order, so outputs, metrics,
-	// Round(), hook streams and cancellation prefixes are bit-identical to
-	// the single-shard engine for every shard count (see DESIGN.md,
-	// "Sharded engine & binary CSR").
+	// Shards statically partitions the nodes into at most that many
+	// contiguous engine shards (cut by degree weight), each owning its
+	// nodes' send arena and channel queues, inboxes and scheduling lists;
+	// cross-shard channel activations go through per-(sender-shard,
+	// receiver-shard) staging lists drained in ascending shard order, so
+	// outputs, metrics, Round(), hook streams and cancellation prefixes are
+	// bit-identical to the one-shard plan for every shard count (see
+	// DESIGN.md, "Sharded engine & binary CSR").
 	// It is the engine's only placement setting: 0 and 1 select the
-	// sequential single-shard engine; with more shards, every phase that
-	// moves at least parallelMinWords words runs one shard per worker-pool
+	// one-shard plan, which runs every phase on the caller's goroutine and
+	// never builds a worker pool; with more shards, every phase that moves
+	// at least parallelMinWords words runs one shard per worker-pool
 	// goroutine when GOMAXPROCS > 1, and the shards run in ascending order
 	// on the caller's goroutine otherwise, with identical results.
 	// Requires the activity scheduler (the default); under SchedulerDense
@@ -72,8 +74,9 @@ type Config struct {
 	Shards int
 	// MaxRounds aborts RunUntilQuiescent (default 1 << 22).
 	MaxRounds int
-	// Scheduler selects the round scheduler; the zero value is
-	// SchedulerActivity, the production path.
+	// Scheduler selects how the round stepper picks each round's nodes;
+	// the zero value is SchedulerActivity, the production path, and
+	// SchedulerDense is the reference branch tests compare it against.
 	Scheduler Scheduler
 	// Faults, when non-nil and non-empty, interposes the deterministic
 	// fault plan — crash-stop schedules, per-link loss/duplication coins
@@ -171,24 +174,22 @@ type Engine struct {
 	edgeFrom []int32 // sender u of edge eid
 
 	// Receiver-major active tracking: recvActive[v] lists the active in-edge
-	// ids of v in activation order; activeRecv lists receivers with at least
-	// one active in-edge. Stamps dedupe insertions; bumping epoch invalidates
-	// every stamp at once.
+	// ids of v in activation order, and shardRecv[s] (below) lists shard s's
+	// receivers with at least one active in-edge. Stamps dedupe insertions;
+	// bumping epoch invalidates every stamp at once.
 	epoch      uint32
 	recvStamp  []uint32
 	recvActive [][]int32
-	activeRecv []int32
 
 	// queuedWords is the words currently queued on all channels and
-	// broadcast queues: the sharded delivery fan-out's gate, the arena
-	// flip and compaction trigger, and PendingWords. It is credited at the
-	// merge and debited from the folded delivery counters, always on the
-	// spine.
+	// broadcast queues, so it is non-zero exactly when some queue is: the
+	// test for pending traffic, the delivery fan-out's gate, the arena flip
+	// and compaction trigger, and PendingWords. It is credited at the merge
+	// and debited from the folded delivery counters, always on the spine.
 	queuedWords int64
 
-	// arenas holds one send arena per shard (one for the single-shard
-	// engine): every sent word is stored there once, and queues hold spans
-	// of it (see arena.go).
+	// arenas holds one send arena per shard: every sent word is stored
+	// there once, and queues hold spans of it (see arena.go).
 	arenas []*sendArena
 
 	// Broadcast-mode state: one shared outgoing queue per node, and the
@@ -196,20 +197,19 @@ type Engine struct {
 	bcastQ      []spanQueue
 	bcastActive []int32
 
-	inboxes   [][]Delivery
-	scheduled []int32 // pooled across rounds
-	metrics   Metrics
-	hooks     Hooks
-	round     int
-	started   bool
+	inboxes [][]Delivery
+	metrics Metrics
+	hooks   Hooks
+	round   int
+	started bool
 
 	// flt is the fault runtime (nil for fault-free engines — every fault
 	// branch below is gated on that nil check, which is what keeps the
 	// no-plan hot path at its fault-free cost).
 	flt *faultState
 
-	// wpool is the persistent worker pool the sharded stepper fans out on,
-	// built on first use.
+	// wpool is the persistent worker pool the stepper fans out on, built on
+	// the first fan-out (never for a one-shard plan).
 	wpool *workerPool
 
 	// Activity-scheduler state. notDone counts nodes with ctx.done unset
@@ -217,7 +217,7 @@ type Engine struct {
 	// workers) so quiescent() is O(1); wheel buckets sleeping nodes by wake
 	// round; nextWake[v] is the authoritative wake round of node v (-1 when
 	// done), used to skip lazily invalidated wheel entries; schedStamp/
-	// schedGen dedupe the per-round scheduled list.
+	// schedGen dedupe the per-round scheduled lists.
 	notDone    int
 	doneMark   []bool
 	nextWake   []int
@@ -230,14 +230,14 @@ type Engine struct {
 	// keeps busy nodes out of the map-and-heap wheel entirely.
 	nextReady []int32
 
-	// Sharded-engine state (Config.Shards > 1; see stepSharded in
-	// sharded.go). Nodes are cut into nshards contiguous ranges
-	// (shardBounds, len nshards+1) by degree weight; shardOf maps node to
-	// shard. shardRecv/shardSched are the per-shard splits of activeRecv and
-	// scheduled; staging[s*nshards+t] holds the channels sender-shard s
-	// activated toward receiver-shard t; stagedBcast[s] holds shard s's
-	// newly broadcast-active senders; shardCtr carries per-shard counters
-	// across the fan-out barriers. All empty/nil when nshards <= 1.
+	// Shard plan (see stepSharded in sharded.go). Nodes are cut into
+	// nshards contiguous ranges (shardBounds, len nshards+1) by degree
+	// weight — one range when Config.Shards <= 1 — and shardOf maps node to
+	// shard. shardRecv[s] lists shard s's receivers with an active in-edge
+	// and shardSched[s] its nodes scheduled this round; staging[s*nshards+t]
+	// holds the channels sender-shard s activated toward receiver-shard t;
+	// stagedBcast[s] holds shard s's newly broadcast-active senders;
+	// shardCtr carries per-shard counters across the fan-out barriers.
 	nshards        int
 	shardBounds    []int32
 	shardOf        []int32
@@ -252,12 +252,11 @@ type Engine struct {
 	shardDrainFn   func(s int)
 }
 
-// deliveryShard accumulates one engine shard's delivery-phase counters (the
-// single-shard engine uses one); padded to 128 bytes — two cache lines,
-// because the adjacent-line hardware prefetcher pairs lines — so shards
-// delivering concurrently do not false-share. The fault
-// counters (popped through delayed) are written only by deliverToFaulty
-// and folded on the spine like the base pair.
+// deliveryShard accumulates one engine shard's delivery-phase counters;
+// padded to 128 bytes — two cache lines, because the adjacent-line
+// hardware prefetcher pairs lines — so shards delivering concurrently do
+// not false-share. The fault counters (popped through delayed) are written
+// only by deliverToFaulty and folded on the spine like the base pair.
 type deliveryShard struct {
 	messages  int64
 	words     int64
@@ -345,9 +344,11 @@ func NewEngine(input *graph.Graph, nodes []Node, cfg Config) (*Engine, error) {
 		PerNodeWordsRecv: make([]int64, n),
 		PerNodeWordsSent: make([]int64, n),
 	}
-	if cfg.Shards > 1 {
-		e.initShards()
-	}
+	e.shardDeliverFn = e.shardDeliverWork
+	e.shardComputeFn = e.shardComputeWork
+	e.shardMergeFn = e.shardMergeWork
+	e.shardDrainFn = e.shardDrainWork
+	e.initShards()
 	e.bindArenas()
 	if !cfg.Faults.Empty() {
 		flt, err := newFaultState(cfg.Faults, n, len(e.queues), cfg.Mode == ModeBroadcast)
@@ -453,7 +454,7 @@ func (e *Engine) deliverTo(v int32, shard *deliveryShard, a *sendArena) {
 	for _, eid := range e.recvActive[v] {
 		q := &e.queues[eid]
 		from := e.edgeFrom[eid]
-		ws := a.pop(q, e.arenaOf(from), b)
+		ws := a.pop(q, e.arenas[e.shardOf[from]], b)
 		e.inboxes[v] = append(e.inboxes[v], Delivery{From: int(from), Words: ws})
 		shard.messages++
 		shard.words += int64(len(ws))
@@ -464,209 +465,6 @@ func (e *Engine) deliverTo(v int32, shard *deliveryShard, a *sendArena) {
 		}
 	}
 	e.recvActive[v] = keep
-}
-
-// step executes one round of the single-shard engine: deliver up to B
-// words on each active channel (receiver-major), then run every scheduled
-// node, then flush sends in node order, all sequentially. Sharded engines
-// step through stepSharded instead.
-//
-// Under SchedulerActivity the scheduled set is assembled from activity
-// alone: every receiver in this round's delivery sets (which all get at
-// least one word — an active channel always has a non-empty queue) plus the
-// wake-wheel bucket for this round, deduplicated by schedStamp and sorted
-// ascending so the merge phase visits nodes in the same deterministic order
-// as the dense scan.
-func (e *Engine) step() {
-	b := e.cfg.BandwidthWords
-	msgs0, words0 := e.metrics.MessagesDelivered, e.metrics.WordsDelivered
-	activity := e.cfg.Scheduler != SchedulerDense
-	a := e.arenas[0]
-	a.scratch.reset() // last round's inboxes are consumed
-	if e.flt != nil {
-		e.applyDueCrashes()
-	}
-	scheduled := e.scheduled[:0]
-	if activity {
-		e.schedGen++
-		if e.flt == nil {
-			// Ready snapshot: every receiver with an active in-edge gets a
-			// delivery this round. Taken before deliverTo compacts the
-			// list. Under faults this assumption breaks (loss, delay and
-			// dead receivers can leave an inbox empty), so the faulty path
-			// schedules from post-delivery inboxes instead — the dense
-			// reference's criterion — during the compaction loop below.
-			for _, v := range e.activeRecv {
-				if e.schedStamp[v] != e.schedGen {
-					e.schedStamp[v] = e.schedGen
-					scheduled = append(scheduled, v)
-				}
-			}
-		}
-	}
-	// Phase 1: deliveries.
-	moved := false
-	// Broadcast-mode: each active node emits one B-word message heard by
-	// every neighbor. A sender fans out to many inboxes, so this path stays
-	// sequential; broadcast mode never has unicast traffic (Send panics).
-	stillBcast := e.bcastActive[:0]
-	for _, u := range e.bcastActive {
-		if e.flt != nil && e.bcastFaultGate(u) {
-			stillBcast = append(stillBcast, u) // delay-armed; nothing pops
-			continue
-		}
-		q := &e.bcastQ[u]
-		ws := a.pop(q, a, b)
-		if len(ws) > 0 {
-			nw := int64(len(ws))
-			e.queuedWords -= nw
-			for _, to := range e.commTgts[e.commOffs[u]:e.commOffs[u+1]] {
-				if f := e.flt; f != nil {
-					if f.dead[to] {
-						e.metrics.Faults.WordsDroppedCrash += nw
-						continue
-					}
-					if f.hasLoss && f.comp.Lose(e.round, int(u), int(to)) {
-						e.metrics.Faults.WordsLost += nw
-						continue
-					}
-				}
-				e.inboxes[to] = append(e.inboxes[to], Delivery{From: int(u), Words: ws})
-				e.metrics.MessagesDelivered++
-				e.metrics.WordsDelivered += nw
-				e.metrics.PerNodeWordsRecv[to] += nw
-				if activity && e.schedStamp[to] != e.schedGen {
-					e.schedStamp[to] = e.schedGen
-					scheduled = append(scheduled, to)
-				}
-				if f := e.flt; f != nil && f.hasDup && f.comp.Duplicate(e.round, int(u), int(to)) {
-					e.inboxes[to] = append(e.inboxes[to], Delivery{From: int(u), Words: ws})
-					e.metrics.MessagesDelivered++
-					e.metrics.WordsDelivered += nw
-					e.metrics.PerNodeWordsRecv[to] += nw
-					e.metrics.Faults.WordsDuplicated += nw
-				}
-			}
-			moved = true
-		}
-		if q.n != 0 {
-			stillBcast = append(stillBcast, u)
-		} else if f := e.flt; f != nil && f.hasDelay {
-			f.bcastArmStamp[u] = 0
-		}
-	}
-	e.bcastActive = stillBcast
-	// Unicast channels, receiver-major: which receiver gets which
-	// deliveries in which order is fixed by recvActive's activation order.
-	if len(e.activeRecv) > 0 {
-		var shard deliveryShard
-		for _, v := range e.activeRecv {
-			e.deliverTo(v, &shard, a)
-		}
-		e.metrics.MessagesDelivered += shard.messages
-		e.metrics.WordsDelivered += shard.words
-		moved = moved || shard.moved
-		// Under faults the queued-word account is debited by the words
-		// popped off queues (lost and crash-dropped batches pop without
-		// delivering, duplicated ones deliver without popping).
-		if e.flt != nil {
-			e.queuedWords -= e.foldFaultShard(&shard)
-		} else {
-			e.queuedWords -= shard.words
-		}
-	}
-	// Compact the receiver list sequentially (preserves activation order).
-	// The faulty activity path also schedules receivers here, from their
-	// post-delivery inboxes (broadcast deliveries were stamped above).
-	stillRecv := e.activeRecv[:0]
-	for _, v := range e.activeRecv {
-		if e.flt != nil && activity && len(e.inboxes[v]) > 0 && e.schedStamp[v] != e.schedGen {
-			e.schedStamp[v] = e.schedGen
-			scheduled = append(scheduled, v)
-		}
-		if len(e.recvActive[v]) > 0 {
-			stillRecv = append(stillRecv, v)
-		} else {
-			e.recvStamp[v] = 0
-		}
-	}
-	e.activeRecv = stillRecv
-	e.flipIfDrained()
-	if moved {
-		e.metrics.ActiveRounds++
-	}
-	// Phase 2: schedule and run nodes.
-	if activity {
-		// Fast-path wake-ups: every nextReady entry is due exactly this
-		// round and cannot have been superseded (its node could not run
-		// since it was recorded) — except by a crash, which the dead guard
-		// catches (wheel entries are invalidated via nextWake instead).
-		for _, v := range e.nextReady {
-			if e.flt != nil && e.flt.dead[v] {
-				continue
-			}
-			if e.schedStamp[v] != e.schedGen {
-				e.schedStamp[v] = e.schedGen
-				scheduled = append(scheduled, v)
-			}
-		}
-		e.nextReady = e.nextReady[:0]
-		// Wake-wheel pops: nodes whose authoritative wake is due. Entries
-		// whose bucket round no longer matches nextWake were superseded by a
-		// later reschedule (or the node finished) and are skipped.
-		for {
-			br, bucket, ok := e.wheel.takeUpTo(e.round)
-			if !ok {
-				break
-			}
-			for _, v := range bucket {
-				if e.nextWake[v] == br && e.schedStamp[v] != e.schedGen {
-					e.schedStamp[v] = e.schedGen
-					scheduled = append(scheduled, v)
-				}
-			}
-			e.wheel.release(bucket)
-		}
-		slices.Sort(scheduled)
-	} else {
-		for v := 0; v < len(e.nodes); v++ {
-			if e.flt != nil && e.flt.dead[v] {
-				continue // crashed nodes never run (their inboxes stay empty)
-			}
-			ctx := e.ctxs[v]
-			if ctx.done && len(e.inboxes[v]) == 0 {
-				continue
-			}
-			if len(e.inboxes[v]) > 0 || ctx.wake <= e.round {
-				scheduled = append(scheduled, int32(v))
-			}
-		}
-	}
-	e.scheduled = scheduled
-	for _, v := range scheduled {
-		e.nodes[v].Round(e.ctxs[v], e.round, e.inboxes[v])
-	}
-	// Phase 3: merge. The send log is in ascending sender order (scheduled
-	// is sorted), so linking it in order activates channels exactly as
-	// the determinism contract requires.
-	linked := a.log.n > 0
-	e.flushLog(a)
-	for _, v := range scheduled {
-		e.metrics.PerNodeWordsSent[v] = e.ctxs[v].wordsSent
-		e.emitOutputs(int(v))
-		e.consumeInbox(v)
-		e.trackNode(int(v), e.round+1)
-	}
-	e.compactIfSparse(linked)
-	e.round++
-	e.metrics.Rounds = e.round
-	if e.hooks.Round != nil {
-		e.hooks.Round(e.round-1, RoundDelta{
-			Messages: e.metrics.MessagesDelivered - msgs0,
-			Words:    e.metrics.WordsDelivered - words0,
-			Moved:    moved,
-		})
-	}
 }
 
 // consumeInbox empties node v's inbox after its Round call, zeroing the
@@ -744,12 +542,10 @@ func (e *Engine) Rebind(input *graph.Graph, nodes []Node, seed int64) error {
 	if e.flt != nil {
 		e.flt.resizeEdges(len(e.queues))
 	}
-	if e.cfg.Shards > 1 {
-		// Degree weights changed with the topology; recut the shard plan
-		// and re-point the contexts at their new shards' arenas.
-		e.initShards()
-		e.bindArenas()
-	}
+	// Degree weights changed with the topology; recut the shard plan and
+	// re-point the contexts at their new shards' arenas.
+	e.initShards()
+	e.bindArenas()
 	return nil
 }
 
@@ -757,13 +553,6 @@ func (e *Engine) Rebind(input *graph.Graph, nodes []Node, seed int64) error {
 // channels, bump the epoch (invalidating every stamp in O(1)), re-seed the
 // node contexts and zero the metrics, keeping every slab allocation.
 func (e *Engine) clearRun(nodes []Node, seed int64) {
-	for _, v := range e.activeRecv {
-		for _, eid := range e.recvActive[v] {
-			e.queues[eid] = spanQueue{}
-		}
-		e.recvActive[v] = e.recvActive[v][:0]
-	}
-	e.activeRecv = e.activeRecv[:0]
 	for s := range e.shardRecv {
 		for _, v := range e.shardRecv[s] {
 			for _, eid := range e.recvActive[v] {
@@ -836,7 +625,7 @@ func (e *Engine) clearRun(nodes []Node, seed int64) {
 func (e *Engine) nextEventRound() int {
 	// nextReady nodes are due at the next step — the round counter has
 	// already advanced past the merge that recorded them.
-	if len(e.nextReady) > 0 || e.hasActiveRecv() || len(e.bcastActive) > 0 {
+	if len(e.nextReady) > 0 || e.queuedWords > 0 {
 		return e.round
 	}
 	r := maxInt
@@ -860,27 +649,23 @@ func (e *Engine) nextEventRound() int {
 const maxInt = int(^uint(0) >> 1)
 
 // advance performs one unit of progress toward limit (an exclusive round
-// bound): a full step when anything is due at the current round, otherwise
-// an idle fast-forward. Idle rounds are observably identical to dense
-// steps: when a Round hook is installed they are emitted one at a time as
-// zero-delta calls (so hook streams — and cancellation points, which
-// callers poll between advance calls — match the dense stepper exactly);
+// bound): a full step when anything is due at the current round, and
+// always under SchedulerDense, otherwise an idle fast-forward. Idle rounds
+// are observably identical to dense steps: when a Round hook is installed
+// they are emitted one at a time as zero-delta calls (so hook streams — and
+// cancellation points, which callers poll between advance calls — match
+// the dense reference exactly);
 // when nobody listens the round counter jumps to the next event in O(1).
 // Either way Metrics.Rounds, Round() and ActiveRounds evolve exactly as if
 // every idle round had been stepped, and the skipped work is recorded in
 // Metrics.FastForwardedRounds.
 func (e *Engine) advance(limit int) {
-	if e.cfg.Scheduler == SchedulerDense {
-		e.step()
-		return
+	next := e.round
+	if e.cfg.Scheduler != SchedulerDense {
+		next = e.nextEventRound()
 	}
-	next := e.nextEventRound()
 	if next <= e.round {
-		if e.nshards > 1 {
-			e.stepSharded()
-		} else {
-			e.step()
-		}
+		e.stepSharded()
 		return
 	}
 	if next > limit {
@@ -965,7 +750,7 @@ func (e *Engine) RunUntilQuiescentContext(ctx context.Context) error {
 // O(1); the dense reference keeps the original O(n) context scan so the two
 // cross-check each other in the differential tests.
 func (e *Engine) quiescent() bool {
-	if e.hasActiveRecv() || len(e.bcastActive) > 0 {
+	if e.queuedWords > 0 {
 		return false
 	}
 	if e.cfg.Scheduler == SchedulerDense {
@@ -977,21 +762,6 @@ func (e *Engine) quiescent() bool {
 		return true
 	}
 	return e.notDone == 0
-}
-
-// hasActiveRecv reports whether any receiver has an active in-edge,
-// whichever representation — the global list or the per-shard split — the
-// engine maintains.
-func (e *Engine) hasActiveRecv() bool {
-	if e.nshards > 1 {
-		for s := range e.shardRecv {
-			if len(e.shardRecv[s]) > 0 {
-				return true
-			}
-		}
-		return false
-	}
-	return len(e.activeRecv) > 0
 }
 
 // PendingWords reports the words still queued on all channels (0 once all

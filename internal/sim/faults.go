@@ -219,7 +219,7 @@ func (e *Engine) deliverToFaulty(v int32, shard *deliveryShard, a *sendArena) {
 				continue
 			}
 		}
-		ws := a.pop(q, e.arenaOf(e.edgeFrom[eid]), b)
+		ws := a.pop(q, e.arenas[e.shardOf[e.edgeFrom[eid]]], b)
 		if nw := int64(len(ws)); nw > 0 {
 			shard.popped += nw
 			shard.moved = true

@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// Parallel execution machinery for the sharded engine (see sharded.go): a
+// Parallel execution machinery for the round stepper (see sharded.go): a
 // persistent per-engine worker pool that runs one engine shard per
 // goroutine, and the weighted cut that sizes the shards. The pool parks
 // its goroutines on a channel between fan-outs, so a round pays no
@@ -74,13 +74,13 @@ func (p *workerPool) run(workers int, fn func(worker int)) {
 
 // weightedShards cuts nitems items into at most maxShards contiguous shards
 // of near-equal total weight, writing the boundary list into plan (shard s
-// covers [plan[s], plan[s+1])). weights[i] is item i's cost and total is
+// covers [plan[s], plan[s+1])). weight(i) is item i's cost and total is
 // their precomputed sum. The greedy cut re-targets the remaining weight
 // over the remaining shards at every boundary, so one oversized item (a
 // power-law hub) cannot starve the shards after it. Shard boundaries never
 // affect observable engine state, so the plan is free to depend on degree
 // weights or anything else.
-func weightedShards(plan []int32, nitems, maxShards int, weights []int64, total int64) []int32 {
+func weightedShards(plan []int32, nitems, maxShards int, weight func(int) int64, total int64) []int32 {
 	plan = plan[:0]
 	plan = append(plan, 0)
 	if maxShards > nitems {
@@ -96,7 +96,7 @@ func weightedShards(plan []int32, nitems, maxShards int, weights []int64, total 
 		target := (remaining + int64(maxShards-s) - 1) / int64(maxShards-s)
 		start := i
 		for i < nitems && (acc < target || i == start) {
-			acc += weights[i]
+			acc += weight(i)
 			i++
 		}
 		// Never cut an empty trailing shard: stop early if everything fit.
@@ -116,7 +116,8 @@ func weightedShards(plan []int32, nitems, maxShards int, weights []int64, total 
 // can schedule thousands of nodes that each do nothing — so the delivery
 // gate thresholds on queued words, the compute gate on words delivered
 // this round plus scheduled nodes, and the merge gate on sent channel-
-// words plus scheduled nodes (see stepSharded).
+// words plus scheduled nodes (see stepSharded). A one-shard plan never
+// fans out.
 const parallelMinWords = 1024
 
 // pool lazily creates the engine's worker pool, registering a cleanup that

@@ -31,6 +31,9 @@ func checkPlan(t *testing.T, plan []int32, nitems, maxShards int) {
 	}
 }
 
+// sliceWeight adapts a weight slice to weightedShards.
+func sliceWeight(w []int64) func(int) int64 { return func(i int) int64 { return w[i] } }
+
 func TestWeightedShardsInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var plan []int32
@@ -52,7 +55,7 @@ func TestWeightedShardsInvariants(t *testing.T) {
 			}
 			total += weights[i]
 		}
-		plan = weightedShards(plan, nitems, maxShards, weights, total)
+		plan = weightedShards(plan, nitems, maxShards, sliceWeight(weights), total)
 		checkPlan(t, plan, nitems, maxShards)
 	}
 }
@@ -74,7 +77,7 @@ func TestWeightedShardsBalance(t *testing.T) {
 		weights[i] = 1
 		total++
 	}
-	plan := weightedShards(nil, nitems, shards, weights, total)
+	plan := weightedShards(nil, nitems, shards, sliceWeight(weights), total)
 	checkPlan(t, plan, nitems, shards)
 	if plan[1] != 1 {
 		t.Fatalf("plan %v: hub not isolated in its own shard", plan)
@@ -90,24 +93,24 @@ func TestWeightedShardsBalance(t *testing.T) {
 
 func TestWeightedShardsEdgeCases(t *testing.T) {
 	// Zero items.
-	plan := weightedShards(nil, 0, 4, nil, 0)
+	plan := weightedShards(nil, 0, 4, sliceWeight(nil), 0)
 	if len(plan) != 2 || plan[0] != 0 || plan[1] != 0 {
 		t.Fatalf("empty plan = %v, want [0 0]", plan)
 	}
 	// One shard swallows everything.
-	plan = weightedShards(plan, 10, 1, make([]int64, 10), 0)
+	plan = weightedShards(plan, 10, 1, sliceWeight(make([]int64, 10)), 0)
 	if len(plan) != 2 || plan[1] != 10 {
 		t.Fatalf("single-shard plan = %v, want [0 10]", plan)
 	}
 	// More shards than items: one item each.
 	w := []int64{5, 5, 5}
-	plan = weightedShards(plan, 3, 8, w, 15)
+	plan = weightedShards(plan, 3, 8, sliceWeight(w), 15)
 	checkPlan(t, plan, 3, 3)
 	if len(plan) != 4 {
 		t.Fatalf("plan %v: want one item per shard", plan)
 	}
 	// All-zero weights still cover every item.
-	plan = weightedShards(plan, 7, 3, make([]int64, 7), 0)
+	plan = weightedShards(plan, 7, 3, sliceWeight(make([]int64, 7)), 0)
 	checkPlan(t, plan, 7, 3)
 }
 

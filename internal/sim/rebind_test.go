@@ -125,6 +125,50 @@ func TestRebindMatchesFreshEngine(t *testing.T) {
 	}
 }
 
+// rebindBcastNode broadcasts in Init and in rounds 0-3, then finishes. It
+// keeps no state, so one node set serves every run.
+type rebindBcastNode struct{}
+
+func (rebindBcastNode) Init(ctx *sim.Context) { ctx.Broadcast(sim.Word(ctx.ID())) }
+
+func (rebindBcastNode) Round(ctx *sim.Context, round int, _ []sim.Delivery) {
+	if round >= 4 {
+		ctx.SetDone()
+		return
+	}
+	ctx.Broadcast(sim.Word(round), sim.Word(ctx.ID()))
+}
+
+// TestRebindAllocatesNothing pins that Rebind keeps every slab, shard-plan
+// list and arena of a warm engine: alternating between two graphs on one
+// vertex set, a rebind and a run to quiescence on each allocates nothing,
+// unsharded and at 4 shards.
+func TestRebindAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	g1, g2 := graph.Gnp(300, 0.05, rng), graph.Gnp(300, 0.05, rng)
+	nodes := make([]sim.Node, g1.N())
+	for v := range nodes {
+		nodes[v] = rebindBcastNode{}
+	}
+	for _, shards := range []int{0, 1, 4} {
+		eng, err := sim.NewEngine(g1, nodes, sim.Config{Seed: 1, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(g *graph.Graph) {
+			if err := eng.Rebind(g, nodes, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.RunUntilQuiescent(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, func() { run(g2); run(g1) }); allocs != 0 {
+			t.Fatalf("shards=%d: %v allocations per pair of rebinds", shards, allocs)
+		}
+	}
+}
+
 func TestRebindRejectsVertexCountChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g1 := graph.Gnp(16, 0.3, rng)

@@ -3,7 +3,7 @@ package sim
 // Differential stress tests for the activity-driven scheduler at the
 // engine level: randomized state machines that sleep, send, finish and
 // revive on private randomness, compared bit-for-bit against the dense
-// reference stepper across graph families, modes and shard counts — plus
+// reference across graph families, modes and shard counts — plus
 // the fast-forward accounting, the quiescence counter and the wake-wheel
 // unit behavior.
 
@@ -133,7 +133,7 @@ func runChatterEngine(t *testing.T, g *graph.Graph, cfg Config, observe bool) (*
 // TestActivityMatchesDenseChatter is the engine-level differential
 // property: across graph families, modes, shard counts and observation, the
 // activity scheduler's metrics, outputs, final round and hook stream are
-// identical to the dense reference stepper's.
+// identical to the dense reference's.
 func TestActivityMatchesDenseChatter(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	graphs := map[string]*graph.Graph{
@@ -265,7 +265,7 @@ func TestFastForwardAccounting(t *testing.T) {
 
 // foreverNode sleeps forever without finishing: RunUntilQuiescent must
 // fast-forward straight to MaxRounds and report ErrMaxRounds, exactly like
-// the dense stepper — just without stepping a million idle rounds.
+// the dense reference — just without stepping a million idle rounds.
 type foreverNode struct{}
 
 func (foreverNode) Init(ctx *Context)                               { ctx.SleepUntil(math.MaxInt32) }

@@ -5,12 +5,14 @@ import (
 	"slices"
 )
 
-// Sharded engine (Config.Shards > 1): the nodes are statically partitioned
-// into S contiguous shards cut by degree weight, and every per-node phase of
-// the round runs shard-at-a-time — one shard per worker-pool goroutine when
-// GOMAXPROCS > 1 and the phase moves at least parallelMinWords words,
-// sequentially in ascending shard order otherwise, with bit-identical
-// results either way. This is the engine's only parallel code.
+// The round stepper. Every engine has a shard plan: the nodes are
+// statically partitioned into S contiguous shards cut by degree weight —
+// one shard when Config.Shards <= 1 or under SchedulerDense — and every
+// per-node phase of the round runs shard-at-a-time: one shard per
+// worker-pool goroutine when S > 1, GOMAXPROCS > 1 and the phase moves at
+// least parallelMinWords words, sequentially in ascending shard order
+// otherwise, with bit-identical results either way. This is the engine's
+// only round function and its only parallel code.
 //
 // Ownership discipline: shard s owns the nodes in
 // [shardBounds[s], shardBounds[s+1]) and with them their contexts, their
@@ -26,47 +28,34 @@ import (
 //
 // The one cross-shard data flow is activation: sender v in shard s linking
 // a span onto an empty queue must add that channel to its receiver's active
-// list, and receivers live in arbitrary shards. The single-shard engine
-// does this on the sequential spine in ascending sender order (flushLog),
-// which is the determinism contract's source of per-receiver delivery
-// order. The sharded engine reproduces exactly that order with a shard
+// list, and receivers live in arbitrary shards. The one-shard plan does
+// this on the sequential spine in ascending sender order (flushLog), which
+// is the determinism contract's source of per-receiver delivery order.
+// With S > 1 the stepper reproduces exactly that order with a shard
 // barrier: during the merge fan-out each sender shard s walks its send log
 // and stages every channel it activates in staging[s*S+t] (t = receiver's
 // shard) — senders ascending within s, channels in send order — and after
 // the barrier each receiver shard t drains columns s = 0..S-1 in ascending
 // order. Shards are contiguous and ascending, so "ascending shard, then
 // ascending sender within shard" is exactly "ascending sender": every
-// recvActive list receives its edge ids in the same order as the
-// single-shard spine, and the delivery phase reading those lists reproduces
-// identical inboxes. Scheduled sets get the same treatment: per-shard lists
-// sorted at the start of the compute fan-out concatenate (shard 0, 1, ...)
-// to the globally sorted order, so node visitation, output emission and
-// hook streams match the single-shard engine bit for bit.
+// recvActive list receives its edge ids in the same order as the one-shard
+// spine, and the delivery phase reading those lists reproduces identical
+// inboxes. Scheduled sets get the same treatment: per-shard lists sorted at
+// the start of the compute fan-out concatenate (shard 0, 1, ...) to the
+// globally sorted order, so node visitation, output emission and hook
+// streams match the one-shard plan bit for bit.
 
-// initShards (re)computes the static shard plan for the current topology and
-// builds the per-shard state. Called from NewEngine and again from Rebind —
+// initShards (re)computes the shard plan for the current topology and
+// sizes the per-shard state to it, keeping every per-shard list when the
+// shard count is unchanged. Called from NewEngine and again from Rebind —
 // degree weights move with the graph. The requested count is a maximum:
-// weightedShards never cuts an empty shard, and a plan that collapses to one
-// shard falls back to the single-shard engine.
+// weightedShards never cuts an empty shard, and Shards <= 1 gives the
+// one-shard plan.
 func (e *Engine) initShards() {
 	n := len(e.nodes)
-	e.nshards = 1
-	if n == 0 {
-		return
-	}
-	weights := make([]int64, n)
-	total := int64(0)
-	for v := 0; v < n; v++ {
-		w := int64(1 + e.commOffs[v+1] - e.commOffs[v])
-		weights[v] = w
-		total += w
-	}
-	e.shardBounds = weightedShards(e.shardBounds, n, e.cfg.Shards, weights, total)
+	weight := func(v int) int64 { return int64(1 + e.commOffs[v+1] - e.commOffs[v]) }
+	e.shardBounds = weightedShards(e.shardBounds, n, e.cfg.Shards, weight, int64(n+len(e.commTgts)))
 	S := len(e.shardBounds) - 1
-	if S <= 1 {
-		return
-	}
-	e.nshards = S
 	if cap(e.shardOf) < n {
 		e.shardOf = make([]int32, n)
 	}
@@ -76,15 +65,14 @@ func (e *Engine) initShards() {
 			e.shardOf[v] = int32(s)
 		}
 	}
-	e.shardRecv = make([][]int32, S)
-	e.shardSched = make([][]int32, S)
-	e.staging = make([][]int32, S*S)
-	e.stagedBcast = make([][]int32, S)
-	e.shardCtr = make([]deliveryShard, S)
-	e.shardDeliverFn = e.shardDeliverWork
-	e.shardComputeFn = e.shardComputeWork
-	e.shardMergeFn = e.shardMergeWork
-	e.shardDrainFn = e.shardDrainWork
+	if S != e.nshards {
+		e.nshards = S
+		e.shardRecv = make([][]int32, S)
+		e.shardSched = make([][]int32, S)
+		e.staging = make([][]int32, S*S)
+		e.stagedBcast = make([][]int32, S)
+		e.shardCtr = make([]deliveryShard, S)
+	}
 }
 
 // shardDeliverWork is shard s's delivery phase: snapshot the shard's ready
@@ -92,29 +80,32 @@ func (e *Engine) initShards() {
 // into each receiver's inbox, and compact the receiver list. Touches only
 // shard-owned state plus shardCtr[s]. Under faults the pre-delivery
 // snapshot is skipped — a faulty delivery can leave an inbox empty — and
-// receivers are scheduled from their post-delivery inboxes instead,
-// mirroring step()'s faulty path (schedStamp writes stay single-writer:
-// the spine stamped broadcast recipients before this fan-out, and shard s
-// owns every v it stamps here).
+// receivers are scheduled from their post-delivery inboxes instead, the
+// dense reference's criterion (schedStamp writes stay single-writer: the
+// spine stamped broadcast recipients before this fan-out, and shard s owns
+// every v it stamps here). The dense reference schedules after delivery by
+// its own scan, so it takes neither.
 func (e *Engine) shardDeliverWork(s int) {
-	if e.flt == nil {
-		for _, v := range e.shardRecv[s] {
+	activity := e.cfg.Scheduler != SchedulerDense
+	recvs, sched := e.shardRecv[s], e.shardSched[s]
+	if activity && e.flt == nil {
+		for _, v := range recvs {
 			if e.schedStamp[v] != e.schedGen {
 				e.schedStamp[v] = e.schedGen
-				e.shardSched[s] = append(e.shardSched[s], v)
+				sched = append(sched, v)
 			}
 		}
 	}
 	ctr := &e.shardCtr[s]
 	a := e.arenas[s]
-	for _, v := range e.shardRecv[s] {
+	for _, v := range recvs {
 		e.deliverTo(v, ctr, a)
 	}
-	keep := e.shardRecv[s][:0]
-	for _, v := range e.shardRecv[s] {
-		if e.flt != nil && len(e.inboxes[v]) > 0 && e.schedStamp[v] != e.schedGen {
+	keep := recvs[:0]
+	for _, v := range recvs {
+		if e.flt != nil && activity && len(e.inboxes[v]) > 0 && e.schedStamp[v] != e.schedGen {
 			e.schedStamp[v] = e.schedGen
-			e.shardSched[s] = append(e.shardSched[s], v)
+			sched = append(sched, v)
 		}
 		if len(e.recvActive[v]) > 0 {
 			keep = append(keep, v)
@@ -122,7 +113,7 @@ func (e *Engine) shardDeliverWork(s int) {
 			e.recvStamp[v] = 0
 		}
 	}
-	e.shardRecv[s] = keep
+	e.shardRecv[s], e.shardSched[s] = keep, sched
 }
 
 // shardComputeWork is shard s's compute phase: sort the shard's scheduled
@@ -141,11 +132,11 @@ func (e *Engine) shardComputeWork(s int) {
 // barrier: walk the shard's send log (ascending sender, then send order),
 // link every span into its queues, stage each channel that was empty in
 // the staging row toward its receiver's shard, collect newly
-// broadcast-active senders, then publish the senders' sent-word counters
-// and consume their inboxes. The shard's queued-word delta accumulates in
-// shardCtr[s].words for the spine to fold. No word is copied; the
-// activation bookkeeping itself — the order-sensitive half — is deferred
-// to shardDrainWork on the other side of the barrier.
+// broadcast-active senders, then retire the shard's scheduled nodes. The
+// shard's queued-word delta accumulates in shardCtr[s].words for the spine
+// to fold. No word is copied; the activation bookkeeping itself — the
+// order-sensitive half — is deferred to shardDrainWork on the other side
+// of the barrier.
 func (e *Engine) shardMergeWork(s int) {
 	S := e.nshards
 	e.shardCtr[s].words += e.linkLog(e.arenas[s],
@@ -154,54 +145,59 @@ func (e *Engine) shardMergeWork(s int) {
 			e.staging[s*S+t] = append(e.staging[s*S+t], eid)
 		},
 		func(u int32) { e.stagedBcast[s] = append(e.stagedBcast[s], u) })
-	e.retireSenders(s)
+	for _, v := range e.shardSched[s] {
+		e.retire(v)
+	}
 }
 
 // shardDrainWork is receiver shard t's half of the merge after the
 // barrier: drain the staging columns in ascending sender-shard order,
 // appending each newly active channel to its receiver's active list — in
-// the identical ascending-sender order the single-shard spine produces
-// (see the package comment above).
+// the identical ascending-sender order the one-shard spine produces (see
+// the comment at the top of this file).
 func (e *Engine) shardDrainWork(t int) {
 	S := e.nshards
 	for s := 0; s < S; s++ {
 		row := e.staging[s*S+t]
 		for _, eid := range row {
-			e.activate(eid, &e.shardRecv[t])
+			e.activate(eid)
 		}
 		e.staging[s*S+t] = row[:0]
 	}
 }
 
-// retireSenders publishes shard s's scheduled nodes' sent-word counters
-// and consumes their inboxes, the per-node tail of shard s's merge.
-func (e *Engine) retireSenders(s int) {
-	for _, v := range e.shardSched[s] {
-		e.metrics.PerNodeWordsSent[v] = e.ctxs[v].wordsSent
-		e.consumeInbox(v)
-	}
+// retire publishes node v's sent-word counter and consumes its inbox, the
+// per-node tail of the merge once v's Round has run.
+func (e *Engine) retire(v int32) {
+	e.metrics.PerNodeWordsSent[v] = e.ctxs[v].wordsSent
+	e.consumeInbox(v)
 }
 
-// stepSharded executes one round of the sharded engine. The phase structure
-// mirrors step(), with each per-node phase run shard by shard and a staging
-// barrier in the merge:
+// stepSharded executes one round over the shard plan, each per-node phase
+// shard by shard:
 //
 //	spine:  broadcast delivery (senders fan out across shards)
 //	shards: ready snapshot + unicast delivery + receiver-list compaction
 //	spine:  fold delivery counters; flip arenas if every channel drained;
-//	        wake-ups routed to their shards
+//	        wake-ups routed to their shards, or the dense reference's scan
 //	shards: sort scheduled list, run nodes (sends fill shard arenas)
-//	shards: link logged spans, stage new channel activations    (merge 1/2)
-//	        — barrier —
-//	shards: drain staging columns in shard order                (merge 2/2)
-//	spine:  fold queued-word deltas, collect broadcast-active senders,
-//	        emit outputs + track nodes in ascending order, compact arenas
-//	        if sparse, fire Round hook
+//	merge, one shard: link the send log on the spine (flushLog)
+//	merge, S shards:  shards link logged spans, stage new channel
+//	                  activations, retire their nodes       (merge 1/2)
+//	                  — barrier —
+//	                  shards drain staging columns in order (merge 2/2)
+//	                  spine folds queued-word deltas and collects
+//	                  broadcast-active senders
+//	spine:  emit outputs + track nodes in ascending order (and retire them
+//	        on one shard), compact arenas if sparse, fire Round hook
+//
+// With one shard nothing fans out and no worker pool is built.
 func (e *Engine) stepSharded() {
 	b := e.cfg.BandwidthWords
 	S := e.nshards
+	activity := e.cfg.Scheduler != SchedulerDense
 	msgs0, words0 := e.metrics.MessagesDelivered, e.metrics.WordsDelivered
-	usePar := runtime.GOMAXPROCS(0) > 1
+	usePar := S > 1 && runtime.GOMAXPROCS(0) > 1
 	for _, a := range e.arenas {
 		a.scratch.reset() // last round's inboxes are consumed
 	}
@@ -213,7 +209,7 @@ func (e *Engine) stepSharded() {
 	// shards, so this phase cannot be receiver-sharded without write
 	// conflicts; broadcast-mode runs have no unicast traffic to shard
 	// anyway. Runs before the shard fan-out so each inbox sees broadcast
-	// deliveries first, matching the single-shard phase order.
+	// deliveries first.
 	moved := false
 	stillBcast := e.bcastActive[:0]
 	for _, u := range e.bcastActive {
@@ -222,7 +218,7 @@ func (e *Engine) stepSharded() {
 			continue
 		}
 		q := &e.bcastQ[u]
-		a := e.arenaOf(u)
+		a := e.arenas[e.shardOf[u]]
 		ws := a.pop(q, a, b)
 		if len(ws) > 0 {
 			nw := int64(len(ws))
@@ -242,7 +238,7 @@ func (e *Engine) stepSharded() {
 				e.metrics.MessagesDelivered++
 				e.metrics.WordsDelivered += nw
 				e.metrics.PerNodeWordsRecv[to] += nw
-				if e.schedStamp[to] != e.schedGen {
+				if activity && e.schedStamp[to] != e.schedGen {
 					e.schedStamp[to] = e.schedGen
 					t := e.shardOf[to]
 					e.shardSched[t] = append(e.shardSched[t], to)
@@ -264,17 +260,16 @@ func (e *Engine) stepSharded() {
 		}
 	}
 	e.bcastActive = stillBcast
-	// Unicast delivery fan-out: below parallelMinWords queued words the
-	// handoff costs more than the work.
-	if e.hasActiveRecv() {
-		for i := range e.shardCtr {
-			e.shardCtr[i] = deliveryShard{}
-		}
+	// Unicast delivery, receiver-major: which receiver gets which deliveries
+	// in which order is fixed by recvActive's activation order. Below
+	// parallelMinWords queued words the fan-out costs more than the work.
+	if e.queuedWords > 0 {
+		clear(e.shardCtr)
 		if usePar && e.queuedWords >= parallelMinWords {
 			e.pool().run(S, e.shardDeliverFn)
 		} else {
 			for s := 0; s < S; s++ {
-				e.shardDeliverFn(s)
+				e.shardDeliverWork(s)
 			}
 		}
 		delivered := int64(0)
@@ -288,8 +283,11 @@ func (e *Engine) stepSharded() {
 			}
 		}
 		e.metrics.WordsDelivered += delivered
+		// Under faults the queued-word account is debited by the words
+		// popped off queues (lost and crash-dropped batches pop without
+		// delivering, duplicated ones deliver without popping).
 		if e.flt != nil {
-			e.queuedWords -= popped // popped ≠ delivered under faults; see step()
+			e.queuedWords -= popped
 		} else {
 			e.queuedWords -= delivered
 		}
@@ -298,9 +296,69 @@ func (e *Engine) stepSharded() {
 	if moved {
 		e.metrics.ActiveRounds++
 	}
-	// Wake-ups, routed on the spine into their shard's scheduled list.
-	// Crashed nodes are skipped here; wheel entries below self-invalidate
-	// through nextWake, which applyDueCrashes reset.
+	if activity {
+		e.routeWakeups()
+	} else {
+		e.scheduleDense()
+	}
+	nsched := 0
+	for s := 0; s < S; s++ {
+		nsched += len(e.shardSched[s])
+	}
+	// Compute fan-out (each shard sorts its own list first), gated on
+	// words delivered this round plus scheduled nodes: a node's Round cost
+	// scales with its inbox, plus a constant.
+	computeActivity := int64(nsched) + (e.metrics.WordsDelivered - words0)
+	if usePar && computeActivity >= parallelMinWords && nsched > 1 {
+		e.pool().run(S, e.shardComputeFn)
+	} else {
+		for s := 0; s < S; s++ {
+			e.shardComputeWork(s)
+		}
+	}
+	linked := false
+	for _, a := range e.arenas {
+		linked = linked || a.log.n > 0
+	}
+	if S == 1 {
+		// The send log is in ascending sender order (the scheduled list is
+		// sorted), so linking it in order activates channels exactly as
+		// the determinism contract requires.
+		e.flushLog(e.arenas[0])
+	} else {
+		e.mergeShards(usePar, nsched)
+	}
+	// Output emission and scheduler tracking on the spine, in global
+	// ascending node order (per-shard lists are sorted and contiguous).
+	for s := 0; s < S; s++ {
+		for _, v := range e.shardSched[s] {
+			if S == 1 {
+				e.retire(v)
+			}
+			e.emitOutputs(int(v))
+			e.trackNode(int(v), e.round+1)
+		}
+		e.shardSched[s] = e.shardSched[s][:0]
+	}
+	e.compactIfSparse(linked)
+	e.round++
+	e.metrics.Rounds = e.round
+	if e.hooks.Round != nil {
+		e.hooks.Round(e.round-1, RoundDelta{
+			Messages: e.metrics.MessagesDelivered - msgs0,
+			Words:    e.metrics.WordsDelivered - words0,
+			Moved:    moved,
+		})
+	}
+}
+
+// routeWakeups adds this round's wake-ups to their shards' scheduled
+// lists, on the spine. Every nextReady entry is due exactly this round and
+// cannot have been superseded (its node could not run since it was
+// recorded) — except by a crash, which the dead guard catches. Wheel
+// entries whose bucket round no longer matches nextWake were superseded by
+// a later reschedule, a finish or a crash, and are skipped.
+func (e *Engine) routeWakeups() {
 	for _, v := range e.nextReady {
 		if e.flt != nil && e.flt.dead[v] {
 			continue
@@ -326,69 +384,53 @@ func (e *Engine) stepSharded() {
 		}
 		e.wheel.release(bucket)
 	}
-	nsched := 0
-	for s := 0; s < S; s++ {
-		nsched += len(e.shardSched[s])
-	}
-	// Compute fan-out (each shard sorts its own list first), gated on
-	// words delivered this round plus scheduled nodes: a node's Round cost
-	// scales with its inbox, plus a constant.
-	computeActivity := int64(nsched) + (e.metrics.WordsDelivered - words0)
-	if usePar && computeActivity >= parallelMinWords && nsched > 1 {
-		e.pool().run(S, e.shardComputeFn)
-	} else {
-		for s := 0; s < S; s++ {
-			e.shardComputeFn(s)
+}
+
+// scheduleDense is the dense reference's scheduling branch: it scans all n
+// nodes after delivery and schedules every live node with a non-empty
+// inbox or a due wake-up. Dense engines always run on one shard.
+func (e *Engine) scheduleDense() {
+	sched := e.shardSched[0]
+	for v, ctx := range e.ctxs {
+		if e.isDead(v) {
+			continue // crashed nodes never run (their inboxes stay empty)
+		}
+		if len(e.inboxes[v]) > 0 || (!ctx.done && ctx.wake <= e.round) {
+			sched = append(sched, int32(v))
 		}
 	}
-	// Merge, gated on the channel-words sent this round plus scheduled
-	// nodes.
+	e.shardSched[0] = sched
+}
+
+// mergeShards is the merge of a plan with S > 1 shards: the sender shards
+// link their logs and stage activations, and after the barrier the
+// receiver shards drain them. The fan-out is gated on the channel-words
+// sent this round plus scheduled nodes.
+func (e *Engine) mergeShards(usePar bool, nsched int) {
+	S := e.nshards
 	mergeWork := int64(nsched)
-	linked := false
 	for _, a := range e.arenas {
 		mergeWork += a.sent
-		linked = linked || a.log.n > 0
 	}
-	for i := range e.shardCtr {
-		e.shardCtr[i] = deliveryShard{}
-	}
+	clear(e.shardCtr)
 	if usePar && mergeWork >= parallelMinWords && nsched > 1 {
 		e.pool().run(S, e.shardMergeFn)
 		e.pool().run(S, e.shardDrainFn)
 	} else {
 		for s := 0; s < S; s++ {
-			e.shardMergeFn(s)
+			e.shardMergeWork(s)
 		}
 		for t := 0; t < S; t++ {
-			e.shardDrainFn(t)
+			e.shardDrainWork(t)
 		}
 	}
 	for i := range e.shardCtr {
 		e.queuedWords += e.shardCtr[i].words
 	}
 	// Newly broadcast-active senders, ascending shard then ascending sender
-	// = ascending sender, the single-shard activation order.
+	// = ascending sender, the one-shard activation order.
 	for s := 0; s < S; s++ {
 		e.bcastActive = append(e.bcastActive, e.stagedBcast[s]...)
 		e.stagedBcast[s] = e.stagedBcast[s][:0]
-	}
-	// Output emission and scheduler tracking on the spine, in global
-	// ascending node order (per-shard lists are sorted and contiguous).
-	for s := 0; s < S; s++ {
-		for _, v := range e.shardSched[s] {
-			e.emitOutputs(int(v))
-			e.trackNode(int(v), e.round+1)
-		}
-		e.shardSched[s] = e.shardSched[s][:0]
-	}
-	e.compactIfSparse(linked)
-	e.round++
-	e.metrics.Rounds = e.round
-	if e.hooks.Round != nil {
-		e.hooks.Round(e.round-1, RoundDelta{
-			Messages: e.metrics.MessagesDelivered - msgs0,
-			Words:    e.metrics.WordsDelivered - words0,
-			Moved:    moved,
-		})
 	}
 }

@@ -3,7 +3,7 @@ package sim
 // Differential tests for the sharded engine: across shard counts, graph
 // families and modes, every observable — metrics, outputs,
 // final round, hook streams, cancellation prefixes, Reset/Rebind reuse —
-// must be bit-identical to the single-shard engine. The chatter machines
+// must be bit-identical to the one-shard plan. The chatter machines
 // from scheduler_test.go supply the adversarial behavior (random sleeps,
 // bursts, SetDone, outputs).
 
@@ -96,8 +96,23 @@ func TestShardEquivalenceChatter(t *testing.T) {
 	})
 }
 
+// TestSingleShardNeverPools pins that a one-shard plan never builds the
+// worker pool or its cleanup: on the input where every phase of a sharded
+// run fans out, engines at Shards 0 and 1 run on the caller's goroutine
+// alone.
+func TestSingleShardNeverPools(t *testing.T) {
+	requirePool(t)
+	g := fanOutGraph()
+	for _, shards := range []int{0, 1} {
+		eng, _ := runChatterEngine(t, g, Config{Seed: 77, BandwidthWords: 1, Shards: shards}, false)
+		if eng.wpool != nil || eng.nshards != 1 {
+			t.Fatalf("shards=%d: %d shards, pool built: %v", shards, eng.nshards, eng.wpool != nil)
+		}
+	}
+}
+
 // TestShardEquivalenceDense cross-checks the sharded engine against the
-// dense reference stepper (shards require the activity scheduler, so this
+// dense reference (shards require the activity scheduler, so this
 // transitively pins sharded == dense through the scheduler equivalence).
 func TestShardEquivalenceDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))

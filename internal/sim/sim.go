@@ -14,10 +14,12 @@
 // incident input edges, the value of n, its private randomness, and the
 // words delivered to it — the CONGEST knowledge discipline.
 //
-// The engine steps each round sequentially by default. Config.Shards cuts
-// the nodes into contiguous shards that run each phase of the round on a
-// worker pool (goroutines synchronized by a barrier); for the same seed
-// every shard count produces identical outputs and metrics.
+// One round function steps every engine, over a plan of contiguous node
+// shards: by default the plan has one shard and every phase of the round
+// runs on the caller's goroutine. Config.Shards cuts more shards, which run
+// each phase of the round on a worker pool (goroutines synchronized by a
+// barrier); for the same seed every shard count produces identical outputs
+// and metrics.
 package sim
 
 import (
@@ -272,7 +274,7 @@ type Metrics struct {
 	// advanced through its fast path (batched jumps or zero-delta hook
 	// emissions) instead of stepping. It is scheduler provenance, not model
 	// behavior: Rounds already includes these rounds, every other metric is
-	// unaffected by them, and the dense reference stepper always reports 0.
+	// unaffected by them, and the dense reference always reports 0.
 	FastForwardedRounds int
 
 	// Faults aggregates the fault layer's interventions (all zero without

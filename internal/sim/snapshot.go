@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -26,9 +27,8 @@ import (
 // Snapshotter interface. Derived engine state (stamps, queued-word
 // accounting, the notDone counter, per-shard receiver splits) is
 // reconstructed on restore, which is what makes a snapshot taken at one
-// shard count restore bit-identically at any other: the single-shard and
-// staging-matrix engines agree on all serialized state at every round
-// boundary.
+// shard count restore bit-identically at any other: engines at every shard
+// count agree on all serialized state at every round boundary.
 
 // Snapshotter is implemented by node machines that support engine
 // snapshots. SnapshotState must serialize every bit of mutable per-node
@@ -52,7 +52,8 @@ var (
 	// seed, bandwidth, mode or scheduler than the restoring engine's.
 	ErrSnapshotMismatch = errors.New("sim: snapshot does not match engine configuration")
 	// ErrSnapshotState reports Snapshot/Restore called outside their
-	// contract (mid-round, or restoring into a started engine).
+	// contract (mid-round, restoring into a started engine, or snapshotting
+	// an engine whose bandwidth does not fit the header's 32 bits).
 	ErrSnapshotState = errors.New("sim: engine not in a snapshottable state")
 )
 
@@ -314,7 +315,7 @@ func (r *SnapReader) Bools() []bool {
 // restoreSpan stores a restored queue's words once, in sender u's shard
 // arena, and returns the single-span queue holding them.
 func (e *Engine) restoreSpan(u int32, ws []Word) spanQueue {
-	a := e.arenaOf(u)
+	a := e.arenas[e.shardOf[u]]
 	off := a.words.add(ws)
 	return spanQueue{off: uint32(off), n: uint32(len(ws))}
 }
@@ -326,12 +327,17 @@ func (e *Engine) Quiescent() bool { return e.quiescent() }
 
 // Snapshot serializes the engine's complete run state at the current round
 // boundary. The engine must have started (Init has run) and be between
-// rounds — the only points Run/RunContext ever pause at. The engine is not
-// mutated. Every node machine must implement Snapshotter, or the snapshot
-// fails with ErrNotSnapshottable naming the node.
+// rounds — the only points Run/RunContext ever pause at — and its
+// bandwidth at most 2^32-1 words, the most the header records: a larger B
+// would give a payload no engine can restore. The engine is not mutated.
+// Every node machine must implement Snapshotter, or the snapshot fails
+// with ErrNotSnapshottable naming the node.
 func (e *Engine) Snapshot() ([]byte, error) {
 	if !e.started {
 		return nil, fmt.Errorf("%w: engine has not started", ErrSnapshotState)
+	}
+	if uint64(e.cfg.BandwidthWords) > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: bandwidth %d does not fit the header's 32 bits", ErrSnapshotState, e.cfg.BandwidthWords)
 	}
 	for _, a := range e.arenas {
 		if a.log.n != 0 {
@@ -384,17 +390,13 @@ func (e *Engine) Snapshot() ([]byte, error) {
 
 	// Active unicast channels, grouped by receiver in ascending receiver
 	// order — a canonical form shared by every shard count (the order of
-	// activeRecv/shardRecv is unobservable: delivery is per-receiver
-	// independent and the scheduled set is re-sorted every round). Within a
-	// receiver, recvActive order IS observable (it is the inbox order) and
-	// is serialized verbatim.
+	// shardRecv is unobservable: delivery is per-receiver independent and
+	// the scheduled set is re-sorted every round). Within a receiver,
+	// recvActive order IS observable (it is the inbox order) and is
+	// serialized verbatim.
 	var recvs []int32
-	if e.nshards > 1 {
-		for s := range e.shardRecv {
-			recvs = append(recvs, e.shardRecv[s]...)
-		}
-	} else {
-		recvs = append(recvs, e.activeRecv...)
+	for _, rs := range e.shardRecv {
+		recvs = append(recvs, rs...)
 	}
 	slices.Sort(recvs)
 	w.U32(uint32(len(recvs)))
@@ -404,7 +406,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 		w.U32(uint32(len(e.recvActive[v])))
 		for _, eid := range e.recvActive[v] {
 			w.U32(uint32(eid))
-			buf = e.arenaOf(e.edgeFrom[eid]).appendQueued(buf[:0], &e.queues[eid])
+			buf = e.arenas[e.shardOf[e.edgeFrom[eid]]].appendQueued(buf[:0], &e.queues[eid])
 			w.Words(buf)
 			if e.flt != nil {
 				// Delay arming is the one piece of mutable fault state a
@@ -424,8 +426,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	w.U32(uint32(len(e.bcastActive)))
 	for _, u := range e.bcastActive {
 		w.U32(uint32(u))
-		a := e.arenaOf(u)
-		buf = a.appendQueued(buf[:0], &e.bcastQ[u])
+		buf = e.arenas[e.shardOf[u]].appendQueued(buf[:0], &e.bcastQ[u])
 		w.Words(buf)
 		if e.flt != nil {
 			if e.flt.bcastArmStamp != nil && e.flt.bcastArmStamp[u] == e.epoch {
@@ -586,7 +587,7 @@ func (e *Engine) Restore(payload []byte) error {
 		// List v before restoring its channels, so that a restore failing
 		// among them leaves every restored queue where clearRun finds it.
 		e.recvStamp[v] = e.epoch
-		*e.recvListOf(v) = append(*e.recvListOf(v), v)
+		e.shardRecv[e.shardOf[v]] = append(e.shardRecv[e.shardOf[v]], v)
 		total := int64(0)
 		e.recvActive[v] = e.recvActive[v][:0]
 		for j := 0; j < neid; j++ {

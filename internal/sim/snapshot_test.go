@@ -163,6 +163,26 @@ func TestSnapshotShardedCut(t *testing.T) {
 	}
 }
 
+// TestSnapshotBandwidthLimit pins the header's 32-bit bandwidth field: at
+// B = 2^32-1 a cut-and-resumed run matches the straight run, and at
+// B = 2^32 Snapshot fails rather than write a payload whose bandwidth no
+// engine matches on restore.
+func TestSnapshotBandwidthLimit(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	g := graph.Gnp(32, 0.2, rng)
+	cfg := Config{Seed: 8, BandwidthWords: 1<<32 - 1}
+	assertSameRun(t, "B=2^32-1", runStraight(t, g, cfg), runCut(t, g, cfg, cfg, 2))
+	cfg.BandwidthWords = 1 << 32
+	eng, err := NewEngine(g, snapNodes(g.N(), cfg.Mode), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run(2)
+	if _, err := eng.Snapshot(); !errors.Is(err, ErrSnapshotState) {
+		t.Fatalf("snapshot at B=2^32: got %v, want ErrSnapshotState", err)
+	}
+}
+
 // TestSnapshotStable pins re-serialization: restoring a snapshot and
 // immediately snapshotting again yields byte-identical payloads, the
 // property the checkpoint fuzzer builds on.
