@@ -430,6 +430,16 @@ func BenchmarkEngineStepLarge(b *testing.B) {
 	b.Run("sharded", perf.EngineStepLarge(4))
 }
 
+// BenchmarkEngineNbrList — one two-hop exchange on gnp(10^5, 8/n): every
+// node broadcasts its neighbour list at B=2 and the engine runs until the
+// channels drain, unsharded vs the 4-shard engine. Its channel state does
+// not fit in cache and stays backlogged for several rounds, so delivery
+// locality shows here; cmd/bench does not gate it.
+func BenchmarkEngineNbrList(b *testing.B) {
+	b.Run("seq", perf.EngineNbrList(0))
+	b.Run("sharded", perf.EngineNbrList(4))
+}
+
 // BenchmarkEngineResetLarge — one Reset of the million-node engine after a
 // run in which every node drew from its private stream: the rewind a
 // pooled engine pays before each job. Expensive set-up, like

@@ -505,6 +505,89 @@ func EngineStepLarge(shards int) func(*testing.B) {
 	}
 }
 
+// nbrListN is the node count of the neighbour-list exchange workload: at
+// mean degree 8 its ~800k channels' state is far larger than a CPU cache.
+const nbrListN = 100_000
+
+var nbrListState struct {
+	once sync.Once
+	g    *graph.Graph
+}
+
+// nbrListNode broadcasts its neighbour list in Init and finishes, and
+// folds every word it receives into a digest: the paper's two-hop
+// baseline (every node streams its list to every neighbour) in miniature.
+// It keeps the list's words across runs, so a warm exchange allocates
+// nothing.
+type nbrListNode struct {
+	list   []sim.Word
+	digest uint64
+}
+
+func (h *nbrListNode) Init(ctx *sim.Context) {
+	h.list = h.list[:0]
+	for _, u := range ctx.InputNeighbors() {
+		h.list = append(h.list, sim.Word(u))
+	}
+	ctx.Broadcast(h.list...)
+	ctx.SetDone()
+}
+
+func (h *nbrListNode) Round(ctx *sim.Context, round int, inbox []sim.Delivery) {
+	for _, d := range inbox {
+		for _, w := range d.Words {
+			h.digest = h.digest*31 + w ^ uint64(d.From)
+		}
+	}
+}
+
+// EngineNbrList measures one two-hop exchange on gnp(10^5, 8/n) with the
+// given shard count (0 = the unsharded engine): every node broadcasts its
+// neighbour list at B=2 and the engine runs until every channel drains.
+// One op is one whole exchange on a reset engine. Unlike EngineStepLarge,
+// whose every queue drains each round, the queues here stay backlogged for
+// the d_max/2 rounds the longest lists take, so each round pops from
+// channel state that does not fit in cache: a regression in delivery
+// locality shows here first. It is not in Suites, so the regression gate
+// does not run it.
+func EngineNbrList(shards int) func(*testing.B) {
+	return func(b *testing.B) {
+		nbrListState.once.Do(func() {
+			rng := rand.New(rand.NewSource(47))
+			nbrListState.g = graph.Gnp(nbrListN, 8.0/float64(nbrListN-1), rng)
+		})
+		g := nbrListState.g
+		nodes := make([]sim.Node, g.N())
+		for v := range nodes {
+			nodes[v] = &nbrListNode{}
+		}
+		eng, err := sim.NewEngine(g, nodes, sim.Config{Seed: 1, BandwidthWords: 2, Shards: shards})
+		if err != nil {
+			b.Fatal(err)
+		}
+		exchange := func(seed int64) {
+			if err := eng.Reset(nodes, seed); err != nil {
+				b.Fatal(err)
+			}
+			if err := eng.RunUntilQuiescent(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		// Grow the arenas, queues and inboxes. Each exchange ends on an
+		// arena flip, so the next one sends into the other half: warm both.
+		exchange(-1)
+		exchange(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			exchange(int64(i + 1))
+		}
+		b.StopTimer()
+		words := eng.Metrics().WordsDelivered
+		b.ReportMetric(float64(words)*float64(b.N)/b.Elapsed().Seconds(), "words/sec")
+	}
+}
+
 // drawNode draws once from its private stream in Init and finishes, so
 // every node's stream has moved when the run ends.
 type drawNode struct{}
@@ -625,6 +708,10 @@ func Sweep(workers int) func(*testing.B) {
 // a wide margin.
 func dynamicBatch(g *graph.Graph) int { return g.M() / 100 }
 
+// dynamicWarmBatches is how many churn batches DynamicApply applies before
+// it starts timing.
+const dynamicWarmBatches = 16
+
 // DynamicApply measures per-batch churn cost on the oracle workload graph:
 // incremental delta maintenance vs a full static recompute per batch.
 func DynamicApply(incremental bool) func(*testing.B) {
@@ -637,15 +724,9 @@ func DynamicApply(incremental bool) func(*testing.B) {
 		var o *dynamic.IncrementalOracle
 		if incremental {
 			o = dynamic.NewIncrementalOracle(d)
-		} else {
-			scratch.CountTriangles(g) // warm the recompute scratch
 		}
-		edges := 0
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		apply := func() int {
 			batch := w.Next(d, rng)
-			edges += len(batch.Insert) + len(batch.Delete)
 			if incremental {
 				if _, err := o.Apply(batch); err != nil {
 					b.Fatal(err)
@@ -657,6 +738,19 @@ func DynamicApply(incremental bool) func(*testing.B) {
 				snap, _ := d.Snapshot()
 				scratch.CountTriangles(snap)
 			}
+			return len(batch.Insert) + len(batch.Delete)
+		}
+		// Warm the oracle's and the recompute's scratch before timing, so
+		// the growth is not charged to the first b.N batches and allocs/op
+		// does not depend on b.N.
+		for range dynamicWarmBatches {
+			apply()
+		}
+		edges := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			edges += apply()
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(edges)/b.Elapsed().Seconds(), "edges/sec")

@@ -11,10 +11,11 @@ import "math"
 //     logs one record, and all deg(v) channels link the same span.
 //   - The merge walks the log in send order — ascending sender, then the
 //     sender's own call order — and links each record's span into its
-//     channel queues. No word is copied. A channel whose queue was empty
-//     becomes active: it joins its receiver's active list, which with
-//     more than one shard the receiver's shard appends to from a staged
-//     list of channel ids (see sharded.go).
+//     channel queues, found through the reverse-slot index (twin). No word
+//     is copied. A channel whose queue was empty becomes active: it joins
+//     its receiver's active list, which with more than one shard the
+//     receiver's shard appends to from a staged list of channels (see
+//     sharded.go).
 //   - A channel queue (and a broadcast-mode sender queue) is a pointer-free
 //     FIFO of spans of its sender shard's active half: the head span sits
 //     inline in the queue entry and any further spans in that shard's span
@@ -298,31 +299,45 @@ func (e *Engine) bindArenas() {
 	}
 }
 
-// activate records that channel eid just became active: it joins its
-// receiver's active list in activation order — ascending sender, then send
-// order, the determinism contract's source of per-receiver delivery order
-// — and a receiver with its first active channel joins its shard's
-// receiver list.
-func (e *Engine) activate(eid int32) {
-	to := e.commTgts[eid]
-	e.recvActive[to] = append(e.recvActive[to], eid)
-	if e.recvStamp[to] != e.epoch {
-		e.recvStamp[to] = e.epoch
+// arenaOf returns the send arena of sender u's shard. A one-shard plan has
+// one arena, and not reading shardOf there saves delivery a cache miss per
+// channel.
+func (e *Engine) arenaOf(u int32) *sendArena {
+	if len(e.arenas) == 1 {
+		return e.arenas[0]
+	}
+	return e.arenas[e.shardOf[u]]
+}
+
+// activate records that channel c just became active toward receiver to:
+// it joins to's active list in activation order — ascending sender, then
+// send order, the determinism contract's source of per-receiver delivery
+// order — and a receiver with its first active channel sets its bit in its
+// shard's receiver bitset.
+func (e *Engine) activate(c, to int32) {
+	k := e.nactive[to]
+	e.active[e.commOffs[to]+k] = c
+	e.nactive[to] = k + 1
+	if k == 0 {
 		s := e.shardOf[to]
-		e.shardRecv[s] = append(e.shardRecv[s], to)
+		i := to - e.shardBounds[s]
+		e.recvBits[s][i>>6] |= 1 << (i & 63)
 	}
 }
 
 // linkLog links every record of a's send log into its queues in log
 // order — ascending sender, then send order — and empties the log. It
-// calls activated for each channel whose queue was empty and
-// bcastActivated for each sender whose broadcast queue was empty, in that
-// order, and returns the words queued. No word is copied.
-func (e *Engine) linkLog(a *sendArena, activated, bcastActivated func(int32)) int64 {
+// calls activated with each channel whose queue was empty and its
+// receiver, and bcastActivated for each sender whose broadcast queue was
+// empty, in that order, and returns the words queued. No word is copied.
+func (e *Engine) linkLog(a *sendArena, activated func(c, to int32), bcastActivated func(int32)) int64 {
 	queued := int64(0)
-	link := func(eid int32, off, n uint32) {
-		if a.push(&e.queues[eid], off, n) {
-			activated(eid)
+	// link queues a span on the channel of the sender slot s: twin[s], from
+	// the sender to commTgts[s].
+	link := func(s int32, off, n uint32) {
+		c := e.twin[s]
+		if a.push(&e.queues[c], off, n) {
+			activated(c, e.commTgts[s])
 		}
 		queued += int64(n)
 	}
@@ -339,8 +354,8 @@ func (e *Engine) linkLog(a *sendArena, activated, bcastActivated func(int32)) in
 				}
 				queued += int64(r.n)
 			case allIdx:
-				for eid := e.commOffs[from]; eid < e.commOffs[from+1]; eid++ {
-					link(eid, off, r.n)
+				for s := e.commOffs[from]; s < e.commOffs[from+1]; s++ {
+					link(s, off, r.n)
 				}
 			default:
 				link(e.commOffs[from]+r.nbr, off, r.n)
@@ -397,15 +412,11 @@ func (e *Engine) compactIfSparse(linked bool) {
 	for _, a := range e.arenas {
 		a.spare.reset()
 	}
-	for _, recvs := range e.shardRecv {
-		for _, v := range recvs {
-			for _, eid := range e.recvActive[v] {
-				e.arenas[e.shardOf[e.edgeFrom[eid]]].compactQueue(&e.queues[eid])
-			}
-		}
-	}
+	e.eachActive(func(c int32) {
+		e.arenaOf(e.commTgts[c]).compactQueue(&e.queues[c])
+	})
 	for _, u := range e.bcastActive {
-		e.arenas[e.shardOf[u]].compactQueue(&e.bcastQ[u])
+		e.arenaOf(u).compactQueue(&e.bcastQ[u])
 	}
 	for _, a := range e.arenas {
 		a.words, a.spare = a.spare, a.words

@@ -35,13 +35,9 @@ func checkQueues(t *testing.T, e *Engine) {
 			total += int64(n)
 		})
 	}
-	for _, recvs := range e.shardRecv {
-		for _, v := range recvs {
-			for _, eid := range e.recvActive[v] {
-				check(fmt.Sprintf("channel %d", eid), &e.queues[eid], e.arenas[e.shardOf[e.edgeFrom[eid]]])
-			}
-		}
-	}
+	e.eachActive(func(c int32) {
+		check(fmt.Sprintf("channel %d", c), &e.queues[c], e.arenas[e.shardOf[e.commTgts[c]]])
+	})
 	for _, u := range e.bcastActive {
 		check(fmt.Sprintf("broadcast queue %d", u), &e.bcastQ[u], e.arenas[e.shardOf[u]])
 	}

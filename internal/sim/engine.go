@@ -57,7 +57,7 @@ type Config struct {
 	Seed int64
 	// Shards statically partitions the nodes into at most that many
 	// contiguous engine shards (cut by degree weight), each owning its
-	// nodes' send arena and channel queues, inboxes and scheduling lists;
+	// nodes' send arena, in-channel queues, inboxes and scheduling lists;
 	// cross-shard channel activations go through per-(sender-shard,
 	// receiver-shard) staging lists drained in ascending shard order, so
 	// outputs, metrics, Round(), hook streams and cancellation prefixes are
@@ -149,14 +149,17 @@ func (e *Engine) SetHooks(h Hooks) { e.hooks = h }
 
 // Engine simulates one algorithm run over one input graph.
 //
-// Channel state lives in a single flat slab: the communication topology is a
-// CSR adjacency (commOffs, commTgts) and the directed channel from u to its
-// i-th communication neighbor is slot commOffs[u]+i of every per-edge array
-// (queues, edgeFrom). A queue holds spans of the sender shard's send
-// arena, never words (see arena.go), and its channel is active iff it is
-// non-empty. Active channels are tracked with
-// epoch-stamped dense arrays plus compacted lists, so a round touches only
-// live state and steady-state rounds allocate nothing.
+// Channel state lives in a single flat slab laid out by receiver: the
+// communication topology is a CSR adjacency (commOffs, commTgts), and the
+// directed channel from u to v is channel c = commOffs[v]+j, where j is u's
+// index in v's sorted neighbour list, so commTgts[c] is its sender and a
+// receiver's in-channels are contiguous in every per-channel array
+// (queues, active, the fault layer's arming). A queue holds spans of the
+// sender shard's send arena, never words (see arena.go), and its channel
+// is active iff it is non-empty. Active channels are tracked in a flat
+// per-receiver list plus a per-shard receiver bitset, so a round touches
+// only live state, visits receivers in ascending order, and steady-state
+// rounds allocate nothing.
 type Engine struct {
 	cfg   Config
 	input *graph.Graph
@@ -169,17 +172,26 @@ type Engine struct {
 	commOffs []int32
 	commTgts []int32
 
-	// Flat per-directed-edge slabs, indexed by eid = commOffs[u]+i.
-	queues   []spanQueue
-	edgeFrom []int32 // sender u of edge eid
+	// twin is the reverse-slot index: for the slot s = commOffs[u]+i of
+	// v = commTgts[s] in u's list, twin[s] is the slot of u in v's list,
+	// which is channel u→v. On the symmetric sorted CSR it is an
+	// involution; NewEngine and Rebind refuse a topology it cannot be
+	// built for (see reverseSlots).
+	twin []int32
 
-	// Receiver-major active tracking: recvActive[v] lists the active in-edge
-	// ids of v in activation order, and shardRecv[s] (below) lists shard s's
-	// receivers with at least one active in-edge. Stamps dedupe insertions;
-	// bumping epoch invalidates every stamp at once.
-	epoch      uint32
-	recvStamp  []uint32
-	recvActive [][]int32
+	// queues is the per-channel slab, indexed by channel c = commOffs[v]+j
+	// (receiver v, sender commTgts[c]).
+	queues []spanQueue
+
+	// Receiver-major active tracking: active[commOffs[v]:commOffs[v]+
+	// nactive[v]] lists v's active in-channels in activation order — at
+	// most deg(v) of them, so v's slice of the slab always holds them — and
+	// recvBits[s] (below) marks shard s's receivers with at least one.
+	// epoch stamps the fault layer's arming; bumping it invalidates every
+	// stamp at once.
+	epoch   uint32
+	active  []int32
+	nactive []int32
 
 	// queuedWords is the words currently queued on all channels and
 	// broadcast queues, so it is non-zero exactly when some queue is: the
@@ -233,17 +245,19 @@ type Engine struct {
 	// Shard plan (see stepSharded in sharded.go). Nodes are cut into
 	// nshards contiguous ranges (shardBounds, len nshards+1) by degree
 	// weight — one range when Config.Shards <= 1 — and shardOf maps node to
-	// shard. shardRecv[s] lists shard s's receivers with an active in-edge
-	// and shardSched[s] its nodes scheduled this round; staging[s*nshards+t]
-	// holds the channels sender-shard s activated toward receiver-shard t;
-	// stagedBcast[s] holds shard s's newly broadcast-active senders;
-	// shardCtr carries per-shard counters across the fan-out barriers.
+	// shard. recvBits[s] is a bitset over shard s's node range, bit
+	// v-shardBounds[s] set iff receiver v has an active in-channel, and
+	// shardSched[s] lists its nodes scheduled this round;
+	// staging[s*nshards+t] holds the channels sender-shard s activated
+	// toward receiver-shard t; stagedBcast[s] holds shard s's newly
+	// broadcast-active senders; shardCtr carries per-shard counters across
+	// the fan-out barriers.
 	nshards        int
 	shardBounds    []int32
 	shardOf        []int32
-	shardRecv      [][]int32
+	recvBits       [][]uint64
 	shardSched     [][]int32
-	staging        [][]int32
+	staging        [][]staged
 	stagedBcast    [][]int32
 	shardCtr       []deliveryShard
 	shardDeliverFn func(s int)
@@ -306,15 +320,13 @@ func NewEngine(input *graph.Graph, nodes []Node, cfg Config) (*Engine, error) {
 		e.commOffs, e.commTgts = input.CSR()
 	}
 	ne := len(e.commTgts) // directed channel count
-	e.queues = make([]spanQueue, ne)
-	e.edgeFrom = make([]int32, ne)
-	for v := 0; v < n; v++ {
-		for eid := e.commOffs[v]; eid < e.commOffs[v+1]; eid++ {
-			e.edgeFrom[eid] = int32(v)
-		}
+	e.nactive = make([]int32, n)
+	e.twin = make([]int32, ne)
+	if err := reverseSlots(e.twin, e.nactive, e.commOffs, e.commTgts); err != nil {
+		return nil, err
 	}
-	e.recvStamp = make([]uint32, n)
-	e.recvActive = make([][]int32, n)
+	e.queues = make([]spanQueue, ne)
+	e.active = make([]int32, ne)
 	if cfg.Mode == ModeBroadcast {
 		e.bcastQ = make([]spanQueue, n)
 	}
@@ -364,6 +376,43 @@ func NewEngine(input *graph.Graph, nodes []Node, cfg Config) (*Engine, error) {
 // per-node streams are independent and engine-order independent.
 func nodeSeed(seed int64, id int) int64 {
 	return int64(mix64(uint64(seed)+golden*uint64(id+1)) & math.MaxInt64)
+}
+
+// reverseSlots fills twin, the reverse-slot index of the CSR topology
+// (offs, tgts), in O(n+m): senders are walked in ascending order, so the
+// next unfilled slot of each receiver's sorted list — cursor[v] counts the
+// filled ones — must name the current sender. It verifies that it does, so
+// an asymmetric or unsorted topology (a .csrbin load checks neither) is an
+// error rather than two channels sharing a queue. cursor holds one entry
+// per node; it must be all zero, and is left so.
+func reverseSlots(twin, cursor, offs, tgts []int32) error {
+	n := int32(len(cursor))
+	if len(offs) != len(cursor)+1 || offs[0] != 0 || int(offs[n]) != len(tgts) {
+		return fmt.Errorf("sim: topology offsets do not span %d nodes and %d slots", n, len(tgts))
+	}
+	var err error
+	for u := int32(0); u < n && err == nil; u++ {
+		if offs[u] > offs[u+1] {
+			err = fmt.Errorf("sim: topology offsets decrease at node %d", u)
+			break
+		}
+		for s := offs[u]; s < offs[u+1]; s++ {
+			v := tgts[s]
+			if v < 0 || v >= n {
+				err = fmt.Errorf("sim: topology names node %d of %d", v, n)
+				break
+			}
+			c := offs[v] + cursor[v]
+			if c >= offs[v+1] || tgts[c] != u {
+				err = fmt.Errorf("sim: topology is not symmetric and sorted: %d lists %d without a matching entry", u, v)
+				break
+			}
+			twin[s] = c
+			cursor[v]++
+		}
+	}
+	clear(cursor)
+	return err
 }
 
 func (e *Engine) initNodes() {
@@ -439,32 +488,41 @@ func (e *Engine) emitOutputs(v int) {
 	ctx.seenOut = len(ctx.outputs)
 }
 
-// deliverTo drains up to B words from every active in-edge of receiver v
-// into v's inbox. It touches only v-owned state (v's inbox, v's in-edge
-// queues and active list, v's recv counter), the scratch of v's shard
-// arena a and the caller's counters, so engine shards can deliver to
-// their own receivers concurrently. Senders' arenas are only read.
+// deliverTo drains up to B words from every active in-channel of receiver
+// v into v's inbox, in activation order. It touches only v-owned state (v's
+// inbox, v's in-channel queues and active list — both contiguous — and v's
+// recv counter), the scratch of v's shard arena a and the caller's
+// counters, so engine shards can deliver to their own receivers
+// concurrently. Senders' arenas are only read.
 func (e *Engine) deliverTo(v int32, shard *deliveryShard, a *sendArena) {
 	if e.flt != nil {
 		e.deliverToFaulty(v, shard, a)
 		return
 	}
 	b := e.cfg.BandwidthWords
-	keep := e.recvActive[v][:0]
-	for _, eid := range e.recvActive[v] {
-		q := &e.queues[eid]
-		from := e.edgeFrom[eid]
-		ws := a.pop(q, e.arenas[e.shardOf[from]], b)
-		e.inboxes[v] = append(e.inboxes[v], Delivery{From: int(from), Words: ws})
-		shard.messages++
-		shard.words += int64(len(ws))
-		e.metrics.PerNodeWordsRecv[v] += int64(len(ws))
-		shard.moved = true
+	lo := e.commOffs[v]
+	act := e.active[lo : lo+e.nactive[v]]
+	keep := act[:0]
+	inbox := e.inboxes[v]
+	words := int64(0)
+	for _, c := range act {
+		q := &e.queues[c]
+		from := e.commTgts[c]
+		ws := a.pop(q, e.arenaOf(from), b)
+		inbox = append(inbox, Delivery{From: int(from), Words: ws})
+		words += int64(len(ws))
 		if q.n != 0 {
-			keep = append(keep, eid)
+			keep = append(keep, c)
 		}
 	}
-	e.recvActive[v] = keep
+	e.inboxes[v] = inbox
+	shard.messages += int64(len(act))
+	shard.words += words
+	if len(act) > 0 {
+		shard.moved = true
+	}
+	e.metrics.PerNodeWordsRecv[v] += words
+	e.nactive[v] = int32(len(keep))
 }
 
 // consumeInbox empties node v's inbox after its Round call, zeroing the
@@ -478,7 +536,7 @@ func (e *Engine) consumeInbox(v int32) {
 // topology: a new node set, a new seed, zeroed metrics, empty channels and
 // empty send arenas (both halves), while every slab (queues, stamps,
 // lists, inboxes, arena chunks) keeps its capacity. Bumping the epoch
-// invalidates all receiver stamps in O(1); only channels that were still
+// invalidates all arming stamps in O(1); only channels that were still
 // active have queued words to discard, so resetting a drained engine is
 // O(n). Repeated runs (benchmark
 // loops, repetition-amplified algorithms) reuse one engine allocation-free.
@@ -503,7 +561,9 @@ func (e *Engine) Config() Config { return e.cfg }
 // reusing their capacity, so rebinding across snapshots of comparable
 // density allocates little to nothing: only growth beyond any previously
 // seen edge count pays. In clique mode the communication topology does not
-// depend on the input edges, so only the per-node input views change.
+// depend on the input edges, so only the per-node input views change. A
+// topology that is not symmetric and sorted is refused with an error; the
+// engine then keeps its old graph, rewound as by Reset(nodes, seed).
 func (e *Engine) Rebind(input *graph.Graph, nodes []Node, seed int64) error {
 	n := len(e.nodes)
 	if input.N() != n {
@@ -512,29 +572,36 @@ func (e *Engine) Rebind(input *graph.Graph, nodes []Node, seed int64) error {
 	if len(nodes) != n {
 		return fmt.Errorf("sim: rebind with %d nodes for %d-vertex graph", len(nodes), n)
 	}
-	// Drain channel state while the edge ids still mean what the queues
+	// Drain channel state while the channel ids still mean what the queues
 	// think they mean; after the swap the old active lists would index the
 	// wrong channels.
 	e.clearRun(nodes, seed)
-	e.input = input
 	inOffs, inTgts := input.CSR()
 	if e.cfg.Mode != ModeClique {
+		ne := len(inTgts)
+		twin := e.twin
+		if cap(twin) < ne {
+			twin = make([]int32, ne)
+		}
+		// clearRun left every nactive entry zero: it is the build's cursor.
+		if err := reverseSlots(twin[:ne], e.nactive, inOffs, inTgts); err != nil {
+			// The old index may be partly overwritten: rebuild it and keep
+			// the old graph. The rebuild cannot fail: it succeeded before.
+			_ = reverseSlots(e.twin, e.nactive, e.commOffs, e.commTgts)
+			return err
+		}
+		e.twin = twin[:ne]
 		e.commOffs, e.commTgts = inOffs, inTgts
-		ne := len(e.commTgts)
 		// Every queue is empty after clearRun, including ones a previous
-		// rebind sliced away, so the slab regrows over its capacity as is.
+		// rebind sliced away, so the slabs regrow over their capacity as is.
 		if cap(e.queues) < ne {
 			e.queues = make([]spanQueue, ne)
-			e.edgeFrom = make([]int32, ne)
+			e.active = make([]int32, ne)
 		}
 		e.queues = e.queues[:ne]
-		e.edgeFrom = e.edgeFrom[:ne]
-		for v := 0; v < n; v++ {
-			for eid := e.commOffs[v]; eid < e.commOffs[v+1]; eid++ {
-				e.edgeFrom[eid] = int32(v)
-			}
-		}
+		e.active = e.active[:ne]
 	}
+	e.input = input
 	for v, ctx := range e.ctxs {
 		ctx.comm = e.commTgts[e.commOffs[v]:e.commOffs[v+1]]
 		ctx.input = inTgts[inOffs[v]:inOffs[v+1]]
@@ -553,14 +620,10 @@ func (e *Engine) Rebind(input *graph.Graph, nodes []Node, seed int64) error {
 // channels, bump the epoch (invalidating every stamp in O(1)), re-seed the
 // node contexts and zero the metrics, keeping every slab allocation.
 func (e *Engine) clearRun(nodes []Node, seed int64) {
-	for s := range e.shardRecv {
-		for _, v := range e.shardRecv[s] {
-			for _, eid := range e.recvActive[v] {
-				e.queues[eid] = spanQueue{}
-			}
-			e.recvActive[v] = e.recvActive[v][:0]
-		}
-		e.shardRecv[s] = e.shardRecv[s][:0]
+	e.eachActive(func(c int32) { e.queues[c] = spanQueue{} })
+	for s := range e.recvBits {
+		e.eachReceiver(s, func(v int32) { e.nactive[v] = 0 })
+		clear(e.recvBits[s])
 		e.shardSched[s] = e.shardSched[s][:0]
 		e.stagedBcast[s] = e.stagedBcast[s][:0]
 	}

@@ -8,7 +8,7 @@ import "repro/internal/faults"
 // so the injected behavior is bit-identical across shard counts, worker
 // placement and both schedulers, and checkpoint cut-and-resume only
 // has to carry the crash cursor (derivable from the round) and the
-// per-edge delay arming (serialized in snapshots).
+// per-channel delay arming (serialized in snapshots).
 //
 // Semantics, in delivery order:
 //
@@ -63,7 +63,7 @@ type FaultMetrics struct {
 // faultState is the engine's mutable fault runtime. All mutation happens
 // either on the sequential spine (dead set, crash cursor) or under the
 // delivery phase's receiver-ownership discipline (armAt/armStamp of a
-// receiver's in-edges), so it needs no synchronization.
+// receiver's in-channels), so it needs no synchronization.
 type faultState struct {
 	comp    *faults.Compiled
 	crashes []faults.Crash
@@ -77,10 +77,11 @@ type faultState struct {
 	nextCrash int
 	dead      []bool
 
-	// Delay arming, epoch-stamped: edge eid is armed iff
-	// armStamp[eid] == engine epoch, and then delivers no earlier than
-	// round armAt[eid]. Cleared when the edge drains so the next
-	// activation burst redraws. Nil unless the plan has delay.
+	// Delay arming, indexed by channel like the queues and
+	// epoch-stamped: channel c is armed iff armStamp[c] == engine epoch,
+	// and then delivers no earlier than round armAt[c]. Cleared when the
+	// channel drains so the next activation burst redraws. Nil unless the
+	// plan has delay.
 	armAt    []int32
 	armStamp []uint32
 	// Broadcast-mode arming for the per-sender shared channel.
@@ -117,7 +118,7 @@ func newFaultState(plan *faults.Plan, n, nedges int, bcast bool) (*faultState, e
 	return f, nil
 }
 
-// resizeEdges re-sizes the per-edge arming slabs after a Rebind changed
+// resizeEdges re-sizes the per-channel arming slabs after a Rebind changed
 // the channel count. The engine is drained at that point, so contents
 // need no migration (the epoch bump invalidated every stamp).
 func (f *faultState) resizeEdges(nedges int) {
@@ -204,38 +205,40 @@ func (e *Engine) deliverToFaulty(v int32, shard *deliveryShard, a *sendArena) {
 	f := e.flt
 	b := e.cfg.BandwidthWords
 	dead := f.dead[v]
-	keep := e.recvActive[v][:0]
-	for _, eid := range e.recvActive[v] {
-		q := &e.queues[eid]
+	lo := e.commOffs[v]
+	act := e.active[lo : lo+e.nactive[v]]
+	keep := act[:0]
+	for _, c := range act {
+		q := &e.queues[c]
+		from := e.commTgts[c]
 		if f.hasDelay && !dead {
-			if f.armStamp[eid] != e.epoch {
-				f.armStamp[eid] = e.epoch
-				k := f.comp.DelayFor(e.round, int(e.edgeFrom[eid]), int(v))
-				f.armAt[eid] = int32(e.round + k)
+			if f.armStamp[c] != e.epoch {
+				f.armStamp[c] = e.epoch
+				k := f.comp.DelayFor(e.round, int(from), int(v))
+				f.armAt[c] = int32(e.round + k)
 			}
-			if int32(e.round) < f.armAt[eid] {
+			if int32(e.round) < f.armAt[c] {
 				shard.delayed++
-				keep = append(keep, eid) // nothing pops; the edge stays active
+				keep = append(keep, c) // nothing pops; the channel stays active
 				continue
 			}
 		}
-		ws := a.pop(q, e.arenas[e.shardOf[e.edgeFrom[eid]]], b)
+		ws := a.pop(q, e.arenaOf(from), b)
 		if nw := int64(len(ws)); nw > 0 {
 			shard.popped += nw
 			shard.moved = true
-			from := int(e.edgeFrom[eid])
 			switch {
 			case dead:
 				shard.crashDrop += nw
-			case f.hasLoss && f.comp.Lose(e.round, from, int(v)):
+			case f.hasLoss && f.comp.Lose(e.round, int(from), int(v)):
 				shard.lost += nw
 			default:
-				e.inboxes[v] = append(e.inboxes[v], Delivery{From: from, Words: ws})
+				e.inboxes[v] = append(e.inboxes[v], Delivery{From: int(from), Words: ws})
 				shard.messages++
 				shard.words += nw
 				e.metrics.PerNodeWordsRecv[v] += nw
-				if f.hasDup && f.comp.Duplicate(e.round, from, int(v)) {
-					e.inboxes[v] = append(e.inboxes[v], Delivery{From: from, Words: ws})
+				if f.hasDup && f.comp.Duplicate(e.round, int(from), int(v)) {
+					e.inboxes[v] = append(e.inboxes[v], Delivery{From: int(from), Words: ws})
 					shard.messages++
 					shard.words += nw
 					e.metrics.PerNodeWordsRecv[v] += nw
@@ -244,12 +247,12 @@ func (e *Engine) deliverToFaulty(v int32, shard *deliveryShard, a *sendArena) {
 			}
 		}
 		if q.n != 0 {
-			keep = append(keep, eid)
+			keep = append(keep, c)
 		} else if f.hasDelay {
-			f.armStamp[eid] = 0 // next activation burst redraws
+			f.armStamp[c] = 0 // next activation burst redraws
 		}
 	}
-	e.recvActive[v] = keep
+	e.nactive[v] = int32(len(keep))
 }
 
 // foldFaultShard folds one delivery shard's fault counters into the run

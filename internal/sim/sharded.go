@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"runtime"
 	"slices"
 )
@@ -16,15 +17,16 @@ import (
 //
 // Ownership discipline: shard s owns the nodes in
 // [shardBounds[s], shardBounds[s+1]) and with them their contexts, their
-// inboxes, their entries in shardRecv and shardSched, the receiver side of
-// their in-channels (recvActive, recvStamp), and send arena s (see
-// arena.go) with the queues of their out-channels — a channel's queue is
-// indexed by its sender's CSR slot — and broadcast queues. The sender's
-// shard appends words and links spans; the receiver's shard pops them,
-// reading but never writing the sender's arena; and the barrier between
-// the phases orders the two. Every fan-out below touches only owner state,
-// so no phase needs locks; determinism comes from ordering, not
-// synchronization.
+// inboxes, their entries in recvBits and shardSched, their in-channels —
+// a channel's queue, active-list entry and arming are indexed by its
+// receiver's CSR slot, so they are contiguous per receiver — and send
+// arena s (see arena.go) with its broadcast queues. The sender's shard
+// appends words to its arena and links spans onto the queues of its
+// nodes' out-channels during the merge; the receiver's shard pops them
+// during delivery, reading but never writing the sender's arena; and the
+// barrier between the phases orders the two. Every fan-out below touches
+// only owner state, so no phase needs locks; determinism comes from
+// ordering, not synchronization.
 //
 // The one cross-shard data flow is activation: sender v in shard s linking
 // a span onto an empty queue must add that channel to its receiver's active
@@ -33,17 +35,25 @@ import (
 // is the determinism contract's source of per-receiver delivery order.
 // With S > 1 the stepper reproduces exactly that order with a shard
 // barrier: during the merge fan-out each sender shard s walks its send log
-// and stages every channel it activates in staging[s*S+t] (t = receiver's
-// shard) — senders ascending within s, channels in send order — and after
-// the barrier each receiver shard t drains columns s = 0..S-1 in ascending
-// order. Shards are contiguous and ascending, so "ascending shard, then
-// ascending sender within shard" is exactly "ascending sender": every
-// recvActive list receives its edge ids in the same order as the one-shard
-// spine, and the delivery phase reading those lists reproduces identical
-// inboxes. Scheduled sets get the same treatment: per-shard lists sorted at
+// and stages every channel it activates, with its receiver, in
+// staging[s*S+t] (t = receiver's shard) — senders ascending within s,
+// channels in send order — and after the barrier each receiver shard t
+// drains columns s = 0..S-1 in ascending order. Shards are contiguous and
+// ascending, so "ascending shard, then ascending sender within shard" is
+// exactly "ascending sender": every active list receives its channels in
+// the same order as the one-shard spine, and the delivery phase reading
+// those lists reproduces identical inboxes. Delivery itself visits each
+// shard's receivers in ascending node order by walking its bitset, so the
+// per-node arrays of the delivery and compute phases are read
+// sequentially; which receiver is served first is unobservable. Scheduled
+// sets get the same treatment as activations: per-shard lists sorted at
 // the start of the compute fan-out concatenate (shard 0, 1, ...) to the
 // globally sorted order, so node visitation, output emission and hook
 // streams match the one-shard plan bit for bit.
+
+// staged is one cross-shard activation: channel c just became active
+// toward receiver to.
+type staged struct{ c, to int32 }
 
 // initShards (re)computes the shard plan for the current topology and
 // sizes the per-shard state to it, keeping every per-shard list when the
@@ -67,53 +77,84 @@ func (e *Engine) initShards() {
 	}
 	if S != e.nshards {
 		e.nshards = S
-		e.shardRecv = make([][]int32, S)
+		e.recvBits = make([][]uint64, S)
 		e.shardSched = make([][]int32, S)
-		e.staging = make([][]int32, S*S)
+		e.staging = make([][]staged, S*S)
 		e.stagedBcast = make([][]int32, S)
 		e.shardCtr = make([]deliveryShard, S)
 	}
+	// The engine is drained here, so every bitset is zero; regrowing one
+	// over its capacity exposes only bits cleared before it shrank.
+	for s := range S {
+		words := int(e.shardBounds[s+1]-e.shardBounds[s]+63) >> 6
+		if cap(e.recvBits[s]) < words {
+			e.recvBits[s] = make([]uint64, words)
+		}
+		e.recvBits[s] = e.recvBits[s][:words]
+	}
 }
 
-// shardDeliverWork is shard s's delivery phase: snapshot the shard's ready
-// receivers into its scheduled list, drain up to B words per active in-edge
-// into each receiver's inbox, and compact the receiver list. Touches only
-// shard-owned state plus shardCtr[s]. Under faults the pre-delivery
-// snapshot is skipped — a faulty delivery can leave an inbox empty — and
-// receivers are scheduled from their post-delivery inboxes instead, the
-// dense reference's criterion (schedStamp writes stay single-writer: the
-// spine stamped broadcast recipients before this fan-out, and shard s owns
-// every v it stamps here). The dense reference schedules after delivery by
-// its own scan, so it takes neither.
+// eachReceiver calls fn for every receiver of shard s with an active
+// in-channel, in ascending node order.
+func (e *Engine) eachReceiver(s int, fn func(v int32)) {
+	lo := e.shardBounds[s]
+	for i, w := range e.recvBits[s] {
+		for ; w != 0; w &= w - 1 {
+			fn(lo + int32(i<<6+bits.TrailingZeros64(w)))
+		}
+	}
+}
+
+// eachActive calls fn for every active channel, receivers in ascending
+// order and each receiver's channels in activation order.
+func (e *Engine) eachActive(fn func(c int32)) {
+	for s := range e.recvBits {
+		e.eachReceiver(s, func(v int32) {
+			lo := e.commOffs[v]
+			for _, c := range e.active[lo : lo+e.nactive[v]] {
+				fn(c)
+			}
+		})
+	}
+}
+
+// shardDeliverWork is shard s's delivery phase: walk the shard's receiver
+// bitset in ascending node order, schedule each receiver, drain up to B
+// words per active in-channel into its inbox, and clear the bits of
+// receivers left with none. Touches only shard-owned state plus
+// shardCtr[s]. Under faults a receiver is scheduled after its delivery,
+// and only with a non-empty inbox — a faulty delivery can leave it empty —
+// the dense reference's criterion (schedStamp writes stay single-writer:
+// the spine stamped broadcast recipients before this fan-out, and shard s
+// owns every v it stamps here). The dense reference schedules after
+// delivery by its own scan, so it takes neither.
 func (e *Engine) shardDeliverWork(s int) {
 	activity := e.cfg.Scheduler != SchedulerDense
-	recvs, sched := e.shardRecv[s], e.shardSched[s]
-	if activity && e.flt == nil {
-		for _, v := range recvs {
-			if e.schedStamp[v] != e.schedGen {
+	sched := e.shardSched[s]
+	ctr := &e.shardCtr[s]
+	a := e.arenas[s]
+	lo := e.shardBounds[s]
+	recv := e.recvBits[s]
+	for i, w := range recv {
+		for rest := w; rest != 0; rest &= rest - 1 {
+			bit := bits.TrailingZeros64(rest)
+			v := lo + int32(i<<6+bit)
+			if activity && e.flt == nil && e.schedStamp[v] != e.schedGen {
 				e.schedStamp[v] = e.schedGen
 				sched = append(sched, v)
 			}
+			e.deliverTo(v, ctr, a)
+			if e.flt != nil && activity && len(e.inboxes[v]) > 0 && e.schedStamp[v] != e.schedGen {
+				e.schedStamp[v] = e.schedGen
+				sched = append(sched, v)
+			}
+			if e.nactive[v] == 0 {
+				w &^= 1 << bit
+			}
 		}
+		recv[i] = w
 	}
-	ctr := &e.shardCtr[s]
-	a := e.arenas[s]
-	for _, v := range recvs {
-		e.deliverTo(v, ctr, a)
-	}
-	keep := recvs[:0]
-	for _, v := range recvs {
-		if e.flt != nil && activity && len(e.inboxes[v]) > 0 && e.schedStamp[v] != e.schedGen {
-			e.schedStamp[v] = e.schedGen
-			sched = append(sched, v)
-		}
-		if len(e.recvActive[v]) > 0 {
-			keep = append(keep, v)
-		} else {
-			e.recvStamp[v] = 0
-		}
-	}
-	e.shardRecv[s], e.shardSched[s] = keep, sched
+	e.shardSched[s] = sched
 }
 
 // shardComputeWork is shard s's compute phase: sort the shard's scheduled
@@ -140,9 +181,9 @@ func (e *Engine) shardComputeWork(s int) {
 func (e *Engine) shardMergeWork(s int) {
 	S := e.nshards
 	e.shardCtr[s].words += e.linkLog(e.arenas[s],
-		func(eid int32) {
-			t := int(e.shardOf[e.commTgts[eid]])
-			e.staging[s*S+t] = append(e.staging[s*S+t], eid)
+		func(c, to int32) {
+			t := int(e.shardOf[to])
+			e.staging[s*S+t] = append(e.staging[s*S+t], staged{c, to})
 		},
 		func(u int32) { e.stagedBcast[s] = append(e.stagedBcast[s], u) })
 	for _, v := range e.shardSched[s] {
@@ -159,8 +200,8 @@ func (e *Engine) shardDrainWork(t int) {
 	S := e.nshards
 	for s := 0; s < S; s++ {
 		row := e.staging[s*S+t]
-		for _, eid := range row {
-			e.activate(eid)
+		for _, x := range row {
+			e.activate(x.c, x.to)
 		}
 		e.staging[s*S+t] = row[:0]
 	}
@@ -177,7 +218,7 @@ func (e *Engine) retire(v int32) {
 // shard by shard:
 //
 //	spine:  broadcast delivery (senders fan out across shards)
-//	shards: ready snapshot + unicast delivery + receiver-list compaction
+//	shards: unicast delivery, receivers ascending, each scheduled as served
 //	spine:  fold delivery counters; flip arenas if every channel drained;
 //	        wake-ups routed to their shards, or the dense reference's scan
 //	shards: sort scheduled list, run nodes (sends fill shard arenas)
@@ -218,7 +259,7 @@ func (e *Engine) stepSharded() {
 			continue
 		}
 		q := &e.bcastQ[u]
-		a := e.arenas[e.shardOf[u]]
+		a := e.arenaOf(u)
 		ws := a.pop(q, a, b)
 		if len(ws) > 0 {
 			nw := int64(len(ws))
@@ -261,7 +302,7 @@ func (e *Engine) stepSharded() {
 	}
 	e.bcastActive = stillBcast
 	// Unicast delivery, receiver-major: which receiver gets which deliveries
-	// in which order is fixed by recvActive's activation order. Below
+	// in which order is fixed by its active list's activation order. Below
 	// parallelMinWords queued words the fan-out costs more than the work.
 	if e.queuedWords > 0 {
 		clear(e.shardCtr)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
@@ -25,7 +26,7 @@ import (
 // change FastForwardedRounds), per-context control state, per-node RNG
 // draw counts, and each node machine's algorithm state through the
 // Snapshotter interface. Derived engine state (stamps, queued-word
-// accounting, the notDone counter, per-shard receiver splits) is
+// accounting, the notDone counter, per-shard receiver bitsets) is
 // reconstructed on restore, which is what makes a snapshot taken at one
 // shard count restore bit-identically at any other: engines at every shard
 // count agree on all serialized state at every round boundary.
@@ -315,7 +316,7 @@ func (r *SnapReader) Bools() []bool {
 // restoreSpan stores a restored queue's words once, in sender u's shard
 // arena, and returns the single-span queue holding them.
 func (e *Engine) restoreSpan(u int32, ws []Word) spanQueue {
-	a := e.arenas[e.shardOf[u]]
+	a := e.arenaOf(u)
 	off := a.words.add(ws)
 	return spanQueue{off: uint32(off), n: uint32(len(ws))}
 }
@@ -389,36 +390,42 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	w.I64s(e.metrics.PerNodeWordsSent)
 
 	// Active unicast channels, grouped by receiver in ascending receiver
-	// order — a canonical form shared by every shard count (the order of
-	// shardRecv is unobservable: delivery is per-receiver independent and
-	// the scheduled set is re-sorted every round). Within a receiver,
-	// recvActive order IS observable (it is the inbox order) and is
-	// serialized verbatim.
-	var recvs []int32
-	for _, rs := range e.shardRecv {
-		recvs = append(recvs, rs...)
+	// order — a canonical form shared by every shard count (the order
+	// receivers are served in is unobservable: delivery is per-receiver
+	// independent and the scheduled set is re-sorted every round). Within a
+	// receiver, active-list order IS observable (it is the inbox order) and
+	// is serialized verbatim. A channel is written as its sender's slot,
+	// twin[c], which names it independently of the engine's slot layout.
+	nrecv := 0
+	for _, rb := range e.recvBits {
+		for _, word := range rb {
+			nrecv += bits.OnesCount64(word)
+		}
 	}
-	slices.Sort(recvs)
-	w.U32(uint32(len(recvs)))
+	w.U32(uint32(nrecv))
 	var buf []Word
-	for _, v := range recvs {
-		w.U32(uint32(v))
-		w.U32(uint32(len(e.recvActive[v])))
-		for _, eid := range e.recvActive[v] {
-			w.U32(uint32(eid))
-			buf = e.arenas[e.shardOf[e.edgeFrom[eid]]].appendQueued(buf[:0], &e.queues[eid])
-			w.Words(buf)
-			if e.flt != nil {
-				// Delay arming is the one piece of mutable fault state a
-				// resume cannot re-derive (the draw round is gone).
-				if e.flt.hasDelay && e.flt.armStamp[eid] == e.epoch {
-					w.Bool(true)
-					w.I32(e.flt.armAt[eid])
-				} else {
-					w.Bool(false)
+	for s := range e.recvBits {
+		e.eachReceiver(s, func(v int32) {
+			lo := e.commOffs[v]
+			act := e.active[lo : lo+e.nactive[v]]
+			w.U32(uint32(v))
+			w.U32(uint32(len(act)))
+			for _, c := range act {
+				w.U32(uint32(e.twin[c]))
+				buf = e.arenaOf(e.commTgts[c]).appendQueued(buf[:0], &e.queues[c])
+				w.Words(buf)
+				if e.flt != nil {
+					// Delay arming is the one piece of mutable fault state a
+					// resume cannot re-derive (the draw round is gone).
+					if e.flt.hasDelay && e.flt.armStamp[c] == e.epoch {
+						w.Bool(true)
+						w.I32(e.flt.armAt[c])
+					} else {
+						w.Bool(false)
+					}
 				}
 			}
-		}
+		})
 	}
 
 	// Broadcast queues, in activation order (observable: broadcast delivery
@@ -426,7 +433,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	w.U32(uint32(len(e.bcastActive)))
 	for _, u := range e.bcastActive {
 		w.U32(uint32(u))
-		buf = e.arenas[e.shardOf[u]].appendQueued(buf[:0], &e.bcastQ[u])
+		buf = e.arenaOf(u).appendQueued(buf[:0], &e.bcastQ[u])
 		w.Words(buf)
 		if e.flt != nil {
 			if e.flt.bcastArmStamp != nil && e.flt.bcastArmStamp[u] == e.epoch {
@@ -562,10 +569,9 @@ func (e *Engine) Restore(payload []byte) error {
 		copy(slab.dst, vs)
 	}
 
-	// Active unicast channels: rebuild queues, stamps, activation lists and
-	// queued-word accounting. Receivers arrive in ascending order, which
-	// becomes the restored activation order — unobservable, and identical
-	// for every shard count.
+	// Active unicast channels: rebuild queues, receiver bits, activation
+	// lists and queued-word accounting. Receivers arrive in ascending
+	// order, the order delivery serves them in at every shard count.
 	nrecv := int(r.U32())
 	prev := int32(-1)
 	for i := 0; i < nrecv; i++ {
@@ -577,44 +583,44 @@ func (e *Engine) Restore(payload []byte) error {
 			return fmt.Errorf("%w: receiver %d out of order or range", ErrBadSnapshot, v)
 		}
 		prev = v
-		neid := int(r.U32())
-		if r.Err() != nil || neid == 0 {
+		nch := int(r.U32())
+		if r.Err() != nil || nch == 0 {
 			if r.Err() != nil {
 				return r.Err()
 			}
 			return fmt.Errorf("%w: active receiver %d with no active channels", ErrBadSnapshot, v)
 		}
-		// List v before restoring its channels, so that a restore failing
-		// among them leaves every restored queue where clearRun finds it.
-		e.recvStamp[v] = e.epoch
-		e.shardRecv[e.shardOf[v]] = append(e.shardRecv[e.shardOf[v]], v)
 		total := int64(0)
-		e.recvActive[v] = e.recvActive[v][:0]
-		for j := 0; j < neid; j++ {
-			eid := int32(r.U32())
+		for j := 0; j < nch; j++ {
+			slot := int32(r.U32())
 			ws := r.Words()
 			if r.Err() != nil {
 				return r.Err()
 			}
-			if eid < 0 || int(eid) >= len(e.queues) || e.commTgts[eid] != v {
-				return fmt.Errorf("%w: channel %d is not an in-edge of receiver %d", ErrBadSnapshot, eid, v)
+			// The channel is written as its sender's slot, which must
+			// point at v.
+			if slot < 0 || int(slot) >= len(e.queues) || e.commTgts[slot] != v {
+				return fmt.Errorf("%w: slot %d is not a channel into receiver %d", ErrBadSnapshot, slot, v)
 			}
+			c := e.twin[slot]
 			if len(ws) == 0 {
-				return fmt.Errorf("%w: active channel %d with no queued words", ErrBadSnapshot, eid)
+				return fmt.Errorf("%w: active channel %d with no queued words", ErrBadSnapshot, slot)
 			}
-			if e.queues[eid].n != 0 {
-				return fmt.Errorf("%w: channel %d appears twice", ErrBadSnapshot, eid)
+			if e.queues[c].n != 0 {
+				return fmt.Errorf("%w: channel %d appears twice", ErrBadSnapshot, slot)
 			}
-			e.queues[eid] = e.restoreSpan(e.edgeFrom[eid], ws)
-			e.recvActive[v] = append(e.recvActive[v], eid)
+			// Listing the channel as it is filled leaves every restored
+			// queue where clearRun finds it if the restore fails later.
+			e.queues[c] = e.restoreSpan(e.commTgts[c], ws)
+			e.activate(c, v)
 			total += int64(len(ws))
 			if e.flt != nil && r.Bool() {
 				armAt := r.I32()
 				if e.flt.armStamp == nil {
 					return fmt.Errorf("%w: delay arming on a plan without delay", ErrBadSnapshot)
 				}
-				e.flt.armStamp[eid] = e.epoch
-				e.flt.armAt[eid] = armAt
+				e.flt.armStamp[c] = e.epoch
+				e.flt.armAt[c] = armAt
 			}
 		}
 		e.queuedWords += total
@@ -628,7 +634,7 @@ func (e *Engine) Restore(payload []byte) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if int(u) >= n || e.bcastQ == nil {
+		if u < 0 || int(u) >= n || e.bcastQ == nil {
 			return fmt.Errorf("%w: broadcast sender %d invalid for this mode", ErrBadSnapshot, u)
 		}
 		if len(ws) == 0 || e.bcastQ[u].n != 0 {

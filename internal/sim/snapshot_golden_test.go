@@ -121,10 +121,9 @@ func snapGoldenCases() []snapGoldenCase {
 	}
 }
 
-// snapDigest runs one case to its cut round under the given shard count
-// and returns the SHA-256 of the snapshot taken there.
-func snapDigest(t *testing.T, c snapGoldenCase, shards int) string {
-	t.Helper()
+// engine builds a fresh engine for the case under the given shard count.
+func (c snapGoldenCase) engine(tb testing.TB, shards int) *Engine {
+	tb.Helper()
 	nodes := make([]Node, c.g.N())
 	for v := range nodes {
 		nodes[v] = c.mk()
@@ -133,17 +132,31 @@ func snapDigest(t *testing.T, c snapGoldenCase, shards int) string {
 	cfg.Shards = shards
 	eng, err := NewEngine(c.g, nodes, cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return eng
+}
+
+// snapPayload runs one case to its cut round under the given shard count
+// and returns the snapshot taken there.
+func snapPayload(tb testing.TB, c snapGoldenCase, shards int) []byte {
+	tb.Helper()
+	eng := c.engine(tb, shards)
 	eng.Run(c.cut)
 	if eng.PendingWords() == 0 {
-		t.Fatalf("%s: no words queued at round %d; the snapshot must cover queued words", c.name, c.cut)
+		tb.Fatalf("%s: no words queued at round %d; the snapshot must cover queued words", c.name, c.cut)
 	}
 	payload, err := eng.Snapshot()
 	if err != nil {
-		t.Fatalf("%s: %v", c.name, err)
+		tb.Fatalf("%s: %v", c.name, err)
 	}
-	sum := sha256.Sum256(payload)
+	return payload
+}
+
+// snapDigest returns the SHA-256 of the case's snapshot.
+func snapDigest(t *testing.T, c snapGoldenCase, shards int) string {
+	t.Helper()
+	sum := sha256.Sum256(snapPayload(t, c, shards))
 	return hex.EncodeToString(sum[:])
 }
 

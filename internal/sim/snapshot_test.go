@@ -343,8 +343,8 @@ func TestFailedRestoreThenReset(t *testing.T) {
 		}
 		src.Run(5)
 		backlogged := 0
-		for v := range src.recvActive {
-			if len(src.recvActive[v]) > 1 {
+		for _, k := range src.nactive {
+			if k > 1 {
 				backlogged++
 			}
 		}
