@@ -47,7 +47,7 @@ func BenchmarkE1DolevClique(b *testing.B) {
 	}
 	var res core.Result
 	for i := 0; i < b.N; i++ {
-		res, err = core.RunSingle(g, sched, mk, sim.Config{Mode: sim.ModeClique, Seed: int64(i)})
+		res, err = core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Mode: sim.ModeClique, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkE2DolevDegree(b *testing.B) {
 	}
 	var res core.Result
 	for i := 0; i < b.N; i++ {
-		res, err = core.RunSingle(g, sched, mk, sim.Config{Mode: sim.ModeClique, Seed: int64(i)})
+		res, err = core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Mode: sim.ModeClique, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func BenchmarkE4Finding(b *testing.B) {
 	g := benchGnp(b, 4)
 	var res core.Result
 	for i := 0; i < b.N; i++ {
-		found, r, err := core.FindTriangles(g, core.FinderOptions{}, sim.Config{Seed: int64(i)})
+		found, r, err := core.NewEngineCache().FindTriangles(g, core.FinderOptions{}, sim.Config{Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func BenchmarkE5Listing(b *testing.B) {
 	var res core.Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = core.ListAllTriangles(g, core.ListerOptions{}, sim.Config{Seed: int64(i)})
+		res, err = core.NewEngineCache().ListAllTriangles(g, core.ListerOptions{}, sim.Config{Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func BenchmarkE7LowerBound(b *testing.B) {
 	}
 	var rep lower.Report
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunSingle(g, sched, mk, sim.Config{Mode: sim.ModeClique, Seed: int64(i)})
+		res, err := core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Mode: sim.ModeClique, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func BenchmarkE8LocalListing(b *testing.B) {
 	var res core.Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = core.RunSingle(g, sched, mk, sim.Config{Seed: int64(i)})
+		res, err = core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func BenchmarkE9TwoHop(b *testing.B) {
 	var res core.Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = core.RunSingle(g, sched, mk, sim.Config{Seed: int64(i)})
+		res, err = core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func BenchmarkA2HeavyListing(b *testing.B) {
 	}
 	var res core.Result
 	for i := 0; i < b.N; i++ {
-		res, err = core.RunSingle(g, sched, mk, sim.Config{Seed: int64(i)})
+		res, err = core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func BenchmarkA3LightListing(b *testing.B) {
 	var res core.Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = core.RunSingle(g, sched, mk, sim.Config{Seed: int64(i)})
+		res, err = core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func BenchmarkDolevRelayRouting(b *testing.B) {
 	}
 	var res core.Result
 	for i := 0; i < b.N; i++ {
-		res, err = core.RunSingle(g, sched, mk, sim.Config{Mode: sim.ModeClique, Seed: int64(i)})
+		res, err = core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Mode: sim.ModeClique, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -289,7 +289,7 @@ func BenchmarkExtPropertyTester(b *testing.B) {
 	g := benchGnp(b, 15)
 	var res core.Result
 	for i := 0; i < b.N; i++ {
-		_, r, err := core.TestTriangleFreeness(g, 16, sim.Config{Seed: int64(i)})
+		_, r, err := core.NewEngineCache().TestTriangleFreeness(g, 16, sim.Config{Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -306,7 +306,7 @@ func BenchmarkBroadcastTwoHop(b *testing.B) {
 	var res core.Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = core.RunSingle(g, sched, mk, sim.Config{Mode: sim.ModeBroadcast, Seed: int64(i)})
+		res, err = core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Mode: sim.ModeBroadcast, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -332,12 +332,12 @@ func BenchmarkOracleForward(b *testing.B) {
 
 // --- Oracle and sweep-runner benchmarks --------------------------------
 //
-// These benchmarks back BENCH_oracle.json, the perf-trajectory record for
-// the centralized oracle and the sweep runner. The workload bodies live in
-// internal/perf so `go test -bench`, the EMIT_BENCH_JSON emitters and the
-// cmd/bench regression gate all measure the same code. Each has a seq
-// variant (Workers=1) and a par variant (Workers=0, all CPUs); their
-// outputs are bit-identical, so the pair isolates the parallel speedup.
+// These benchmarks cover the centralized oracle and the sweep runner. The
+// workload bodies live in internal/perf so `go test -bench` and the
+// cmd/bench regression gate (entries of BENCH_engine.json) measure the
+// same code. Each has a seq variant (Workers=1) and a par variant
+// (Workers=0, all CPUs); their outputs are bit-identical, so the pair
+// isolates the parallel speedup.
 
 // BenchmarkListTriangles — parallel oracle, listing path.
 func BenchmarkListTriangles(b *testing.B) {
@@ -359,8 +359,8 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 // BenchmarkDynamicApply — per-batch churn: incremental triangle
-// maintenance vs full O(m^{3/2}) recompute on every batch (backs
-// BENCH_dynamic.json).
+// maintenance vs full O(m^{3/2}) recompute on every batch (the
+// `speedup_dynamic_incremental_vs_full` ratio in BENCH_engine.json).
 func BenchmarkDynamicApply(b *testing.B) {
 	b.Run("incremental", perf.DynamicApply(true))
 	b.Run("full", perf.DynamicApply(false))

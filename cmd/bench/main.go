@@ -1,7 +1,7 @@
 // Command bench is the unified perf driver and CI regression gate: it runs
 // the internal/perf benchmark suites (engine, oracle, sweep, dynamic,
 // large),
-// emits one consolidated report in the shared BENCH_*.json schema, and
+// emits one consolidated report in the BENCH_engine.json schema, and
 // compares it against the committed baseline within a tolerance band.
 //
 // Gate mode (the default) exits nonzero when any bound is violated:

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -100,32 +99,6 @@ func TestGateLifecycle(t *testing.T) {
 	code, _, errb = runBench(t, "-baseline", base, "-suite", "engine", "-benchtime", "1x", "-time-tol", "1e6", "-floors=false")
 	if code != 1 || !strings.Contains(errb, "regression gate: FAIL") {
 		t.Fatalf("tampered gate: exit %d, stderr %q", code, errb)
-	}
-}
-
-// TestLegacyBaselineStillGates checks the single-run fallback end to end: a
-// baseline in the pre-multi-run format (bare Report) still loads and gates.
-func TestLegacyBaselineStillGates(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "BENCH_legacy.json")
-	code, _, errb := runBench(t, "-baseline", base, "-suite", "dynamic", "-benchtime", "1x", "-update")
-	if code != 0 {
-		t.Fatalf("update: exit %d\nstderr: %s", code, errb)
-	}
-	file, err := perf.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite as a legacy bare-Report file.
-	legacy, err := json.MarshalIndent(file.Runs[0], "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(base, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, out, errb := runBench(t, "-baseline", base, "-suite", "dynamic", "-benchtime", "1x", "-time-tol", "1e6", "-floors=false")
-	if code != 0 || !strings.Contains(out, "regression gate: PASS") {
-		t.Fatalf("legacy gate: exit %d\nstdout: %s\nstderr: %s", code, out, errb)
 	}
 }
 

@@ -192,23 +192,7 @@ func (s *Session) Replay(spec JobSpec, from, to int, obs Observer) (ReplayInfo, 
 	if err != nil {
 		return ReplayInfo{}, err
 	}
-	var hooks sim.Hooks
-	if obs != nil {
-		hooks = sim.Hooks{
-			Round: func(round int, d sim.RoundDelta) {
-				obs.OnRound(round, RoundDelta{Messages: d.Messages, Words: d.Words, Moved: d.Moved})
-			},
-			Triangle: func(node int, t graph.Triangle) {
-				obs.OnTriangle(node, Triangle{t.A, t.B, t.C})
-			},
-		}
-		if fo, ok := obs.(FaultObserver); ok {
-			hooks.Fault = func(ev sim.FaultEvent) {
-				fo.OnFault(FaultEvent{Kind: ev.Kind, Node: ev.Node, Round: ev.Round})
-			}
-		}
-	}
-	if err := checkpoint.Replay(eng, ck, from, to, hooks); err != nil {
+	if err := checkpoint.Replay(eng, ck, from, to, core.Hooks(coreObs(obs))); err != nil {
 		return ReplayInfo{}, err
 	}
 	return ReplayInfo{

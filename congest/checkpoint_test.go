@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"sync"
@@ -282,6 +284,72 @@ func TestSessionReplayWindow(t *testing.T) {
 	other.Seed++
 	if _, err := sess.Replay(other, from, to, nil); !errors.Is(err, checkpoint.ErrNotFound) {
 		t.Errorf("replay under a different spec identity: err %v", err)
+	}
+}
+
+// TestUnobservedCheckpointReplayAndResume checkpoints a job run with no
+// observer, as triserve runs every job, and then observes it from those
+// checkpoints: two Replay windows and a resume must stream exactly what a
+// straight observed run streams over the same rounds. Each snapshot records
+// how many of every node's outputs were already streamed; an unobserved
+// run must advance that mark too, or everything output before the
+// checkpoint streams again after it.
+func TestUnobservedCheckpointReplayAndResume(t *testing.T) {
+	full := &evtRec{}
+	want, err := RunObserved(context.Background(), ckptSpec("find", t.TempDir(), 4), full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := want.Meta.ExecutedRounds
+	if total < 24 {
+		t.Fatalf("run too short: %d rounds", total)
+	}
+
+	dir := t.TempDir()
+	spec := ckptSpec("find", dir, 4)
+	if _, err := Run(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	hash := spec.SpecHash()
+	rounds := checkpoint.Rounds(dir, hash)
+	if len(rounds) < 4 {
+		t.Fatalf("unobserved run left %d checkpoints", len(rounds))
+	}
+
+	sess := NewSession()
+	for _, w := range [][2]int{{total / 4, total / 3}, {total/2 + 1, 3 * total / 4}} {
+		from, to := w[0], w[1]
+		rep := &evtRec{base: from}
+		if _, err := sess.Replay(spec, from, to, rep); err != nil {
+			t.Fatal(err)
+		}
+		if want := full.window(from, to); !reflect.DeepEqual(rep.events, want) {
+			t.Fatalf("replay [%d, %d]: %d events, straight run has %d", from, to, len(rep.events), len(want))
+		}
+	}
+
+	// Drop every checkpoint after the middle one, as if the job had been
+	// killed there, and resume it observed.
+	cut := rounds[len(rounds)/2]
+	for _, r := range rounds {
+		if r > cut {
+			if err := os.Remove(filepath.Join(dir, checkpoint.FileName(hash, r))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	spec.Checkpoint.Resume = true
+	suffix := &evtRec{base: cut}
+	got, err := RunObserved(context.Background(), spec, suffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := full.window(cut, total); !reflect.DeepEqual(suffix.events, w) {
+		t.Fatalf("resume at %d: %d events, straight run's suffix has %d", cut, len(suffix.events), len(w))
+	}
+	got.Meta.Checkpoint.Dir = want.Meta.Checkpoint.Dir
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed result diverges\ngot:  %+v\nwant: %+v", got, want)
 	}
 }
 

@@ -38,6 +38,7 @@
 //
 // RunObserved, Session.RunObserved and Service.SubmitObserved attach an
 // Observer that streams segments, per-round metric deltas and triangles as
-// they are produced. The materialized Result is assembled from the same
-// stream, so observers see exactly what the Result will hold.
+// they are produced. The Result is read from the same per-node engine
+// outputs the stream delivers, so observers see exactly what the Result
+// will hold.
 package congest

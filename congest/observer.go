@@ -36,9 +36,10 @@ type RoundDelta struct {
 // deduplicates). Churn jobs report each epoch as a segment and each BORN
 // triangle through OnTriangle with node -1.
 //
-// The materialized Result is assembled from this same stream, so an
-// observer sees exactly what the Result will hold — including the prefix
-// delivered before a cancellation.
+// The Result is read from the same per-node engine outputs this stream
+// delivers, so an observer sees exactly what the Result will hold —
+// including the prefix delivered before a cancellation. A resumed job
+// streams only what follows its resume round.
 type Observer interface {
 	OnSegment(seg SegmentInfo)
 	OnRound(round int, d RoundDelta)

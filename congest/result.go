@@ -269,14 +269,13 @@ func faultSummaryOf(fs *FaultSpec) *FaultSummary {
 	}
 }
 
-// trianglesOf converts and sorts a triangle union, capping at max
-// (0 = all, negative = none).
+// trianglesOf converts a triangle union in sorted order (Slice sorts),
+// capping at max (0 = all, negative = none).
 func trianglesOf(union graph.TriangleSet, max int) []Triangle {
 	if max < 0 {
 		return nil
 	}
 	ts := union.Slice()
-	graph.SortTriangles(ts)
 	if max > 0 && len(ts) > max {
 		ts = ts[:max]
 	}

@@ -14,7 +14,7 @@ import (
 )
 
 // progress streams the run: it counts segments and rounds as the engine
-// executes them (the same stream the final Result is assembled from).
+// executes them, before the final Result reports the whole run.
 type progress struct {
 	segments, rounds int
 	words            int64

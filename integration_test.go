@@ -27,36 +27,36 @@ func TestAllAlgorithmsAgreeOnOneGraph(t *testing.T) {
 	}
 	listers := []listerCase{
 		{"thm2-lister", func() (core.Result, error) {
-			return core.ListAllTriangles(g, core.ListerOptions{}, sim.Config{Seed: 1})
+			return core.NewEngineCache().ListAllTriangles(g, core.ListerOptions{}, sim.Config{Seed: 1})
 		}},
 		{"twohop", func() (core.Result, error) {
 			s, mk := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopGlobal)
-			return core.RunSingle(g, s, mk, sim.Config{Seed: 2})
+			return core.NewEngineCache().RunSingle(g, s, mk, sim.Config{Seed: 2})
 		}},
 		{"twohop-broadcast", func() (core.Result, error) {
 			s, mk := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopGlobal)
-			return core.RunSingle(g, s, mk, sim.Config{Seed: 3, Mode: sim.ModeBroadcast})
+			return core.NewEngineCache().RunSingle(g, s, mk, sim.Config{Seed: 3, Mode: sim.ModeBroadcast})
 		}},
 		{"dolev-direct", func() (core.Result, error) {
 			s, mk, err := baseline.NewDolev(g, 2, baseline.DolevCubeRoot)
 			if err != nil {
 				return core.Result{}, err
 			}
-			return core.RunSingle(g, s, mk, sim.Config{Seed: 4, Mode: sim.ModeClique})
+			return core.NewEngineCache().RunSingle(g, s, mk, sim.Config{Seed: 4, Mode: sim.ModeClique})
 		}},
 		{"dolev-relay", func() (core.Result, error) {
 			s, mk, err := baseline.NewDolevRouted(g, 2, baseline.DolevCubeRoot, baseline.RelayRouting)
 			if err != nil {
 				return core.Result{}, err
 			}
-			return core.RunSingle(g, s, mk, sim.Config{Seed: 5, Mode: sim.ModeClique})
+			return core.NewEngineCache().RunSingle(g, s, mk, sim.Config{Seed: 5, Mode: sim.ModeClique})
 		}},
 		{"dolev-degree", func() (core.Result, error) {
 			s, mk, err := baseline.NewDolev(g, 2, baseline.DolevDegreeAware)
 			if err != nil {
 				return core.Result{}, err
 			}
-			return core.RunSingle(g, s, mk, sim.Config{Seed: 6, Mode: sim.ModeClique})
+			return core.NewEngineCache().RunSingle(g, s, mk, sim.Config{Seed: 6, Mode: sim.ModeClique})
 		}},
 	}
 	for _, lc := range listers {
@@ -75,7 +75,7 @@ func TestAllAlgorithmsAgreeOnOneGraph(t *testing.T) {
 	}
 
 	t.Run("thm1-finder", func(t *testing.T) {
-		found, res, err := core.FindTriangles(g, core.FinderOptions{}, sim.Config{Seed: 7})
+		found, res, err := core.NewEngineCache().FindTriangles(g, core.FinderOptions{}, sim.Config{Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestAllAlgorithmsAgreeOnOneGraph(t *testing.T) {
 	})
 
 	t.Run("property-tester", func(t *testing.T) {
-		found, res, err := core.TestTriangleFreeness(g, 12, sim.Config{Seed: 9})
+		found, res, err := core.NewEngineCache().TestTriangleFreeness(g, 12, sim.Config{Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,15 +124,15 @@ func TestModelSeparationOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clique, err := core.RunSingle(g, sDolev, mkDolev, sim.Config{Seed: 1, Mode: sim.ModeClique})
+	clique, err := core.NewEngineCache().RunSingle(g, sDolev, mkDolev, sim.Config{Seed: 1, Mode: sim.ModeClique})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lister, err := core.ListAllTriangles(g, core.ListerOptions{}, sim.Config{Seed: 2})
+	lister, err := core.NewEngineCache().ListAllTriangles(g, core.ListerOptions{}, sim.Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, finder, err := core.FindTriangles(g, core.FinderOptions{}, sim.Config{Seed: 3})
+	_, finder, err := core.NewEngineCache().FindTriangles(g, core.FinderOptions{}, sim.Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +160,14 @@ func TestModelSeparationOrdering(t *testing.T) {
 func TestEmptyAndTinyGraphsEndToEnd(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4} {
 		g := graph.Complete(n)
-		res, err := core.ListAllTriangles(g, core.ListerOptions{RepetitionsOverride: 2}, sim.Config{Seed: int64(n)})
+		res, err := core.NewEngineCache().ListAllTriangles(g, core.ListerOptions{RepetitionsOverride: 2}, sim.Config{Seed: int64(n)})
 		if err != nil {
 			t.Fatalf("n=%d lister: %v", n, err)
 		}
 		if err := core.VerifyListing(g, res); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		found, _, err := core.FindTriangles(g, core.FinderOptions{Repetitions: 3}, sim.Config{Seed: int64(n)})
+		found, _, err := core.NewEngineCache().FindTriangles(g, core.FinderOptions{Repetitions: 3}, sim.Config{Seed: int64(n)})
 		if err != nil {
 			t.Fatalf("n=%d finder: %v", n, err)
 		}

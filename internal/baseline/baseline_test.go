@@ -14,7 +14,7 @@ func TestTwoHopListsEverything(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := graph.Gnp(30, 0.4, rng)
 		sched, mk := NewTwoHop(g.N(), 2, g.MaxDegree(), TwoHopGlobal)
-		res, err := core.RunSingle(g, sched, mk, sim.Config{Seed: seed})
+		res, err := core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: seed})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -28,7 +28,7 @@ func TestTwoHopLocalCompleteness(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.Gnp(24, 0.5, rng)
 	sched, mk := NewTwoHop(g.N(), 2, g.MaxDegree(), TwoHopLocal)
-	res, err := core.RunSingle(g, sched, mk, sim.Config{Seed: 9})
+	res, err := core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestDolevCubeRootListsEverything(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.RunSingle(g, sched, mk, sim.Config{Seed: seed, Mode: sim.ModeClique})
+		res, err := core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: seed, Mode: sim.ModeClique})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -67,7 +67,7 @@ func TestDolevDegreeAwareListsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.RunSingle(g, sched, mk, sim.Config{Seed: 8, Mode: sim.ModeClique})
+	res, err := core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: 8, Mode: sim.ModeClique})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func TestDolevOnVariousFamilies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			res, err := core.RunSingle(tc.g, sched, mk, sim.Config{Mode: sim.ModeClique, Seed: 3})
+			res, err := core.NewEngineCache().RunSingle(tc.g, sched, mk, sim.Config{Mode: sim.ModeClique, Seed: 3})
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
@@ -176,7 +176,7 @@ func TestDolevRelayRoutingListsEverything(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			res, err := core.RunSingle(tc.g, sched, mk, sim.Config{Mode: sim.ModeClique, Seed: 10})
+			res, err := core.NewEngineCache().RunSingle(tc.g, sched, mk, sim.Config{Mode: sim.ModeClique, Seed: 10})
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}

@@ -23,7 +23,7 @@ func TestA1FindsHeavyTriangleWithAmplification(t *testing.T) {
 	found := false
 	for seed := int64(0); seed < 12 && !found; seed++ {
 		sched, mk := NewA1(p)
-		res, err := RunSingle(g, sched, mk, sim.Config{Seed: seed})
+		res, err := NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestA1OneSidedOnRandomGraphs(t *testing.T) {
 		g := graph.Gnp(30, 0.4, rng)
 		p := Params{N: g.N(), Eps: 0.4, B: 2}
 		sched, mk := NewA1(p)
-		res, err := RunSingle(g, sched, mk, sim.Config{Seed: seed + 100})
+		res, err := NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: seed + 100})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestA1EmptyGraphProducesNothing(t *testing.T) {
 	g := graph.Empty(20)
 	p := Params{N: 20, Eps: 0.5, B: 2}
 	sched, mk := NewA1(p)
-	res, err := RunSingle(g, sched, mk, sim.Config{Seed: 1})
+	res, err := NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestA2ListsAllHeavyTrianglesWithAmplification(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunSingle(g, sched, mk, sim.Config{Seed: seed})
+		res, err := NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestA2DegenerateBucketCountListsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSingle(g, sched, mk, sim.Config{Seed: 4})
+	res, err := NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestAXRListsExactlyDeltaXTriangles(t *testing.T) {
 			x := tc.mkX(n, rng)
 			p := Params{N: n, Eps: 0.5, B: 2}
 			sched, mk := NewAXR(p, AXROptions{InX: func(id int) bool { return x.Has(id) }})
-			res, err := RunSingle(g, sched, mk, sim.Config{Seed: 6})
+			res, err := NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: 6})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,7 +253,7 @@ func TestAXRTypeBTrianglesViaVPath(t *testing.T) {
 	g := b.Build()
 	p := Params{N: g.N(), Eps: 0.5, B: 2}
 	sched, mk := NewAXR(p, AXROptions{R: 5, InX: func(int) bool { return false }})
-	res, err := RunSingle(g, sched, mk, sim.Config{Seed: 21})
+	res, err := NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestAXRTooBigMarkersExercised(t *testing.T) {
 	g := graph.Gnp(24, 0.6, rng)
 	p := Params{N: g.N(), Eps: 0.5, B: 2}
 	sched, mk := NewAXR(p, AXROptions{R: 2, InX: func(id int) bool { return false }})
-	res, err := RunSingle(g, sched, mk, sim.Config{Seed: 8})
+	res, err := NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestA3FindsLightTrianglesWithAmplification(t *testing.T) {
 	union := make(graph.TriangleSet)
 	for seed := int64(0); seed < 10; seed++ {
 		sched, mk := NewA3(p)
-		res, err := RunSingle(g, sched, mk, sim.Config{Seed: seed})
+		res, err := NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +346,7 @@ func TestFinderAcrossFamilies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			found, res, err := FindTriangles(tc.g, FinderOptions{Repetitions: 6}, sim.Config{Seed: 11})
+			found, res, err := NewEngineCache().FindTriangles(tc.g, FinderOptions{Repetitions: 6}, sim.Config{Seed: 11})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -366,7 +366,7 @@ func TestFinderAcrossFamilies(t *testing.T) {
 func TestFinderLogCorrectedOption(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	g := graph.Gnp(36, 0.5, rng)
-	found, res, err := FindTriangles(g, FinderOptions{LogCorrected: true, Repetitions: 4}, sim.Config{Seed: 13})
+	found, res, err := NewEngineCache().FindTriangles(g, FinderOptions{LogCorrected: true, Repetitions: 4}, sim.Config{Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestListerAcrossFamilies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := ListAllTriangles(tc.g, ListerOptions{}, sim.Config{Seed: 15})
+			res, err := NewEngineCache().ListAllTriangles(tc.g, ListerOptions{}, sim.Config{Seed: 15})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -424,7 +424,7 @@ func TestListerRepetitionOptions(t *testing.T) {
 func TestListerLogCorrectedOption(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := graph.Gnp(30, 0.5, rng)
-	res, err := ListAllTriangles(g, ListerOptions{LogCorrected: true}, sim.Config{Seed: 24})
+	res, err := NewEngineCache().ListAllTriangles(g, ListerOptions{LogCorrected: true}, sim.Config{Seed: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestListerLogCorrectedOption(t *testing.T) {
 func TestListerOddBandwidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	g := graph.Gnp(24, 0.5, rng)
-	res, err := ListAllTriangles(g, ListerOptions{RepetitionsOverride: 5},
+	res, err := NewEngineCache().ListAllTriangles(g, ListerOptions{RepetitionsOverride: 5},
 		sim.Config{Seed: 26, BandwidthWords: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -491,7 +491,7 @@ func TestSequentialParallelParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := graph.Gnp(28, 0.4, rng)
 	run := func(shards int) Result {
-		res, err := ListAllTriangles(g, ListerOptions{RepetitionsOverride: 3},
+		res, err := NewEngineCache().ListAllTriangles(g, ListerOptions{RepetitionsOverride: 3},
 			sim.Config{Seed: 18, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
@@ -524,18 +524,18 @@ func TestSequentialParallelParity(t *testing.T) {
 func TestDeterminismAcrossRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	g := graph.Gnp(24, 0.5, rng)
-	a, err := ListAllTriangles(g, ListerOptions{RepetitionsOverride: 2}, sim.Config{Seed: 20})
+	a, err := NewEngineCache().ListAllTriangles(g, ListerOptions{RepetitionsOverride: 2}, sim.Config{Seed: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ListAllTriangles(g, ListerOptions{RepetitionsOverride: 2}, sim.Config{Seed: 20})
+	b, err := NewEngineCache().ListAllTriangles(g, ListerOptions{RepetitionsOverride: 2}, sim.Config{Seed: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !a.Union.Equal(b.Union) || a.Metrics.WordsDelivered != b.Metrics.WordsDelivered {
 		t.Fatal("same seed produced different runs")
 	}
-	c, err := ListAllTriangles(g, ListerOptions{RepetitionsOverride: 2}, sim.Config{Seed: 21})
+	c, err := NewEngineCache().ListAllTriangles(g, ListerOptions{RepetitionsOverride: 2}, sim.Config{Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +558,7 @@ func TestBandwidthScalesSchedule(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	g := graph.Gnp(26, 0.5, rng)
 	for _, b := range []int{1, 2, 4, 8} {
-		res, err := ListAllTriangles(g, ListerOptions{RepetitionsOverride: 4},
+		res, err := NewEngineCache().ListAllTriangles(g, ListerOptions{RepetitionsOverride: 4},
 			sim.Config{Seed: 23, BandwidthWords: b})
 		if err != nil {
 			t.Fatalf("B=%d: %v", b, err)

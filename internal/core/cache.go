@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sync"
 
@@ -10,16 +11,18 @@ import (
 	"repro/internal/sim"
 )
 
-// EngineCache is the engine pool: it recycles engines and node slices
-// across runs, keyed by everything that fixes an engine's slab shape —
-// vertex count, mode, bandwidth, scheduler, shard count and fault plan.
+// EngineCache is core's only runner: every run goes through one. It pools
+// engines and node slices across runs, keyed by everything that fixes an
+// engine's slab shape — vertex count, mode, bandwidth, scheduler, shard
+// count and fault plan.
 // A borrowed engine is rewound with Engine.Reset when it last ran over the
 // very same graph and re-pointed with Engine.Rebind otherwise, keeping
 // every slab allocation either way. That serves both reuse patterns: a
 // Session running many jobs over one cached graph, and sweep cells running
 // over freshly generated graphs of recurring sizes. Results are identical
-// to the one-shot package functions for the same (graph, config, seed) —
-// the determinism contract — which the pooled-vs-fresh tests assert.
+// to a run on a freshly built engine (what an empty cache does) for the
+// same (graph, config, seed) — the determinism contract — which the
+// pooled-vs-fresh tests assert.
 //
 // The cache is safe for concurrent use; each borrowed engine belongs to one
 // run until it is returned, so k concurrent runs of one shape cost k
@@ -170,18 +173,27 @@ func (c *EngineCache) run(ctx context.Context, g *graph.Graph, mkNodes func(node
 	return res, err
 }
 
-// RunSingle is the package-level RunSingle with cached engine and node
-// state.
+// singlePlan wraps one schedule as a one-segment plan.
+func singlePlan(sched *sim.Schedule) []SegmentPlan {
+	return []SegmentPlan{{Name: "run", Rounds: TotalRounds(sched)}}
+}
+
+// errEmptySequence rejects zero-segment sequence runs.
+var errEmptySequence = errors.New("core: empty segment sequence")
+
+// RunSingle executes a single-schedule algorithm on g.
 func (c *EngineCache) RunSingle(g *graph.Graph, sched *sim.Schedule, mk func(id int) sim.Node, cfg sim.Config) (Result, error) {
 	return c.RunSingleCheckpointed(context.Background(), g, sched, mk, cfg, nil, nil)
 }
 
 // RunSingleCheckpointed is RunSingle with cancellation, streaming
-// observation and a checkpoint plan (see the package-level
-// RunSingleContext for the cancellation contract): the run snapshots at
-// the plan's cadence and on cancellation and, when the plan carries a
-// resume point, starts from it instead of round 0. A nil obs or ckpt
-// disables that part.
+// observation and a checkpoint plan. A nil obs or ckpt disables that part.
+//
+// Cancellation is honored at round boundaries only: the returned Result is
+// then the deterministic prefix of the uncancelled run (same seed, same
+// everything) up to ExecutedRounds, and the error is ctx.Err(). With a
+// plan, the run snapshots at the plan's cadence and on cancellation and,
+// when the plan carries a resume point, starts from it instead of round 0.
 func (c *EngineCache) RunSingleCheckpointed(ctx context.Context, g *graph.Graph, sched *sim.Schedule, mk func(id int) sim.Node, cfg sim.Config, obs Observer, ckpt *CheckpointPlan) (Result, error) {
 	return c.run(ctx, g, func(nodes []sim.Node) {
 		for v := range nodes {
@@ -190,8 +202,8 @@ func (c *EngineCache) RunSingleCheckpointed(ctx context.Context, g *graph.Graph,
 	}, singlePlan(sched), cfg, obs, ckpt)
 }
 
-// RunSequence is the package-level RunSequence with cached engine and node
-// state.
+// RunSequence executes a sequence of segments (e.g. the Theorem-1 finder's
+// repeated A1;A3) on g.
 func (c *EngineCache) RunSequence(g *graph.Graph, segs []Segment, cfg sim.Config) (Result, error) {
 	return c.RunSequenceCheckpointed(context.Background(), g, segs, cfg, nil, nil)
 }
@@ -209,10 +221,10 @@ func (c *EngineCache) RunSequenceCheckpointed(ctx context.Context, g *graph.Grap
 	}, Plan(segs), cfg, obs, ckpt)
 }
 
-// FindTriangles is the package-level FindTriangles with cached engine and
-// node state.
+// FindTriangles runs the Theorem-1 finder on g and reports whether a
+// triangle was found (plus the full result).
 func (c *EngineCache) FindTriangles(g *graph.Graph, opt FinderOptions, cfg sim.Config) (bool, Result, error) {
-	segs, err := NewFinder(g.N(), bandwidthOf(cfg), opt)
+	segs, err := NewFinder(g.N(), cfg.Normalized().BandwidthWords, opt)
 	if err != nil {
 		return false, Result{}, err
 	}
@@ -223,20 +235,21 @@ func (c *EngineCache) FindTriangles(g *graph.Graph, opt FinderOptions, cfg sim.C
 	return len(res.Union) > 0, res, nil
 }
 
-// ListAllTriangles is the package-level ListAllTriangles with cached engine
-// and node state.
+// ListAllTriangles runs the Theorem-2 lister on g.
 func (c *EngineCache) ListAllTriangles(g *graph.Graph, opt ListerOptions, cfg sim.Config) (Result, error) {
-	segs, err := NewLister(g.N(), bandwidthOf(cfg), opt)
+	segs, err := NewLister(g.N(), cfg.Normalized().BandwidthWords, opt)
 	if err != nil {
 		return Result{}, err
 	}
 	return c.RunSequence(g, segs, cfg)
 }
 
-// TestTriangleFreeness is the package-level TestTriangleFreeness with
-// cached engine and node state.
+// TestTriangleFreeness runs the property tester (NewPropertyTester) and
+// reports whether a triangle witness was found. A false return on a graph
+// far from triangle-free is possible but exponentially unlikely in
+// `probes`; a true return is always backed by a real triangle (one-sided).
 func (c *EngineCache) TestTriangleFreeness(g *graph.Graph, probes int, cfg sim.Config) (bool, Result, error) {
-	sched, mk := NewPropertyTester(g.N(), bandwidthOf(cfg), probes)
+	sched, mk := NewPropertyTester(g.N(), cfg.Normalized().BandwidthWords, probes)
 	res, err := c.RunSingle(g, sched, mk, cfg)
 	if err != nil {
 		return false, res, err

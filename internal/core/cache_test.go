@@ -15,10 +15,11 @@ import (
 	"repro/internal/sim"
 )
 
-// TestEngineCacheMatchesOneShot pins the cross-graph cache to the one-shot
-// path: cells over DIFFERENT graphs of recurring sizes (the sweep pattern,
-// where every reuse goes through Engine.Rebind) must produce bit-identical
-// Results, across modes and both single-schedule and sequence runs.
+// TestEngineCacheMatchesOneShot pins the cross-graph cache to a one-shot
+// run on a fresh engine (an empty cache): cells over DIFFERENT graphs of
+// recurring sizes (the sweep pattern, where every reuse goes through
+// Engine.Rebind) must produce bit-identical Results, across modes and both
+// single-schedule and sequence runs.
 func TestEngineCacheMatchesOneShot(t *testing.T) {
 	c := core.NewEngineCache()
 	sizes := []int{20, 26, 20, 26, 20} // recurring sizes force cache hits
@@ -32,7 +33,7 @@ func TestEngineCacheMatchesOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.RunSingle(g, sched, mk, cfg)
+		want, err := core.NewEngineCache().RunSingle(g, sched, mk, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +49,7 @@ func TestEngineCacheMatchesOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantSeq, err := core.RunSequence(g, segs, cfg)
+		wantSeq, err := core.NewEngineCache().RunSequence(g, segs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func TestEngineCacheMatchesOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantCl, err := core.RunSingle(g, dol, dolMk, clique)
+		wantCl, err := core.NewEngineCache().RunSingle(g, dol, dolMk, clique)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +85,7 @@ func TestEngineCacheConcurrent(t *testing.T) {
 	g := graph.Gnp(24, 0.5, rng)
 	sched, mk := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopGlobal)
 	cfg := sim.Config{Seed: 42}
-	want, err := core.RunSingle(g, sched, mk, cfg)
+	want, err := core.NewEngineCache().RunSingle(g, sched, mk, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +123,8 @@ type divergedError struct{}
 func (*divergedError) Error() string { return "cached run diverges from one-shot" }
 
 // TestRunnerMatchesRunSingle pins the cache's same-graph reuse path (every
-// borrow after the first rewinds the engine with Engine.Reset) to the
-// one-shot path: for every seed, identical Result.
+// borrow after the first rewinds the engine with Engine.Reset) to a
+// one-shot run on a fresh engine: for every seed, identical Result.
 func TestRunnerMatchesRunSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.Gnp(28, 0.4, rng)
@@ -135,7 +136,7 @@ func TestRunnerMatchesRunSingle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.RunSingle(g, sched, mk, cfg)
+		want, err := core.NewEngineCache().RunSingle(g, sched, mk, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +169,7 @@ func TestRunnerMatchesRunSequence(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantObs := &stream{}
-		want, err := core.RunSequenceContext(context.Background(), g, segs, cfg, wantObs)
+		want, err := core.NewEngineCache().RunSequenceCheckpointed(context.Background(), g, segs, cfg, wantObs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +191,7 @@ func TestRunnerConcurrent(t *testing.T) {
 	sched, mk := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopGlobal)
 	want := make([]core.Result, 4)
 	for seed := range want {
-		res, err := core.RunSingle(g, sched, mk, sim.Config{Seed: int64(seed)})
+		res, err := core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: int64(seed)})
 		if err != nil {
 			t.Fatal(err)
 		}

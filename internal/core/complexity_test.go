@@ -125,7 +125,7 @@ func TestAXRHalvingObserved(t *testing.T) {
 			}
 		},
 	})
-	res, err := RunSingle(g, sched, mk, sim.Config{Seed: 10, Shards: 4})
+	res, err := NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: 10, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,13 +9,13 @@ import (
 	"repro/internal/sim"
 )
 
-// ExampleListAllTriangles runs the Theorem-2 lister end to end and verifies
-// it against the centralized oracle.
-func ExampleListAllTriangles() {
+// ExampleEngineCache_ListAllTriangles runs the Theorem-2 lister end to end
+// and verifies it against the centralized oracle.
+func ExampleEngineCache_ListAllTriangles() {
 	rng := rand.New(rand.NewSource(42))
 	g := graph.Gnp(32, 0.5, rng)
 
-	res, err := core.ListAllTriangles(g, core.ListerOptions{}, sim.Config{Seed: 7})
+	res, err := core.NewEngineCache().ListAllTriangles(g, core.ListerOptions{}, sim.Config{Seed: 7})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -27,13 +27,13 @@ func ExampleListAllTriangles() {
 	// distinct: true
 }
 
-// ExampleFindTriangles shows the Theorem-1 finder's one-sided guarantee:
-// a witness is always a real triangle, and triangle-free inputs can never
-// produce one.
-func ExampleFindTriangles() {
+// ExampleEngineCache_FindTriangles shows the Theorem-1 finder's one-sided
+// guarantee: a witness is always a real triangle, and triangle-free inputs
+// can never produce one.
+func ExampleEngineCache_FindTriangles() {
 	rng := rand.New(rand.NewSource(1))
 	free := graph.RandomBipartite(16, 16, 0.5, rng)
-	found, _, err := core.FindTriangles(free, core.FinderOptions{}, sim.Config{Seed: 2})
+	found, _, err := core.NewEngineCache().FindTriangles(free, core.FinderOptions{}, sim.Config{Seed: 2})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -50,7 +50,7 @@ func ExampleNewAXR() {
 	g := graph.Complete(8)
 	p := core.Params{N: g.N(), Eps: 0.5, B: 2}
 	sched, mk := core.NewAXR(p, core.AXROptions{InX: func(int) bool { return false }})
-	res, err := core.RunSingle(g, sched, mk, sim.Config{Seed: 3})
+	res, err := core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: 3})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -215,7 +215,7 @@ func TestHeavyLightSplitCoverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunSingle(g, sched, mk, simCfg(seed))
+		res, err := NewEngineCache().RunSingle(g, sched, mk, simCfg(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestHeavyLightSplitCoverage(t *testing.T) {
 	a3Union := make(graph.TriangleSet)
 	for seed := int64(0); seed < 10; seed++ {
 		sched, mk := NewA3(p)
-		res, err := RunSingle(g, sched, mk, simCfg(seed+100))
+		res, err := NewEngineCache().RunSingle(g, sched, mk, simCfg(seed+100))
 		if err != nil {
 			t.Fatal(err)
 		}

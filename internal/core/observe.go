@@ -26,8 +26,11 @@ type SegmentInfo struct {
 // Result union's job). Callbacks must not block; the run is synchronous
 // with them.
 //
-// The materialized Result is itself assembled from this stream (see
-// runNodesContext), so an observer sees exactly what the Result will hold.
+// The stream and the Result read the same per-node output lists of the
+// engine: node v's OnTriangle calls, in order, are exactly
+// Result.Outputs[v]. A resumed run streams only the outputs made after its
+// resume round; its Result.Outputs[v] is the restored prefix followed by
+// that suffix.
 type Observer interface {
 	OnSegment(info SegmentInfo)
 	OnRound(round int, d sim.RoundDelta)
@@ -43,43 +46,21 @@ type FaultObserver interface {
 	OnFault(ev sim.FaultEvent)
 }
 
-// collector rebuilds the materialized Result fields from the streaming
-// callbacks: per-node outputs in emission order plus the deduplicated
-// union. It is the bridge between the observer contract and the legacy
-// Result shape.
-type collector struct {
-	outputs [][]graph.Triangle
-	union   graph.TriangleSet
-}
-
-func newCollector(n int) *collector {
-	return &collector{
-		outputs: make([][]graph.Triangle, n),
-		union:   make(graph.TriangleSet),
+// Hooks bridges obs into engine hooks. A Triangle hook is installed on
+// every run, observed or not: emitting a node's outputs through it is what
+// advances the node's streamed-output mark, which every engine snapshot
+// records. Without it, a checkpoint of an unobserved run would mark none of
+// its outputs as streamed, and a replay or an observed resume from it
+// would stream them all again. The round and fault hooks are installed
+// only when someone listens, so an unobserved engine jumps idle rounds in
+// one step.
+func Hooks(obs Observer) sim.Hooks {
+	if obs == nil {
+		return sim.Hooks{Triangle: func(int, graph.Triangle) {}}
 	}
-}
-
-func (c *collector) add(node int, t graph.Triangle) {
-	c.outputs[node] = append(c.outputs[node], t)
-	c.union.Add(t)
-}
-
-// hooksFor wires a collector plus an optional user observer into engine
-// hooks. The round hook is installed only when someone listens.
-func hooksFor(col *collector, obs Observer) sim.Hooks {
-	h := sim.Hooks{
-		Triangle: func(node int, t graph.Triangle) {
-			col.add(node, t)
-			if obs != nil {
-				obs.OnTriangle(node, t)
-			}
-		},
-	}
-	if obs != nil {
-		h.Round = obs.OnRound
-		if fo, ok := obs.(FaultObserver); ok {
-			h.Fault = fo.OnFault
-		}
+	h := sim.Hooks{Round: obs.OnRound, Triangle: obs.OnTriangle}
+	if fo, ok := obs.(FaultObserver); ok {
+		h.Fault = fo.OnFault
 	}
 	return h
 }

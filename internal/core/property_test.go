@@ -43,7 +43,7 @@ func TestOneSidednessIsUniversal(t *testing.T) {
 
 		var results []Result
 		s1, mk1 := NewA1(p)
-		r1, err := RunSingle(g, s1, mk1, cfg)
+		r1, err := NewEngineCache().RunSingle(g, s1, mk1, cfg)
 		if err != nil {
 			return false
 		}
@@ -52,18 +52,18 @@ func TestOneSidednessIsUniversal(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r2, err := RunSingle(g, s2, mk2, cfg)
+		r2, err := NewEngineCache().RunSingle(g, s2, mk2, cfg)
 		if err != nil {
 			return false
 		}
 		results = append(results, r2)
 		s3, mk3 := NewA3(p)
-		r3, err := RunSingle(g, s3, mk3, cfg)
+		r3, err := NewEngineCache().RunSingle(g, s3, mk3, cfg)
 		if err != nil {
 			return false
 		}
 		results = append(results, r3)
-		_, rt, err := TestTriangleFreeness(g, 4, cfg)
+		_, rt, err := NewEngineCache().TestTriangleFreeness(g, 4, cfg)
 		if err != nil {
 			return false
 		}
@@ -88,7 +88,7 @@ func TestListerCompletenessProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng)
-		res, err := ListAllTriangles(g, ListerOptions{}, sim.Config{Seed: seed})
+		res, err := NewEngineCache().ListAllTriangles(g, ListerOptions{}, sim.Config{Seed: seed})
 		if err != nil {
 			return false
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/graph"
@@ -54,64 +53,12 @@ type Result struct {
 	Meta RunMeta
 }
 
-// RunSingle executes a single-schedule algorithm on g.
-func RunSingle(g *graph.Graph, sched *sim.Schedule, mk func(id int) sim.Node, cfg sim.Config) (Result, error) {
-	return RunSingleContext(context.Background(), g, sched, mk, cfg, nil)
-}
-
-// RunSingleContext is RunSingle with cancellation and streaming
-// observation. Cancellation is honored at round boundaries only: the
-// returned Result is then the deterministic prefix of the uncancelled run
-// (same seed, same everything) up to ExecutedRounds, and the error is
-// ctx.Err().
-func RunSingleContext(ctx context.Context, g *graph.Graph, sched *sim.Schedule, mk func(id int) sim.Node, cfg sim.Config, obs Observer) (Result, error) {
-	nodes := make([]sim.Node, g.N())
-	for v := range nodes {
-		nodes[v] = mk(v)
-	}
-	return runNodes(ctx, g, nodes, singlePlan(sched), cfg, obs)
-}
-
-// singlePlan wraps one schedule as a one-segment plan.
-func singlePlan(sched *sim.Schedule) []SegmentPlan {
-	return []SegmentPlan{{Name: "run", Rounds: TotalRounds(sched)}}
-}
-
-// errEmptySequence rejects zero-segment sequence runs.
-var errEmptySequence = errors.New("core: empty segment sequence")
-
-// RunSequence executes a sequence of segments (e.g. the Theorem-1 finder's
-// repeated A1;A3) on g.
-func RunSequence(g *graph.Graph, segs []Segment, cfg sim.Config) (Result, error) {
-	return RunSequenceContext(context.Background(), g, segs, cfg, nil)
-}
-
-// RunSequenceContext is RunSequence with cancellation and streaming
-// observation (see RunSingleContext for the cancellation contract).
-func RunSequenceContext(ctx context.Context, g *graph.Graph, segs []Segment, cfg sim.Config, obs Observer) (Result, error) {
-	if len(segs) == 0 {
-		return Result{}, errEmptySequence
-	}
-	nodes := make([]sim.Node, g.N())
-	for v := range nodes {
-		nodes[v] = NewSequenceNode(segs, v)
-	}
-	return runNodes(ctx, g, nodes, Plan(segs), cfg, obs)
-}
-
-func runNodes(ctx context.Context, g *graph.Graph, nodes []sim.Node, plan []SegmentPlan, cfg sim.Config, obs Observer) (Result, error) {
-	eng, err := sim.NewEngine(g, nodes, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return runPlanned(ctx, eng, plan, obs, nil)
-}
-
 // runPlanned drives an initialized engine through the plan, streaming to
-// obs and assembling the Result from the same observation stream (the
-// collector). On cancellation it returns the partial Result together with
-// ctx.Err(); the partial Result is bit-identical to the same run truncated
-// at the same round.
+// obs. The Result's outputs and union are read from the engine's per-node
+// output lists once the last round has run, so a resumed run's Result
+// includes the outputs restored with the snapshot. On cancellation it
+// returns the partial Result together with ctx.Err(); the partial Result
+// is bit-identical to the same run truncated at the same round.
 //
 // With a CheckpointPlan, execution is additionally chunked at Every-round
 // boundaries (snapshots only exist at round boundaries, where engine
@@ -122,23 +69,14 @@ func runNodes(ctx context.Context, g *graph.Graph, nodes []sim.Node, plan []Segm
 // the resume point are silent, and the segment containing it announces
 // itself only when the resume lands exactly on its first round.
 func runPlanned(ctx context.Context, eng *sim.Engine, plan []SegmentPlan, obs Observer, ckpt *CheckpointPlan) (Result, error) {
-	col := newCollector(eng.Input().N())
 	resumeRound := 0
 	if ckpt != nil && ckpt.Resume != nil {
 		if err := eng.Restore(ckpt.Resume.Payload); err != nil {
 			return Result{}, err
 		}
 		resumeRound = eng.Round()
-		// Outputs recorded before the snapshot were already streamed by the
-		// checkpointing run; re-seed the collector directly so the
-		// materialized Result matches the uninterrupted run's.
-		for v, ts := range eng.Outputs() {
-			for _, t := range ts {
-				col.add(v, t)
-			}
-		}
 	}
-	eng.SetHooks(hooksFor(col, obs))
+	eng.SetHooks(Hooks(obs))
 	cfg := eng.Config()
 	scheduled := 0
 	for _, sp := range plan {
@@ -207,8 +145,8 @@ func runPlanned(ctx context.Context, eng *sim.Engine, plan []SegmentPlan, obs Ob
 	}
 	metrics := eng.Metrics()
 	res := Result{
-		Outputs:         col.outputs,
-		Union:           col.union,
+		Outputs:         eng.Outputs(),
+		Union:           eng.OutputUnion(),
 		Metrics:         metrics,
 		ScheduledRounds: scheduled,
 		Meta: RunMeta{
@@ -232,48 +170,6 @@ func runPlanned(ctx context.Context, eng *sim.Engine, plan []SegmentPlan, obs Ob
 		return Result{}, fmt.Errorf("core: %d words still queued after scheduled %d rounds (phase budget bug)", pend, scheduled)
 	}
 	return res, nil
-}
-
-// FindTriangles runs the Theorem-1 finder on g and reports whether a
-// triangle was found (plus the full result).
-func FindTriangles(g *graph.Graph, opt FinderOptions, cfg sim.Config) (bool, Result, error) {
-	return FindTrianglesContext(context.Background(), g, opt, cfg, nil)
-}
-
-// FindTrianglesContext is FindTriangles with cancellation and streaming
-// observation.
-func FindTrianglesContext(ctx context.Context, g *graph.Graph, opt FinderOptions, cfg sim.Config, obs Observer) (bool, Result, error) {
-	segs, err := NewFinder(g.N(), bandwidthOf(cfg), opt)
-	if err != nil {
-		return false, Result{}, err
-	}
-	res, err := RunSequenceContext(ctx, g, segs, cfg, obs)
-	if err != nil {
-		return false, res, err
-	}
-	return len(res.Union) > 0, res, nil
-}
-
-// ListAllTriangles runs the Theorem-2 lister on g.
-func ListAllTriangles(g *graph.Graph, opt ListerOptions, cfg sim.Config) (Result, error) {
-	return ListAllTrianglesContext(context.Background(), g, opt, cfg, nil)
-}
-
-// ListAllTrianglesContext is ListAllTriangles with cancellation and
-// streaming observation.
-func ListAllTrianglesContext(ctx context.Context, g *graph.Graph, opt ListerOptions, cfg sim.Config, obs Observer) (Result, error) {
-	segs, err := NewLister(g.N(), bandwidthOf(cfg), opt)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunSequenceContext(ctx, g, segs, cfg, obs)
-}
-
-func bandwidthOf(cfg sim.Config) int {
-	if cfg.BandwidthWords > 0 {
-		return cfg.BandwidthWords
-	}
-	return 2
 }
 
 // VerifyOneSided checks the model's one-sided-error requirement: every

@@ -77,10 +77,24 @@ func zoo(t *testing.T, g *graph.Graph) map[string]zooRun {
 		t.Fatal(err)
 	}
 	two, mkTwo := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopGlobal)
+	tester, mkTester := core.NewPropertyTester(g.N(), 2, 8)
+	finder, err := core.NewFinder(g.N(), 2, core.FinderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lister, err := core.NewLister(g.N(), 2, core.ListerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	single := func(sched *sim.Schedule, mk func(id int) sim.Node, mode sim.Mode) zooRun {
 		return func(ctx context.Context, g *graph.Graph, cfg sim.Config, obs core.Observer) (core.Result, error) {
 			cfg.Mode = mode
-			return core.RunSingleContext(ctx, g, sched, mk, cfg, obs)
+			return core.NewEngineCache().RunSingleCheckpointed(ctx, g, sched, mk, cfg, obs, nil)
+		}
+	}
+	sequence := func(segs []core.Segment) zooRun {
+		return func(ctx context.Context, g *graph.Graph, cfg sim.Config, obs core.Observer) (core.Result, error) {
+			return core.NewEngineCache().RunSequenceCheckpointed(ctx, g, segs, cfg, obs, nil)
 		}
 	}
 	return map[string]zooRun{
@@ -90,17 +104,9 @@ func zoo(t *testing.T, g *graph.Graph) map[string]zooRun {
 		"axr":          single(sx, mkx, sim.ModeCONGEST),
 		"dolev-clique": single(dol, mkDol, sim.ModeClique),
 		"twohop-bcast": single(two, mkTwo, sim.ModeBroadcast),
-		"tester": func(ctx context.Context, g *graph.Graph, cfg sim.Config, obs core.Observer) (core.Result, error) {
-			_, res, err := core.TestTriangleFreenessContext(ctx, g, 8, cfg, obs)
-			return res, err
-		},
-		"finder": func(ctx context.Context, g *graph.Graph, cfg sim.Config, obs core.Observer) (core.Result, error) {
-			_, res, err := core.FindTrianglesContext(ctx, g, core.FinderOptions{}, cfg, obs)
-			return res, err
-		},
-		"lister": func(ctx context.Context, g *graph.Graph, cfg sim.Config, obs core.Observer) (core.Result, error) {
-			return core.ListAllTrianglesContext(ctx, g, core.ListerOptions{}, cfg, obs)
-		},
+		"tester":       single(tester, mkTester, sim.ModeCONGEST),
+		"finder":       sequence(finder),
+		"lister":       sequence(lister),
 	}
 }
 
@@ -179,6 +185,10 @@ func TestSchedulerEquivalenceUnobserved(t *testing.T) {
 func TestSchedulerCancellationPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.Gnp(32, 0.3, rng)
+	finder, err := core.NewFinder(g.N(), 2, core.FinderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	runAt := func(sched sim.Scheduler, cut int) (core.Result, *stream) {
 		t.Helper()
@@ -190,7 +200,7 @@ func TestSchedulerCancellationPrefix(t *testing.T) {
 			}
 		}}
 		cfg := sim.Config{Seed: 5, Scheduler: sched}
-		_, res, err := core.FindTrianglesContext(ctx, g, core.FinderOptions{}, cfg, obs)
+		res, err := core.NewEngineCache().RunSequenceCheckpointed(ctx, g, finder, cfg, obs, nil)
 		if cut >= 0 && !errors.Is(err, context.Canceled) {
 			t.Fatalf("cut %d: err %v", cut, err)
 		}

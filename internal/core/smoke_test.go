@@ -11,7 +11,7 @@ import (
 func TestSmokeListerGnp(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.Gnp(40, 0.3, rng)
-	res, err := ListAllTriangles(g, ListerOptions{}, sim.Config{Seed: 7})
+	res, err := NewEngineCache().ListAllTriangles(g, ListerOptions{}, sim.Config{Seed: 7})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -24,7 +24,7 @@ func TestSmokeListerGnp(t *testing.T) {
 func TestSmokeFinderPlanted(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g, _ := graph.PlantedTriangles(60, 4, rng)
-	found, res, err := FindTriangles(g, FinderOptions{}, sim.Config{Seed: 3})
+	found, res, err := NewEngineCache().FindTriangles(g, FinderOptions{}, sim.Config{Seed: 3})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -46,7 +46,7 @@ func TestSmokeAXRDeterministicX(t *testing.T) {
 	}
 	p := Params{N: n, Eps: 0.5, B: 2}
 	sched, mk := NewAXR(p, AXROptions{InX: func(id int) bool { return x.Has(id) }})
-	res, err := RunSingle(g, sched, mk, sim.Config{Seed: 11})
+	res, err := NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: 11})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -67,22 +65,3 @@ func (h *testerHandler) Receive(ctx *sim.Context, phase int, d sim.Delivery) {
 }
 
 func (h *testerHandler) Finish(ctx *sim.Context) {}
-
-// TestTriangleFreeness runs the property tester and reports whether a
-// triangle witness was found. A false return on a graph far from
-// triangle-free is possible but exponentially unlikely in `probes`; a true
-// return is always backed by a real triangle (one-sided).
-func TestTriangleFreeness(g *graph.Graph, probes int, cfg sim.Config) (bool, Result, error) {
-	return TestTriangleFreenessContext(context.Background(), g, probes, cfg, nil)
-}
-
-// TestTriangleFreenessContext is TestTriangleFreeness with cancellation and
-// streaming observation.
-func TestTriangleFreenessContext(ctx context.Context, g *graph.Graph, probes int, cfg sim.Config, obs Observer) (bool, Result, error) {
-	sched, mk := NewPropertyTester(g.N(), bandwidthOf(cfg), probes)
-	res, err := RunSingleContext(ctx, g, sched, mk, cfg, obs)
-	if err != nil {
-		return false, res, err
-	}
-	return len(res.Union) > 0, res, nil
-}

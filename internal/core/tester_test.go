@@ -17,7 +17,7 @@ func TestTesterNeverRejectsTriangleFree(t *testing.T) {
 	}
 	for i, g := range cases {
 		for seed := int64(0); seed < 5; seed++ {
-			found, res, err := TestTriangleFreeness(g, 8, sim.Config{Seed: seed})
+			found, res, err := NewEngineCache().TestTriangleFreeness(g, 8, sim.Config{Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -36,7 +36,7 @@ func TestTesterDetectsFarFromTriangleFree(t *testing.T) {
 	g := graph.Gnp(40, 0.5, rng) // constant-fraction far from triangle-free
 	found := false
 	for seed := int64(0); seed < 4 && !found; seed++ {
-		f, res, err := TestTriangleFreeness(g, 12, sim.Config{Seed: seed})
+		f, res, err := NewEngineCache().TestTriangleFreeness(g, 12, sim.Config{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

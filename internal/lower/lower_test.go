@@ -67,7 +67,7 @@ func TestAnalyzeLocalAndCheckLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.Gnp(24, 0.5, rng)
 	sched, mk := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopLocal)
-	res, err := core.RunSingle(g, sched, mk, sim.Config{Seed: 2})
+	res, err := core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestTheoremThreeChainOnRealRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.RunSingle(g, sched, mk, sim.Config{Mode: sim.ModeClique, Seed: int64(n)})
+		res, err := core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Mode: sim.ModeClique, Seed: int64(n)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestTheoremThreeChainOnRealRuns(t *testing.T) {
 		}
 		// CONGEST run (two-hop).
 		s2, mk2 := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopGlobal)
-		res2, err := core.RunSingle(g, s2, mk2, sim.Config{Seed: int64(n + 1)})
+		res2, err := core.NewEngineCache().RunSingle(g, s2, mk2, sim.Config{Seed: int64(n + 1)})
 		if err != nil {
 			t.Fatal(err)
 		}

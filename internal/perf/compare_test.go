@@ -1,7 +1,6 @@
 package perf
 
 import (
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -25,27 +24,6 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(f, got) {
 		t.Fatalf("round trip drifted:\n%+v\n%+v", f, got)
-	}
-}
-
-// TestReadFileLegacy checks the single-run fallback: a pre-multi-run
-// baseline (bare Report at top level) reads as a one-run File.
-func TestReadFileLegacy(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.json")
-	legacy := `{"go_version":"go1.24","goarch":"amd64","gomaxprocs":1,` +
-		`"entries":[{"name":"A","ns_per_op":42,"allocs_per_op":1}]}` + "\n"
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Runs) != 1 || f.Runs[0].GOMAXPROCS != 1 {
-		t.Fatalf("legacy read = %+v", f)
-	}
-	if e, ok := f.Runs[0].Entry("A"); !ok || e.NsPerOp != 42 {
-		t.Fatalf("legacy entry = %+v ok=%v", e, ok)
 	}
 }
 

@@ -1,8 +1,8 @@
-// Package perf is the unified performance harness: one schema for the
-// machine-readable benchmark trajectory files (BENCH_*.json), the benchmark
-// workload suites shared by `go test -bench`, the EMIT_BENCH_JSON emitters
-// and the cmd/bench driver, and the baseline comparison that cmd/bench
-// turns into a CI regression gate.
+// Package perf is the unified performance harness: the schema of the
+// machine-readable benchmark trajectory file (BENCH_engine.json), the
+// benchmark workload suites shared by `go test -bench` and the cmd/bench
+// driver, and the baseline comparison that cmd/bench turns into a CI
+// regression gate.
 //
 // The committed baseline files hold numbers from the machine that last
 // regenerated them (see each run's go_version/goarch/gomaxprocs/num_cpu
@@ -27,8 +27,8 @@ import (
 	"sort"
 )
 
-// Entry is one benchmark's measured numbers — the shared row schema of
-// every BENCH_*.json file.
+// Entry is one benchmark's measured numbers — the row schema of the
+// baseline file.
 type Entry struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -158,7 +158,7 @@ func (r *Report) ComputeDerived() {
 	}
 }
 
-// File is the committed BENCH_*.json shape: one run per GOMAXPROCS
+// File is the committed baseline file's shape: one run per GOMAXPROCS
 // setting, sorted ascending. Parallel workloads measure fundamentally
 // different things at 1 and at >=4 procs, so each proc count keeps its own
 // baseline and the gate compares like with like.
@@ -219,9 +219,7 @@ func WriteFile(path string, f File) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// ReadFile loads a baseline written by WriteFile. Legacy single-run files
-// (a bare Report at top level, from before the multi-run format) are read
-// as a one-run File.
+// ReadFile loads a baseline written by WriteFile.
 func ReadFile(path string) (File, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -230,15 +228,6 @@ func ReadFile(path string) (File, error) {
 	var f File
 	if err := json.Unmarshal(data, &f); err != nil {
 		return File{}, fmt.Errorf("perf: parsing %s: %w", path, err)
-	}
-	if f.Runs == nil {
-		var r Report
-		if err := json.Unmarshal(data, &r); err != nil {
-			return File{}, fmt.Errorf("perf: parsing %s: %w", path, err)
-		}
-		if len(r.Entries) > 0 {
-			f.Runs = []Report{r}
-		}
 	}
 	return f, nil
 }

@@ -20,9 +20,8 @@ import (
 )
 
 // This file defines the benchmark workloads once, as func(*testing.B)
-// closures, so the `go test -bench` wrappers in bench_test.go, the
-// EMIT_BENCH_JSON emitters and the cmd/bench driver all measure the same
-// code. Each workload reports its throughput as ReportMetric extras, which
+// closures, so the `go test -bench` wrappers in bench_test.go and the
+// cmd/bench driver measure the same code. Each workload reports its throughput as ReportMetric extras, which
 // Measure copies into the shared Entry schema.
 
 // Bench is one named workload of a Suite.

@@ -145,7 +145,7 @@ func TestPooledRunMatchesFresh(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := core.RunSingle(g, sched, mk, runCfg)
+				want, err := core.NewEngineCache().RunSingle(g, sched, mk, runCfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -205,7 +205,7 @@ func TestPoolConcurrentBorrowers(t *testing.T) {
 	sched := chatterSched()
 	want := make(map[int64]core.Result)
 	for seed := int64(0); seed < 4; seed++ {
-		res, err := core.RunSingle(g, sched, chatterMk(6), sim.Config{Seed: seed})
+		res, err := core.NewEngineCache().RunSingle(g, sched, chatterMk(6), sim.Config{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -199,7 +199,7 @@ func TestPoolRebind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.RunSingle(g, sched, chatterMk(6), cfg)
+		want, err := core.NewEngineCache().RunSingle(g, sched, chatterMk(6), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
