@@ -306,10 +306,17 @@ func replay(spec congest.JobSpec, round, workers int) error {
 	return nil
 }
 
-// replayPrinter prints the replayed window's observation stream.
+// replayPrinter prints the replayed window's observation stream, fault
+// events included.
 type replayPrinter struct{}
 
-func (replayPrinter) OnSegment(congest.SegmentInfo) {}
+func (replayPrinter) OnSegment(s congest.SegmentInfo) {
+	fmt.Printf("seg:   %s start=%d rounds=%d\n", s.Name, s.StartRound, s.Rounds)
+}
+
+func (replayPrinter) OnFault(ev congest.FaultEvent) {
+	fmt.Printf("fault: %s node=%d round=%d\n", ev.Kind, ev.Node, ev.Round)
+}
 
 func (replayPrinter) OnRound(round int, d congest.RoundDelta) {
 	fmt.Printf("round %d: messages=%d words=%d moved=%v\n", round, d.Messages, d.Words, d.Moved)

@@ -106,3 +106,39 @@ func TestRunFaultsFlag(t *testing.T) {
 		t.Fatal("faults accepted for algo count")
 	}
 }
+
+// stdoutOf runs the command with args and returns what it printed.
+func stdoutOf(t *testing.T, args ...string) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	err = run(args)
+	os.Stdout = saved
+	if err != nil {
+		t.Fatalf("run(%v): %v", args, err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestReplayRoundPrintsFaults checkpoints a faulty job and replays its
+// crash round: the replay prints the crash along with the round's stream.
+func TestReplayRoundPrintsFaults(t *testing.T) {
+	job := []string{"-gen", "gnp", "-n", "24", "-p", "0.5", "-algo", "find",
+		"-faults", "crash=3@10,loss=0.1,seed=11", "-checkpoint", "every=4,dir=" + t.TempDir()}
+	stdoutOf(t, job...)
+	out := stdoutOf(t, append(job, "-replay-round", "10")...)
+	for _, want := range []string{"fault: crash node=3 round=10\n", "round 10: ", "replay: round=10 anchor="} {
+		if !strings.Contains(out, want) {
+			t.Errorf("replay output lacks %q:\n%s", want, out)
+		}
+	}
+}

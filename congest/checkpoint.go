@@ -1,11 +1,13 @@
 package congest
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -121,20 +123,27 @@ func checkpointPlanFor(spec JobSpec, g *graph.Graph, cfg sim.Config) (*Checkpoin
 		},
 	}
 	if cs.Resume {
-		ck, _, err := checkpoint.Latest(cs.Dir, meta.SpecHash)
-		switch {
-		case errors.Is(err, checkpoint.ErrNotFound):
-			// Nothing to resume from: cold start.
-		case err != nil:
+		rp, err := resumePoint(cs.Dir, meta, math.MaxInt)
+		if err != nil && !errors.Is(err, checkpoint.ErrNotFound) {
 			return nil, nil, err
-		default:
-			if err := ck.Meta.CompatibleWith(meta); err != nil {
-				return nil, nil, err
-			}
-			plan.Resume = &core.ResumePoint{Round: ck.Meta.Round, Payload: ck.Payload}
 		}
+		plan.Resume = rp // nil when there is nothing to resume from: cold start
 	}
 	return &CheckpointMeta{Every: cs.Every, Dir: cs.Dir, SpecHash: meta.SpecHash}, plan, nil
+}
+
+// resumePoint loads the highest-round checkpoint of meta's spec in dir at
+// or below round and checks its provenance against meta. Returns
+// checkpoint.ErrNotFound (wrapped) when none qualifies.
+func resumePoint(dir string, meta checkpoint.Meta, round int) (*core.ResumePoint, error) {
+	ck, _, err := checkpoint.Nearest(dir, meta.SpecHash, round)
+	if err != nil {
+		return nil, err
+	}
+	if err := ck.Meta.CompatibleWith(meta); err != nil {
+		return nil, err
+	}
+	return &core.ResumePoint{Round: ck.Meta.Round, Payload: ck.Payload}, nil
 }
 
 // ReplayInfo summarizes a time-travel replay: which checkpoint anchored
@@ -152,10 +161,12 @@ type ReplayInfo struct {
 }
 
 // Replay re-derives the observation stream of rounds [from, to] of a
-// checkpointed job from the nearest checkpoint at or below from, without
-// re-running earlier rounds. The spec must carry the same Checkpoint
-// config the original run used; the delivered stream is bit-identical to
-// the corresponding window of the straight-through run.
+// checkpointed job — segment, round, triangle and fault events — without
+// re-running the rounds before the nearest checkpoint at or below from. It
+// is a resume from that checkpoint that writes no checkpoints, streams only
+// the window and stops after round to. The spec must carry the same
+// Checkpoint config the original run used; the delivered stream is
+// bit-identical to the corresponding window of the straight-through run.
 func (s *Session) Replay(spec JobSpec, from, to int, obs Observer) (ReplayInfo, error) {
 	if err := spec.Validate(); err != nil {
 		return ReplayInfo{}, err
@@ -163,42 +174,76 @@ func (s *Session) Replay(spec JobSpec, from, to int, obs Observer) (ReplayInfo, 
 	if spec.Checkpoint == nil {
 		return ReplayInfo{}, fmt.Errorf("congest: replay needs a checkpoint spec")
 	}
+	if from > to {
+		return ReplayInfo{}, fmt.Errorf("checkpoint: replay window [%d, %d] is empty", from, to)
+	}
 	g, err := s.Graph(spec.Graph)
 	if err != nil {
 		return ReplayInfo{}, err
 	}
 	cfg := spec.engineConfig()
-	meta := ckptMetaOf(spec, g, cfg)
-	ck, _, err := checkpoint.Nearest(spec.Checkpoint.Dir, meta.SpecHash, from)
+	rp, err := resumePoint(spec.Checkpoint.Dir, ckptMetaOf(spec, g, cfg), from)
 	if err != nil {
-		return ReplayInfo{}, err
-	}
-	if err := ck.Meta.CompatibleWith(meta); err != nil {
 		return ReplayInfo{}, err
 	}
 	ab, err := buildAlgo(spec, g)
 	if err != nil {
 		return ReplayInfo{}, err
 	}
-	nodes := make([]sim.Node, g.N())
-	for v := range nodes {
-		if ab.segs != nil {
-			nodes[v] = core.NewSequenceNode(ab.segs, v)
-		} else {
-			nodes[v] = ab.mk(v)
-		}
-	}
-	eng, err := sim.NewEngine(g, nodes, cfg)
-	if err != nil {
-		return ReplayInfo{}, err
-	}
-	if err := checkpoint.Replay(eng, ck, from, to, core.Hooks(coreObs(obs))); err != nil {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &windowObs{obs: coreObs(obs), from: from, to: to, cur: rp.Round, cancel: cancel}
+	res, err := s.runAlgo(ctx, g, ab, cfg, w, &core.CheckpointPlan{Resume: rp})
+	if err != nil && !res.Meta.Cancelled {
 		return ReplayInfo{}, err
 	}
 	return ReplayInfo{
-		CheckpointRound: ck.Meta.Round,
+		CheckpointRound: rp.Round,
 		From:            from,
 		To:              to,
-		ReplayedRounds:  eng.Round() - ck.Meta.Round,
+		ReplayedRounds:  res.Meta.ExecutedRounds - rp.Round,
 	}, nil
+}
+
+// windowObs passes the events of rounds [from, to] of a replayed run on to
+// obs and cancels the run once round to has executed. Triangle events
+// belong to the round being stepped, cur; a segment belongs to its start
+// round and a fault event to its own round.
+type windowObs struct {
+	obs      core.Observer // nil drops every event
+	from, to int
+	cur      int
+	cancel   context.CancelFunc
+}
+
+func (w *windowObs) in(round int) bool {
+	return w.obs != nil && round >= w.from && round <= w.to
+}
+
+func (w *windowObs) OnSegment(info core.SegmentInfo) {
+	if w.in(info.StartRound) {
+		w.obs.OnSegment(info)
+	}
+}
+
+func (w *windowObs) OnRound(round int, d sim.RoundDelta) {
+	if w.in(round) {
+		w.obs.OnRound(round, d)
+	}
+	w.cur = round + 1
+	if round >= w.to {
+		w.cancel()
+	}
+}
+
+func (w *windowObs) OnTriangle(node int, t graph.Triangle) {
+	if w.in(w.cur) {
+		w.obs.OnTriangle(node, t)
+	}
+}
+
+func (w *windowObs) OnFault(ev sim.FaultEvent) {
+	if fo, ok := w.obs.(core.FaultObserver); ok && w.in(ev.Round) {
+		fo.OnFault(ev)
+	}
 }

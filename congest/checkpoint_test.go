@@ -199,14 +199,17 @@ func TestCutAndResumePlacementMigration(t *testing.T) {
 }
 
 // evt is one observation event; evtRec records the interleaved stream with
-// each triangle attributed to the round it surfaced in (triangle events
-// arrive while a round is executing, before that round's OnRound).
+// each event attributed to a round: a triangle to the round it surfaced in
+// (triangle events arrive while a round is executing, before that round's
+// OnRound), a segment to its start round and a fault to its own round.
 type evt struct {
 	kind  string
 	round int
 	node  int
 	tri   Triangle
 	d     RoundDelta
+	seg   SegmentInfo
+	fault FaultEvent
 }
 
 type evtRec struct {
@@ -215,13 +218,18 @@ type evtRec struct {
 	events []evt
 }
 
-func (r *evtRec) OnSegment(SegmentInfo) {}
+func (r *evtRec) OnSegment(seg SegmentInfo) {
+	r.events = append(r.events, evt{kind: "seg", round: seg.StartRound, seg: seg})
+}
 func (r *evtRec) OnRound(round int, d RoundDelta) {
 	r.rounds++
 	r.events = append(r.events, evt{kind: "round", round: round, d: d})
 }
 func (r *evtRec) OnTriangle(node int, t Triangle) {
 	r.events = append(r.events, evt{kind: "tri", round: r.base + r.rounds, node: node, tri: t})
+}
+func (r *evtRec) OnFault(ev FaultEvent) {
+	r.events = append(r.events, evt{kind: "fault", round: ev.Round, fault: ev})
 }
 
 // window returns the events of rounds [from, to].
@@ -233,6 +241,27 @@ func (r *evtRec) window(from, to int) []evt {
 		}
 	}
 	return out
+}
+
+// hasKind reports whether evs holds an event of the given kind.
+func hasKind(evs []evt, kind string) bool {
+	return slices.ContainsFunc(evs, func(e evt) bool { return e.kind == kind })
+}
+
+// replayWindow replays [from, to] of spec's checkpointed run and requires
+// the stream to equal full's window of the same rounds.
+func replayWindow(t *testing.T, sess *Session, spec JobSpec, full *evtRec, from, to int) ReplayInfo {
+	t.Helper()
+	rep := &evtRec{base: from}
+	info, err := sess.Replay(spec, from, to, rep)
+	if err != nil {
+		t.Fatalf("replay [%d, %d]: %v", from, to, err)
+	}
+	if want := full.window(from, to); !reflect.DeepEqual(rep.events, want) {
+		t.Fatalf("replay [%d, %d] from round %d: %d events differ from the straight run's %d",
+			from, to, info.CheckpointRound, len(rep.events), len(want))
+	}
+	return info
 }
 
 // TestSessionReplayWindow: Replay re-derives the exact observation stream
@@ -252,20 +281,12 @@ func TestSessionReplayWindow(t *testing.T) {
 	}
 	from, to := total/3, total/2
 	sess := NewSession()
-	rep := &evtRec{base: from}
-	info, err := sess.Replay(spec, from, to, rep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := replayWindow(t, sess, spec, full, from, to)
 	if info.From != from || info.To != to || info.CheckpointRound > from {
 		t.Fatalf("replay info %+v for window [%d, %d]", info, from, to)
 	}
-	if info.ReplayedRounds >= total {
-		t.Fatalf("replay executed %d rounds, straight run only had %d", info.ReplayedRounds, total)
-	}
-	if want := full.window(from, to); !reflect.DeepEqual(rep.events, want) {
-		t.Fatalf("replayed stream (%d events) differs from straight window (%d events)",
-			len(rep.events), len(want))
+	if info.ReplayedRounds != to+1-info.CheckpointRound {
+		t.Fatalf("replay executed %d rounds from round %d, want %d", info.ReplayedRounds, info.CheckpointRound, to+1-info.CheckpointRound)
 	}
 
 	// Bad windows and identities fail closed.
@@ -318,14 +339,7 @@ func TestUnobservedCheckpointReplayAndResume(t *testing.T) {
 
 	sess := NewSession()
 	for _, w := range [][2]int{{total / 4, total / 3}, {total/2 + 1, 3 * total / 4}} {
-		from, to := w[0], w[1]
-		rep := &evtRec{base: from}
-		if _, err := sess.Replay(spec, from, to, rep); err != nil {
-			t.Fatal(err)
-		}
-		if want := full.window(from, to); !reflect.DeepEqual(rep.events, want) {
-			t.Fatalf("replay [%d, %d]: %d events, straight run has %d", from, to, len(rep.events), len(want))
-		}
+		replayWindow(t, sess, spec, full, w[0], w[1])
 	}
 
 	// Drop every checkpoint after the middle one, as if the job had been
@@ -350,6 +364,85 @@ func TestUnobservedCheckpointReplayAndResume(t *testing.T) {
 	got.Meta.Checkpoint.Dir = want.Meta.Checkpoint.Dir
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("resumed result diverges\ngot:  %+v\nwant: %+v", got, want)
+	}
+}
+
+// TestReplayFaultyWindows: a replay of a faulty job streams the fault
+// events of its window along with the rest. The crash of node 3 at round
+// 10 falls inside [9, 12], and the mid-run window spans segment starts, so
+// both windows compare crash and segment events as well as rounds and
+// triangles.
+func TestReplayFaultyWindows(t *testing.T) {
+	spec := ckptSpec("find", t.TempDir(), 4)
+	spec.Faults = &FaultSpec{Seed: 11, Crashes: []FaultCrash{{Node: 3, Round: 10}}, Loss: 0.1}
+	full := &evtRec{}
+	res, err := RunObserved(context.Background(), spec, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := res.Meta.ExecutedRounds
+	if total < 24 {
+		t.Fatalf("run too short: %d rounds", total)
+	}
+	if w := full.window(9, 12); !slices.Contains(w, evt{kind: "fault", round: 10, fault: FaultEvent{Kind: "crash", Node: 3, Round: 10}}) {
+		t.Fatalf("straight run's window [9, 12] has no crash of node 3: %+v", w)
+	}
+	if !hasKind(full.window(total/3, total/2), "seg") {
+		t.Fatalf("window [%d, %d] starts no segment", total/3, total/2)
+	}
+	sess := NewSession()
+	replayWindow(t, sess, spec, full, 9, 12)
+	replayWindow(t, sess, spec, full, total/3, total/2)
+}
+
+// TestReplayPastPlanEnd: a window that runs past the end of the plan
+// replays up to the last scheduled round and equals the straight run's
+// tail, the last segment's start included.
+func TestReplayPastPlanEnd(t *testing.T) {
+	spec := ckptSpec("find", t.TempDir(), 4)
+	full := &evtRec{}
+	res, err := RunObserved(context.Background(), spec, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := res.Meta.ExecutedRounds
+	segs := res.Meta.Segments
+	from := total - segs[len(segs)-1].Rounds - 2
+	if !hasKind(full.window(from, total), "seg") {
+		t.Fatalf("window [%d, %d] starts no segment", from, total)
+	}
+	info := replayWindow(t, NewSession(), spec, full, from, total+5)
+	if info.ReplayedRounds != total-info.CheckpointRound {
+		t.Fatalf("replay executed %d rounds from round %d, the plan ends at %d", info.ReplayedRounds, info.CheckpointRound, total)
+	}
+}
+
+// TestReplayWholeTail: replaying from a checkpoint's own round to the end
+// equals the straight run's whole suffix from that round, and a second
+// replay on the session's pooled engine streams it again bit for bit.
+func TestReplayWholeTail(t *testing.T) {
+	dir := t.TempDir()
+	spec := ckptSpec("find", dir, 4)
+	full := &evtRec{}
+	res, err := RunObserved(context.Background(), spec, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := res.Meta.ExecutedRounds
+	rounds := checkpoint.Rounds(dir, spec.SpecHash())
+	if len(rounds) < 4 {
+		t.Fatalf("run left %d checkpoints", len(rounds))
+	}
+	anchor := rounds[len(rounds)/2]
+	if !hasKind(full.window(anchor, total), "seg") {
+		t.Fatalf("suffix from round %d starts no segment", anchor)
+	}
+	sess := NewSession()
+	for range 2 {
+		info := replayWindow(t, sess, spec, full, anchor, total)
+		if info.CheckpointRound != anchor || info.ReplayedRounds != total-anchor {
+			t.Fatalf("replay info %+v, want anchor %d and %d rounds", info, anchor, total-anchor)
+		}
 	}
 }
 
@@ -438,7 +531,7 @@ func TestServiceEvictionProtectsCheckpointHolders(t *testing.T) {
 		t.Fatalf("holder err %v", err)
 	}
 	hash := spec.SpecHash()
-	if !checkpoint.HasAny(dir, hash) {
+	if len(checkpoint.Rounds(dir, hash)) == 0 {
 		t.Fatal("cancelled job left no checkpoint files")
 	}
 
@@ -464,7 +557,7 @@ func TestServiceEvictionProtectsCheckpointHolders(t *testing.T) {
 	if _, ok := svc.Job(holder.ID()); ok {
 		t.Fatal("deleted job still reachable")
 	}
-	if checkpoint.HasAny(dir, hash) {
+	if len(checkpoint.Rounds(dir, hash)) > 0 {
 		t.Fatal("delete did not reap the checkpoint files")
 	}
 	if err := svc.Delete("job-nope"); err == nil {

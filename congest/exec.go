@@ -68,12 +68,9 @@ func (s JobSpec) engineConfig() sim.Config {
 		Shards: s.Shards, Faults: s.Faults.plan()}
 }
 
-// bandwidth resolves the spec's B.
+// bandwidth resolves the spec's B through the engine's own defaulting.
 func (s JobSpec) bandwidth() int {
-	if s.Bandwidth > 0 {
-		return s.Bandwidth
-	}
-	return 2
+	return sim.Config{BandwidthWords: s.Bandwidth}.Normalized().BandwidthWords
 }
 
 // epsFor resolves the heaviness exponent a spec implies for an algorithm
@@ -102,7 +99,6 @@ func (s *Session) runJob(ctx context.Context, spec JobSpec, obs Observer) (Resul
 		return s.runCount(ctx, spec, g, cfg)
 	}
 
-	cobs := coreObs(obs)
 	ab, err := buildAlgo(spec, g)
 	if err != nil {
 		return Result{}, err
@@ -111,13 +107,7 @@ func (s *Session) runJob(ctx context.Context, spec JobSpec, obs Observer) (Resul
 	if err != nil {
 		return Result{}, err
 	}
-	var res core.Result
-	var runErr error
-	if ab.segs != nil {
-		res, runErr = s.engines.RunSequenceCheckpointed(ctx, g, ab.segs, cfg, cobs, ckPlan)
-	} else {
-		res, runErr = s.engines.RunSingleCheckpointed(ctx, g, ab.sched, ab.mk, cfg, cobs, ckPlan)
-	}
+	res, runErr := s.runAlgo(ctx, g, ab, cfg, coreObs(obs), ckPlan)
 	if runErr != nil && !res.Meta.Cancelled {
 		return Result{}, runErr
 	}
@@ -148,6 +138,15 @@ func (s *Session) runJob(ctx context.Context, spec JobSpec, obs Observer) (Resul
 		out.LowerBound = lowerBoundOf(g, res)
 	}
 	return out, nil
+}
+
+// runAlgo runs a built algorithm through the session's engine cache. Jobs
+// and replays both run through it.
+func (s *Session) runAlgo(ctx context.Context, g *graph.Graph, ab algoBuild, cfg sim.Config, obs core.Observer, ckpt *core.CheckpointPlan) (core.Result, error) {
+	if ab.segs != nil {
+		return s.engines.RunSequenceCheckpointed(ctx, g, ab.segs, cfg, obs, ckpt)
+	}
+	return s.engines.RunSingleCheckpointed(ctx, g, ab.sched, ab.mk, cfg, obs, ckpt)
 }
 
 // algoBuild is one resolved algorithm: either a segment sequence (segs)

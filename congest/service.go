@@ -544,7 +544,7 @@ func (s *Service) evictLocked() {
 // holdsCheckpoints reports whether the job owns checkpoint files on disk.
 func (j *Job) holdsCheckpoints() bool {
 	cs := j.spec.Checkpoint
-	return cs != nil && checkpoint.HasAny(cs.Dir, j.spec.SpecHash())
+	return cs != nil && len(checkpoint.Rounds(cs.Dir, j.spec.SpecHash())) > 0
 }
 
 // Delete cancels the job if it is still queued or running, waits for it

@@ -293,11 +293,7 @@ func CountTrianglesContext(ctx context.Context, g *graph.Graph, root int, cfg si
 	if root < 0 || root >= g.N() {
 		return CountResult{}, fmt.Errorf("agg: root %d out of range", root)
 	}
-	b := cfg.BandwidthWords
-	if b <= 0 {
-		b = 2
-	}
-	mk, collect := NewCounter(g.N(), b, g.MaxDegree(), root)
+	mk, collect := NewCounter(g.N(), cfg.Normalized().BandwidthWords, g.MaxDegree(), root)
 	nodes := make([]sim.Node, g.N())
 	for v := range nodes {
 		nodes[v] = mk(v)

@@ -2,8 +2,9 @@
 // snapshots: a versioned little-endian binary envelope carrying run
 // provenance (so a checkpoint refuses to resume against a mismatched graph
 // or config) plus the opaque engine payload produced by
-// sim.Engine.Snapshot, with directory helpers for checkpoint families and
-// a time-travel replay driver.
+// sim.Engine.Snapshot, with directory helpers for checkpoint families.
+// Running from a checkpoint — a resume or a replay — is the caller's job:
+// this package only stores, finds and validates containers.
 //
 // Layout, all little-endian (mirroring the .csrbin discipline):
 //
@@ -282,26 +283,6 @@ func list(dir, specHash string) []string {
 	return out
 }
 
-// HasAny reports whether dir holds at least one checkpoint for specHash.
-func HasAny(dir, specHash string) bool {
-	return len(list(dir, specHash)) > 0
-}
-
-// Latest loads the highest-round checkpoint for specHash in dir. Returns
-// ErrNotFound (wrapped) when none exists.
-func Latest(dir, specHash string) (*Checkpoint, string, error) {
-	files := list(dir, specHash)
-	if len(files) == 0 {
-		return nil, "", fmt.Errorf("%w: for %s in %s", ErrNotFound, specHash, dir)
-	}
-	path := files[len(files)-1]
-	c, err := Load(path)
-	if err != nil {
-		return nil, "", err
-	}
-	return c, path, nil
-}
-
 // roundOf parses the round out of a canonical checkpoint file name.
 func roundOf(path, specHash string) (int, bool) {
 	name := filepath.Base(path)
@@ -312,8 +293,9 @@ func roundOf(path, specHash string) (int, bool) {
 }
 
 // Nearest loads the highest-round checkpoint for specHash at or below
-// round — the replay anchor that minimizes catch-up work. Returns
-// ErrNotFound (wrapped) when none qualifies.
+// round — the replay anchor that minimizes catch-up work, or at
+// math.MaxInt the latest one. Returns ErrNotFound (wrapped) when none
+// qualifies.
 func Nearest(dir, specHash string, round int) (*Checkpoint, string, error) {
 	files := list(dir, specHash)
 	for i := len(files) - 1; i >= 0; i-- {
@@ -341,18 +323,6 @@ func Rounds(dir, specHash string) []int {
 		}
 	}
 	return out
-}
-
-// LatestRound returns the highest checkpoint round for specHash in dir
-// (from file names alone), and whether any checkpoint exists. A restarting
-// server uses it to report where a recovered job will resume without
-// paying for a payload load.
-func LatestRound(dir, specHash string) (int, bool) {
-	rounds := Rounds(dir, specHash)
-	if len(rounds) == 0 {
-		return 0, false
-	}
-	return rounds[len(rounds)-1], true
 }
 
 // Reap removes every checkpoint file for specHash in dir. Missing

@@ -7,13 +7,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"repro/internal/graph"
-	"repro/internal/sim"
 )
 
 func testMeta() Meta {
@@ -185,11 +181,11 @@ func TestSaveLoadLatestReap(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpts") // exercise MkdirAll
 	meta := testMeta()
 
-	if HasAny(dir, meta.SpecHash) {
-		t.Fatalf("HasAny on missing dir")
+	if got := Rounds(dir, meta.SpecHash); len(got) != 0 {
+		t.Fatalf("Rounds on missing dir = %v", got)
 	}
-	if _, _, err := Latest(dir, meta.SpecHash); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Latest on missing dir: got %v, want ErrNotFound", err)
+	if _, _, err := Nearest(dir, meta.SpecHash, math.MaxInt); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Nearest on missing dir: got %v, want ErrNotFound", err)
 	}
 
 	for _, round := range []int{0, 8, 16} {
@@ -211,26 +207,31 @@ func TestSaveLoadLatestReap(t *testing.T) {
 		t.Fatalf("Save other family: %v", err)
 	}
 
-	if !HasAny(dir, meta.SpecHash) {
-		t.Fatalf("HasAny false after saves")
-	}
-	// Name-only discovery: Rounds/LatestRound agree with the files written
-	// and never see the other family.
+	// Name-only discovery agrees with the files written and never sees the
+	// other family.
 	if got := Rounds(dir, meta.SpecHash); !reflect.DeepEqual(got, []int{0, 8, 16}) {
 		t.Fatalf("Rounds = %v, want [0 8 16]", got)
 	}
-	if r, ok := LatestRound(dir, meta.SpecHash); !ok || r != 16 {
-		t.Fatalf("LatestRound = %d, %v", r, ok)
+	if got := Rounds(dir, "ffffeeeeddddcccc"); len(got) != 0 {
+		t.Fatalf("Rounds found checkpoints for an unknown family: %v", got)
 	}
-	if _, ok := LatestRound(dir, "ffffeeeeddddcccc"); ok {
-		t.Fatalf("LatestRound found a checkpoint for an unknown family")
+	// Nearest picks the highest round at or below its bound; at
+	// math.MaxInt that is the latest checkpoint.
+	for _, c := range []struct{ bound, want int }{{math.MaxInt, 16}, {16, 16}, {15, 8}, {8, 8}, {0, 0}} {
+		ck, _, err := Nearest(dir, meta.SpecHash, c.bound)
+		if err != nil {
+			t.Fatalf("Nearest(%d): %v", c.bound, err)
+		}
+		if ck.Meta.Round != c.want || string(ck.Payload) != fmt.Sprintf("payload@%d", c.want) {
+			t.Fatalf("Nearest(%d) returned round %d payload %q, want round %d", c.bound, ck.Meta.Round, ck.Payload, c.want)
+		}
 	}
-	ck, path, err := Latest(dir, meta.SpecHash)
+	if _, _, err := Nearest(dir, meta.SpecHash, -1); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Nearest below every checkpoint: got %v, want ErrNotFound", err)
+	}
+	_, path, err := Nearest(dir, meta.SpecHash, math.MaxInt)
 	if err != nil {
-		t.Fatalf("Latest: %v", err)
-	}
-	if ck.Meta.Round != 16 || string(ck.Payload) != "payload@16" {
-		t.Fatalf("Latest returned round %d payload %q", ck.Meta.Round, ck.Payload)
+		t.Fatalf("Nearest: %v", err)
 	}
 	if loaded, err := Load(path); err != nil || loaded.Meta.Round != 16 {
 		t.Fatalf("Load(%q): %v", path, err)
@@ -239,14 +240,14 @@ func TestSaveLoadLatestReap(t *testing.T) {
 	if err := Reap(dir, meta.SpecHash); err != nil {
 		t.Fatalf("Reap: %v", err)
 	}
-	if HasAny(dir, meta.SpecHash) {
-		t.Fatalf("checkpoints survive Reap")
+	if got := Rounds(dir, meta.SpecHash); len(got) != 0 {
+		t.Fatalf("checkpoints survive Reap: %v", got)
 	}
-	if !HasAny(dir, other.SpecHash) {
+	if got := Rounds(dir, other.SpecHash); len(got) != 1 {
 		t.Fatalf("Reap removed another family's checkpoints")
 	}
-	if _, _, err := Latest(dir, meta.SpecHash); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Latest after Reap: got %v, want ErrNotFound", err)
+	if _, _, err := Nearest(dir, meta.SpecHash, math.MaxInt); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Nearest after Reap: got %v, want ErrNotFound", err)
 	}
 }
 
@@ -296,158 +297,4 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 			t.Fatalf("re-decode disagrees with first decode")
 		}
 	})
-}
-
-// replNode is a deterministic-per-seed chatter machine (sleeps, unicast
-// bursts, outputs, SetDone) used to exercise Replay against a real
-// engine; its only snapshot state is the chosen finish round.
-type replNode struct {
-	doneAt int
-}
-
-func (c *replNode) Init(ctx *sim.Context) {
-	r := ctx.RNG()
-	c.doneAt = 12 + r.Intn(30)
-	if r.Intn(4) == 0 {
-		ctx.SleepUntil(1 + r.Intn(4))
-	}
-}
-
-func (c *replNode) Round(ctx *sim.Context, round int, inbox []sim.Delivery) {
-	r := ctx.RNG()
-	if round >= c.doneAt {
-		ctx.SetDone()
-		ctx.SleepUntil(math.MaxInt32)
-		return
-	}
-	if d := ctx.CommDegree(); d > 0 && r.Intn(3) == 0 {
-		ctx.Send(r.Intn(d), sim.Word(round), sim.Word(ctx.ID()))
-	}
-	if r.Intn(5) == 0 {
-		a := r.Intn(ctx.N())
-		ctx.Output(graph.Triangle{A: a, B: a + 1, C: a + 2})
-	}
-	if r.Intn(3) == 0 {
-		ctx.SleepUntil(round + 1 + r.Intn(6))
-	}
-}
-
-func (c *replNode) SnapshotState(w *sim.SnapWriter) error {
-	w.Int(c.doneAt)
-	return nil
-}
-
-func (c *replNode) RestoreState(r *sim.SnapReader) error {
-	c.doneAt = r.Int()
-	return r.Err()
-}
-
-// event is one hook emission tagged with the round it belongs to, so a
-// straight-through stream can be windowed for comparison.
-type event struct {
-	Round int
-	Kind  string
-	Body  string
-}
-
-func recordingHooks(eng *sim.Engine, out *[]event) sim.Hooks {
-	return sim.Hooks{
-		Round: func(round int, d sim.RoundDelta) {
-			*out = append(*out, event{round, "round", fmt.Sprintf("%+v", d)})
-		},
-		Triangle: func(node int, tri graph.Triangle) {
-			*out = append(*out, event{eng.Round(), "tri", fmt.Sprintf("n%d %v", node, tri)})
-		},
-	}
-}
-
-func TestReplayWindow(t *testing.T) {
-	g := graph.Gnp(40, 0.2, rand.New(rand.NewSource(9)))
-	cfg := sim.Config{Seed: 31}
-	mkNodes := func() []sim.Node {
-		nodes := make([]sim.Node, g.N())
-		for i := range nodes {
-			nodes[i] = &replNode{}
-		}
-		return nodes
-	}
-
-	// Straight-through observed run; snapshot at the cut round mid-stream.
-	const cut = 4
-	eng, err := sim.NewEngine(g, mkNodes(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var full []event
-	eng.SetHooks(recordingHooks(eng, &full))
-	eng.Run(cut)
-	payload, err := eng.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	if err := eng.RunUntilQuiescent(); err != nil {
-		t.Fatal(err)
-	}
-	total := eng.Round()
-	if total < cut+8 {
-		t.Fatalf("run too short (%d rounds) to carve a window", total)
-	}
-
-	meta := testMeta()
-	meta.Round = cut
-	meta.N = g.N()
-	ck := New(meta, payload)
-
-	from, to := cut+3, total-2
-	want := make([]event, 0, len(full))
-	for _, ev := range full {
-		if ev.Round >= from && ev.Round <= to {
-			want = append(want, ev)
-		}
-	}
-	if len(want) == 0 {
-		t.Fatalf("empty expected window [%d, %d]", from, to)
-	}
-
-	eng2, err := sim.NewEngine(g, mkNodes(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []event
-	if err := Replay(eng2, ck, from, to, recordingHooks(eng2, &got)); err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("replay window diverges from straight-through stream:\n got %d events %v\nwant %d events %v",
-			len(got), got, len(want), want)
-	}
-
-	// A window starting before the checkpoint round must be refused.
-	eng3, _ := sim.NewEngine(g, mkNodes(), cfg)
-	if err := Replay(eng3, ck, cut-1, to, sim.Hooks{}); !errors.Is(err, ErrMismatch) {
-		t.Fatalf("window before checkpoint: got %v, want ErrMismatch", err)
-	}
-	// As must an empty window.
-	eng4, _ := sim.NewEngine(g, mkNodes(), cfg)
-	if err := Replay(eng4, ck, to, from, sim.Hooks{}); err == nil {
-		t.Fatalf("empty window accepted")
-	}
-
-	// Replaying the whole tail from the checkpoint reproduces everything
-	// from the cut on — and a second replay of a mid-window from a fresh
-	// engine is bit-stable.
-	eng5, _ := sim.NewEngine(g, mkNodes(), cfg)
-	var tail []event
-	if err := Replay(eng5, ck, cut, total, recordingHooks(eng5, &tail)); err != nil {
-		t.Fatalf("tail replay: %v", err)
-	}
-	wantTail := make([]event, 0, len(full))
-	for _, ev := range full {
-		if ev.Round >= cut {
-			wantTail = append(wantTail, ev)
-		}
-	}
-	if !reflect.DeepEqual(tail, wantTail) {
-		t.Fatalf("tail replay diverges: got %d events, want %d", len(tail), len(wantTail))
-	}
 }

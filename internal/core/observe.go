@@ -46,7 +46,7 @@ type FaultObserver interface {
 	OnFault(ev sim.FaultEvent)
 }
 
-// Hooks bridges obs into engine hooks. A Triangle hook is installed on
+// hooksFor bridges obs into engine hooks. A Triangle hook is installed on
 // every run, observed or not: emitting a node's outputs through it is what
 // advances the node's streamed-output mark, which every engine snapshot
 // records. Without it, a checkpoint of an unobserved run would mark none of
@@ -54,7 +54,7 @@ type FaultObserver interface {
 // would stream them all again. The round and fault hooks are installed
 // only when someone listens, so an unobserved engine jumps idle rounds in
 // one step.
-func Hooks(obs Observer) sim.Hooks {
+func hooksFor(obs Observer) sim.Hooks {
 	if obs == nil {
 		return sim.Hooks{Triangle: func(int, graph.Triangle) {}}
 	}

@@ -54,11 +54,12 @@ type Result struct {
 }
 
 // runPlanned drives an initialized engine through the plan, streaming to
-// obs. The Result's outputs and union are read from the engine's per-node
-// output lists once the last round has run, so a resumed run's Result
-// includes the outputs restored with the snapshot. On cancellation it
-// returns the partial Result together with ctx.Err(); the partial Result
-// is bit-identical to the same run truncated at the same round.
+// obs. The Result's outputs are copied from the engine's per-node output
+// lists once the last round has run, and its union is built from that
+// copy, so a resumed run's Result includes the outputs restored with the
+// snapshot. On cancellation it returns the partial Result together with
+// ctx.Err(); the partial Result is bit-identical to the same run
+// truncated at the same round.
 //
 // With a CheckpointPlan, execution is additionally chunked at Every-round
 // boundaries (snapshots only exist at round boundaries, where engine
@@ -76,7 +77,7 @@ func runPlanned(ctx context.Context, eng *sim.Engine, plan []SegmentPlan, obs Ob
 		}
 		resumeRound = eng.Round()
 	}
-	eng.SetHooks(Hooks(obs))
+	eng.SetHooks(hooksFor(obs))
 	cfg := eng.Config()
 	scheduled := 0
 	for _, sp := range plan {
@@ -144,9 +145,16 @@ func runPlanned(ctx context.Context, eng *sim.Engine, plan []SegmentPlan, obs Ob
 		}
 	}
 	metrics := eng.Metrics()
+	outputs := eng.Outputs()
+	union := make(graph.TriangleSet)
+	for _, ts := range outputs {
+		for _, t := range ts {
+			union.Add(t)
+		}
+	}
 	res := Result{
-		Outputs:         eng.Outputs(),
-		Union:           eng.OutputUnion(),
+		Outputs:         outputs,
+		Union:           union,
 		Metrics:         metrics,
 		ScheduledRounds: scheduled,
 		Meta: RunMeta{

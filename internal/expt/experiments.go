@@ -46,11 +46,9 @@ func (c Config) sizes() []int {
 	return []int{32, 48, 64, 96, 128, 192}
 }
 
+// bandwidth resolves B through the engine's own defaulting.
 func (c Config) bandwidth() int {
-	if c.Bandwidth > 0 {
-		return c.Bandwidth
-	}
-	return 2
+	return sim.Config{BandwidthWords: c.Bandwidth}.Normalized().BandwidthWords
 }
 
 func (c Config) simCfg(seed int64, mode sim.Mode) sim.Config {

@@ -2,7 +2,7 @@ package perf
 
 import "fmt"
 
-// Tolerance is the regression-gate band. The defaults (DefaultTolerance)
+// Tolerance is the regression-gate band. The defaults (DefaultToleranceFor)
 // are deliberately asymmetric: allocs/op is near-deterministic for the
 // sequential workloads, so it is held tightly; wall-time is compared only
 // within a generous factor because the committed baseline usually comes
@@ -22,12 +22,6 @@ type Tolerance struct {
 	// stay >= 2x). A floor whose ratio is absent from the fresh report is
 	// only enforced when both underlying entries were measured.
 	Floors map[string]float64
-}
-
-// DefaultTolerance is the band cmd/bench and CI use, resolved for the
-// current machine's effective parallelism.
-func DefaultTolerance() Tolerance {
-	return DefaultToleranceFor(EffectiveProcs())
 }
 
 // DefaultToleranceFor returns the gate band for a run with the given

@@ -855,15 +855,3 @@ func (e *Engine) Outputs() [][]graph.Triangle {
 	}
 	return out
 }
-
-// OutputUnion returns the deduplicated union of all nodes' outputs (the
-// paper's combined output T).
-func (e *Engine) OutputUnion() graph.TriangleSet {
-	s := make(graph.TriangleSet)
-	for _, ctx := range e.ctxs {
-		for _, t := range ctx.outputs {
-			s.Add(t)
-		}
-	}
-	return s
-}

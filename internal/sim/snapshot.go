@@ -321,11 +321,6 @@ func (e *Engine) restoreSpan(u int32, ws []Word) spanQueue {
 	return spanQueue{off: uint32(off), n: uint32(len(ws))}
 }
 
-// Quiescent reports whether every node is done and all channels are
-// drained — the condition under which RunUntilQuiescent stops. Exposed for
-// replay drivers that step a restored engine round by round.
-func (e *Engine) Quiescent() bool { return e.quiescent() }
-
 // Snapshot serializes the engine's complete run state at the current round
 // boundary. The engine must have started (Init has run) and be between
 // rounds — the only points Run/RunContext ever pause at — and its
