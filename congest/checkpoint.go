@@ -183,8 +183,16 @@ func (s *Session) Replay(spec JobSpec, from, to int, obs Observer) (ReplayInfo, 
 	}
 	cfg := spec.engineConfig()
 	rp, err := resumePoint(spec.Checkpoint.Dir, ckptMetaOf(spec, g, cfg), from)
-	if err != nil {
+	if err != nil && !errors.Is(err, checkpoint.ErrNotFound) {
 		return ReplayInfo{}, err
+	}
+	// With no checkpoint at or below from (a window before the first
+	// periodic save, say) the replay is a cold start from round 0, as for
+	// a resuming job: CheckpointRound reads 0, and ReplayedRounds counts
+	// every round run from round 0.
+	anchor := 0
+	if rp != nil {
+		anchor = rp.Round
 	}
 	ab, err := buildAlgo(spec, g)
 	if err != nil {
@@ -192,16 +200,16 @@ func (s *Session) Replay(spec JobSpec, from, to int, obs Observer) (ReplayInfo, 
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w := &windowObs{obs: coreObs(obs), from: from, to: to, cur: rp.Round, cancel: cancel}
+	w := &windowObs{obs: coreObs(obs), from: from, to: to, cur: anchor, cancel: cancel}
 	res, err := s.runAlgo(ctx, g, ab, cfg, w, &core.CheckpointPlan{Resume: rp})
 	if err != nil && !res.Meta.Cancelled {
 		return ReplayInfo{}, err
 	}
 	return ReplayInfo{
-		CheckpointRound: rp.Round,
+		CheckpointRound: anchor,
 		From:            from,
 		To:              to,
-		ReplayedRounds:  res.Meta.ExecutedRounds - rp.Round,
+		ReplayedRounds:  res.Meta.ExecutedRounds - anchor,
 	}, nil
 }
 

@@ -297,14 +297,35 @@ func TestSessionReplayWindow(t *testing.T) {
 	if _, err := sess.Replay(plain, from, to, nil); err == nil {
 		t.Error("replay without a checkpoint spec accepted")
 	}
+	// With no checkpoint of the spec's identity, a replay is a cold start
+	// from round 0: still the straight run's window, never another
+	// identity's checkpoint.
 	cold := ckptSpec("find", t.TempDir(), 4)
-	if _, err := sess.Replay(cold, from, to, nil); !errors.Is(err, checkpoint.ErrNotFound) {
-		t.Errorf("replay against an empty directory: err %v", err)
+	if info := replayWindow(t, sess, cold, full, from, to); info.CheckpointRound != 0 || info.ReplayedRounds != to+1 {
+		t.Errorf("replay against an empty directory: %+v", info)
 	}
 	other := spec
 	other.Seed++
-	if _, err := sess.Replay(other, from, to, nil); !errors.Is(err, checkpoint.ErrNotFound) {
-		t.Errorf("replay under a different spec identity: err %v", err)
+	if info, err := sess.Replay(other, from, to, nil); err != nil || info.CheckpointRound != 0 {
+		t.Errorf("replay under a different spec identity: %+v, err %v", info, err)
+	}
+}
+
+// TestReplayBeforeFirstCheckpoint: a window that starts before the first
+// periodic save replays from a cold start at round 0, segment events
+// included, instead of failing for want of a checkpoint.
+func TestReplayBeforeFirstCheckpoint(t *testing.T) {
+	spec := ckptSpec("find", t.TempDir(), 4)
+	full := &evtRec{}
+	if _, err := RunObserved(context.Background(), spec, full); err != nil {
+		t.Fatal(err)
+	}
+	info := replayWindow(t, NewSession(), spec, full, 0, 5)
+	if info.CheckpointRound != 0 || info.ReplayedRounds != 6 {
+		t.Fatalf("replay info %+v for window [0, 5]", info)
+	}
+	if len(full.window(0, 5)) == 0 || full.window(0, 5)[0].kind != "seg" {
+		t.Fatal("window [0, 5] of the straight run does not open with a segment event")
 	}
 }
 

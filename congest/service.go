@@ -5,8 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,8 +40,9 @@ type Job struct {
 	key      string
 	priority int
 	deadline time.Duration
-	seq      int // submission order, the FIFO tiebreak within a priority
-	index    int // heap position while queued; -1 otherwise
+	seq      int    // submission order, the FIFO tiebreak within a priority
+	index    int    // heap position while queued; -1 otherwise
+	rec      uint64 // journal number of the job's submitted record
 	svc      *Service
 	obs      Observer
 	ctx      context.Context
@@ -213,6 +213,7 @@ func OpenService(opts ...Option) (*Service, error) {
 			return nil, err
 		}
 		s.store = store
+		s.nextID = store.top // past every id ever assigned, deleted ones too
 		s.adopt(recovered)
 	}
 	for i := 0; i < s.workers; i++ {
@@ -243,13 +244,11 @@ func (s *Service) adopt(recovered []recoveredJob) {
 			priority: r.priority,
 			deadline: r.deadline,
 			index:    -1,
+			rec:      r.rec,
 			svc:      s,
 			ctx:      ctx,
 			cancel:   cancel,
 			done:     make(chan struct{}),
-		}
-		if n, err := strconv.Atoi(strings.TrimPrefix(r.id, "job-")); err == nil && n > s.nextID {
-			s.nextID = n
 		}
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
@@ -331,6 +330,13 @@ func (s *Service) submit(req SubmitRequest, obs Observer) (*Job, error) {
 		if id, ok := s.keys[tenantKey(req.Tenant, req.Key)]; ok {
 			j := s.jobs[id]
 			s.mu.Unlock()
+			// The job may have been admitted a moment ago: hand it out
+			// only once its submission is durable.
+			if s.store != nil {
+				if err := s.store.wait(j.rec); err != nil {
+					return nil, fmt.Errorf("congest: journal write failed: %w", err)
+				}
+			}
 			return j, nil
 		}
 	}
@@ -375,10 +381,10 @@ func (s *Service) submit(req SubmitRequest, obs Observer) (*Job, error) {
 		status:   JobQueued,
 	}
 	s.seq++
+	var op storeOp
 	if s.store != nil {
-		// Fail closed: a job the journal cannot record is a job the
-		// service never accepted.
-		if err := s.store.submitted(j); err != nil {
+		var err error
+		if op, err = submittedOp(j); err != nil {
 			s.nextID--
 			s.mu.Unlock()
 			cancel()
@@ -391,12 +397,70 @@ func (s *Service) submit(req SubmitRequest, obs Observer) (*Job, error) {
 		s.keys[tenantKey(req.Tenant, req.Key)] = j.id
 	}
 	s.inflight[req.Tenant]++
-	s.evictLocked()
 	s.jobsWG.Add(1)
+	evicted := s.evictLocked()
+	if s.store != nil {
+		// Fail closed: a job the journal cannot record is a job the
+		// service never accepted. The submission and the evictions are
+		// queued as one batch, and the wait for it happens after s.mu is
+		// released, so status reads and workers never wait on the disk.
+		// The job becomes runnable only once its submission is durable.
+		ops := []storeOp{op}
+		for _, id := range evicted {
+			ops = append(ops, deletedOp(id))
+		}
+		j.rec = s.store.queue(ops...)
+		s.mu.Unlock()
+		if err := s.store.wait(j.rec); err != nil {
+			s.abandon(j, err)
+			return nil, fmt.Errorf("congest: journal write failed: %w", err)
+		}
+		s.mu.Lock()
+		if s.draining {
+			// The drain has marked the job preempted: it stays
+			// recoverable, like every job the drain interrupted.
+			s.mu.Unlock()
+			s.finishJob(j, Result{}, context.Canceled)
+			return j, nil
+		}
+	}
 	heap.Push(&s.pending, j)
 	s.cond.Signal()
 	s.mu.Unlock()
 	return j, nil
+}
+
+// abandon undoes the admission of a job whose submission could not be
+// made durable: the job leaves no trace in the table, and anyone already
+// holding it sees it fail.
+func (s *Service) abandon(j *Job, err error) {
+	s.mu.Lock()
+	s.forgetLocked(j)
+	s.releaseLocked(j.tenant)
+	s.mu.Unlock()
+	j.cancel()
+	j.finish(Result{}, err)
+	s.jobsWG.Done()
+}
+
+// forgetLocked removes j from the job table. Callers hold s.mu.
+func (s *Service) forgetLocked(j *Job) {
+	delete(s.jobs, j.id)
+	if j.key != "" {
+		delete(s.keys, tenantKey(j.tenant, j.key))
+	}
+	if i := slices.Index(s.order, j.id); i >= 0 {
+		s.order = slices.Delete(s.order, i, i+1)
+	}
+}
+
+// releaseLocked returns one of tenant's in-flight slots. Callers hold
+// s.mu.
+func (s *Service) releaseLocked(tenant string) {
+	s.inflight[tenant]--
+	if s.inflight[tenant] <= 0 {
+		delete(s.inflight, tenant)
+	}
 }
 
 // retryAfterLocked estimates how long a rejected client should wait: one
@@ -472,22 +536,31 @@ func (s *Service) runJob(j *Job) {
 // finishJob records a job's terminal state, journals it, and releases its
 // admission accounting. A job cancelled by a drain (preempted) skips the
 // terminal record on purpose: the journal then holds only its submission,
-// and the next OpenService re-runs it.
+// and the next OpenService re-runs it. The record is encoded before s.mu
+// is taken and waited for after it is released.
 func (s *Service) finishJob(j *Job, res Result, err error) {
 	j.cancel()
 	j.finish(res, err)
 	j.mu.Lock()
 	status, preempted := j.status, j.preempted
 	j.mu.Unlock()
-	if s.store != nil && !(preempted && status == JobCancelled) {
-		s.store.terminal(j.id, status, res, err)
+	var op storeOp
+	journaled := s.store != nil && !(preempted && status == JobCancelled)
+	if journaled {
+		var encErr error
+		op, encErr = terminalOp(j.id, status, res, err)
+		journaled = encErr == nil
 	}
+	var seq uint64
 	s.mu.Lock()
-	s.inflight[j.tenant]--
-	if s.inflight[j.tenant] <= 0 {
-		delete(s.inflight, j.tenant)
+	if journaled {
+		seq = s.store.queue(op)
 	}
+	s.releaseLocked(j.tenant)
 	s.mu.Unlock()
+	if journaled {
+		s.store.wait(seq)
+	}
 	s.jobsWG.Done()
 }
 
@@ -508,16 +581,18 @@ func (j *Job) finish(res Result, err error) {
 }
 
 // evictLocked drops the oldest terminal jobs (and their retained Results)
-// while the service holds more than its history budget, journaling each
-// eviction so a restart does not resurrect them. Callers hold s.mu.
+// while the service holds more than its history budget, and returns their
+// ids for the caller to journal, so a restart does not resurrect them.
+// Callers hold s.mu.
 //
 // Jobs still holding live checkpoint files are never evicted: the job
 // entry is the only API-reachable owner of its (dir, spec hash) — losing
 // it would orphan the files, with no way to resume or Delete-reap them.
-func (s *Service) evictLocked() {
+func (s *Service) evictLocked() []string {
 	if s.history < 0 {
-		return
+		return nil
 	}
+	var evicted []string
 	keep := s.order[:0]
 	excess := len(s.order) - s.history
 	for i, id := range s.order {
@@ -530,15 +605,14 @@ func (s *Service) evictLocked() {
 			if j.key != "" {
 				delete(s.keys, tenantKey(j.tenant, j.key))
 			}
-			if s.store != nil {
-				s.store.deleted(id)
-			}
+			evicted = append(evicted, id)
 			excess--
 			continue
 		}
 		keep = append(keep, s.order[i])
 	}
 	s.order = keep
+	return evicted
 }
 
 // holdsCheckpoints reports whether the job owns checkpoint files on disk.
@@ -561,20 +635,15 @@ func (s *Service) Delete(id string) error {
 	j.Cancel()
 	<-j.done
 	s.mu.Lock()
-	delete(s.jobs, id)
-	if j.key != "" {
-		delete(s.keys, tenantKey(j.tenant, j.key))
-	}
-	for i, oid := range s.order {
-		if oid == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
+	s.forgetLocked(j)
+	var seq uint64
 	if s.store != nil {
-		s.store.deleted(id)
+		seq = s.store.queue(deletedOp(id))
 	}
 	s.mu.Unlock()
+	if s.store != nil {
+		s.store.wait(seq)
+	}
 	if cs := j.spec.Checkpoint; cs != nil {
 		return checkpoint.Reap(cs.Dir, j.spec.SpecHash())
 	}

@@ -118,24 +118,31 @@ func TestServiceJournalRestartHistory(t *testing.T) {
 func TestServiceRecoverRerunsFromScratch(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "jobs.journal")
 	spec := gnpSpec("list")
-	// Forge the crash leftovers directly: the journal shows the job
-	// accepted and started, and then the process died.
-	st, recovered, err := openJobStore(jpath)
+	// Forge the crash leftovers directly, through the bare journal, so
+	// every record stays in the file: the journal shows the job accepted
+	// and started, and then the process died.
+	w, recs, err := journal.Open(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recovered) != 0 {
-		t.Fatalf("fresh journal recovered %d jobs", len(recovered))
+	if len(recs) != 0 {
+		t.Fatalf("fresh journal replayed %d records", len(recs))
 	}
-	if err := st.submitted(&Job{id: "job-1", tenant: "acme", spec: spec}); err != nil {
+	sub, err := submittedOp(&Job{id: "job-1", tenant: "acme", spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(sub.kind, sub.payload); err != nil {
 		t.Fatal(err)
 	}
 	// A running record, which older builds wrote when a worker started
 	// the job: replay must still accept it.
-	if err := st.append(recRunning, storeRecord{ID: "job-1"}); err != nil {
+	if err := w.Append(recRunning, []byte(`{"id":"job-1"}`)); err != nil {
 		t.Fatal(err)
 	}
-	st.close()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	svc, err := OpenService(WithJournal(jpath))
 	if err != nil {
