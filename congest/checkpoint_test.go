@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -530,6 +531,75 @@ func TestServiceCheckpointResumeByteIdentical(t *testing.T) {
 	if !bytes.Equal(gotJSON, wantJSON) {
 		t.Fatalf("resumed result not byte-identical\ngot:  %s\nwant: %s", gotJSON, wantJSON)
 	}
+}
+
+// TestEvictionListsNoCheckpoints: whether a finished job holds checkpoint
+// files is decided once, when it ends or is recovered from the journal, so
+// a submit that runs eviction past the history budget lists no checkpoint
+// directory under the service lock, however many checkpoint-holding jobs
+// it walks past — and none of those jobs is evicted, before or after a
+// restart.
+func TestEvictionListsNoCheckpoints(t *testing.T) {
+	var listings atomic.Int64
+	list := listCheckpoints
+	listCheckpoints = func(dir, specHash string) []int {
+		listings.Add(1)
+		return list(dir, specHash)
+	}
+	t.Cleanup(func() { listCheckpoints = list })
+
+	jpath := filepath.Join(t.TempDir(), "jobs.journal")
+	svc, err := OpenService(WithJournal(jpath), WithJobHistory(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var holders []string
+	for seed := int64(0); seed < 3; seed++ {
+		spec := ckptSpec("find", dir, 2)
+		spec.Seed = seed
+		obs := newCancelJobAt(5)
+		holder, err := svc.SubmitObserved(spec, obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs.jc <- holder
+		if _, err := holder.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+			t.Fatalf("holder err %v", err)
+		}
+		holders = append(holders, holder.ID())
+	}
+	plain := gnpSpec("find")
+	plain.Verify = VerifyNone
+	submitPlain := func(svc *Service) {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			before := listings.Load()
+			j, err := svc.Submit(plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := listings.Load() - before; got != 0 {
+				t.Fatalf("submit %d past the history budget listed checkpoints %d times", i, got)
+			}
+			if _, err := j.Wait(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range holders {
+			if _, ok := svc.Job(id); !ok {
+				t.Fatalf("checkpoint-holding job %s was evicted", id)
+			}
+		}
+	}
+	submitPlain(svc)
+	svc.Close()
+	svc, err = OpenService(WithJournal(jpath), WithJobHistory(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	submitPlain(svc)
 }
 
 // TestServiceEvictionProtectsCheckpointHolders: history eviction never

@@ -54,6 +54,9 @@ type Job struct {
 	res       Result
 	err       error
 	preempted bool // drained, not finished: stays recoverable in the journal
+	// ckptFiles records whether the terminal job holds checkpoint files,
+	// decided once, off Service.mu, when it ends or is recovered.
+	ckptFiles bool
 }
 
 // ID returns the job's service-assigned identifier ("job-1", "job-2", ...).
@@ -260,6 +263,7 @@ func (s *Service) adopt(recovered []recoveredJob) {
 			j.status = r.status
 			j.res = r.res
 			j.err = restoreErr(r.errMsg)
+			j.ckptFiles = j.holdsCheckpoints()
 			cancel()
 			close(j.done)
 			continue
@@ -439,7 +443,7 @@ func (s *Service) abandon(j *Job, err error) {
 	s.releaseLocked(j.tenant)
 	s.mu.Unlock()
 	j.cancel()
-	j.finish(Result{}, err)
+	j.finish(Result{}, err, false)
 	s.jobsWG.Done()
 }
 
@@ -540,7 +544,7 @@ func (s *Service) runJob(j *Job) {
 // is taken and waited for after it is released.
 func (s *Service) finishJob(j *Job, res Result, err error) {
 	j.cancel()
-	j.finish(res, err)
+	j.finish(res, err, j.holdsCheckpoints())
 	j.mu.Lock()
 	status, preempted := j.status, j.preempted
 	j.mu.Unlock()
@@ -564,10 +568,12 @@ func (s *Service) finishJob(j *Job, res Result, err error) {
 	s.jobsWG.Done()
 }
 
-// finish records the terminal state.
-func (j *Job) finish(res Result, err error) {
+// finish records the terminal state and whether the job holds checkpoint
+// files.
+func (j *Job) finish(res Result, err error, ckptFiles bool) {
 	j.mu.Lock()
 	j.res, j.err = res, err
+	j.ckptFiles = ckptFiles
 	switch {
 	case err == nil && !res.Meta.Cancelled:
 		j.status = JobDone
@@ -599,8 +605,9 @@ func (s *Service) evictLocked() []string {
 		j := s.jobs[id]
 		j.mu.Lock()
 		terminal := j.status == JobDone || j.status == JobCancelled || j.status == JobFailed
+		ckptFiles := j.ckptFiles
 		j.mu.Unlock()
-		if excess > 0 && terminal && !j.holdsCheckpoints() {
+		if excess > 0 && terminal && !ckptFiles {
 			delete(s.jobs, id)
 			if j.key != "" {
 				delete(s.keys, tenantKey(j.tenant, j.key))
@@ -616,10 +623,17 @@ func (s *Service) evictLocked() []string {
 }
 
 // holdsCheckpoints reports whether the job owns checkpoint files on disk.
+// It lists the checkpoint directory, so it never runs under Service.mu:
+// finishJob and recovery call it once and record the answer in ckptFiles,
+// which evictLocked reads.
 func (j *Job) holdsCheckpoints() bool {
 	cs := j.spec.Checkpoint
-	return cs != nil && len(checkpoint.Rounds(cs.Dir, j.spec.SpecHash())) > 0
+	return cs != nil && len(listCheckpoints(cs.Dir, j.spec.SpecHash())) > 0
 }
+
+// listCheckpoints is checkpoint.Rounds, behind a variable so tests can
+// count directory listings.
+var listCheckpoints = checkpoint.Rounds
 
 // Delete cancels the job if it is still queued or running, waits for it
 // to stop, removes it from the service's history (journaling the
@@ -645,7 +659,12 @@ func (s *Service) Delete(id string) error {
 		s.store.wait(seq)
 	}
 	if cs := j.spec.Checkpoint; cs != nil {
-		return checkpoint.Reap(cs.Dir, j.spec.SpecHash())
+		if err := checkpoint.Reap(cs.Dir, j.spec.SpecHash()); err != nil {
+			return err
+		}
+		j.mu.Lock()
+		j.ckptFiles = false
+		j.mu.Unlock()
 	}
 	return nil
 }

@@ -12,10 +12,12 @@ import (
 
 // Session executes jobs while caching the expensive state between them:
 // graphs are materialized once per GraphSpec, and engines are pooled in
-// one core.EngineCache keyed by engine shape, so repeated jobs reuse one
-// slab allocation. Both caches are bounded, whatever specs arrive: the
-// session keeps the 32 most recently used graphs and at most 48 idle
-// engines. A Session is safe for concurrent use; Service builds on it.
+// one core.EngineCache keyed by engine shape (vertex count, mode and
+// fault plan; seed, bandwidth and shard count are per-job settings), so
+// repeated jobs reuse one slab allocation. Both caches are bounded,
+// whatever specs arrive: the session keeps the 32 most recently used
+// graphs and at most 48 idle engines. A Session is safe for concurrent
+// use; Service builds on it.
 //
 // Results are deterministic: a job is fully determined by its JobSpec, and
 // pooled engines are bit-identical to fresh ones.

@@ -1,7 +1,9 @@
 package congest
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/core"
@@ -43,8 +45,8 @@ func TestSessionRetentionBounded(t *testing.T) {
 // TestSessionWorkloadMixesNeverEvict runs a pass of each of the benchmark
 // harness's three mixes through its own Session: serve's (four graphs,
 // five algorithms, two engine shapes), large's (one graph, three
-// algorithms, unsharded and at four shards — two shapes, here on a small
-// graph) and paper's (the lister on 16 graphs and the finder on 8, gnp and
+// algorithms, unsharded and at four shards — one shape, as the shard
+// count is a per-run setting, here on a small graph) and paper's (the lister on 16 graphs and the finder on 8, gnp and
 // Barabási–Albert alternating, n from 64 to 256 — 24 graphs and 22 shapes,
 // one per vertex count). Afterwards every graph is still cached and one
 // idle engine per shape remains, so the next pass reuses them all:
@@ -78,7 +80,7 @@ func TestSessionWorkloadMixesNeverEvict(t *testing.T) {
 		name   string
 		specs  []JobSpec
 		shapes int
-	}{{"serve", serve, 2}, {"large", large, 2}, {"paper", paper, 22}} {
+	}{{"serve", serve, 2}, {"large", large, 1}, {"paper", paper, 22}} {
 		s := NewSession()
 		for _, spec := range mix.specs {
 			if _, err := s.Run(context.Background(), spec); err != nil {
@@ -92,6 +94,42 @@ func TestSessionWorkloadMixesNeverEvict(t *testing.T) {
 		}
 		if idle := s.engines.IdleEngines(); idle != mix.shapes {
 			t.Fatalf("%s: %d idle engines after a pass, want one per shape (%d)", mix.name, idle, mix.shapes)
+		}
+	}
+}
+
+// TestSessionOneEnginePerGraph runs jobs over one graph at several shard
+// counts and bandwidths through one Session: they share one pooled engine,
+// which the session keeps as its only idle engine, and every Result is
+// byte-identical to the same job's on a fresh Session.
+func TestSessionOneEnginePerGraph(t *testing.T) {
+	gs := GraphSpec{Generator: "gnp", N: 80, P: 0.1, Seed: 5}
+	s := NewSession()
+	for i, st := range []struct{ shards, b int }{{0, 0}, {4, 1}, {1, 5}, {7, 2}, {64, 3}, {4, 1}} {
+		for _, algo := range []string{"a1", "twohop", "tester"} {
+			spec := JobSpec{Graph: gs, Algo: algo, Seed: int64(i), Shards: st.shards, Bandwidth: st.b}
+			got, err := s.Run(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := NewSession().Run(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotJSON, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantJSON, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Fatalf("%s shards=%d B=%d: pooled Result differs from a fresh session's", algo, st.shards, st.b)
+			}
+			if idle := s.engines.IdleEngines(); idle != 1 {
+				t.Fatalf("%s shards=%d B=%d: %d idle engines for one graph, want 1", algo, st.shards, st.b, idle)
+			}
 		}
 	}
 }

@@ -244,8 +244,10 @@ type JobSpec struct {
 	// Shards partitions the engine's per-round work into that many
 	// contiguous node shards with deterministic cross-shard message
 	// exchange — the large-graph execution path; the shards run on all
-	// CPUs. Zero or one runs the sequential single-shard engine; results
-	// are bit-identical at every shard count.
+	// CPUs. Zero or one runs the sequential single-shard engine; counts
+	// above 64 run at 64. Results are bit-identical at every shard count,
+	// so jobs over one graph share pooled engines whatever their shard
+	// counts.
 	Shards int `json:"shards,omitempty"`
 	// Verify selects the verification mode; see VerifyAuto.
 	Verify string `json:"verify,omitempty"`

@@ -32,7 +32,8 @@ const (
 // inefficiency Theorems 1 and 2 beat.
 //
 // maxDegree is the schedule bound every node is assumed to know (a standard
-// assumption; computing it distributedly costs O(D) extra rounds).
+// assumption; computing it distributedly costs O(D) extra rounds). Every
+// node of a job shares one handler.
 func NewTwoHop(n, b, maxDegree int, mode TwoHopMode) (*sim.Schedule, func(id int) sim.Node) {
 	sched := &sim.Schedule{}
 	dur := sim.RoundsFor(maxDegree, b)
@@ -40,8 +41,9 @@ func NewTwoHop(n, b, maxDegree int, mode TwoHopMode) (*sim.Schedule, func(id int
 		dur = 1
 	}
 	sched.Add("twohop-exchange", dur)
+	h := &twoHopHandler{mode: mode}
 	mk := func(id int) sim.Node {
-		return core.NewPhasedNode(sched, &twoHopHandler{mode: mode})
+		return core.NewPhasedNode(sched, h)
 	}
 	return sched, mk
 }

@@ -13,31 +13,36 @@ import (
 // independently with probability n^{-eps}; if |S_j| <= 4 n^{1-eps} it sends
 // S_j to every neighbor k, which outputs {j, k, l} for every l in
 // S_j cap N(k).
+//
+// The handler holds no per-node state, so every node of a job shares one.
 func NewA1(p Params) (*sim.Schedule, func(id int) sim.Node) {
+	h := &a1Handler{prob: 1 / p.HeavyThresholdOf(), setCap: p.A1SetCap()}
 	sched := &sim.Schedule{}
-	sched.Add("a1-sample-send", sim.RoundsFor(p.A1SetCap(), p.B))
+	sched.Add("a1-sample-send", sim.RoundsFor(h.setCap, p.B))
 	mk := func(id int) sim.Node {
-		return NewPhasedNode(sched, &a1Handler{p: p})
+		return NewPhasedNode(sched, h)
 	}
 	return sched, mk
 }
 
+// a1Handler is A1's node logic, shared by every node of a job: it holds
+// only the sampling probability n^{-eps} and the set cap 4n^{1-eps}.
 type a1Handler struct {
-	p Params
+	prob   float64
+	setCap int
 }
 
 func (h *a1Handler) Start(ctx *sim.Context, phase int) {
 	if phase != 0 {
 		return
 	}
-	prob := 1 / h.p.HeavyThresholdOf() // n^{-eps}
 	var sample []sim.Word
 	for _, nbr := range ctx.InputNeighbors() {
-		if ctx.RNG().Float64() < prob {
+		if ctx.RNG().Float64() < h.prob {
 			sample = append(sample, sim.Word(nbr))
 		}
 	}
-	if len(sample) == 0 || len(sample) > h.p.A1SetCap() {
+	if len(sample) == 0 || len(sample) > h.setCap {
 		// Oversized samples are suppressed exactly as in the proposition;
 		// empty samples carry no information.
 		return

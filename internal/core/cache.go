@@ -12,27 +12,31 @@ import (
 )
 
 // EngineCache is core's only runner: every run goes through one. It pools
-// engines and node slices across runs, keyed by everything that fixes an
-// engine's slab shape — vertex count, mode, bandwidth, scheduler, shard
-// count and fault plan.
-// A borrowed engine is rewound with Engine.Reset when it last ran over the
-// very same graph and re-pointed with Engine.Rebind otherwise, keeping
-// every slab allocation either way. That serves both reuse patterns: a
-// Session running many jobs over one cached graph, and sweep cells running
-// over freshly generated graphs of recurring sizes. Results are identical
-// to a run on a freshly built engine (what an empty cache does) for the
-// same (graph, config, seed) — the determinism contract — which the
-// pooled-vs-fresh tests assert.
+// engines and node slices across runs, keyed by what sizes an engine's
+// slabs or compiles into it — vertex count, mode, scheduler and fault
+// plan. The seed, bandwidth and shard count are per-run settings: a
+// borrowed engine takes them when it is rewound, with Engine.Reset when it
+// last ran over the very same graph and with Engine.Rebind otherwise,
+// keeping every slab allocation either way, and a new shard count only
+// re-cuts its shard plan. By the determinism contract none of those
+// settings can tell a pooled engine from a fresh one. That serves both
+// reuse patterns: a Session running many jobs over one cached graph, at
+// whatever shard counts and bandwidths they ask for, and sweep cells
+// running over freshly generated graphs of recurring sizes. Results are
+// identical to a run on a freshly built engine (what an empty cache does)
+// for the same (graph, config, seed), which the pooled-vs-fresh tests
+// assert.
 //
 // The cache is safe for concurrent use; each borrowed engine belongs to one
 // run until it is returned, so k concurrent runs of one shape cost k
-// engines. Config.MaxRounds is not part of the key: the planned runs the
-// cache executes drive the engine with explicit round budgets and never
-// consult it. Idle retention is bounded at MaxIdleEngines engines, and as
-// many node slices, across all shapes: a return beyond the bound drops the
-// oldest idle one. Every key field can come from an untrusted request, so
-// a long-lived process's memory then scales with concurrent load, not
-// with the variety of shapes it has ever served.
+// engines. Config.MaxRounds is not part of the key either: the planned
+// runs the cache executes drive the engine with explicit round budgets and
+// never consult it. Idle retention is bounded at MaxIdleEngines engines,
+// and as many node slices, across all shapes: a return beyond the bound
+// drops the oldest idle one. Every key field and run setting can come from
+// an untrusted request, so a long-lived process's memory then scales with
+// concurrent load, not with the variety of shapes and settings it has ever
+// served.
 type EngineCache struct {
 	mu      sync.Mutex
 	engines []idleEngine // oldest first
@@ -48,9 +52,7 @@ type idleEngine struct {
 type engineKey struct {
 	n         int
 	mode      sim.Mode
-	bandwidth int
 	scheduler sim.Scheduler
-	shards    int
 	// faults is the fault-plan fingerprint: engines carry their compiled
 	// plan across Reset/Rebind, so plans are part of the slab identity.
 	faults uint64
@@ -70,8 +72,7 @@ func NewEngineCache() *EngineCache { return &EngineCache{} }
 // defaulted configs share a pool.
 func keyFor(n int, cfg sim.Config) engineKey {
 	cfg = cfg.Normalized()
-	return engineKey{n: n, mode: cfg.Mode, bandwidth: cfg.BandwidthWords,
-		scheduler: cfg.Scheduler, shards: cfg.Shards, faults: faults.Fingerprint(cfg.Faults)}
+	return engineKey{n: n, mode: cfg.Mode, scheduler: cfg.Scheduler, faults: faults.Fingerprint(cfg.Faults)}
 }
 
 func (c *EngineCache) getNodes(n int) []sim.Node {
@@ -96,8 +97,8 @@ func (c *EngineCache) putNodes(nodes []sim.Node) {
 	c.mu.Unlock()
 }
 
-// getEngine returns an engine over g initialized for a fresh run, reusing a
-// shape-compatible pooled engine when one is free.
+// getEngine returns an engine over g initialized for a fresh run under cfg,
+// reusing a shape-compatible pooled engine when one is free.
 func (c *EngineCache) getEngine(g *graph.Graph, nodes []sim.Node, cfg sim.Config) (*sim.Engine, error) {
 	key := keyFor(g.N(), cfg)
 	c.mu.Lock()
@@ -114,12 +115,12 @@ func (c *EngineCache) getEngine(g *graph.Graph, nodes []sim.Node, cfg sim.Config
 		return sim.NewEngine(g, nodes, cfg)
 	}
 	if e.Input() == g {
-		if err := e.Reset(nodes, cfg.Seed); err != nil {
+		if err := e.Reset(nodes, cfg); err != nil {
 			return nil, err
 		}
 		return e, nil
 	}
-	if err := e.Rebind(g, nodes, cfg.Seed); err != nil {
+	if err := e.Rebind(g, nodes, cfg); err != nil {
 		return nil, err
 	}
 	return e, nil

@@ -76,6 +76,66 @@ func TestEngineCacheMatchesOneShot(t *testing.T) {
 	}
 }
 
+// TestEngineCacheOneEnginePerGraph pins that shard count and bandwidth are
+// per-run settings of a pooled engine, not part of its pool key: lister
+// runs over one graph through shard counts 0, 4, 1, 7, 4 and bandwidths 2,
+// 1, 5, 2, 1 leave one idle engine, and each Result is bit-identical to a
+// fresh engine's — also for a run resumed, at one shard, from a checkpoint
+// a 4-shard run wrote.
+func TestEngineCacheOneEnginePerGraph(t *testing.T) {
+	g := graph.Gnp(28, 0.4, rand.New(rand.NewSource(11)))
+	c := core.NewEngineCache()
+	lister := func(b int) []core.Segment {
+		segs, err := core.NewLister(g.N(), b, core.ListerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return segs
+	}
+	for i, st := range []struct{ shards, b int }{{0, 2}, {4, 1}, {1, 5}, {7, 2}, {4, 1}} {
+		cfg := sim.Config{Seed: int64(i), Shards: st.shards, BandwidthWords: st.b}
+		got, err := c.RunSequence(g, lister(st.b), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.NewEngineCache().RunSequence(g, lister(st.b), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d (shards=%d B=%d): pooled Result diverges from a fresh engine's", i, st.shards, st.b)
+		}
+		if idle := c.IdleEngines(); idle != 1 {
+			t.Fatalf("run %d (shards=%d B=%d): %d idle engines for one graph, want 1", i, st.shards, st.b, idle)
+		}
+	}
+
+	segs := lister(2)
+	saved := map[int][]byte{}
+	save := &core.CheckpointPlan{Every: 4, Save: func(round int, payload []byte) error {
+		saved[round] = payload
+		return nil
+	}}
+	want, err := c.RunSequenceCheckpointed(context.Background(), g, segs, sim.Config{Seed: 9, Shards: 4}, nil, save)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(saved[8]) == 0 {
+		t.Fatal("no checkpoint at round 8")
+	}
+	resume := &core.CheckpointPlan{Resume: &core.ResumePoint{Round: 8, Payload: saved[8]}}
+	got, err := c.RunSequenceCheckpointed(context.Background(), g, segs, sim.Config{Seed: 9, Shards: 1}, nil, resume)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("one-shard resume of a 4-shard checkpoint diverges from the uninterrupted run")
+	}
+	if idle := c.IdleEngines(); idle != 1 {
+		t.Fatalf("%d idle engines after the resume, want 1", idle)
+	}
+}
+
 // TestEngineCacheConcurrent exercises the cache from parallel workers (the
 // sweep fan-out shape) under -race, asserting each worker still gets the
 // deterministic result.

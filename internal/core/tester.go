@@ -18,7 +18,7 @@ import (
 // nothing is ever output (one-sided); on a graph that is epsilon-far from
 // triangle-free, a constant fraction of probes hit triangles, so
 // O(1/epsilon) batches detect one with constant probability — each batch
-// costing only ceil(1/B) rounds.
+// costing only ceil(1/B) rounds. Every node of a job shares one handler.
 func NewPropertyTester(n, b, probes int) (*sim.Schedule, func(id int) sim.Node) {
 	if probes < 1 {
 		probes = 1
@@ -30,8 +30,9 @@ func NewPropertyTester(n, b, probes int) (*sim.Schedule, func(id int) sim.Node) 
 		dur = 1
 	}
 	sched.Add("probe", dur)
+	h := &testerHandler{probes: probes}
 	mk := func(id int) sim.Node {
-		return NewPhasedNode(sched, &testerHandler{probes: probes})
+		return NewPhasedNode(sched, h)
 	}
 	return sched, mk
 }

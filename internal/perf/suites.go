@@ -565,7 +565,7 @@ func EngineNbrList(shards int) func(*testing.B) {
 			b.Fatal(err)
 		}
 		exchange := func(seed int64) {
-			if err := eng.Reset(nodes, seed); err != nil {
+			if err := eng.Reset(nodes, sim.Config{Seed: seed, BandwidthWords: 2, Shards: shards}); err != nil {
 				b.Fatal(err)
 			}
 			if err := eng.RunUntilQuiescent(); err != nil {
@@ -618,7 +618,7 @@ func EngineResetLarge() func(*testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := eng.Reset(nodes, int64(i)); err != nil {
+			if err := eng.Reset(nodes, sim.Config{Seed: int64(i)}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -287,13 +287,17 @@ func (a *sendArena) clear() {
 }
 
 // bindArenas sizes the arena list to the shard plan and points every
-// context at its shard's arena. The engine must be drained (NewEngine,
-// or Rebind after clearRun).
+// context at its shard's arena. The engine must be drained (NewEngine, or
+// a re-cut after clearRun). Like the other per-shard lists, the arena list
+// keeps the arenas of a larger earlier plan, chunks included, for the
+// next plan that uses them.
 func (e *Engine) bindArenas() {
-	for len(e.arenas) < e.nshards {
-		e.arenas = append(e.arenas, newSendArena())
+	e.arenas = regrow(e.arenas, e.nshards)
+	for s, a := range e.arenas {
+		if a == nil {
+			e.arenas[s] = newSendArena()
+		}
 	}
-	e.arenas = e.arenas[:e.nshards]
 	for v, ctx := range e.ctxs {
 		ctx.arena = e.arenas[e.shardOf[v]]
 	}

@@ -237,7 +237,7 @@ func TestResetMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.Run(5) // abandon mid-run with words still in flight
-		if err := eng.Reset(mkNodes(), seedB); err != nil {
+		if err := eng.Reset(mkNodes(), sim.Config{Seed: seedB, Shards: cfg.Shards}); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.RunUntilQuiescent(); err != nil {

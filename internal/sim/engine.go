@@ -70,7 +70,7 @@ type Config struct {
 	// goroutine when GOMAXPROCS > 1, and the shards run in ascending order
 	// on the caller's goroutine otherwise, with identical results.
 	// Requires the activity scheduler (the default); under SchedulerDense
-	// the value is ignored.
+	// the value is ignored. Counts above MaxShards are clamped to it.
 	Shards int
 	// MaxRounds aborts RunUntilQuiescent (default 1 << 22).
 	MaxRounds int
@@ -107,10 +107,15 @@ func (c Config) Normalized() Config {
 	if c.Shards < 0 || c.Scheduler == SchedulerDense {
 		c.Shards = 0
 	}
+	c.Shards = min(c.Shards, MaxShards)
 	return c
 }
 
-func (c Config) withDefaults() Config { return c.Normalized() }
+// MaxShards bounds Config.Shards. A plan of S shards keeps S*S staging
+// lists and parks S-1 worker goroutines, and the count can come from an
+// untrusted request, so it is clamped; no shard count changes a Result.
+// congest.JobSpec's Shards doc quotes its value.
+const MaxShards = 64
 
 // ErrMaxRounds is returned when a run exceeds Config.MaxRounds without
 // quiescing.
@@ -286,7 +291,7 @@ type deliveryShard struct {
 // NewEngine builds an engine for the given input graph and per-node
 // algorithm instances. len(nodes) must equal input.N().
 func NewEngine(input *graph.Graph, nodes []Node, cfg Config) (*Engine, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.Normalized()
 	n := input.N()
 	if len(nodes) != n {
 		return nil, fmt.Errorf("sim: %d nodes for %d-vertex graph", len(nodes), n)
@@ -532,39 +537,67 @@ func (e *Engine) consumeInbox(v int32) {
 	e.inboxes[v] = e.inboxes[v][:0]
 }
 
-// Reset rewinds the engine for a fresh run over the same graph and
-// topology: a new node set, a new seed, zeroed metrics, empty channels and
-// empty send arenas (both halves), while every slab (queues, stamps,
-// lists, inboxes, arena chunks) keeps its capacity. Bumping the epoch
-// invalidates all arming stamps in O(1); only channels that were still
-// active have queued words to discard, so resetting a drained engine is
-// O(n). Repeated runs (benchmark
-// loops, repetition-amplified algorithms) reuse one engine allocation-free.
-func (e *Engine) Reset(nodes []Node, seed int64) error {
+// Reset rewinds the engine for a fresh run under cfg over the same graph
+// and topology: a new node set, zeroed metrics, empty channels and empty
+// send arenas (both halves), while every slab (queues, stamps, lists,
+// inboxes, arena chunks) keeps its capacity. cfg's seed, bandwidth, shard
+// count and round cap take effect; its mode, scheduler and fault plan
+// must be the engine's own, because they size the slabs and compile into
+// the engine, and a mismatch is an error. A new shard count re-cuts the
+// shard plan on the drained engine, keeping every per-shard list (see
+// initShards). Bumping the epoch invalidates all arming stamps in O(1);
+// only channels that were still active have queued words to discard, so
+// resetting a drained engine is O(n). Repeated runs (benchmark loops,
+// repetition-amplified algorithms, pooled engines serving jobs of any
+// shard count and bandwidth) reuse one engine allocation-free.
+func (e *Engine) Reset(nodes []Node, cfg Config) error {
 	if len(nodes) != len(e.nodes) {
 		return fmt.Errorf("sim: reset with %d nodes for %d-vertex graph", len(nodes), len(e.nodes))
 	}
-	e.clearRun(nodes, seed)
+	cfg, err := e.runConfig(cfg)
+	if err != nil {
+		return err
+	}
+	if e.clearRun(nodes, cfg) {
+		e.initShards()
+		e.bindArenas()
+	}
 	return nil
+}
+
+// runConfig normalizes cfg for a rewind and checks that it keeps the
+// settings the engine was built for.
+func (e *Engine) runConfig(cfg Config) (Config, error) {
+	cfg = cfg.Normalized()
+	switch {
+	case cfg.Mode != e.cfg.Mode:
+		return cfg, fmt.Errorf("sim: rewind to mode %d on a mode-%d engine", cfg.Mode, e.cfg.Mode)
+	case cfg.Scheduler != e.cfg.Scheduler:
+		return cfg, fmt.Errorf("sim: rewind to scheduler %d on a scheduler-%d engine", cfg.Scheduler, e.cfg.Scheduler)
+	case faults.Fingerprint(cfg.Faults) != e.FaultPlanHash():
+		return cfg, fmt.Errorf("sim: rewind to fault plan %#x on an engine compiled for %#x", faults.Fingerprint(cfg.Faults), e.FaultPlanHash())
+	}
+	return cfg, nil
 }
 
 // Input returns the input graph the engine currently simulates.
 func (e *Engine) Input() *graph.Graph { return e.input }
 
-// Config returns the engine's resolved configuration (defaults applied;
-// Seed reflects the current run after Reset/Rebind).
+// Config returns the engine's resolved configuration for the current run
+// (defaults applied; the settings of the last Reset or Rebind).
 func (e *Engine) Config() Config { return e.cfg }
 
 // Rebind re-points the engine at a NEW input graph over the same vertex
 // set — the dynamic-graph epoch-snapshot path — and rewinds it for a fresh
-// run like Reset. The per-channel slabs are resized to the new topology
-// reusing their capacity, so rebinding across snapshots of comparable
-// density allocates little to nothing: only growth beyond any previously
-// seen edge count pays. In clique mode the communication topology does not
-// depend on the input edges, so only the per-node input views change. A
-// topology that is not symmetric and sorted is refused with an error; the
-// engine then keeps its old graph, rewound as by Reset(nodes, seed).
-func (e *Engine) Rebind(input *graph.Graph, nodes []Node, seed int64) error {
+// run under cfg like Reset. The per-channel slabs are resized to the new
+// topology reusing their capacity, so rebinding across snapshots of
+// comparable density allocates little to nothing: only growth beyond any
+// previously seen edge count pays. In clique mode the communication
+// topology does not depend on the input edges, so only the per-node input
+// views change. A topology that is not symmetric and sorted is refused
+// with an error; the engine then keeps its old graph, rewound as by
+// Reset(nodes, cfg).
+func (e *Engine) Rebind(input *graph.Graph, nodes []Node, cfg Config) error {
 	n := len(e.nodes)
 	if input.N() != n {
 		return fmt.Errorf("sim: rebind to %d-vertex graph on %d-vertex engine", input.N(), n)
@@ -572,10 +605,26 @@ func (e *Engine) Rebind(input *graph.Graph, nodes []Node, seed int64) error {
 	if len(nodes) != n {
 		return fmt.Errorf("sim: rebind with %d nodes for %d-vertex graph", len(nodes), n)
 	}
+	cfg, err := e.runConfig(cfg)
+	if err != nil {
+		return err
+	}
 	// Drain channel state while the channel ids still mean what the queues
 	// think they mean; after the swap the old active lists would index the
 	// wrong channels.
-	e.clearRun(nodes, seed)
+	e.clearRun(nodes, cfg)
+	err = e.bindTopology(input)
+	// Degree weights changed with the topology (or the shard count did);
+	// recut the shard plan and re-point the contexts at their new shards'
+	// arenas.
+	e.initShards()
+	e.bindArenas()
+	return err
+}
+
+// bindTopology swaps a drained engine onto input's CSR, keeping the old
+// graph when input's topology is refused.
+func (e *Engine) bindTopology(input *graph.Graph) error {
 	inOffs, inTgts := input.CSR()
 	if e.cfg.Mode != ModeClique {
 		ne := len(inTgts)
@@ -609,17 +658,15 @@ func (e *Engine) Rebind(input *graph.Graph, nodes []Node, seed int64) error {
 	if e.flt != nil {
 		e.flt.resizeEdges(len(e.queues))
 	}
-	// Degree weights changed with the topology; recut the shard plan and
-	// re-point the contexts at their new shards' arenas.
-	e.initShards()
-	e.bindArenas()
 	return nil
 }
 
-// clearRun is the shared rewind behind Reset and Rebind: drain active
-// channels, bump the epoch (invalidating every stamp in O(1)), re-seed the
-// node contexts and zero the metrics, keeping every slab allocation.
-func (e *Engine) clearRun(nodes []Node, seed int64) {
+// clearRun is the one rewind behind Reset and Rebind: drain active
+// channels, bump the epoch (invalidating every stamp in O(1)), take cfg's
+// run settings, re-seed the node contexts and zero the metrics, keeping
+// every slab allocation. It reports whether cfg asks for a different shard
+// count, whose plan the caller re-cuts on the now drained engine.
+func (e *Engine) clearRun(nodes []Node, cfg Config) (recut bool) {
 	e.eachActive(func(c int32) { e.queues[c] = spanQueue{} })
 	for s := range e.recvBits {
 		e.eachReceiver(s, func(v int32) { e.nactive[v] = 0 })
@@ -640,13 +687,15 @@ func (e *Engine) clearRun(nodes []Node, seed int64) {
 	}
 	e.epoch++
 	e.nodes = nodes
-	e.cfg.Seed = seed
+	recut = cfg.Shards != e.cfg.Shards
+	e.cfg = cfg
 	for v, ctx := range e.ctxs {
 		if ctx.rng != nil {
-			ctx.rng.Seed(nodeSeed(seed, v)) // also drops Read's buffered bytes
+			ctx.rng.Seed(nodeSeed(cfg.Seed, v)) // also drops Read's buffered bytes
 		} else {
-			ctx.src.Seed(nodeSeed(seed, v))
+			ctx.src.Seed(nodeSeed(cfg.Seed, v))
 		}
+		ctx.banw = cfg.BandwidthWords
 		ctx.outputs = ctx.outputs[:0]
 		ctx.seenOut = 0
 		ctx.wake = 0
@@ -678,6 +727,7 @@ func (e *Engine) clearRun(nodes []Node, seed int64) {
 	}
 	e.nextReady = e.nextReady[:0]
 	e.wheel.reset()
+	return recut
 }
 
 // nextEventRound returns the earliest round at which anything can happen:

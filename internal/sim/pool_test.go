@@ -184,7 +184,7 @@ func TestDrawFootprint(t *testing.T) {
 	seed := int64(1)
 	allocs := testing.AllocsPerRun(3, func() {
 		seed++
-		if err := eng.Reset(nodes, seed); err != nil {
+		if err := eng.Reset(nodes, sim.Config{Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.RunUntilQuiescent(); err != nil {

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dynamic"
+	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -91,11 +92,11 @@ func TestRebindMatchesFreshEngine(t *testing.T) {
 		for ep, g := range snaps {
 			seed := int64(100 + ep)
 			if ep > 0 {
-				if err := eng.Rebind(g, rebindNodes(mode, g.N(), 8), seed); err != nil {
+				if err := eng.Rebind(g, rebindNodes(mode, g.N(), 8), sim.Config{Mode: mode, Seed: seed, BandwidthWords: 2}); err != nil {
 					t.Fatal(err)
 				}
 			} else {
-				if err := eng.Reset(rebindNodes(mode, g.N(), 8), seed); err != nil {
+				if err := eng.Reset(rebindNodes(mode, g.N(), 8), sim.Config{Mode: mode, Seed: seed, BandwidthWords: 2}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -142,7 +143,9 @@ func (rebindBcastNode) Round(ctx *sim.Context, round int, _ []sim.Delivery) {
 // TestRebindAllocatesNothing pins that Rebind keeps every slab, shard-plan
 // list and arena of a warm engine: alternating between two graphs on one
 // vertex set, a rebind and a run to quiescence on each allocates nothing,
-// unsharded and at 4 shards.
+// unsharded and at 4 shards. A warm re-cut allocates nothing either: one
+// engine cycling through shard counts and bandwidths by Rebind and Reset,
+// as a pooled engine serving mixed jobs does, keeps every per-shard list.
 func TestRebindAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	g1, g2 := graph.Gnp(300, 0.05, rng), graph.Gnp(300, 0.05, rng)
@@ -156,7 +159,7 @@ func TestRebindAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := func(g *graph.Graph) {
-			if err := eng.Rebind(g, nodes, 1); err != nil {
+			if err := eng.Rebind(g, nodes, sim.Config{Seed: 1, Shards: shards}); err != nil {
 				t.Fatal(err)
 			}
 			if err := eng.RunUntilQuiescent(); err != nil {
@@ -167,8 +170,46 @@ func TestRebindAllocatesNothing(t *testing.T) {
 			t.Fatalf("shards=%d: %v allocations per pair of rebinds", shards, allocs)
 		}
 	}
+	eng, err := sim.NewEngine(g1, nodes, sim.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := []sim.Config{
+		{Seed: 2, Shards: 4, BandwidthWords: 2},
+		{Seed: 3, Shards: 1, BandwidthWords: 1},
+		{Seed: 4, Shards: 7, BandwidthWords: 5},
+		{Seed: 5, Shards: 4, BandwidthWords: 1},
+		{Seed: 6, Shards: 0, BandwidthWords: 2},
+	}
+	pass := func() {
+		for i, cfg := range cycle {
+			var err error
+			if i%2 == 1 {
+				g := g1
+				if eng.Input() == g1 {
+					g = g2
+				}
+				err = eng.Rebind(g, nodes, cfg)
+			} else {
+				err = eng.Reset(nodes, cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.RunUntilQuiescent(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, pass); allocs != 0 {
+		t.Fatalf("%v allocations per cycle of re-cuts", allocs)
+	}
 }
 
+// TestRebindRejectsVertexCountChange pins what a rewind may not change:
+// the vertex count, and the mode, scheduler and fault plan an engine was
+// built for — they size its slabs or compile into it. Reset and Rebind
+// refuse each before touching the engine.
 func TestRebindRejectsVertexCountChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g1 := graph.Gnp(16, 0.3, rng)
@@ -177,11 +218,26 @@ func TestRebindRejectsVertexCountChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Rebind(g2, poolNodes(17, 4), 1); err == nil {
+	if err := eng.Rebind(g2, poolNodes(17, 4), sim.Config{Seed: 1}); err == nil {
 		t.Fatal("rebind across vertex counts accepted")
 	}
-	if err := eng.Rebind(g1, poolNodes(17, 4), 1); err == nil {
+	if err := eng.Rebind(g1, poolNodes(17, 4), sim.Config{Seed: 1}); err == nil {
 		t.Fatal("rebind with mismatched node slice accepted")
+	}
+	for name, cfg := range map[string]sim.Config{
+		"mode":      {Mode: sim.ModeClique},
+		"scheduler": {Scheduler: sim.SchedulerDense},
+		"faults":    {Faults: &faults.Plan{Seed: 1, Loss: 0.5}},
+	} {
+		if err := eng.Reset(poolNodes(16, 4), cfg); err == nil {
+			t.Errorf("reset to another %s accepted", name)
+		}
+		if err := eng.Rebind(g1, poolNodes(16, 4), cfg); err == nil {
+			t.Errorf("rebind to another %s accepted", name)
+		}
+	}
+	if c := eng.Config(); c.Mode != sim.ModeCONGEST || c.Scheduler != sim.SchedulerActivity || c.Faults != nil {
+		t.Fatalf("a refused rewind changed the engine's config to %+v", c)
 	}
 }
 

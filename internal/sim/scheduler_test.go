@@ -325,7 +325,7 @@ func TestSchedulerSurvivesResetAndRebind(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reset onto a new seed over the same graph.
-	if err := eng.Reset(mk(g1.N()), 2); err != nil {
+	if err := eng.Reset(mk(g1.N()), Config{Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RunUntilQuiescent(); err != nil {
@@ -337,7 +337,7 @@ func TestSchedulerSurvivesResetAndRebind(t *testing.T) {
 		t.Fatal("reset engine diverges from fresh engine")
 	}
 	// Rebind onto a different graph.
-	if err := eng.Rebind(g2, mk(g2.N()), 3); err != nil {
+	if err := eng.Rebind(g2, mk(g2.N()), Config{Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RunUntilQuiescent(); err != nil {

@@ -56,11 +56,15 @@ import (
 type staged struct{ c, to int32 }
 
 // initShards (re)computes the shard plan for the current topology and
-// sizes the per-shard state to it, keeping every per-shard list when the
-// shard count is unchanged. Called from NewEngine and again from Rebind —
-// degree weights move with the graph. The requested count is a maximum:
-// weightedShards never cuts an empty shard, and Shards <= 1 gives the
-// one-shard plan.
+// shard count and sizes the per-shard state to it. Called from NewEngine,
+// from Reset when the run asks for a new shard count, and from Rebind —
+// degree weights move with the graph — always on a drained engine. The
+// requested count is a maximum: weightedShards never cuts an empty shard,
+// and Shards <= 1 gives the one-shard plan. The per-shard lists grow to
+// the largest plan the engine has cut and are resliced down for smaller
+// ones, so an engine that alternates shard counts reallocates none of
+// them: the lists beyond the current plan are empty (clearRun emptied them
+// while they were in it), so any of them can serve any shard pair later.
 func (e *Engine) initShards() {
 	n := len(e.nodes)
 	weight := func(v int) int64 { return int64(1 + e.commOffs[v+1] - e.commOffs[v]) }
@@ -75,14 +79,12 @@ func (e *Engine) initShards() {
 			e.shardOf[v] = int32(s)
 		}
 	}
-	if S != e.nshards {
-		e.nshards = S
-		e.recvBits = make([][]uint64, S)
-		e.shardSched = make([][]int32, S)
-		e.staging = make([][]staged, S*S)
-		e.stagedBcast = make([][]int32, S)
-		e.shardCtr = make([]deliveryShard, S)
-	}
+	e.nshards = S
+	e.recvBits = regrow(e.recvBits, S)
+	e.shardSched = regrow(e.shardSched, S)
+	e.staging = regrow(e.staging, S*S)
+	e.stagedBcast = regrow(e.stagedBcast, S)
+	e.shardCtr = regrow(e.shardCtr, S)
 	// The engine is drained here, so every bitset is zero; regrowing one
 	// over its capacity exposes only bits cleared before it shrank.
 	for s := range S {
@@ -92,6 +94,16 @@ func (e *Engine) initShards() {
 		}
 		e.recvBits[s] = e.recvBits[s][:words]
 	}
+}
+
+// regrow returns xs resliced to n entries. It keeps the entries beyond
+// len(xs) that an earlier reslice hid, and grows the backing array only
+// when it holds fewer than n.
+func regrow[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		xs = append(xs[:cap(xs)], make([]T, n-cap(xs))...)
+	}
+	return xs[:n]
 }
 
 // eachReceiver calls fn for every receiver of shard s with an active

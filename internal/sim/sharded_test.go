@@ -219,7 +219,7 @@ func TestShardResetRebind(t *testing.T) {
 	if err := eng.RunUntilQuiescent(); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Reset(mk(g1.N()), 2); err != nil {
+	if err := eng.Reset(mk(g1.N()), Config{Seed: 2, Shards: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RunUntilQuiescent(); err != nil {
@@ -229,7 +229,7 @@ func TestShardResetRebind(t *testing.T) {
 	if gm, got := eng.Metrics(), eng.Outputs(); !reflect.DeepEqual(gm, wm) || !reflect.DeepEqual(got, wo) {
 		t.Fatal("reset sharded engine diverges from fresh engine")
 	}
-	if err := eng.Rebind(g2, mk(g2.N()), 3); err != nil {
+	if err := eng.Rebind(g2, mk(g2.N()), Config{Seed: 3, Shards: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RunUntilQuiescent(); err != nil {
@@ -242,7 +242,9 @@ func TestShardResetRebind(t *testing.T) {
 }
 
 // TestShardConfigNormalization pins the Shards defaulting rules: negatives
-// clamp to 0 and the dense scheduler ignores sharding entirely.
+// clamp to 0, the dense scheduler ignores sharding entirely, and counts
+// above MaxShards clamp to it — also in an engine built (not run) with an
+// absurd count, whose plan and staging stay within the bound.
 func TestShardConfigNormalization(t *testing.T) {
 	if c := (Config{Shards: -3}).Normalized(); c.Shards != 0 {
 		t.Fatalf("Shards = %d, want 0", c.Shards)
@@ -253,4 +255,124 @@ func TestShardConfigNormalization(t *testing.T) {
 	if c := (Config{Shards: 4}).Normalized(); c.Shards != 4 {
 		t.Fatalf("Shards = %d, want 4", c.Shards)
 	}
+	if c := (Config{Shards: 1 << 20}).Normalized(); c.Shards != MaxShards {
+		t.Fatalf("Shards = %d, want MaxShards (%d)", c.Shards, MaxShards)
+	}
+	g := graph.Gnp(300, 0.05, rand.New(rand.NewSource(3)))
+	eng, err := NewEngine(g, make([]Node, g.N()), Config{Shards: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.nshards < 2 || eng.nshards > MaxShards || len(eng.staging) > MaxShards*MaxShards {
+		t.Fatalf("Shards 1<<20 on %d nodes: %d shards, %d staging lists", g.N(), eng.nshards, len(eng.staging))
+	}
+}
+
+// TestRecutMatchesFresh drives one engine the way a pooled engine is
+// driven between jobs: through shard counts 0, 4, 1, 7, 4 and bandwidths
+// 2, 1, 5, 2, 1, rewound by Reset or by Rebind to a second graph, with
+// one run resumed from a checkpoint written at another shard count. Each
+// run must match a fresh engine built for it bit for bit — metrics,
+// outputs, rounds and hook stream (for the resumed run, the suffix of the
+// fresh stream from the checkpoint on). The "pool" subtest re-cuts an
+// engine on the fan-out input, so the re-cut plans really run on the
+// worker pool.
+func TestRecutMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	g1 := graph.Gnp(60, 0.12, rng)
+	g2 := graph.BarabasiAlbert(60, 3, rng)
+	type step struct {
+		g          *graph.Graph
+		shards, b  int
+		ckptShards int // >= 0: resume from a checkpoint written at this count
+	}
+	drive := func(t *testing.T, steps []step, wantPool bool) {
+		chatter := func(n int) []Node {
+			nodes := make([]Node, n)
+			for v := range nodes {
+				nodes[v] = &chatterNode{}
+			}
+			return nodes
+		}
+		var eng *Engine
+		for i, st := range steps {
+			label := fmt.Sprintf("step %d (shards=%d B=%d)", i, st.shards, st.b)
+			cfg := Config{Seed: int64(50 + i), Shards: st.shards, BandwidthWords: st.b}
+			want, wrec := runChatterEngine(t, st.g, cfg, true)
+			nodes := chatter(st.g.N())
+			var err error
+			switch {
+			case eng == nil:
+				eng, err = NewEngine(st.g, nodes, cfg)
+			case eng.Input() == st.g:
+				err = eng.Reset(nodes, cfg)
+			default:
+				err = eng.Rebind(st.g, nodes, cfg)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			from := 0
+			if st.ckptShards >= 0 {
+				src := cfg
+				src.Shards = st.ckptShards
+				writer, err := NewEngine(st.g, chatter(st.g.N()), src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				from = 6
+				writer.Run(from)
+				payload, err := writer.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.Restore(payload); err != nil {
+					t.Fatalf("%s: restore: %v", label, err)
+				}
+			}
+			rec := &hookRec{}
+			eng.SetHooks(rec.hooks())
+			if err := eng.RunUntilQuiescent(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(eng.shardBounds, want.shardBounds) {
+				t.Fatalf("%s: shard plan %v, fresh engine cut %v", label, eng.shardBounds, want.shardBounds)
+			}
+			for v, ctx := range eng.ctxs {
+				if ctx.Bandwidth() != want.ctxs[v].Bandwidth() {
+					t.Fatalf("%s: node %d sees bandwidth %d, fresh engine %d", label, v, ctx.Bandwidth(), want.ctxs[v].Bandwidth())
+				}
+			}
+			if eng.Round() != want.Round() {
+				t.Fatalf("%s: rounds %d vs %d", label, eng.Round(), want.Round())
+			}
+			if !reflect.DeepEqual(eng.Metrics(), want.Metrics()) {
+				t.Fatalf("%s: metrics diverge\npooled: %+v\nfresh:  %+v", label, eng.Metrics(), want.Metrics())
+			}
+			if !reflect.DeepEqual(eng.Outputs(), want.Outputs()) {
+				t.Fatalf("%s: outputs diverge", label)
+			}
+			if !reflect.DeepEqual(rec.rounds, wrec.rounds[from:]) {
+				t.Fatalf("%s: round hook streams diverge", label)
+			}
+			if from == 0 && !reflect.DeepEqual(rec, wrec) {
+				t.Fatalf("%s: hook streams diverge", label)
+			}
+			if wantPool && st.shards > 1 {
+				assertPoolRan(t, label, eng)
+			}
+		}
+	}
+	drive(t, []step{
+		{g1, 0, 2, -1},
+		{g1, 4, 1, -1},
+		{g2, 1, 5, -1},
+		{g2, 7, 2, 3},
+		{g1, 4, 1, -1},
+	}, false)
+	t.Run("pool", func(t *testing.T) {
+		requirePool(t)
+		g := fanOutGraph()
+		drive(t, []step{{g, 0, 1, -1}, {g, 4, 1, -1}, {g, 1, 1, -1}, {g, 7, 1, 4}}, true)
+	})
 }

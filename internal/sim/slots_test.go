@@ -262,7 +262,7 @@ func TestReverseSlotIndex(t *testing.T) {
 		// Rebind to a graph with more edges, then back to fewer: the index
 		// is rebuilt into reused storage both ways.
 		for _, g := range []*graph.Graph{denser, c.g} {
-			if err := eng.Rebind(g, make([]Node, g.N()), 1); err != nil {
+			if err := eng.Rebind(g, make([]Node, g.N()), Config{Mode: c.mode, Shards: 4, Seed: 1}); err != nil {
 				t.Fatal(err)
 			}
 			checkTwin(t, fmt.Sprintf("%s rebound to m=%d", c.name, g.M()), eng)
@@ -296,7 +296,7 @@ func TestForgedTopologyRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Rebind(g, make([]Node, 3), 1); err == nil {
+		if err := eng.Rebind(g, make([]Node, 3), Config{Seed: 1}); err == nil {
 			t.Errorf("%s: Rebind accepted the topology", name)
 		}
 		if eng.Input() != good {

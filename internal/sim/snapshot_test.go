@@ -356,14 +356,14 @@ func TestFailedRestoreThenReset(t *testing.T) {
 			t.Fatal(err)
 		}
 		for cut := 0; cut < len(payload); cut += 3 {
-			if err := eng.Reset(burst(), cfg.Seed); err != nil {
+			if err := eng.Reset(burst(), cfg); err != nil {
 				t.Fatal(err)
 			}
 			if err := eng.Restore(payload[:cut]); err == nil {
 				t.Fatalf("truncation to %d bytes restored successfully", cut)
 			}
 			nodes := burst()
-			if err := eng.Reset(nodes, cfg.Seed); err != nil {
+			if err := eng.Reset(nodes, cfg); err != nil {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("shards=%d, run after a restore failed at %d bytes", shards, cut)
