@@ -171,7 +171,7 @@ func BenchmarkE7LowerBound(b *testing.B) {
 // measurement (Omega(n^2) bits per node).
 func BenchmarkE8LocalListing(b *testing.B) {
 	g := benchGnp(b, 8)
-	sched, mk := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopLocal)
+	sched, mk := baseline.NewTwoHop(2, g.MaxDegree())
 	var res core.Result
 	var err error
 	for i := 0; i < b.N; i++ {
@@ -191,7 +191,7 @@ func BenchmarkE8LocalListing(b *testing.B) {
 // paper's introduction.
 func BenchmarkE9TwoHop(b *testing.B) {
 	g := benchGnp(b, 9)
-	sched, mk := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopGlobal)
+	sched, mk := baseline.NewTwoHop(2, g.MaxDegree())
 	var res core.Result
 	var err error
 	for i := 0; i < b.N; i++ {
@@ -302,7 +302,7 @@ func BenchmarkExtPropertyTester(b *testing.B) {
 // CONGEST restriction (the Drucker et al. model).
 func BenchmarkBroadcastTwoHop(b *testing.B) {
 	g := benchGnp(b, 16)
-	sched, mk := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopGlobal)
+	sched, mk := baseline.NewTwoHop(2, g.MaxDegree())
 	var res core.Result
 	var err error
 	for i := 0; i < b.N; i++ {
@@ -440,9 +440,9 @@ func BenchmarkEngineNbrList(b *testing.B) {
 	b.Run("sharded", perf.EngineNbrList(4))
 }
 
-// BenchmarkEngineResetLarge — one Reset of the million-node engine after a
-// run in which every node drew from its private stream: the rewind a
-// pooled engine pays before each job. Expensive set-up, like
+// BenchmarkEngineResetLarge — one same-graph Rebind of the million-node
+// engine after a run in which every node drew from its private stream: the
+// rewind a pooled engine pays before each job. Expensive set-up, like
 // BenchmarkEngineStepLarge; opt in with -bench BenchmarkEngineResetLarge.
 func BenchmarkEngineResetLarge(b *testing.B) { perf.EngineResetLarge()(b) }
 

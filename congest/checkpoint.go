@@ -201,7 +201,7 @@ func (s *Session) Replay(spec JobSpec, from, to int, obs Observer) (ReplayInfo, 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	w := &windowObs{obs: coreObs(obs), from: from, to: to, cur: anchor, cancel: cancel}
-	res, err := s.runAlgo(ctx, g, ab, cfg, w, &core.CheckpointPlan{Resume: rp})
+	res, err := s.engines.Run(ctx, g, ab.segs, cfg, w, &core.CheckpointPlan{Resume: rp})
 	if err != nil && !res.Meta.Cancelled {
 		return ReplayInfo{}, err
 	}

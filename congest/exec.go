@@ -107,7 +107,7 @@ func (s *Session) runJob(ctx context.Context, spec JobSpec, obs Observer) (Resul
 	if err != nil {
 		return Result{}, err
 	}
-	res, runErr := s.runAlgo(ctx, g, ab, cfg, coreObs(obs), ckPlan)
+	res, runErr := s.engines.Run(ctx, g, ab.segs, cfg, coreObs(obs), ckPlan)
 	if runErr != nil && !res.Meta.Cancelled {
 		return Result{}, runErr
 	}
@@ -140,24 +140,13 @@ func (s *Session) runJob(ctx context.Context, spec JobSpec, obs Observer) (Resul
 	return out, nil
 }
 
-// runAlgo runs a built algorithm through the session's engine cache. Jobs
-// and replays both run through it.
-func (s *Session) runAlgo(ctx context.Context, g *graph.Graph, ab algoBuild, cfg sim.Config, obs core.Observer, ckpt *core.CheckpointPlan) (core.Result, error) {
-	if ab.segs != nil {
-		return s.engines.RunSequenceCheckpointed(ctx, g, ab.segs, cfg, obs, ckpt)
-	}
-	return s.engines.RunSingleCheckpointed(ctx, g, ab.sched, ab.mk, cfg, obs, ckpt)
-}
-
-// algoBuild is one resolved algorithm: either a segment sequence (segs)
-// or a single schedule (sched + mk), plus the resolved tunables the
-// result meta reports.
+// algoBuild is one resolved algorithm: its segment sequence — one segment
+// for a single-schedule algorithm — plus the resolved tunables the result
+// meta reports.
 type algoBuild struct {
-	segs  []core.Segment
-	sched *sim.Schedule
-	mk    func(id int) sim.Node
-	eps   float64
-	reps  int
+	segs []core.Segment
+	eps  float64
+	reps int
 }
 
 // buildAlgo resolves a spec's algorithm into runnable form. It is shared
@@ -190,26 +179,22 @@ func buildAlgo(spec JobSpec, g *graph.Graph) (algoBuild, error) {
 		ab.segs = segs
 	case "a1":
 		ab.eps = epsFor(spec, n, core.EpsFindingPure, core.EpsFindingLogCorrected)
-		ab.sched, ab.mk = core.NewA1(core.Params{N: n, Eps: ab.eps, B: b})
+		ab.segs = core.Single(core.NewA1(core.Params{N: n, Eps: ab.eps, B: b}))
 	case "a2":
 		ab.eps = epsFor(spec, n, core.EpsListingPure, core.EpsListingLogCorrected)
 		sched, mk, err := core.NewA2(core.Params{N: n, Eps: ab.eps, B: b})
 		if err != nil {
 			return ab, err
 		}
-		ab.sched, ab.mk = sched, mk
+		ab.segs = core.Single(sched, mk)
 	case "a3":
 		ab.eps = epsFor(spec, n, core.EpsListingPure, core.EpsListingLogCorrected)
-		ab.sched, ab.mk = core.NewA3(core.Params{N: n, Eps: ab.eps, B: b})
+		ab.segs = core.Single(core.NewA3(core.Params{N: n, Eps: ab.eps, B: b}))
 	case "axr":
 		ab.eps = epsFor(spec, n, core.EpsListingPure, core.EpsListingLogCorrected)
-		ab.sched, ab.mk = core.NewAXR(core.Params{N: n, Eps: ab.eps, B: b}, core.AXROptions{})
+		ab.segs = core.Single(core.NewAXR(core.Params{N: n, Eps: ab.eps, B: b}, core.AXROptions{}))
 	case "twohop", "local", "bcast-twohop":
-		tmode := baseline.TwoHopGlobal
-		if spec.Algo == "local" {
-			tmode = baseline.TwoHopLocal
-		}
-		ab.sched, ab.mk = baseline.NewTwoHop(n, b, g.MaxDegree(), tmode)
+		ab.segs = core.Single(baseline.NewTwoHop(b, g.MaxDegree()))
 	case "dolev", "dolev-deg", "dolev-relay":
 		variant := baseline.DolevCubeRoot
 		if spec.Algo == "dolev-deg" {
@@ -223,13 +208,13 @@ func buildAlgo(spec JobSpec, g *graph.Graph) (algoBuild, error) {
 		if err != nil {
 			return ab, err
 		}
-		ab.sched, ab.mk = sched, mk
+		ab.segs = core.Single(sched, mk)
 	case "tester":
 		probes := spec.Probes
 		if probes <= 0 {
 			probes = 16
 		}
-		ab.sched, ab.mk = core.NewPropertyTester(n, b, probes)
+		ab.segs = core.Single(core.NewPropertyTester(n, b, probes))
 	default:
 		return ab, fmt.Errorf("congest: unhandled algorithm %q", spec.Algo)
 	}

@@ -51,7 +51,8 @@ func TestFaultSpecValidate(t *testing.T) {
 
 // TestRunFaultyJob: a faulty job runs through the facade, reports its
 // fault provenance and counters, and stays deterministic — including
-// through a Session's pooled engines (Reset must clear fault runtime).
+// through a Session's pooled engines (a rewind must clear the fault
+// runtime).
 func TestRunFaultyJob(t *testing.T) {
 	spec := faultySpec("list")
 	a, err := Run(context.Background(), spec)
@@ -73,8 +74,8 @@ func TestRunFaultyJob(t *testing.T) {
 	if a.Metrics.Faults.DelayedDeliveries == 0 {
 		t.Fatal("pinned 4-round link produced no delayed deliveries")
 	}
-	// Determinism: one-shot vs session-pooled (twice, to hit the Reset
-	// path on a pooled engine carrying fault runtime).
+	// Determinism: one-shot vs session-pooled (twice, to hit the rewind
+	// of a pooled engine carrying fault runtime).
 	sess := NewSession()
 	b, err := sess.Run(context.Background(), spec)
 	if err != nil {

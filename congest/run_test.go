@@ -180,8 +180,8 @@ func TestChurnVerified(t *testing.T) {
 
 // TestSessionAlternatingGraphs follows the triserve "serve" traffic: jobs
 // over four gnp(48, 0.2) graphs alternate through one Session, so its
-// engine cache keeps moving pooled engines between graphs (Engine.Rebind)
-// and back onto the same one (Engine.Reset). Every Result must be
+// engine cache keeps moving pooled engines between graphs and back onto
+// the same one (both by Engine.Rebind). Every Result must be
 // byte-equal to the same job's in a fresh session.
 func TestSessionAlternatingGraphs(t *testing.T) {
 	algos := []string{"a1", "tester", "twohop", "count", "dolev"}

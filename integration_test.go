@@ -30,11 +30,11 @@ func TestAllAlgorithmsAgreeOnOneGraph(t *testing.T) {
 			return core.NewEngineCache().ListAllTriangles(g, core.ListerOptions{}, sim.Config{Seed: 1})
 		}},
 		{"twohop", func() (core.Result, error) {
-			s, mk := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopGlobal)
+			s, mk := baseline.NewTwoHop(2, g.MaxDegree())
 			return core.NewEngineCache().RunSingle(g, s, mk, sim.Config{Seed: 2})
 		}},
 		{"twohop-broadcast", func() (core.Result, error) {
-			s, mk := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopGlobal)
+			s, mk := baseline.NewTwoHop(2, g.MaxDegree())
 			return core.NewEngineCache().RunSingle(g, s, mk, sim.Config{Seed: 3, Mode: sim.ModeBroadcast})
 		}},
 		{"dolev-direct", func() (core.Result, error) {

@@ -13,7 +13,7 @@ func TestTwoHopListsEverything(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
 		g := graph.Gnp(30, 0.4, rng)
-		sched, mk := NewTwoHop(g.N(), 2, g.MaxDegree(), TwoHopGlobal)
+		sched, mk := NewTwoHop(2, g.MaxDegree())
 		res, err := core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: seed})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -27,7 +27,7 @@ func TestTwoHopListsEverything(t *testing.T) {
 func TestTwoHopLocalCompleteness(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.Gnp(24, 0.5, rng)
-	sched, mk := NewTwoHop(g.N(), 2, g.MaxDegree(), TwoHopLocal)
+	sched, mk := NewTwoHop(2, g.MaxDegree())
 	res, err := core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: 9})
 	if err != nil {
 		t.Fatal(err)

@@ -242,11 +242,11 @@ func TestRelayRoutingBalancesSkewedLoad(t *testing.T) {
 }
 
 func TestTwoHopRoundBudget(t *testing.T) {
-	sched, _ := NewTwoHop(100, 2, 40, TwoHopGlobal)
+	sched, _ := NewTwoHop(2, 40)
 	if sched.Total() != 20 { // ceil(40/2)
 		t.Fatalf("two-hop schedule = %d, want 20", sched.Total())
 	}
-	sched0, _ := NewTwoHop(10, 2, 0, TwoHopGlobal)
+	sched0, _ := NewTwoHop(2, 0)
 	if sched0.Total() != 1 {
 		t.Fatalf("degenerate schedule = %d, want 1", sched0.Total())
 	}

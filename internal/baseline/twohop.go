@@ -11,57 +11,49 @@ import (
 	"repro/internal/sim"
 )
 
-// TwoHopMode selects which triangles each node outputs in the two-hop
-// aggregation algorithm.
-type TwoHopMode int
-
-const (
-	// TwoHopGlobal outputs every triangle a node sees (global listing; the
-	// trivial baseline the paper's introduction measures against).
-	TwoHopGlobal TwoHopMode = iota + 1
-	// TwoHopLocal restricts each node's output to triangles containing it —
-	// the "local listing" task of Proposition 5. (The two modes coincide
-	// here: a node only ever sees triangles through its own incident edges.)
-	TwoHopLocal
-)
-
 // NewTwoHop builds the trivial CONGEST lister: every node streams its full
 // neighborhood to all neighbors, so after ceil(d_max/B) rounds every node
 // knows its two-hop edges and can output every triangle it participates in.
 // Round complexity: Theta(d_max) — linear for dense graphs, which is the
-// inefficiency Theorems 1 and 2 beat.
+// inefficiency Theorems 1 and 2 beat. Every triangle a node outputs
+// contains it, so the same algorithm is also the local lister of
+// Proposition 5.
 //
 // maxDegree is the schedule bound every node is assumed to know (a standard
 // assumption; computing it distributedly costs O(D) extra rounds). Every
 // node of a job shares one handler.
-func NewTwoHop(n, b, maxDegree int, mode TwoHopMode) (*sim.Schedule, func(id int) sim.Node) {
+func NewTwoHop(b, maxDegree int) (*sim.Schedule, func(id int) sim.Node) {
 	sched := &sim.Schedule{}
 	dur := sim.RoundsFor(maxDegree, b)
 	if dur < 1 {
 		dur = 1
 	}
 	sched.Add("twohop-exchange", dur)
-	h := &twoHopHandler{mode: mode}
+	h := &twoHopHandler{}
 	mk := func(id int) sim.Node {
 		return core.NewPhasedNode(sched, h)
 	}
 	return sched, mk
 }
 
-type twoHopHandler struct {
-	mode TwoHopMode
-}
+// twoHopHandler is the two-hop lister's node logic; it holds no state.
+type twoHopHandler struct{}
 
+// Start broadcasts the node's neighbour list in pieces of at most 64 words
+// converted on the stack. The engine stores each piece's words right after
+// the previous piece's, so every channel queues the list as one span, just
+// as one Broadcast of the whole list would.
 func (h *twoHopHandler) Start(ctx *sim.Context, phase int) {
+	var buf [64]sim.Word
 	nbrs := ctx.InputNeighbors()
-	words := make([]sim.Word, len(nbrs))
-	for i, v := range nbrs {
-		words[i] = sim.Word(v)
+	for len(nbrs) > 0 {
+		piece := buf[:min(len(nbrs), len(buf))]
+		for i := range piece {
+			piece[i] = sim.Word(nbrs[i])
+		}
+		ctx.Broadcast(piece...)
+		nbrs = nbrs[len(piece):]
 	}
-	if len(words) == 0 {
-		return
-	}
-	ctx.Broadcast(words...)
 }
 
 func (h *twoHopHandler) Receive(ctx *sim.Context, phase int, d sim.Delivery) {
@@ -72,10 +64,9 @@ func (h *twoHopHandler) Receive(ctx *sim.Context, phase int, d sim.Delivery) {
 			continue
 		}
 		t := graph.NewTriangle(me, d.From, l)
-		// Both modes output t: it always contains me. Deduplicate locally by
-		// outputting only when me < d.From in local mode is unnecessary —
-		// duplicates are allowed by the listing definition — but we suppress
-		// the (j,l)/(l,j) double report to keep outputs tight.
+		// t always contains me. Duplicates are allowed by the listing
+		// definition, but the (j,l)/(l,j) double report is suppressed to
+		// keep outputs tight.
 		if d.From < l {
 			ctx.Output(t)
 		}

@@ -36,7 +36,10 @@ func (h *a1Handler) Start(ctx *sim.Context, phase int) {
 	if phase != 0 {
 		return
 	}
-	var sample []sim.Word
+	// Samples are short (n^{-eps} of the degree), so most fit the stack
+	// array and a node allocates only for a longer one.
+	var buf [16]sim.Word
+	sample := buf[:0]
 	for _, nbr := range ctx.InputNeighbors() {
 		if ctx.RNG().Float64() < h.prob {
 			sample = append(sample, sim.Word(nbr))

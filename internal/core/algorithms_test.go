@@ -416,7 +416,7 @@ func TestListerRepetitionOptions(t *testing.T) {
 	if (ListerOptions{RepetitionsOverride: 3}).Repetitions(64) != 3 {
 		t.Fatal("override ignored")
 	}
-	if (ListerOptions{RepetitionFactor: 0.5}).Repetitions(64) < 1 {
+	if (ListerOptions{}).Repetitions(0) != 1 {
 		t.Fatal("reps must be >= 1")
 	}
 }

@@ -11,42 +11,41 @@ import (
 	"repro/internal/sim"
 )
 
-// EngineCache is core's only runner: every run goes through one. It pools
-// engines and node slices across runs, keyed by what sizes an engine's
+// EngineCache is core's only runner: every run goes through Run. It pools
+// idle engines, each with its node slice, keyed by what sizes an engine's
 // slabs or compiles into it — vertex count, mode, scheduler and fault
-// plan. The seed, bandwidth and shard count are per-run settings: a
-// borrowed engine takes them when it is rewound, with Engine.Reset when it
-// last ran over the very same graph and with Engine.Rebind otherwise,
-// keeping every slab allocation either way, and a new shard count only
-// re-cuts its shard plan. By the determinism contract none of those
-// settings can tell a pooled engine from a fresh one. That serves both
-// reuse patterns: a Session running many jobs over one cached graph, at
-// whatever shard counts and bandwidths they ask for, and sweep cells
-// running over freshly generated graphs of recurring sizes. Results are
-// identical to a run on a freshly built engine (what an empty cache does)
-// for the same (graph, config, seed), which the pooled-vs-fresh tests
-// assert.
+// plan. The seed, bandwidth and shard count are per-run settings, and so
+// is the graph: a borrowed engine takes them in Engine.Rebind, its one
+// rewind, which keeps every slab allocation, swaps the topology only for
+// another graph and re-cuts the shard plan only for a new shard count or
+// graph. By the determinism contract none of those settings can tell a
+// pooled engine from a fresh one. That serves both reuse patterns: a
+// Session running many jobs over one cached graph, at whatever shard
+// counts and bandwidths they ask for, and sweep cells running over freshly
+// generated graphs of recurring sizes. Results are identical to a run on a
+// freshly built engine (what an empty cache does) for the same (graph,
+// config, seed), which the pooled-vs-fresh tests assert.
 //
 // The cache is safe for concurrent use; each borrowed engine belongs to one
 // run until it is returned, so k concurrent runs of one shape cost k
 // engines. Config.MaxRounds is not part of the key either: the planned
 // runs the cache executes drive the engine with explicit round budgets and
-// never consult it. Idle retention is bounded at MaxIdleEngines engines,
-// and as many node slices, across all shapes: a return beyond the bound
-// drops the oldest idle one. Every key field and run setting can come from
-// an untrusted request, so a long-lived process's memory then scales with
-// concurrent load, not with the variety of shapes and settings it has ever
-// served.
+// never consult it. Idle retention is bounded at MaxIdleEngines engines
+// across all shapes: a return beyond the bound drops the oldest idle one.
+// Every key field and run setting can come from an untrusted request, so a
+// long-lived process's memory then scales with concurrent load, not with
+// the variety of shapes and settings it has ever served.
 type EngineCache struct {
-	mu      sync.Mutex
-	engines []idleEngine // oldest first
-	nodes   [][]sim.Node // oldest first
+	mu   sync.Mutex
+	idle []idleEngine // oldest first
 }
 
-// idleEngine is a returned engine and the shape it was keyed under.
+// idleEngine is a returned engine, the node slice it last ran (cleared,
+// so it pins no node objects) and the shape it was keyed under.
 type idleEngine struct {
-	key engineKey
-	eng *sim.Engine
+	key   engineKey
+	eng   *sim.Engine
+	nodes []sim.Node
 }
 
 type engineKey struct {
@@ -54,13 +53,13 @@ type engineKey struct {
 	mode      sim.Mode
 	scheduler sim.Scheduler
 	// faults is the fault-plan fingerprint: engines carry their compiled
-	// plan across Reset/Rebind, so plans are part of the slab identity.
+	// plan across every Rebind, so plans are part of the slab identity.
 	faults uint64
 }
 
-// MaxIdleEngines bounds the idle engines an EngineCache retains across all
-// shapes, and separately its idle node slices. It covers the largest mix
-// the benchmark harness runs: paper's jobs have 22 shapes, one per vertex
+// MaxIdleEngines bounds the idle engines, and with them the node slices,
+// an EngineCache retains across all shapes. It covers the largest mix the
+// benchmark harness runs: paper's jobs have 22 shapes, one per vertex
 // count, and its two clients can leave two idle engines of each (44).
 // congest.Session's doc quotes its value.
 const MaxIdleEngines = 48
@@ -75,63 +74,28 @@ func keyFor(n int, cfg sim.Config) engineKey {
 	return engineKey{n: n, mode: cfg.Mode, scheduler: cfg.Scheduler, faults: faults.Fingerprint(cfg.Faults)}
 }
 
-func (c *EngineCache) getNodes(n int) []sim.Node {
+// get takes the most recently returned idle engine of shape key, or
+// returns an idleEngine with no engine and a fresh n-node slice.
+func (c *EngineCache) get(key engineKey) idleEngine {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := len(c.nodes) - 1; i >= 0; i-- {
-		if buf := c.nodes[i]; len(buf) == n {
-			c.nodes = slices.Delete(c.nodes, i, i+1)
-			return buf
+	for i := len(c.idle) - 1; i >= 0; i-- {
+		if ie := c.idle[i]; ie.key == key {
+			c.idle = slices.Delete(c.idle, i, i+1)
+			return ie
 		}
 	}
-	return make([]sim.Node, n)
+	return idleEngine{key: key, nodes: make([]sim.Node, key.n)}
 }
 
-func (c *EngineCache) putNodes(nodes []sim.Node) {
-	clear(nodes) // drop node references before pooling the slice
+// put returns ie to the pool, dropping the oldest idle engine beyond
+// MaxIdleEngines.
+func (c *EngineCache) put(ie idleEngine) {
+	clear(ie.nodes) // drop node references before pooling the slice
 	c.mu.Lock()
-	c.nodes = append(c.nodes, nodes)
-	if len(c.nodes) > MaxIdleEngines {
-		c.nodes = slices.Delete(c.nodes, 0, 1)
-	}
-	c.mu.Unlock()
-}
-
-// getEngine returns an engine over g initialized for a fresh run under cfg,
-// reusing a shape-compatible pooled engine when one is free.
-func (c *EngineCache) getEngine(g *graph.Graph, nodes []sim.Node, cfg sim.Config) (*sim.Engine, error) {
-	key := keyFor(g.N(), cfg)
-	c.mu.Lock()
-	var e *sim.Engine
-	for i := len(c.engines) - 1; i >= 0; i-- {
-		if c.engines[i].key == key {
-			e = c.engines[i].eng
-			c.engines = slices.Delete(c.engines, i, i+1)
-			break
-		}
-	}
-	c.mu.Unlock()
-	if e == nil {
-		return sim.NewEngine(g, nodes, cfg)
-	}
-	if e.Input() == g {
-		if err := e.Reset(nodes, cfg); err != nil {
-			return nil, err
-		}
-		return e, nil
-	}
-	if err := e.Rebind(g, nodes, cfg); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-func (c *EngineCache) putEngine(cfg sim.Config, e *sim.Engine) {
-	key := keyFor(e.Input().N(), cfg)
-	c.mu.Lock()
-	c.engines = append(c.engines, idleEngine{key: key, eng: e})
-	if len(c.engines) > MaxIdleEngines {
-		c.engines = slices.Delete(c.engines, 0, 1)
+	c.idle = append(c.idle, ie)
+	if len(c.idle) > MaxIdleEngines {
+		c.idle = slices.Delete(c.idle, 0, 1)
 	}
 	c.mu.Unlock()
 }
@@ -143,7 +107,7 @@ func (c *EngineCache) Idle(n int, cfg sim.Config) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	count := 0
-	for _, ie := range c.engines {
+	for _, ie := range c.idle {
 		if ie.key == key {
 			count++
 		}
@@ -156,70 +120,63 @@ func (c *EngineCache) Idle(n int, cfg sim.Config) int {
 func (c *EngineCache) IdleEngines() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.engines)
+	return len(c.idle)
 }
 
-func (c *EngineCache) run(ctx context.Context, g *graph.Graph, mkNodes func(nodes []sim.Node), plan []SegmentPlan, cfg sim.Config, obs Observer, ckpt *CheckpointPlan) (Result, error) {
-	nodes := c.getNodes(g.N())
-	mkNodes(nodes)
-	eng, err := c.getEngine(g, nodes, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := runPlanned(ctx, eng, plan, obs, ckpt)
-	// A cancelled engine still has queued words; Reset and Rebind drain
-	// them on the next borrow, so returning it is safe either way.
-	c.putEngine(cfg, eng)
-	c.putNodes(nodes)
-	return res, err
-}
-
-// singlePlan wraps one schedule as a one-segment plan.
-func singlePlan(sched *sim.Schedule) []SegmentPlan {
-	return []SegmentPlan{{Name: "run", Rounds: TotalRounds(sched)}}
-}
-
-// errEmptySequence rejects zero-segment sequence runs.
+// errEmptySequence rejects zero-segment runs.
 var errEmptySequence = errors.New("core: empty segment sequence")
 
-// RunSingle executes a single-schedule algorithm on g.
-func (c *EngineCache) RunSingle(g *graph.Graph, sched *sim.Schedule, mk func(id int) sim.Node, cfg sim.Config) (Result, error) {
-	return c.RunSingleCheckpointed(context.Background(), g, sched, mk, cfg, nil, nil)
-}
-
-// RunSingleCheckpointed is RunSingle with cancellation, streaming
-// observation and a checkpoint plan. A nil obs or ckpt disables that part.
+// Run executes a sequence of segments (e.g. the Theorem-1 finder's
+// repeated A1;A3) on g, with cancellation, streaming observation and a
+// checkpoint plan; a nil obs or ckpt disables that part. A single-schedule
+// algorithm is a one-segment sequence (see Single): its nodes are the
+// segment's own, with no sequencing wrapper, so their snapshots carry no
+// wrapper state.
 //
 // Cancellation is honored at round boundaries only: the returned Result is
 // then the deterministic prefix of the uncancelled run (same seed, same
 // everything) up to ExecutedRounds, and the error is ctx.Err(). With a
 // plan, the run snapshots at the plan's cadence and on cancellation and,
 // when the plan carries a resume point, starts from it instead of round 0.
-func (c *EngineCache) RunSingleCheckpointed(ctx context.Context, g *graph.Graph, sched *sim.Schedule, mk func(id int) sim.Node, cfg sim.Config, obs Observer, ckpt *CheckpointPlan) (Result, error) {
-	return c.run(ctx, g, func(nodes []sim.Node) {
-		for v := range nodes {
-			nodes[v] = mk(v)
-		}
-	}, singlePlan(sched), cfg, obs, ckpt)
-}
-
-// RunSequence executes a sequence of segments (e.g. the Theorem-1 finder's
-// repeated A1;A3) on g.
-func (c *EngineCache) RunSequence(g *graph.Graph, segs []Segment, cfg sim.Config) (Result, error) {
-	return c.RunSequenceCheckpointed(context.Background(), g, segs, cfg, nil, nil)
-}
-
-// RunSequenceCheckpointed is RunSequence with cancellation, streaming
-// observation and a checkpoint plan (see RunSingleCheckpointed).
-func (c *EngineCache) RunSequenceCheckpointed(ctx context.Context, g *graph.Graph, segs []Segment, cfg sim.Config, obs Observer, ckpt *CheckpointPlan) (Result, error) {
+func (c *EngineCache) Run(ctx context.Context, g *graph.Graph, segs []Segment, cfg sim.Config, obs Observer, ckpt *CheckpointPlan) (Result, error) {
 	if len(segs) == 0 {
 		return Result{}, errEmptySequence
 	}
-	return c.run(ctx, g, func(nodes []sim.Node) {
-		for v := range nodes {
-			nodes[v] = NewSequenceNode(segs, v)
+	ie := c.get(keyFor(g.N(), cfg))
+	if len(segs) == 1 {
+		mk := segs[0].Mk
+		for v := range ie.nodes {
+			ie.nodes[v] = mk(v)
 		}
-	}, Plan(segs), cfg, obs, ckpt)
+	} else {
+		for v := range ie.nodes {
+			ie.nodes[v] = NewSequenceNode(segs, v)
+		}
+	}
+	var err error
+	if ie.eng == nil {
+		ie.eng, err = sim.NewEngine(g, ie.nodes, cfg)
+	} else {
+		err = ie.eng.Rebind(g, ie.nodes, cfg)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	res, err := runPlanned(ctx, ie.eng, Plan(segs), obs, ckpt)
+	// A cancelled engine still has queued words; the next borrower's
+	// Rebind drains them, so returning it is safe either way.
+	c.put(ie)
+	return res, err
+}
+
+// RunSingle executes a single-schedule algorithm on g.
+func (c *EngineCache) RunSingle(g *graph.Graph, sched *sim.Schedule, mk func(id int) sim.Node, cfg sim.Config) (Result, error) {
+	return c.Run(context.Background(), g, Single(sched, mk), cfg, nil, nil)
+}
+
+// RunSequence executes a sequence of segments on g.
+func (c *EngineCache) RunSequence(g *graph.Graph, segs []Segment, cfg sim.Config) (Result, error) {
+	return c.Run(context.Background(), g, segs, cfg, nil, nil)
 }
 
 // FindTriangles runs the Theorem-1 finder on g and reports whether a

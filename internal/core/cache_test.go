@@ -28,7 +28,7 @@ func TestEngineCacheMatchesOneShot(t *testing.T) {
 		g := graph.Gnp(n, 0.4, rng)
 		cfg := sim.Config{Seed: int64(i)}
 
-		sched, mk := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopGlobal)
+		sched, mk := baseline.NewTwoHop(2, g.MaxDegree())
 		got, err := c.RunSingle(g, sched, mk, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -116,7 +116,7 @@ func TestEngineCacheOneEnginePerGraph(t *testing.T) {
 		saved[round] = payload
 		return nil
 	}}
-	want, err := c.RunSequenceCheckpointed(context.Background(), g, segs, sim.Config{Seed: 9, Shards: 4}, nil, save)
+	want, err := c.Run(context.Background(), g, segs, sim.Config{Seed: 9, Shards: 4}, nil, save)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestEngineCacheOneEnginePerGraph(t *testing.T) {
 		t.Fatal("no checkpoint at round 8")
 	}
 	resume := &core.CheckpointPlan{Resume: &core.ResumePoint{Round: 8, Payload: saved[8]}}
-	got, err := c.RunSequenceCheckpointed(context.Background(), g, segs, sim.Config{Seed: 9, Shards: 1}, nil, resume)
+	got, err := c.Run(context.Background(), g, segs, sim.Config{Seed: 9, Shards: 1}, nil, resume)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestEngineCacheConcurrent(t *testing.T) {
 	c := core.NewEngineCache()
 	rng := rand.New(rand.NewSource(7))
 	g := graph.Gnp(24, 0.5, rng)
-	sched, mk := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopGlobal)
+	sched, mk := baseline.NewTwoHop(2, g.MaxDegree())
 	cfg := sim.Config{Seed: 42}
 	want, err := core.NewEngineCache().RunSingle(g, sched, mk, cfg)
 	if err != nil {
@@ -183,12 +183,13 @@ type divergedError struct{}
 func (*divergedError) Error() string { return "cached run diverges from one-shot" }
 
 // TestRunnerMatchesRunSingle pins the cache's same-graph reuse path (every
-// borrow after the first rewinds the engine with Engine.Reset) to a
-// one-shot run on a fresh engine: for every seed, identical Result.
+// borrow after the first rebinds the engine to the graph it already holds,
+// which skips the topology swap) to a one-shot run on a fresh engine: for
+// every seed, identical Result.
 func TestRunnerMatchesRunSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.Gnp(28, 0.4, rng)
-	sched, mk := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopGlobal)
+	sched, mk := baseline.NewTwoHop(2, g.MaxDegree())
 	c := core.NewEngineCache()
 	for seed := int64(0); seed < 4; seed++ {
 		cfg := sim.Config{Mode: sim.ModeCONGEST, Seed: seed}
@@ -224,12 +225,12 @@ func TestRunnerMatchesRunSequence(t *testing.T) {
 	for seed := int64(10); seed < 13; seed++ {
 		cfg := sim.Config{Mode: sim.ModeCONGEST, Seed: seed}
 		gotObs := &stream{}
-		got, err := c.RunSequenceCheckpointed(context.Background(), g, segs, cfg, gotObs, nil)
+		got, err := c.Run(context.Background(), g, segs, cfg, gotObs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantObs := &stream{}
-		want, err := core.NewEngineCache().RunSequenceCheckpointed(context.Background(), g, segs, cfg, wantObs, nil)
+		want, err := core.NewEngineCache().Run(context.Background(), g, segs, cfg, wantObs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +249,7 @@ func TestRunnerMatchesRunSequence(t *testing.T) {
 func TestRunnerConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.Gnp(20, 0.4, rng)
-	sched, mk := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopGlobal)
+	sched, mk := baseline.NewTwoHop(2, g.MaxDegree())
 	want := make([]core.Result, 4)
 	for seed := range want {
 		res, err := core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: int64(seed)})
@@ -304,7 +305,7 @@ func TestCheckpointBoundariesAllocateNothing(t *testing.T) {
 	run := func(plan *core.CheckpointPlan) int64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := c.RunSingleCheckpointed(context.Background(), g, sched, mk, sim.Config{Seed: 1}, nil, plan); err != nil {
+		if _, err := c.Run(context.Background(), g, core.Single(sched, mk), sim.Config{Seed: 1}, nil, plan); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -318,5 +319,33 @@ func TestCheckpointBoundariesAllocateNothing(t *testing.T) {
 	}
 	if perBoundary := (checkpointed - plain) / rounds; perBoundary > 64 {
 		t.Errorf("each skipped checkpoint boundary allocates %d B, want <= 64", perBoundary)
+	}
+}
+
+// TestWarmJobAllocations bounds what a warm single-schedule job allocates:
+// on gnp(2000, 4/n), a warm two-hop run and a warm A1 run each allocate at
+// most n plus a small constant — one phased node per vertex, and the
+// Result's copies of the outputs, the union and the metrics. A fresh slice
+// per vertex for the two-hop lister's neighbour words, or for A1's sample,
+// would add up to n more.
+func TestWarmJobAllocations(t *testing.T) {
+	const n, slack = 2000, 128
+	g := graph.Gnp(n, 4.0/n, rand.New(rand.NewSource(43)))
+	twoSched, twoMk := baseline.NewTwoHop(2, g.MaxDegree())
+	a1Sched, a1Mk := core.NewA1(core.Params{N: n, Eps: core.EpsFindingPure, B: 2})
+	c := core.NewEngineCache()
+	for _, job := range []struct {
+		name  string
+		sched *sim.Schedule
+		mk    func(int) sim.Node
+	}{{"twohop", twoSched, twoMk}, {"a1", a1Sched, a1Mk}} {
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := c.RunSingle(g, job.sched, job.mk, sim.Config{Seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > n+slack {
+			t.Errorf("%s: %v allocations per warm run, want at most n+%d", job.name, allocs, slack)
+		}
 	}
 }

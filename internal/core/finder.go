@@ -50,9 +50,6 @@ type ListerOptions struct {
 	// Eps overrides the heaviness exponent. Zero means EpsListingPure
 	// (n^eps = n^{1/2}).
 	Eps float64
-	// RepetitionFactor is the constant c in ceil(c log n) repetitions.
-	// Zero means 2.
-	RepetitionFactor float64
 	// RepetitionsOverride, when positive, fixes the repetition count
 	// directly (used by ablations).
 	RepetitionsOverride int
@@ -61,20 +58,13 @@ type ListerOptions struct {
 }
 
 // Repetitions returns the repetition count the options imply for an n-node
-// network.
+// network: RepetitionsOverride when positive, else the lister's
+// ceil(c log n) with c = 2, that is ceil(2 log2(n+1)), and at least 1.
 func (o ListerOptions) Repetitions(n int) int {
 	if o.RepetitionsOverride > 0 {
 		return o.RepetitionsOverride
 	}
-	c := o.RepetitionFactor
-	if c <= 0 {
-		c = 2
-	}
-	r := int(math.Ceil(c * math.Log2(float64(n)+1)))
-	if r < 1 {
-		r = 1
-	}
-	return r
+	return max(1, int(math.Ceil(2*math.Log2(float64(n)+1))))
 }
 
 // NewLister builds the Theorem-2 triangle listing algorithm: ceil(c log n)

@@ -78,7 +78,7 @@ func TestResultOutputsMatchStream(t *testing.T) {
 			newStream := func() *perNode { return &perNode{outs: make([][]graph.Triangle, g.N())} }
 
 			straight := newStream()
-			full, err := c.RunSequenceCheckpointed(context.Background(), g, segs, cfg, straight, nil)
+			full, err := c.Run(context.Background(), g, segs, cfg, straight, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func TestResultOutputsMatchStream(t *testing.T) {
 				saved = &core.ResumePoint{Round: round, Payload: payload}
 				return nil
 			}}
-			part, err := c.RunSequenceCheckpointed(ctx, g, segs, cfg, prefix, ckpt)
+			part, err := c.Run(ctx, g, segs, cfg, prefix, ckpt)
 			if !errors.Is(err, context.Canceled) || part.Meta.ExecutedRounds != cut {
 				t.Fatalf("cancelled run: err %v after %d rounds, want cancellation after %d", err, part.Meta.ExecutedRounds, cut)
 			}
@@ -124,7 +124,7 @@ func TestResultOutputsMatchStream(t *testing.T) {
 			}
 
 			suffix := newStream()
-			resumed, err := c.RunSequenceCheckpointed(context.Background(), g, segs, cfg, suffix, &core.CheckpointPlan{Resume: saved})
+			resumed, err := c.Run(context.Background(), g, segs, cfg, suffix, &core.CheckpointPlan{Resume: saved})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -76,7 +76,7 @@ func zoo(t *testing.T, g *graph.Graph) map[string]zooRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, mkTwo := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopGlobal)
+	two, mkTwo := baseline.NewTwoHop(2, g.MaxDegree())
 	tester, mkTester := core.NewPropertyTester(g.N(), 2, 8)
 	finder, err := core.NewFinder(g.N(), 2, core.FinderOptions{})
 	if err != nil {
@@ -89,12 +89,12 @@ func zoo(t *testing.T, g *graph.Graph) map[string]zooRun {
 	single := func(sched *sim.Schedule, mk func(id int) sim.Node, mode sim.Mode) zooRun {
 		return func(ctx context.Context, g *graph.Graph, cfg sim.Config, obs core.Observer) (core.Result, error) {
 			cfg.Mode = mode
-			return core.NewEngineCache().RunSingleCheckpointed(ctx, g, sched, mk, cfg, obs, nil)
+			return core.NewEngineCache().Run(ctx, g, core.Single(sched, mk), cfg, obs, nil)
 		}
 	}
 	sequence := func(segs []core.Segment) zooRun {
 		return func(ctx context.Context, g *graph.Graph, cfg sim.Config, obs core.Observer) (core.Result, error) {
-			return core.NewEngineCache().RunSequenceCheckpointed(ctx, g, segs, cfg, obs, nil)
+			return core.NewEngineCache().Run(ctx, g, segs, cfg, obs, nil)
 		}
 	}
 	return map[string]zooRun{
@@ -200,7 +200,7 @@ func TestSchedulerCancellationPrefix(t *testing.T) {
 			}
 		}}
 		cfg := sim.Config{Seed: 5, Scheduler: sched}
-		res, err := core.NewEngineCache().RunSequenceCheckpointed(ctx, g, finder, cfg, obs, nil)
+		res, err := core.NewEngineCache().Run(ctx, g, finder, cfg, obs, nil)
 		if cut >= 0 && !errors.Is(err, context.Canceled) {
 			t.Fatalf("cut %d: err %v", cut, err)
 		}

@@ -14,6 +14,12 @@ type Segment struct {
 	Mk    func(id int) sim.Node
 }
 
+// Single wraps a single-schedule algorithm as the one-segment sequence
+// EngineCache.Run executes; its segment is named "run".
+func Single(sched *sim.Schedule, mk func(id int) sim.Node) []Segment {
+	return []Segment{{Name: "run", Sched: sched, Mk: mk}}
+}
+
 // SequenceRounds returns the total engine rounds a sequence needs: each
 // segment occupies Sched.Total()+1 rounds (the +1 drains its final phase).
 func SequenceRounds(segs []Segment) int {

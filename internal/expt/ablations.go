@@ -210,7 +210,8 @@ func runAbGood(cfg Config) (*Table, error) {
 	want := graph.NewTriangleSet(graph.TrianglesInDeltaX(g, x))
 	rFull := p.GoodThreshold()
 	// All cells run over the same graph, so the package cell cache
-	// rewinds one engine per worker with Engine.Reset across fracs.
+	// rewinds one engine per worker with a same-graph Engine.Rebind across
+	// fracs.
 	simCfg := cfg.simCfg(cfg.Seed+33, sim.ModeCONGEST)
 	fracs := []float64{0.02, 0.05, 0.1, 0.25, 0.5, 1.0}
 	type goodRow struct {

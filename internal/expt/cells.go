@@ -11,15 +11,15 @@ import (
 // per-graph pool would never get a second hit — but cell SIZES recur, both
 // across an experiment's repetitions and across repeated sweeps (benchmark
 // loops, the regression gate, service-driven experiment jobs). The
-// package-level EngineCache re-points drained engines at each cell's fresh
-// graph (Engine.Rebind keyed by shape: n, mode, bandwidth, shards,
-// scheduler, fault plan) and rewinds them with Engine.Reset when cells
-// share a graph (the ab-good ablation), and the scratch pool reuses the centralized oracle's buffers
-// for per-cell verification. Together they cut a steady-state sweep's
+// package-level EngineCache keys drained engines by shape (n, mode,
+// scheduler, fault plan) and rewinds them with Engine.Rebind, which
+// re-points them at each cell's fresh graph and keeps the topology when
+// cells share a graph (the ab-good ablation), and the scratch pool reuses
+// the centralized oracle's buffers for per-cell verification. Together they cut a steady-state sweep's
 // allocations to graph generation plus the per-node state machines (see
 // the allocs-per-op bound in alloc_test.go).
 
-// cells pools engines and node slices across sweep cells. Safe for
+// cells pools engines, with their node slices, across sweep cells. Safe for
 // concurrent use by the bounded cell workers.
 var cells = core.NewEngineCache()
 

@@ -369,7 +369,7 @@ func runE6(cfg Config) (*Table, error) {
 		g := graph.Gnp(n, 0.5, rng)
 		// A complete broadcast-CONGEST finder: two-hop exchange restricted
 		// to the one-message-per-round broadcast channel.
-		sched, mk := baseline.NewTwoHop(g.N(), cfg.bandwidth(), g.MaxDegree(), baseline.TwoHopGlobal)
+		sched, mk := baseline.NewTwoHop(cfg.bandwidth(), g.MaxDegree())
 		res, err := cells.RunSingle(g, sched, mk, cfg.simCfg(seed, sim.ModeBroadcast))
 		if err != nil {
 			return nil, err
@@ -473,7 +473,7 @@ func runE8(cfg Config) (*Table, error) {
 		seed := cfg.Seed + 700 + int64(i)
 		rng := rand.New(rand.NewSource(seed))
 		g := graph.Gnp(n, 0.5, rng)
-		sched, mk := baseline.NewTwoHop(g.N(), cfg.bandwidth(), g.MaxDegree(), baseline.TwoHopLocal)
+		sched, mk := baseline.NewTwoHop(cfg.bandwidth(), g.MaxDegree())
 		res, err := cells.RunSingle(g, sched, mk, cfg.simCfg(seed, sim.ModeCONGEST))
 		if err != nil {
 			return nil, err
@@ -519,7 +519,7 @@ func runE9(cfg Config) (*Table, error) {
 		seed := cfg.Seed + 800 + int64(i)
 		rng := rand.New(rand.NewSource(seed))
 		g := graph.Gnp(n, 0.5, rng)
-		sched, mk := baseline.NewTwoHop(g.N(), cfg.bandwidth(), g.MaxDegree(), baseline.TwoHopGlobal)
+		sched, mk := baseline.NewTwoHop(cfg.bandwidth(), g.MaxDegree())
 		res, err := cells.RunSingle(g, sched, mk, cfg.simCfg(seed, sim.ModeCONGEST))
 		if err != nil {
 			return nil, err

@@ -85,7 +85,7 @@ func faultPanel(cfg Config, g *graph.Graph) ([]faultAlgo, error) {
 	if err != nil {
 		return nil, err
 	}
-	bsched, bmk := baseline.NewTwoHop(n, bw, g.MaxDegree(), baseline.TwoHopGlobal)
+	bsched, bmk := baseline.NewTwoHop(bw, g.MaxDegree())
 	return []faultAlgo{
 		{"a1", sim.ModeCONGEST, single(s1, mk1)},
 		{"a2", sim.ModeCONGEST, single(s2, mk2)},

@@ -66,7 +66,7 @@ func TestAnalyzeDedupesOutputs(t *testing.T) {
 func TestAnalyzeLocalAndCheckLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.Gnp(24, 0.5, rng)
-	sched, mk := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopLocal)
+	sched, mk := baseline.NewTwoHop(2, g.MaxDegree())
 	res, err := core.NewEngineCache().RunSingle(g, sched, mk, sim.Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestTheoremThreeChainOnRealRuns(t *testing.T) {
 			t.Fatalf("clique n=%d: %v", n, err)
 		}
 		// CONGEST run (two-hop).
-		s2, mk2 := baseline.NewTwoHop(g.N(), 2, g.MaxDegree(), baseline.TwoHopGlobal)
+		s2, mk2 := baseline.NewTwoHop(2, g.MaxDegree())
 		res2, err := core.NewEngineCache().RunSingle(g, s2, mk2, sim.Config{Seed: int64(n + 1)})
 		if err != nil {
 			t.Fatal(err)

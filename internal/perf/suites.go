@@ -565,16 +565,15 @@ func EngineNbrList(shards int) func(*testing.B) {
 			b.Fatal(err)
 		}
 		exchange := func(seed int64) {
-			if err := eng.Reset(nodes, sim.Config{Seed: seed, BandwidthWords: 2, Shards: shards}); err != nil {
+			if err := eng.Rebind(eng.Input(), nodes, sim.Config{Seed: seed, BandwidthWords: 2, Shards: shards}); err != nil {
 				b.Fatal(err)
 			}
 			if err := eng.RunUntilQuiescent(); err != nil {
 				b.Fatal(err)
 			}
 		}
-		// Grow the arenas, queues and inboxes. Each exchange ends on an
-		// arena flip, so the next one sends into the other half: warm both.
-		exchange(-1)
+		// Grow the arenas, queues and inboxes. Every exchange sends into the
+		// same arena halves (see arena.go), so one warms them.
 		exchange(0)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -598,9 +597,9 @@ func (drawNode) Init(ctx *sim.Context) {
 
 func (drawNode) Round(ctx *sim.Context, round int, inbox []sim.Delivery) { ctx.SetDone() }
 
-// EngineResetLarge measures Engine.Reset of the million-node engine after
-// a run in which every node drew: the rewind a pooled engine pays before
-// each job, reseeding every node's stream.
+// EngineResetLarge measures a same-graph Engine.Rebind of the million-node
+// engine after a run in which every node drew: the rewind a pooled engine
+// pays before each job, reseeding every node's stream.
 func EngineResetLarge() func(*testing.B) {
 	return func(b *testing.B) {
 		g, _, _ := largeWorkload(b)
@@ -618,7 +617,7 @@ func EngineResetLarge() func(*testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := eng.Reset(nodes, sim.Config{Seed: int64(i)}); err != nil {
+			if err := eng.Rebind(eng.Input(), nodes, sim.Config{Seed: int64(i)}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -31,20 +31,26 @@ import "math"
 // Every arena store (both halves, the log, the slab and the scratch) is
 // chunked (see chunked.go): it grows by whole chunks and never copies
 // itself, so the first runs on a large graph leave no garbage behind, and
-// Reset keeps every chunk.
+// a rewind (Engine.Rebind) keeps every chunk.
 //
 // Reclaiming space: the arena is double-buffered. When a delivery phase
-// leaves every channel empty, each shard flips halves in O(1) and empties
-// its slab: the retired half stays readable for this round's inboxes, and
-// the next flip empties it. Runs whose channels never all drain are bounded
-// by compaction: after a merge that linked words, when the arenas' words
-// and slab spans exceed twice the queued words plus compactSlack, the spine
-// copies every queued word into its sender shard's spare half, rewrites
-// each queue as one span and flips. Only merges can grow the arenas, so
-// checking after them keeps the load within twice the peak queued words
-// plus compactSlack at all times, and a phase that only drains is never
-// compacted: it would copy words about to be delivered, and the spare half
-// would grow to hold them.
+// leaves every channel empty, each shard whose active half holds words
+// flips halves in O(1) and empties its slab: the retired half stays
+// readable for this round's inboxes, and the next flip empties it. A shard
+// whose active half is empty does not flip — round 0 before any send, and
+// idle rounds stepped after a drain, would otherwise flip it — so which
+// half a run's traffic lands in depends on that run's sends alone; a
+// rewind restores one fixed half order, and a spec run again on a warm
+// engine reuses the halves it grew.
+//
+// Runs whose channels never all drain are bounded by compaction: after a
+// merge that linked words, when the arenas' words and slab spans exceed
+// twice the queued words plus compactSlack, the spine copies every queued
+// word into its sender shard's spare half, rewrites each queue as one span
+// and flips. Only merges can grow the arenas, so checking after them keeps
+// the load within twice the peak queued words plus compactSlack at all
+// times, and a phase that only drains is never compacted: it would copy
+// words about to be delivered, and the spare half would grow to hold them.
 
 // sendRec is one send-log entry: n words queued toward nbr, which is a
 // communication-neighbour index, bcastIdx for a broadcast-mode emission or
@@ -100,7 +106,8 @@ type sendArena struct {
 	logBase uint32            // offset in words of the log's first send
 	logFrom int32             // sender of the log's last header
 	sent    int64             // channel-words logged since the last merge (merge gate)
-	_       [80]byte
+	swapped bool              // the halves are swapped from their order at the last clear
+	_       [79]byte
 
 	scratch chunked[Word] // pops that crossed a span or chunk boundary, this round
 	_       [88]byte
@@ -263,10 +270,16 @@ func (a *sendArena) compactQueue(q *spanQueue) {
 	*q = spanQueue{off: uint32(off), n: uint32(a.spare.n - off)}
 }
 
+// swap exchanges the active and spare halves.
+func (a *sendArena) swap() {
+	a.words, a.spare = a.spare, a.words
+	a.swapped = !a.swapped
+}
+
 // flip retires the active half and restarts on the spare one, emptied,
 // with an empty slab. Only valid when no queue holds a span of this shard.
 func (a *sendArena) flip() {
-	a.words, a.spare = a.spare, a.words
+	a.swap()
 	a.words.reset()
 	a.spans.n = 1
 }
@@ -277,8 +290,12 @@ func (a *sendArena) clearLog() {
 	a.sent = 0
 }
 
-// clear empties the arena for a fresh run, keeping every chunk.
+// clear empties the arena for a fresh run, keeping every chunk, and
+// restores the halves' order, so every run starts on the same half.
 func (a *sendArena) clear() {
+	if a.swapped {
+		a.swap()
+	}
 	a.words.reset()
 	a.spare.reset()
 	a.clearLog()
@@ -287,8 +304,8 @@ func (a *sendArena) clear() {
 }
 
 // bindArenas sizes the arena list to the shard plan and points every
-// context at its shard's arena. The engine must be drained (NewEngine, or
-// a re-cut after clearRun). Like the other per-shard lists, the arena list
+// context at its shard's arena. The engine must be drained (a re-cut after
+// clearRun in Rebind). Like the other per-shard lists, the arena list
 // keeps the arenas of a larger earlier plan, chunks included, for the
 // next plan that uses them.
 func (e *Engine) bindArenas() {
@@ -378,15 +395,19 @@ func (e *Engine) flushLog(a *sendArena) {
 		func(u int32) { e.bcastActive = append(e.bcastActive, u) })
 }
 
-// flipIfDrained flips every arena when the delivery phase just run left
-// every channel empty: nothing queued references the active halves any
-// more, and this round's inboxes keep reading the retired ones.
+// flipIfDrained flips every arena whose active half holds words when the
+// delivery phase just run left every channel empty: nothing queued
+// references the active halves any more, and this round's inboxes keep
+// reading the retired ones. An arena with an empty active half keeps its
+// halves, so only a run's own traffic decides which half it lands in.
 func (e *Engine) flipIfDrained() {
 	if e.queuedWords != 0 {
 		return
 	}
 	for _, a := range e.arenas {
-		a.flip()
+		if a.words.n != 0 {
+			a.flip()
+		}
 	}
 }
 
@@ -423,7 +444,7 @@ func (e *Engine) compactIfSparse(linked bool) {
 		e.arenaOf(u).compactQueue(&e.bcastQ[u])
 	}
 	for _, a := range e.arenas {
-		a.words, a.spare = a.spare, a.words
+		a.swap()
 		a.spans.n = 1
 	}
 }

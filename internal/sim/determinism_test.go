@@ -215,9 +215,10 @@ func runBcast(t *testing.T, g *graph.Graph, cfg sim.Config) (sim.Metrics, [][]gr
 	return eng.Metrics(), eng.Outputs(), eng.Round()
 }
 
-// TestResetMatchesFresh checks the epoch-based Reset: an engine abandoned
-// mid-run (live channels, sleeping nodes, partial metrics) and reset must be
-// indistinguishable from a freshly constructed engine with the same seed.
+// TestResetMatchesFresh checks the epoch-based rewind: an engine abandoned
+// mid-run (live channels, sleeping nodes, partial metrics) and rebound to
+// its own graph must be indistinguishable from a freshly constructed
+// engine with the same seed.
 func TestResetMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 6; trial++ {
@@ -237,7 +238,7 @@ func TestResetMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.Run(5) // abandon mid-run with words still in flight
-		if err := eng.Reset(mkNodes(), sim.Config{Seed: seedB, Shards: cfg.Shards}); err != nil {
+		if err := eng.Rebind(eng.Input(), mkNodes(), sim.Config{Seed: seedB, Shards: cfg.Shards}); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.RunUntilQuiescent(); err != nil {

@@ -138,7 +138,7 @@ type RoundDelta struct {
 // Triangle fires during the merge phase in ascending node order, once per
 // newly recorded output; Round fires after each round completes.
 //
-// Hooks survive until the next Reset/Rebind, which clears them.
+// Hooks survive until the next Rebind, which clears them.
 type Hooks struct {
 	Round    func(round int, d RoundDelta)
 	Triangle func(node int, t graph.Triangle)
@@ -289,22 +289,21 @@ type deliveryShard struct {
 }
 
 // NewEngine builds an engine for the given input graph and per-node
-// algorithm instances. len(nodes) must equal input.N().
+// algorithm instances. len(nodes) must equal input.N(). It allocates only
+// what the vertex count, the mode and the fault plan size, and binds input
+// with the same Rebind that rewinds the engine for every later run.
 func NewEngine(input *graph.Graph, nodes []Node, cfg Config) (*Engine, error) {
 	cfg = cfg.Normalized()
 	n := input.N()
 	if len(nodes) != n {
 		return nil, fmt.Errorf("sim: %d nodes for %d-vertex graph", len(nodes), n)
 	}
-	e := &Engine{
-		cfg:   cfg,
-		input: input,
-		nodes: nodes,
-		epoch: 1,
-	}
-	switch cfg.Mode {
-	case ModeClique:
-		// CSR offsets are int32; the clique needs n*(n-1) directed-edge slots.
+	e := &Engine{cfg: cfg, nactive: make([]int32, n)}
+	if cfg.Mode == ModeClique {
+		// The clique topology does not depend on the input edges, so its
+		// CSR, reverse-slot index and per-channel slabs are built once here
+		// and Rebind leaves them alone. CSR offsets are int32; the clique
+		// needs n*(n-1) directed-edge slots.
 		if n > 1 && n*(n-1) > (1<<31-1) {
 			return nil, fmt.Errorf("sim: clique mode supports at most 46341 nodes (n=%d overflows the CSR edge space)", n)
 		}
@@ -321,40 +320,24 @@ func NewEngine(input *graph.Graph, nodes []Node, cfg Config) (*Engine, error) {
 				}
 			}
 		}
-	default:
-		e.commOffs, e.commTgts = input.CSR()
+		ne := len(e.commTgts)
+		e.twin = make([]int32, ne)
+		if err := reverseSlots(e.twin, e.nactive, e.commOffs, e.commTgts); err != nil {
+			return nil, err
+		}
+		e.queues = make([]spanQueue, ne)
+		e.active = make([]int32, ne)
 	}
-	ne := len(e.commTgts) // directed channel count
-	e.nactive = make([]int32, n)
-	e.twin = make([]int32, ne)
-	if err := reverseSlots(e.twin, e.nactive, e.commOffs, e.commTgts); err != nil {
-		return nil, err
-	}
-	e.queues = make([]spanQueue, ne)
-	e.active = make([]int32, ne)
 	if cfg.Mode == ModeBroadcast {
 		e.bcastQ = make([]spanQueue, n)
 	}
-	inOffs, inTgts := input.CSR()
 	e.ctxs = make([]*Context, n)
-	for v := 0; v < n; v++ {
-		e.ctxs[v] = &Context{
-			id:        v,
-			n:         n,
-			banw:      cfg.BandwidthWords,
-			src:       nodeStream{seed: uint64(nodeSeed(cfg.Seed, v))},
-			comm:      e.commTgts[e.commOffs[v]:e.commOffs[v+1]],
-			input:     inTgts[inOffs[v]:inOffs[v+1]],
-			bcastOnly: cfg.Mode == ModeBroadcast,
-		}
+	for v := range e.ctxs {
+		e.ctxs[v] = &Context{id: v, n: n, bcastOnly: cfg.Mode == ModeBroadcast}
 	}
 	e.inboxes = make([][]Delivery, n)
-	e.notDone = n
 	e.doneMark = make([]bool, n)
 	e.nextWake = make([]int, n)
-	for v := range e.nextWake {
-		e.nextWake[v] = -1 // no wheel entry yet; initNodes seeds them
-	}
 	e.schedStamp = make([]uint64, n)
 	e.metrics = Metrics{
 		WordBits:         WordBits(n),
@@ -365,14 +348,15 @@ func NewEngine(input *graph.Graph, nodes []Node, cfg Config) (*Engine, error) {
 	e.shardComputeFn = e.shardComputeWork
 	e.shardMergeFn = e.shardMergeWork
 	e.shardDrainFn = e.shardDrainWork
-	e.initShards()
-	e.bindArenas()
 	if !cfg.Faults.Empty() {
-		flt, err := newFaultState(cfg.Faults, n, len(e.queues), cfg.Mode == ModeBroadcast)
+		flt, err := newFaultState(cfg.Faults, n, cfg.Mode == ModeBroadcast)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 		e.flt = flt
+	}
+	if err := e.Rebind(input, nodes, cfg); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
@@ -537,34 +521,6 @@ func (e *Engine) consumeInbox(v int32) {
 	e.inboxes[v] = e.inboxes[v][:0]
 }
 
-// Reset rewinds the engine for a fresh run under cfg over the same graph
-// and topology: a new node set, zeroed metrics, empty channels and empty
-// send arenas (both halves), while every slab (queues, stamps, lists,
-// inboxes, arena chunks) keeps its capacity. cfg's seed, bandwidth, shard
-// count and round cap take effect; its mode, scheduler and fault plan
-// must be the engine's own, because they size the slabs and compile into
-// the engine, and a mismatch is an error. A new shard count re-cuts the
-// shard plan on the drained engine, keeping every per-shard list (see
-// initShards). Bumping the epoch invalidates all arming stamps in O(1);
-// only channels that were still active have queued words to discard, so
-// resetting a drained engine is O(n). Repeated runs (benchmark loops,
-// repetition-amplified algorithms, pooled engines serving jobs of any
-// shard count and bandwidth) reuse one engine allocation-free.
-func (e *Engine) Reset(nodes []Node, cfg Config) error {
-	if len(nodes) != len(e.nodes) {
-		return fmt.Errorf("sim: reset with %d nodes for %d-vertex graph", len(nodes), len(e.nodes))
-	}
-	cfg, err := e.runConfig(cfg)
-	if err != nil {
-		return err
-	}
-	if e.clearRun(nodes, cfg) {
-		e.initShards()
-		e.bindArenas()
-	}
-	return nil
-}
-
 // runConfig normalizes cfg for a rewind and checks that it keeps the
 // settings the engine was built for.
 func (e *Engine) runConfig(cfg Config) (Config, error) {
@@ -584,21 +540,38 @@ func (e *Engine) runConfig(cfg Config) (Config, error) {
 func (e *Engine) Input() *graph.Graph { return e.input }
 
 // Config returns the engine's resolved configuration for the current run
-// (defaults applied; the settings of the last Reset or Rebind).
+// (defaults applied; the settings of the last Rebind).
 func (e *Engine) Config() Config { return e.cfg }
 
-// Rebind re-points the engine at a NEW input graph over the same vertex
-// set — the dynamic-graph epoch-snapshot path — and rewinds it for a fresh
-// run under cfg like Reset. The per-channel slabs are resized to the new
-// topology reusing their capacity, so rebinding across snapshots of
-// comparable density allocates little to nothing: only growth beyond any
-// previously seen edge count pays. In clique mode the communication
-// topology does not depend on the input edges, so only the per-node input
-// views change. A topology that is not symmetric and sorted is refused
-// with an error; the engine then keeps its old graph, rewound as by
-// Reset(nodes, cfg).
+// Rebind is the engine's one rewind: it readies the engine for a fresh run
+// of nodes under cfg over input, a graph on the engine's vertex set — a new
+// node set, zeroed metrics, empty channels and empty send arenas, while
+// every slab (queues, stamps, lists, inboxes, arena chunks) keeps its
+// capacity. cfg's seed, bandwidth, shard count and round cap take effect;
+// its mode, scheduler and fault plan must be the engine's own, because
+// they size the slabs and compile into the engine, and a mismatch is
+// refused before the engine is touched.
+//
+// Rebinding to the engine's current graph skips the topology swap, and
+// re-cuts the shard plan only when cfg asks for a new shard count, keeping
+// every per-shard list (see initShards). Bumping the epoch invalidates all
+// arming stamps in O(1), and only channels that were still active have
+// queued words to discard, so rewinding a drained engine is O(n): repeated
+// runs (benchmark loops, pooled engines serving jobs of any shard count
+// and bandwidth) reuse one engine allocation-free.
+//
+// A new graph — the dynamic-graph epoch-snapshot path, or a pooled engine
+// borrowed for another graph of the same size — re-points the engine at
+// its CSR and re-cuts the shard plan, whose degree weights moved with it.
+// The per-channel slabs are resized reusing their capacity, so rebinding
+// across graphs of comparable density allocates little to nothing: only
+// growth beyond any previously seen edge count pays. In clique mode the
+// communication topology does not depend on the input edges, so only the
+// per-node input views change. A topology that is not symmetric and sorted
+// is refused with an error; the engine then keeps its old graph, rewound
+// for nodes under cfg.
 func (e *Engine) Rebind(input *graph.Graph, nodes []Node, cfg Config) error {
-	n := len(e.nodes)
+	n := len(e.ctxs)
 	if input.N() != n {
 		return fmt.Errorf("sim: rebind to %d-vertex graph on %d-vertex engine", input.N(), n)
 	}
@@ -610,15 +583,20 @@ func (e *Engine) Rebind(input *graph.Graph, nodes []Node, cfg Config) error {
 		return err
 	}
 	// Drain channel state while the channel ids still mean what the queues
-	// think they mean; after the swap the old active lists would index the
+	// think they mean; after a swap the old active lists would index the
 	// wrong channels.
-	e.clearRun(nodes, cfg)
-	err = e.bindTopology(input)
-	// Degree weights changed with the topology (or the shard count did);
-	// recut the shard plan and re-point the contexts at their new shards'
-	// arenas.
-	e.initShards()
-	e.bindArenas()
+	recut := e.clearRun(nodes, cfg)
+	if input != e.input {
+		if err = e.bindTopology(input); err == nil {
+			recut = true
+		} else if e.input == nil {
+			return err // a new engine has no graph to keep, nor a plan to cut
+		}
+	}
+	if recut {
+		e.initShards()
+		e.bindArenas()
+	}
 	return err
 }
 
@@ -635,8 +613,11 @@ func (e *Engine) bindTopology(input *graph.Graph) error {
 		// clearRun left every nactive entry zero: it is the build's cursor.
 		if err := reverseSlots(twin[:ne], e.nactive, inOffs, inTgts); err != nil {
 			// The old index may be partly overwritten: rebuild it and keep
-			// the old graph. The rebuild cannot fail: it succeeded before.
-			_ = reverseSlots(e.twin, e.nactive, e.commOffs, e.commTgts)
+			// the old graph, if any. The rebuild cannot fail: it succeeded
+			// before.
+			if e.input != nil {
+				_ = reverseSlots(e.twin, e.nactive, e.commOffs, e.commTgts)
+			}
 			return err
 		}
 		e.twin = twin[:ne]
@@ -661,7 +642,7 @@ func (e *Engine) bindTopology(input *graph.Graph) error {
 	return nil
 }
 
-// clearRun is the one rewind behind Reset and Rebind: drain active
+// clearRun is Rebind's rewind of the run state: drain active
 // channels, bump the epoch (invalidating every stamp in O(1)), take cfg's
 // run settings, re-seed the node contexts and zero the metrics, keeping
 // every slab allocation. It reports whether cfg asks for a different shard

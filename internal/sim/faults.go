@@ -90,8 +90,10 @@ type faultState struct {
 }
 
 // newFaultState validates the plan against the graph and builds the
-// engine's fault runtime. Called from NewEngine for non-empty plans.
-func newFaultState(plan *faults.Plan, n, nedges int, bcast bool) (*faultState, error) {
+// engine's fault runtime. Called from NewEngine for non-empty plans; the
+// per-channel arming slabs are sized by resizeEdges when the engine binds
+// its topology.
+func newFaultState(plan *faults.Plan, n int, bcast bool) (*faultState, error) {
 	if err := plan.ValidateFor(n); err != nil {
 		return nil, err
 	}
@@ -107,20 +109,17 @@ func newFaultState(plan *faults.Plan, n, nedges int, bcast bool) (*faultState, e
 		hasDelay: comp.HasDelay(),
 		dead:     make([]bool, n),
 	}
-	if f.hasDelay {
-		f.armAt = make([]int32, nedges)
-		f.armStamp = make([]uint32, nedges)
-		if bcast {
-			f.bcastArmAt = make([]int32, n)
-			f.bcastArmStamp = make([]uint32, n)
-		}
+	if f.hasDelay && bcast {
+		f.bcastArmAt = make([]int32, n)
+		f.bcastArmStamp = make([]uint32, n)
 	}
 	return f, nil
 }
 
-// resizeEdges re-sizes the per-channel arming slabs after a Rebind changed
-// the channel count. The engine is drained at that point, so contents
-// need no migration (the epoch bump invalidated every stamp).
+// resizeEdges sizes the per-channel arming slabs to the channel count of
+// the topology the engine just bound, reusing their capacity. The engine
+// is drained at that point, so contents need no migration (the epoch bump
+// invalidated every stamp).
 func (f *faultState) resizeEdges(nedges int) {
 	if f == nil || !f.hasDelay {
 		return

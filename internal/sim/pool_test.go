@@ -1,11 +1,11 @@
 package sim_test
 
 // Engine reuse. core.EngineCache is the engine pool: it hands a returned
-// engine to the next run of the same shape, rewound with Engine.Reset when
-// the graph is the same and re-pointed with Engine.Rebind when it is not.
-// These tests drive those two paths through the cache — pooling mechanics,
-// pooled-vs-fresh bit identity and concurrent borrowers here, rebinding
-// across graph snapshots in rebind_test.go.
+// engine to the next run of the same shape, rewound with Engine.Rebind,
+// which keeps the topology when the graph is the same and re-points the
+// engine when it is not. These tests drive both cases through the cache —
+// pooling mechanics, pooled-vs-fresh bit identity and concurrent borrowers
+// here, rebinding across graph snapshots in rebind_test.go.
 
 import (
 	"context"
@@ -81,7 +81,7 @@ func TestPoolReusesEngines(t *testing.T) {
 	run := func(seed int64, obs core.Observer) {
 		t.Helper()
 		cfg := sim.Config{Seed: seed}
-		if _, err := c.RunSingleCheckpointed(context.Background(), g, sched, chatterMk(4), cfg, obs, nil); err != nil {
+		if _, err := c.Run(context.Background(), g, core.Single(sched, chatterMk(4)), cfg, obs, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,7 +134,7 @@ func TestPooledRunMatchesFresh(t *testing.T) {
 					cancel()
 				}
 			})
-			if _, err := c.RunSingleCheckpointed(ctx, g, sched, chatterMk(6), warm, stop, nil); !errors.Is(err, context.Canceled) {
+			if _, err := c.Run(ctx, g, core.Single(sched, chatterMk(6)), warm, stop, nil); !errors.Is(err, context.Canceled) {
 				t.Fatalf("warm-up run: err %v, want context.Canceled", err)
 			}
 			cancel()
@@ -163,8 +163,8 @@ func TestPooledRunMatchesFresh(t *testing.T) {
 // TestDrawFootprint bounds what per-node randomness costs. On an n=10^4
 // engine where every node draws in Init, the first run allocates at most
 // 128 bytes per node: the stream itself lives in the Context, so only the
-// rand.Rand wrapper and the node's one output are new. A Reset and a second
-// run then allocate nothing: reseeding is two stores per node.
+// rand.Rand wrapper and the node's one output are new. A same-graph Rebind
+// and a second run then allocate nothing: reseeding is two stores per node.
 func TestDrawFootprint(t *testing.T) {
 	const n = 10_000
 	nodes := drawNodes(n)
@@ -184,7 +184,7 @@ func TestDrawFootprint(t *testing.T) {
 	seed := int64(1)
 	allocs := testing.AllocsPerRun(3, func() {
 		seed++
-		if err := eng.Reset(nodes, sim.Config{Seed: seed}); err != nil {
+		if err := eng.Rebind(eng.Input(), nodes, sim.Config{Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.RunUntilQuiescent(); err != nil {
@@ -192,7 +192,7 @@ func TestDrawFootprint(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Reset plus a run allocated %.0f times, want 0", allocs)
+		t.Errorf("a rebind plus a run allocated %.0f times, want 0", allocs)
 	}
 }
 

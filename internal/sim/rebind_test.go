@@ -91,14 +91,8 @@ func TestRebindMatchesFreshEngine(t *testing.T) {
 		}
 		for ep, g := range snaps {
 			seed := int64(100 + ep)
-			if ep > 0 {
-				if err := eng.Rebind(g, rebindNodes(mode, g.N(), 8), sim.Config{Mode: mode, Seed: seed, BandwidthWords: 2}); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				if err := eng.Reset(rebindNodes(mode, g.N(), 8), sim.Config{Mode: mode, Seed: seed, BandwidthWords: 2}); err != nil {
-					t.Fatal(err)
-				}
+			if err := eng.Rebind(g, rebindNodes(mode, g.N(), 8), sim.Config{Mode: mode, Seed: seed, BandwidthWords: 2}); err != nil {
+				t.Fatal(err)
 			}
 			if eng.Input() != g {
 				t.Fatalf("epoch %d: engine input not rebound", ep)
@@ -143,9 +137,11 @@ func (rebindBcastNode) Round(ctx *sim.Context, round int, _ []sim.Delivery) {
 // TestRebindAllocatesNothing pins that Rebind keeps every slab, shard-plan
 // list and arena of a warm engine: alternating between two graphs on one
 // vertex set, a rebind and a run to quiescence on each allocates nothing,
-// unsharded and at 4 shards. A warm re-cut allocates nothing either: one
-// engine cycling through shard counts and bandwidths by Rebind and Reset,
-// as a pooled engine serving mixed jobs does, keeps every per-shard list.
+// unsharded and at 1 and 4 shards, and so does a rebind to the graph the
+// engine already holds. A warm re-cut allocates nothing either: one engine
+// cycling through shard counts and bandwidths, over its own graph and a
+// new one, as a pooled engine serving mixed jobs does, keeps every
+// per-shard list.
 func TestRebindAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	g1, g2 := graph.Gnp(300, 0.05, rng), graph.Gnp(300, 0.05, rng)
@@ -169,6 +165,9 @@ func TestRebindAllocatesNothing(t *testing.T) {
 		if allocs := testing.AllocsPerRun(5, func() { run(g2); run(g1) }); allocs != 0 {
 			t.Fatalf("shards=%d: %v allocations per pair of rebinds", shards, allocs)
 		}
+		if allocs := testing.AllocsPerRun(5, func() { run(eng.Input()) }); allocs != 0 {
+			t.Fatalf("shards=%d: %v allocations per same-graph rebind", shards, allocs)
+		}
 	}
 	eng, err := sim.NewEngine(g1, nodes, sim.Config{Seed: 1})
 	if err != nil {
@@ -183,17 +182,14 @@ func TestRebindAllocatesNothing(t *testing.T) {
 	}
 	pass := func() {
 		for i, cfg := range cycle {
-			var err error
-			if i%2 == 1 {
-				g := g1
+			g := eng.Input()
+			if i%2 == 1 { // every other run moves to the other graph
+				g = g1
 				if eng.Input() == g1 {
 					g = g2
 				}
-				err = eng.Rebind(g, nodes, cfg)
-			} else {
-				err = eng.Reset(nodes, cfg)
 			}
-			if err != nil {
+			if err := eng.Rebind(g, nodes, cfg); err != nil {
 				t.Fatal(err)
 			}
 			if err := eng.RunUntilQuiescent(); err != nil {
@@ -208,12 +204,13 @@ func TestRebindAllocatesNothing(t *testing.T) {
 
 // TestRebindRejectsVertexCountChange pins what a rewind may not change:
 // the vertex count, and the mode, scheduler and fault plan an engine was
-// built for — they size its slabs or compile into it. Reset and Rebind
-// refuse each before touching the engine.
+// built for — they size its slabs or compile into it. Rebind refuses each
+// before touching the engine, to its own graph as to a new one.
 func TestRebindRejectsVertexCountChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g1 := graph.Gnp(16, 0.3, rng)
 	g2 := graph.Gnp(17, 0.3, rng)
+	g3 := graph.Gnp(16, 0.3, rng)
 	eng, err := sim.NewEngine(g1, poolNodes(16, 4), sim.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -229,15 +226,18 @@ func TestRebindRejectsVertexCountChange(t *testing.T) {
 		"scheduler": {Scheduler: sim.SchedulerDense},
 		"faults":    {Faults: &faults.Plan{Seed: 1, Loss: 0.5}},
 	} {
-		if err := eng.Reset(poolNodes(16, 4), cfg); err == nil {
-			t.Errorf("reset to another %s accepted", name)
-		}
 		if err := eng.Rebind(g1, poolNodes(16, 4), cfg); err == nil {
+			t.Errorf("same-graph rebind to another %s accepted", name)
+		}
+		if err := eng.Rebind(g3, poolNodes(16, 4), cfg); err == nil {
 			t.Errorf("rebind to another %s accepted", name)
 		}
 	}
 	if c := eng.Config(); c.Mode != sim.ModeCONGEST || c.Scheduler != sim.SchedulerActivity || c.Faults != nil {
 		t.Fatalf("a refused rewind changed the engine's config to %+v", c)
+	}
+	if eng.Input() != g1 {
+		t.Fatal("a refused rebind replaced the graph")
 	}
 }
 

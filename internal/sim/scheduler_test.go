@@ -293,8 +293,8 @@ func TestFastForwardToMaxRounds(t *testing.T) {
 
 // TestSchedulerSurvivesResetAndRebind checks that clearRun fully restores
 // the activity-scheduler state (notDone counter, wake wheel, fast path):
-// reusing one engine across Reset and Rebind yields runs identical to
-// fresh engines.
+// reusing one engine across rebinds to its own graph and to a new one
+// yields runs identical to fresh engines.
 func TestSchedulerSurvivesResetAndRebind(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g1 := graph.Gnp(40, 0.2, rng)
@@ -324,8 +324,8 @@ func TestSchedulerSurvivesResetAndRebind(t *testing.T) {
 	if err := eng.RunUntilQuiescent(); err != nil {
 		t.Fatal(err)
 	}
-	// Reset onto a new seed over the same graph.
-	if err := eng.Reset(mk(g1.N()), Config{Seed: 2}); err != nil {
+	// Rewind onto a new seed over the same graph.
+	if err := eng.Rebind(eng.Input(), mk(g1.N()), Config{Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RunUntilQuiescent(); err != nil {

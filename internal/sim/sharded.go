@@ -56,9 +56,9 @@ import (
 type staged struct{ c, to int32 }
 
 // initShards (re)computes the shard plan for the current topology and
-// shard count and sizes the per-shard state to it. Called from NewEngine,
-// from Reset when the run asks for a new shard count, and from Rebind —
-// degree weights move with the graph — always on a drained engine. The
+// shard count and sizes the per-shard state to it. Called from Rebind when
+// the run asks for a new shard count or binds a new graph — degree weights
+// move with the topology — always on a drained engine. The
 // requested count is a maximum: weightedShards never cuts an empty shard,
 // and Shards <= 1 gives the one-shard plan. The per-shard lists grow to
 // the largest plan the engine has cut and are resliced down for smaller

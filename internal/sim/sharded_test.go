@@ -2,7 +2,7 @@ package sim
 
 // Differential tests for the sharded engine: across shard counts, graph
 // families and modes, every observable — metrics, outputs,
-// final round, hook streams, cancellation prefixes, Reset/Rebind reuse —
+// final round, hook streams, cancellation prefixes, reuse by Rebind —
 // must be bit-identical to the one-shard plan. The chatter machines
 // from scheduler_test.go supply the adversarial behavior (random sleeps,
 // bursts, SetDone, outputs).
@@ -219,7 +219,7 @@ func TestShardResetRebind(t *testing.T) {
 	if err := eng.RunUntilQuiescent(); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Reset(mk(g1.N()), Config{Seed: 2, Shards: 3}); err != nil {
+	if err := eng.Rebind(eng.Input(), mk(g1.N()), Config{Seed: 2, Shards: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RunUntilQuiescent(); err != nil {
@@ -270,7 +270,7 @@ func TestShardConfigNormalization(t *testing.T) {
 
 // TestRecutMatchesFresh drives one engine the way a pooled engine is
 // driven between jobs: through shard counts 0, 4, 1, 7, 4 and bandwidths
-// 2, 1, 5, 2, 1, rewound by Reset or by Rebind to a second graph, with
+// 2, 1, 5, 2, 1, rebound to its own graph or to a second one, with
 // one run resumed from a checkpoint written at another shard count. Each
 // run must match a fresh engine built for it bit for bit — metrics,
 // outputs, rounds and hook stream (for the resumed run, the suffix of the
@@ -305,7 +305,7 @@ func TestRecutMatchesFresh(t *testing.T) {
 			case eng == nil:
 				eng, err = NewEngine(st.g, nodes, cfg)
 			case eng.Input() == st.g:
-				err = eng.Reset(nodes, cfg)
+				err = eng.Rebind(eng.Input(), nodes, cfg)
 			default:
 				err = eng.Rebind(st.g, nodes, cfg)
 			}

@@ -90,9 +90,9 @@ func (c *Context) Bandwidth() int { return c.banw }
 
 // RNG returns this node's private random stream: splitmix64 over a
 // per-node draw counter, seeded by nodeSeed(engine seed, id). The stream's
-// whole state is two words held in the Context, so seeding, Reset and
-// snapshot restore are O(1) per node; only the 48-byte rand.Rand wrapper is
-// allocated, on first use, and kept across Reset.
+// whole state is two words held in the Context, so seeding, a rewind
+// (Engine.Rebind) and snapshot restore are O(1) per node; only the 48-byte
+// rand.Rand wrapper is allocated, on first use, and kept across rewinds.
 func (c *Context) RNG() *rand.Rand {
 	if c.rng == nil {
 		c.rng = rand.New(&c.src)

@@ -486,12 +486,12 @@ func (e *Engine) Snapshot() ([]byte, error) {
 }
 
 // Restore rebuilds a snapshot into this engine, which must be freshly
-// constructed or Reset with the same graph, node machines, seed and
-// config (Shards is free to differ — the restored run is bit-identical
-// regardless). Init is not called on the nodes;
-// RestoreState replaces it. A failed restore leaves the engine unusable
-// until the next Reset or Rebind, which recovers it fully: every queue
-// it restored is on an active list that clearRun drains.
+// constructed or rebound (Rebind) with the same graph, node machines, seed
+// and config (Shards is free to differ — the restored run is bit-identical
+// regardless). Init is not called on the nodes; RestoreState replaces it.
+// A failed restore leaves the engine unusable until the next Rebind, which
+// recovers it fully: every queue it restored is on an active list that
+// clearRun drains.
 func (e *Engine) Restore(payload []byte) error {
 	if e.started || e.round != 0 {
 		return fmt.Errorf("%w: restore requires a freshly reset engine", ErrSnapshotState)

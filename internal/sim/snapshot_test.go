@@ -301,9 +301,9 @@ func TestSnapshotRejects(t *testing.T) {
 // TestFailedRestoreThenReset: a restore that fails partway — here at
 // every truncation of a payload taken while receivers have several
 // channels backlogged — leaves the engine unusable but not poisoned:
-// Reset, then a normal run, reproduces a fresh engine's run exactly,
-// unsharded and at 4 shards. A pooled engine whose checkpoint resume
-// failed is reset and reused this way.
+// a rebind to its graph, then a normal run, reproduces a fresh engine's run
+// exactly, unsharded and at 4 shards. A pooled engine whose checkpoint
+// resume failed is rewound and reused this way.
 func TestFailedRestoreThenReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := graph.Gnp(24, 0.3, rng)
@@ -356,14 +356,14 @@ func TestFailedRestoreThenReset(t *testing.T) {
 			t.Fatal(err)
 		}
 		for cut := 0; cut < len(payload); cut += 3 {
-			if err := eng.Reset(burst(), cfg); err != nil {
+			if err := eng.Rebind(eng.Input(), burst(), cfg); err != nil {
 				t.Fatal(err)
 			}
 			if err := eng.Restore(payload[:cut]); err == nil {
 				t.Fatalf("truncation to %d bytes restored successfully", cut)
 			}
 			nodes := burst()
-			if err := eng.Reset(nodes, cfg); err != nil {
+			if err := eng.Rebind(eng.Input(), nodes, cfg); err != nil {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("shards=%d, run after a restore failed at %d bytes", shards, cut)
