@@ -3,6 +3,7 @@ package congest
 import (
 	"context"
 	"errors"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -154,5 +155,58 @@ func TestCancelBeforeStart(t *testing.T) {
 	}
 	if res.Meta.ExecutedRounds != 0 || res.TriangleCount != 0 {
 		t.Fatalf("pre-cancelled run did work: %+v", res.Meta)
+	}
+}
+
+// TestCountObserved: a count job streams one round event per executed
+// round, idle rounds included, like every engine-run job.
+func TestCountObserved(t *testing.T) {
+	rec := &recorder{}
+	res, err := RunObserved(context.Background(), gnpSpec("count"), rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Meta.ExecutedRounds == 0 || len(rec.rounds) != res.Meta.ExecutedRounds {
+		t.Fatalf("observed %d round events for %d executed rounds", len(rec.rounds), res.Meta.ExecutedRounds)
+	}
+	plain, err := Run(context.Background(), gnpSpec("count"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, res) {
+		t.Fatal("observing a count changed its Result")
+	}
+}
+
+// TestCountCancelReturnsPrefix: a count cancelled in OnRound(k) returns
+// the prefix it ran, like a cancelled a1 job, with no count and no
+// verification.
+func TestCountCancelReturnsPrefix(t *testing.T) {
+	spec := gnpSpec("count")
+	full, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := full.Meta.ExecutedRounds / 2
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	part := &recorder{onRound: func(round int) {
+		if round == k {
+			cancel()
+		}
+	}}
+	res, err := RunObserved(ctx, spec, part)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err %v, want context.Canceled", err)
+	}
+	if !res.Meta.Cancelled || res.Meta.ExecutedRounds != k+1 || res.Metrics.Rounds != k+1 {
+		t.Fatalf("cancelled count: cancelled=%v executed=%d metrics.rounds=%d, want true, %d, %d",
+			res.Meta.Cancelled, res.Meta.ExecutedRounds, res.Metrics.Rounds, k+1, k+1)
+	}
+	if res.Meta.Algo != "count" || res.Graph.N != spec.Graph.N {
+		t.Fatalf("cancelled count lost its provenance: algo %q, n %d", res.Meta.Algo, res.Graph.N)
+	}
+	if res.Count != 0 || res.Found || res.Verify != nil {
+		t.Fatalf("cancelled count reports count %d, found %v, verify %+v", res.Count, res.Found, res.Verify)
 	}
 }

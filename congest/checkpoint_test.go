@@ -655,3 +655,73 @@ func TestServiceEvictionProtectsCheckpointHolders(t *testing.T) {
 		t.Fatal("deleting an unknown job succeeded")
 	}
 }
+
+// TestResumeAtSegmentBoundary resumes find and list from a periodic
+// checkpoint taken exactly at a segment boundary: the end of the first
+// A3 segment, where the next A1 or A2 segment begins. That checkpoint must
+// record the next segment's handlers, which is what the resume binds and
+// restores into. With a delay plan, words sent in the A3 segment are still
+// queued at the boundary and arrive in the next segment.
+func TestResumeAtSegmentBoundary(t *testing.T) {
+	for _, algo := range []string{"find", "list"} {
+		for _, delayed := range []bool{false, true} {
+			name := algo
+			if delayed {
+				name += "/delay"
+			}
+			t.Run(name, func(t *testing.T) {
+				spec := gnpSpec(algo)
+				if delayed {
+					spec.Faults = &FaultSpec{Seed: 5, DelayMax: 3}
+				}
+				plain, err := Run(context.Background(), spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				segs := plain.Meta.Segments
+				if len(segs) < 3 {
+					t.Fatalf("%d segments, want a boundary after the first A3 segment", len(segs))
+				}
+				boundary := segs[0].Rounds + segs[1].Rounds
+
+				dir := t.TempDir()
+				spec.Checkpoint = &CheckpointSpec{Every: boundary, Dir: dir}
+				full := &recorder{}
+				want, err := RunObserved(context.Background(), spec, full)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if crossed := full.rounds[boundary].Words > 0; crossed != delayed {
+					t.Fatalf("words delivered in the boundary round: %v, want %v", crossed, delayed)
+				}
+				rounds := checkpoint.Rounds(dir, spec.SpecHash())
+				if !slices.Contains(rounds, boundary) {
+					t.Fatalf("no checkpoint at the segment boundary %d: have %v", boundary, rounds)
+				}
+				for _, r := range rounds {
+					if r > boundary {
+						if err := os.Remove(filepath.Join(dir, checkpoint.FileName(spec.SpecHash(), r))); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+
+				spec.Checkpoint.Resume = true
+				suffix := &recorder{}
+				got, err := RunObserved(context.Background(), spec, suffix)
+				if err != nil {
+					t.Fatalf("resume at round %d: %v", boundary, err)
+				}
+				if len(suffix.segments) == 0 || suffix.segments[0].StartRound != boundary {
+					t.Fatalf("resumed run announced segments %+v, want the one starting at round %d first", suffix.segments, boundary)
+				}
+				if !slices.Equal(suffix.rounds, full.rounds[boundary:]) {
+					t.Fatal("resumed round deltas are not the straight run's suffix")
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("resumed result diverges\ngot:  %+v\nwant: %+v", got, want)
+				}
+			})
+		}
+	}
+}

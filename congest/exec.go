@@ -2,6 +2,7 @@ package congest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -96,7 +97,7 @@ func (s *Session) runJob(ctx context.Context, spec JobSpec, obs Observer) (Resul
 	}
 	cfg := spec.engineConfig()
 	if spec.Algo == "count" {
-		return s.runCount(ctx, spec, g, cfg)
+		return s.runCount(ctx, spec, g, cfg, obs)
 	}
 
 	ab, err := buildAlgo(spec, g)
@@ -252,10 +253,19 @@ func (s *Session) verify(mode string, g *graph.Graph, res core.Result) *VerifyRe
 }
 
 // runCount executes the exact-counting job (quiescence-driven, so its
-// schedule is data dependent).
-func (s *Session) runCount(ctx context.Context, spec JobSpec, g *graph.Graph, cfg sim.Config) (Result, error) {
-	cres, err := agg.CountTrianglesContext(ctx, g, 0, cfg)
-	if err != nil {
+// schedule is data dependent). obs receives every executed round; a count
+// outputs no triangles and runs as one unannounced segment. A cancelled
+// count returns the prefix it ran, without a count or a verification, and
+// with ScheduledRounds 0: its schedule ends at a quiescence it never
+// reached.
+func (s *Session) runCount(ctx context.Context, spec JobSpec, g *graph.Graph, cfg sim.Config, obs Observer) (Result, error) {
+	var onRound func(int, sim.RoundDelta)
+	if o := coreObs(obs); o != nil {
+		onRound = o.OnRound
+	}
+	cres, err := agg.CountTrianglesContext(ctx, g, 0, cfg, onRound)
+	cancelled := err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err())
+	if err != nil && !cancelled {
 		return Result{}, err
 	}
 	out := Result{
@@ -268,6 +278,10 @@ func (s *Session) runCount(ctx context.Context, spec JobSpec, g *graph.Graph, cf
 		Metrics: metricsOf(cres.Metrics),
 		Found:   cres.Count > 0,
 		Count:   cres.Count,
+	}
+	if cancelled {
+		out.Meta.ScheduledRounds, out.Meta.Cancelled = 0, true
+		return out, err
 	}
 	if verifyModeFor(spec) != "" {
 		oracle := &graph.OracleScratch{Workers: s.opts.oracleWorkers}

@@ -18,6 +18,7 @@ package agg
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -252,9 +253,6 @@ func (c *counterNode) maybeReport(ctx *sim.Context, round int) {
 	ctx.SetDone()
 }
 
-// counterNode needs the partials map declared.
-// (kept separate to document the reassembly concern above)
-
 func encodeSum(v int64, n int) []sim.Word {
 	base := int64(n)
 	if base < 2 {
@@ -283,13 +281,15 @@ func decodeSum(ws []sim.Word, n int) int64 {
 // CountTriangles runs the distributed counter on g and returns the exact
 // triangle count of the root's connected component.
 func CountTriangles(g *graph.Graph, root int, cfg sim.Config) (CountResult, error) {
-	return CountTrianglesContext(context.Background(), g, root, cfg)
+	return CountTrianglesContext(context.Background(), g, root, cfg, nil)
 }
 
 // CountTrianglesContext is CountTriangles with cancellation at round
-// boundaries (a cancelled count returns ctx.Err(); partial counts are
-// meaningless and not reported).
-func CountTrianglesContext(ctx context.Context, g *graph.Graph, root int, cfg sim.Config) (CountResult, error) {
+// boundaries and, when onRound is non-nil, a call after every executed
+// round (idle rounds included, as zero deltas). A cancelled count returns
+// ctx.Err() with the Rounds and Metrics of the prefix it ran; its Count is
+// meaningless and reads 0.
+func CountTrianglesContext(ctx context.Context, g *graph.Graph, root int, cfg sim.Config, onRound func(round int, d sim.RoundDelta)) (CountResult, error) {
 	if root < 0 || root >= g.N() {
 		return CountResult{}, fmt.Errorf("agg: root %d out of range", root)
 	}
@@ -302,7 +302,13 @@ func CountTrianglesContext(ctx context.Context, g *graph.Graph, root int, cfg si
 	if err != nil {
 		return CountResult{}, err
 	}
+	// The hook is installed only for an observer: without one, the engine
+	// jumps idle rounds in one step.
+	eng.SetHooks(sim.Hooks{Round: onRound})
 	if err := eng.RunUntilQuiescentContext(ctx); err != nil {
+		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+			return CountResult{Rounds: eng.Round(), Metrics: eng.Metrics()}, err
+		}
 		return CountResult{}, err
 	}
 	total, ok := collect()

@@ -131,7 +131,7 @@ const (
 // NewDolev builds the Dolev-Lenzen-Peled deterministic triangle lister for
 // the CONGEST clique (sim.ModeClique required) with direct routing. See
 // NewDolevRouted for the Lenzen-style balanced variant.
-func NewDolev(g *graph.Graph, b int, variant DolevVariant) (*sim.Schedule, func(id int) sim.Node, error) {
+func NewDolev(g *graph.Graph, b int, variant DolevVariant) (*sim.Schedule, func(id int) core.PhaseHandler, error) {
 	return NewDolevRouted(g, b, variant, DirectRouting)
 }
 
@@ -140,7 +140,7 @@ func NewDolev(g *graph.Graph, b int, variant DolevVariant) (*sim.Schedule, func(
 // the exact per-channel makespan is computed from the input graph and used
 // as the schedule — the measured rounds are the true round complexity of
 // the run.
-func NewDolevRouted(g *graph.Graph, b int, variant DolevVariant, routing DolevRouting) (*sim.Schedule, func(id int) sim.Node, error) {
+func NewDolevRouted(g *graph.Graph, b int, variant DolevVariant, routing DolevRouting) (*sim.Schedule, func(id int) core.PhaseHandler, error) {
 	plan, err := newDolevPlan(g.N(), variant, g.MaxDegree())
 	if err != nil {
 		return nil, nil, err
@@ -187,15 +187,15 @@ func NewDolevRouted(g *graph.Graph, b int, variant DolevVariant, routing DolevRo
 	default:
 		return nil, nil, fmt.Errorf("baseline: unknown routing %d", routing)
 	}
-	mk := func(id int) sim.Node {
-		return core.NewPhasedNode(sched, &dolevHandler{
+	h := func(int) core.PhaseHandler {
+		return &dolevHandler{
 			plan:    plan,
 			routing: routing,
 			relayIn: core.NewFixedAssembler(2),
 			fwdIn:   core.NewFixedAssembler(2),
-		})
+		}
 	}
-	return sched, mk, nil
+	return sched, h, nil
 }
 
 // forEachAnnouncement visits every (owner u, other endpoint v, responsible

@@ -5,8 +5,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Snapshot codecs for the baseline handlers (core.StateCodec), making the
-// two-hop and Dolev-Lenzen-Peled node machines checkpointable.
+// Snapshot codecs for the baseline handlers (core.StateCodec), making
+// two-hop and Dolev-Lenzen-Peled runs checkpointable.
 
 // twoHopHandler holds no mutable state: the neighborhood broadcast is
 // emitted within Start and triangles are output as words arrive.

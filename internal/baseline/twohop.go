@@ -22,7 +22,7 @@ import (
 // maxDegree is the schedule bound every node is assumed to know (a standard
 // assumption; computing it distributedly costs O(D) extra rounds). Every
 // node of a job shares one handler.
-func NewTwoHop(b, maxDegree int) (*sim.Schedule, func(id int) sim.Node) {
+func NewTwoHop(b, maxDegree int) (*sim.Schedule, func(id int) core.PhaseHandler) {
 	sched := &sim.Schedule{}
 	dur := sim.RoundsFor(maxDegree, b)
 	if dur < 1 {
@@ -30,10 +30,7 @@ func NewTwoHop(b, maxDegree int) (*sim.Schedule, func(id int) sim.Node) {
 	}
 	sched.Add("twohop-exchange", dur)
 	h := &twoHopHandler{}
-	mk := func(id int) sim.Node {
-		return core.NewPhasedNode(sched, h)
-	}
-	return sched, mk
+	return sched, func(int) core.PhaseHandler { return h }
 }
 
 // twoHopHandler is the two-hop lister's node logic; it holds no state.

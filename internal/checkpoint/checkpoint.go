@@ -223,9 +223,12 @@ func FileName(specHash string, round int) string {
 	return fmt.Sprintf("%s-r%08d.ckpt", specHash, round)
 }
 
-// Save atomically writes the checkpoint into dir under its canonical name
-// (write to a temp file, then rename) and returns the final path. The
-// directory is created if missing.
+// Save atomically and durably writes the checkpoint into dir under its
+// canonical name and returns the final path. The directory is created if
+// missing. It writes a temp file, fsyncs it, renames it to the final name
+// and fsyncs the directory, so after a crash the final name holds either
+// the whole container or nothing new. A failure before the rename removes
+// the temp file and leaves the final name untouched.
 func Save(dir string, c *Checkpoint) (string, error) {
 	data, err := c.Encode()
 	if err != nil {
@@ -239,20 +242,40 @@ func Save(dir string, c *Checkpoint) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = syncFile(tmp)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), final)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return "", err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", err
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
+	if err := syncDir(dir); err != nil {
 		return "", err
 	}
 	return final, nil
+}
+
+// syncFile fsyncs f. Tests replace it to inject a failing fsync.
+var syncFile = (*os.File).Sync
+
+// syncDir fsyncs dir, making a rename in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = syncFile(d)
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Load reads and decodes one checkpoint file.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -297,4 +298,43 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 			t.Fatalf("re-decode disagrees with first decode")
 		}
 	})
+}
+
+// TestSaveSyncFailure injects a failing fsync. When the temp file's fsync
+// fails, Save returns the error and leaves neither the temp file nor the
+// final name; when the directory's fsync after the rename fails, it
+// returns the error too.
+func TestSaveSyncFailure(t *testing.T) {
+	defer func(orig func(*os.File) error) { syncFile = orig }(syncFile)
+	errSync := errors.New("injected fsync failure")
+	for _, failAt := range []int{1, 2} { // 1: the temp file, 2: the directory
+		dir := t.TempDir()
+		calls := 0
+		syncFile = func(f *os.File) error {
+			if calls++; calls == failAt {
+				return errSync
+			}
+			return f.Sync()
+		}
+		m := testMeta()
+		path, err := Save(dir, New(m, []byte("payload")))
+		if !errors.Is(err, errSync) {
+			t.Fatalf("sync %d fails: Save returned %q, %v; want the injected error", failAt, path, err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		want := []string(nil)
+		if failAt == 2 {
+			want = []string{FileName(m.SpecHash, m.Round)} // renamed before the directory fsync
+		}
+		if !reflect.DeepEqual(names, want) {
+			t.Fatalf("sync %d fails: directory holds %v, want %v", failAt, names, want)
+		}
+	}
 }

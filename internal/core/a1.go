@@ -15,14 +15,11 @@ import (
 // S_j cap N(k).
 //
 // The handler holds no per-node state, so every node of a job shares one.
-func NewA1(p Params) (*sim.Schedule, func(id int) sim.Node) {
+func NewA1(p Params) (*sim.Schedule, func(id int) PhaseHandler) {
 	h := &a1Handler{prob: 1 / p.HeavyThresholdOf(), setCap: p.A1SetCap()}
 	sched := &sim.Schedule{}
 	sched.Add("a1-sample-send", sim.RoundsFor(h.setCap, p.B))
-	mk := func(id int) sim.Node {
-		return NewPhasedNode(sched, h)
-	}
-	return sched, mk
+	return sched, func(int) PhaseHandler { return h }
 }
 
 // a1Handler is A1's node logic, shared by every node of a job: it holds

@@ -17,7 +17,7 @@ import (
 //     E_ja = {{j,l} in E : h_a(l) = 0} and sends it to a when
 //     |E_ja| <= 8 + 4n/floor(n^{eps/2}).
 //  3. Every node outputs all triangles whose three edges arrived.
-func NewA2(p Params) (*sim.Schedule, func(id int) sim.Node, error) {
+func NewA2(p Params) (*sim.Schedule, func(id int) PhaseHandler, error) {
 	fam, err := hashing.NewFamily(3, p.N, p.A2Buckets())
 	if err != nil {
 		return nil, nil, err
@@ -25,15 +25,15 @@ func NewA2(p Params) (*sim.Schedule, func(id int) sim.Node, error) {
 	sched := &sim.Schedule{}
 	sched.Add("a2-hash", sim.RoundsFor(fam.EncodedWords(), p.B))
 	sched.Add("a2-edges", sim.RoundsFor(p.A2EdgeCap(), p.B))
-	mk := func(id int) sim.Node {
-		return NewPhasedNode(sched, &a2Handler{
+	h := func(int) PhaseHandler {
+		return &a2Handler{
 			p:      p,
 			fam:    fam,
 			hashes: make(map[int]hashing.Func),
 			asm:    NewFixedAssembler(fam.EncodedWords()),
-		})
+		}
 	}
-	return sched, mk, nil
+	return sched, h, nil
 }
 
 type a2Handler struct {

@@ -37,7 +37,7 @@ type AXROptions struct {
 //
 // The while loop runs its proved worst-case floor(log2 n)+1 iterations;
 // nodes that have left U stay silent (silence is free in CONGEST).
-func NewAXR(p Params, opt AXROptions) (*sim.Schedule, func(id int) sim.Node) {
+func NewAXR(p Params, opt AXROptions) (*sim.Schedule, func(id int) PhaseHandler) {
 	r := opt.R
 	if r <= 0 {
 		r = p.GoodThreshold()
@@ -60,8 +60,8 @@ func NewAXR(p Params, opt AXROptions) (*sim.Schedule, func(id int) sim.Node) {
 		sched.Add("ax-v", svDur)
 		sched.Add("ax-u", 1)
 	}
-	mk := func(id int) sim.Node {
-		return NewPhasedNode(sched, &axrHandler{
+	h := func(int) PhaseHandler {
+		return &axrHandler{
 			p:       p,
 			r:       r,
 			capS:    capS,
@@ -69,9 +69,9 @@ func NewAXR(p Params, opt AXROptions) (*sim.Schedule, func(id int) sim.Node) {
 			inX:     opt.InX,
 			observe: opt.Observe,
 			nxOf:    make(map[int][]int),
-		})
+		}
 	}
-	return sched, mk
+	return sched, h
 }
 
 type axrHandler struct {

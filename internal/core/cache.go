@@ -12,19 +12,20 @@ import (
 )
 
 // EngineCache is core's only runner: every run goes through Run. It pools
-// idle engines, each with its node slice, keyed by what sizes an engine's
-// slabs or compiles into it — vertex count, mode, scheduler and fault
-// plan. The seed, bandwidth and shard count are per-run settings, and so
-// is the graph: a borrowed engine takes them in Engine.Rebind, its one
-// rewind, which keeps every slab allocation, swaps the topology only for
-// another graph and re-cuts the shard plan only for a new shard count or
-// graph. By the determinism contract none of those settings can tell a
-// pooled engine from a fresh one. That serves both reuse patterns: a
-// Session running many jobs over one cached graph, at whatever shard
-// counts and bandwidths they ask for, and sweep cells running over freshly
-// generated graphs of recurring sizes. Results are identical to a run on a
-// freshly built engine (what an empty cache does) for the same (graph,
-// config, seed), which the pooled-vs-fresh tests assert.
+// idle engines, each with the phasedRun node that runs on it, keyed by what
+// sizes an engine's slabs or compiles into it — vertex count, mode,
+// scheduler and fault plan. The seed, bandwidth and shard count are
+// per-run settings, and so is the graph: a borrowed engine takes them in
+// Engine.Rebind, its one rewind, which keeps every slab allocation, swaps
+// the topology only for another graph and re-cuts the shard plan only for
+// a new shard count or graph. By the determinism contract none of those
+// settings can tell a pooled engine from a fresh one. That serves both
+// reuse patterns: a Session running many jobs over one cached graph, at
+// whatever shard counts and bandwidths they ask for, and sweep cells
+// running over freshly generated graphs of recurring sizes. Results are
+// identical to a run on a freshly built engine (what an empty cache does)
+// for the same (graph, config, seed), which the pooled-vs-fresh tests
+// assert.
 //
 // The cache is safe for concurrent use; each borrowed engine belongs to one
 // run until it is returned, so k concurrent runs of one shape cost k
@@ -40,11 +41,13 @@ type EngineCache struct {
 	idle []idleEngine // oldest first
 }
 
-// idleEngine is a returned engine, the node slice it last ran (cleared,
-// so it pins no node objects) and the shape it was keyed under.
+// idleEngine is a returned engine, the phasedRun that ran on it (its
+// handler slots cleared, so it pins no handler), the node slice naming
+// that phasedRun for every vertex, and the shape it was keyed under.
 type idleEngine struct {
 	key   engineKey
 	eng   *sim.Engine
+	run   *phasedRun
 	nodes []sim.Node
 }
 
@@ -57,11 +60,11 @@ type engineKey struct {
 	faults uint64
 }
 
-// MaxIdleEngines bounds the idle engines, and with them the node slices,
-// an EngineCache retains across all shapes. It covers the largest mix the
-// benchmark harness runs: paper's jobs have 22 shapes, one per vertex
-// count, and its two clients can leave two idle engines of each (44).
-// congest.Session's doc quotes its value.
+// MaxIdleEngines bounds the idle engines, and with them their phasedRun
+// nodes, an EngineCache retains across all shapes. It covers the largest
+// mix the benchmark harness runs: paper's jobs have 22 shapes, one per
+// vertex count, and its two clients can leave two idle engines of each
+// (44). congest.Session's doc quotes its value.
 const MaxIdleEngines = 48
 
 // NewEngineCache returns an empty cache.
@@ -75,7 +78,8 @@ func keyFor(n int, cfg sim.Config) engineKey {
 }
 
 // get takes the most recently returned idle engine of shape key, or
-// returns an idleEngine with no engine and a fresh n-node slice.
+// returns an idleEngine with no engine and a fresh phasedRun for key.n
+// vertices.
 func (c *EngineCache) get(key engineKey) idleEngine {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -85,13 +89,19 @@ func (c *EngineCache) get(key engineKey) idleEngine {
 			return ie
 		}
 	}
-	return idleEngine{key: key, nodes: make([]sim.Node, key.n)}
+	run := &phasedRun{handlers: make([]PhaseHandler, key.n)}
+	nodes := make([]sim.Node, key.n)
+	for v := range nodes {
+		nodes[v] = run
+	}
+	return idleEngine{key: key, run: run, nodes: nodes}
 }
 
 // put returns ie to the pool, dropping the oldest idle engine beyond
 // MaxIdleEngines.
 func (c *EngineCache) put(ie idleEngine) {
-	clear(ie.nodes) // drop node references before pooling the slice
+	clear(ie.run.handlers) // drop handler references before pooling
+	ie.run.sched = nil
 	c.mu.Lock()
 	c.idle = append(c.idle, ie)
 	if len(c.idle) > MaxIdleEngines {
@@ -129,9 +139,7 @@ var errEmptySequence = errors.New("core: empty segment sequence")
 // Run executes a sequence of segments (e.g. the Theorem-1 finder's
 // repeated A1;A3) on g, with cancellation, streaming observation and a
 // checkpoint plan; a nil obs or ckpt disables that part. A single-schedule
-// algorithm is a one-segment sequence (see Single): its nodes are the
-// segment's own, with no sequencing wrapper, so their snapshots carry no
-// wrapper state.
+// algorithm is a one-segment sequence (see Single).
 //
 // Cancellation is honored at round boundaries only: the returned Result is
 // then the deterministic prefix of the uncancelled run (same seed, same
@@ -143,16 +151,6 @@ func (c *EngineCache) Run(ctx context.Context, g *graph.Graph, segs []Segment, c
 		return Result{}, errEmptySequence
 	}
 	ie := c.get(keyFor(g.N(), cfg))
-	if len(segs) == 1 {
-		mk := segs[0].Mk
-		for v := range ie.nodes {
-			ie.nodes[v] = mk(v)
-		}
-	} else {
-		for v := range ie.nodes {
-			ie.nodes[v] = NewSequenceNode(segs, v)
-		}
-	}
 	var err error
 	if ie.eng == nil {
 		ie.eng, err = sim.NewEngine(g, ie.nodes, cfg)
@@ -162,7 +160,7 @@ func (c *EngineCache) Run(ctx context.Context, g *graph.Graph, segs []Segment, c
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := runPlanned(ctx, ie.eng, Plan(segs), obs, ckpt)
+	res, err := runPlanned(ctx, ie.eng, ie.run, segs, obs, ckpt)
 	// A cancelled engine still has queued words; the next borrower's
 	// Rebind drains them, so returning it is safe either way.
 	c.put(ie)
@@ -170,8 +168,8 @@ func (c *EngineCache) Run(ctx context.Context, g *graph.Graph, segs []Segment, c
 }
 
 // RunSingle executes a single-schedule algorithm on g.
-func (c *EngineCache) RunSingle(g *graph.Graph, sched *sim.Schedule, mk func(id int) sim.Node, cfg sim.Config) (Result, error) {
-	return c.Run(context.Background(), g, Single(sched, mk), cfg, nil, nil)
+func (c *EngineCache) RunSingle(g *graph.Graph, sched *sim.Schedule, h func(id int) PhaseHandler, cfg sim.Config) (Result, error) {
+	return c.Run(context.Background(), g, Single(sched, h), cfg, nil, nil)
 }
 
 // RunSequence executes a sequence of segments on g.
@@ -207,8 +205,8 @@ func (c *EngineCache) ListAllTriangles(g *graph.Graph, opt ListerOptions, cfg si
 // far from triangle-free is possible but exponentially unlikely in
 // `probes`; a true return is always backed by a real triangle (one-sided).
 func (c *EngineCache) TestTriangleFreeness(g *graph.Graph, probes int, cfg sim.Config) (bool, Result, error) {
-	sched, mk := NewPropertyTester(g.N(), cfg.Normalized().BandwidthWords, probes)
-	res, err := c.RunSingle(g, sched, mk, cfg)
+	sched, h := NewPropertyTester(g.N(), cfg.Normalized().BandwidthWords, probes)
+	res, err := c.RunSingle(g, sched, h, cfg)
 	if err != nil {
 		return false, res, err
 	}

@@ -9,9 +9,10 @@ import (
 )
 
 // TestIdleEngineHoldsNoNodes pins that an engine waiting in the cache keeps
-// its node slice for the next run but no node objects: a finished job's
-// per-vertex state machines are garbage as soon as the run returns, for a
-// single-schedule run and a sequence run alike.
+// its phasedRun for the next run but no handler: a finished job's
+// per-vertex state machines, and the schedule they ran, are garbage as
+// soon as the run returns, for a single-schedule run and a sequence run
+// alike.
 func TestIdleEngineHoldsNoNodes(t *testing.T) {
 	g := graph.Gnp(24, 0.4, rand.New(rand.NewSource(1)))
 	c := NewEngineCache()
@@ -24,13 +25,16 @@ func TestIdleEngineHoldsNoNodes(t *testing.T) {
 	if len(c.idle) != 1 {
 		t.Fatalf("%d idle engines, want the one recycled engine", len(c.idle))
 	}
-	nodes := c.idle[0].nodes
-	if len(nodes) != g.N() {
-		t.Fatalf("idle engine keeps %d node slots for %d vertices", len(nodes), g.N())
+	run := c.idle[0].run
+	if len(run.handlers) != g.N() {
+		t.Fatalf("idle engine keeps %d handler slots for %d vertices", len(run.handlers), g.N())
 	}
-	for v, nd := range nodes {
-		if nd != nil {
-			t.Fatalf("idle engine still holds node %d (%T)", v, nd)
+	for v, h := range run.handlers {
+		if h != nil {
+			t.Fatalf("idle engine still holds handler %d (%T)", v, h)
 		}
+	}
+	if run.sched != nil {
+		t.Fatal("idle engine still holds the last run's schedule")
 	}
 }

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -281,71 +280,78 @@ func TestRunnerConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// sleeperNode sleeps through the whole run, so every round is
-// fast-forwarded.
-type sleeperNode struct{}
+// idleHandler does nothing in any phase, so after round 0 every round but
+// the drain round is fast-forwarded.
+type idleHandler struct{}
 
-func (sleeperNode) Init(ctx *sim.Context)                                   { ctx.SleepUntil(math.MaxInt32) }
-func (sleeperNode) Round(ctx *sim.Context, round int, inbox []sim.Delivery) {}
+func (idleHandler) Start(*sim.Context, int)                 {}
+func (idleHandler) Receive(*sim.Context, int, sim.Delivery) {}
+func (idleHandler) Finish(*sim.Context)                     {}
+func (idleHandler) SaveState(*sim.SnapWriter)               {}
+func (idleHandler) LoadState(*sim.SnapReader) error         { return nil }
 
 // TestCheckpointBoundariesAllocateNothing pins the cost of a checkpoint
 // boundary the run skips because nothing happened since the last save: it
 // reads the engine's fast-forward counter and allocates nothing. Copying
 // the engine's metrics there would copy both per-node slabs, 16n bytes, at
-// every boundary.
+// every boundary. Round 0 steps every vertex, so a plan with Every = 1
+// saves once, at round 1, and skips the later boundaries; it is compared
+// with a plan with Every = rounds, which saves once and has no other
+// boundary.
 func TestCheckpointBoundariesAllocateNothing(t *testing.T) {
 	const n, rounds = 5000, 400
 	g := graph.Empty(n)
 	sched := &sim.Schedule{}
 	sched.Add("idle", rounds)
-	mk := func(int) sim.Node { return sleeperNode{} }
+	h := func(int) core.PhaseHandler { return idleHandler{} }
 	c := core.NewEngineCache()
-	saves := 0
-	ckpt := &core.CheckpointPlan{Every: 1, Save: func(int, []byte) error { saves++; return nil }}
-	run := func(plan *core.CheckpointPlan) int64 {
+	run := func(every int) int64 {
+		saves := 0
+		plan := &core.CheckpointPlan{Every: every, Save: func(int, []byte) error { saves++; return nil }}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := c.Run(context.Background(), g, core.Single(sched, mk), sim.Config{Seed: 1}, nil, plan); err != nil {
+		if _, err := c.Run(context.Background(), g, core.Single(sched, h), sim.Config{Seed: 1}, nil, plan); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
+		if saves != 1 {
+			t.Fatalf("Every=%d: %d checkpoints saved over an idle run, want 1", every, saves)
+		}
 		return int64(after.TotalAlloc - before.TotalAlloc)
 	}
-	run(nil) // warm the engine cache
-	plain := run(nil)
-	checkpointed := run(ckpt)
-	if saves != 0 {
-		t.Fatalf("%d checkpoints saved over an idle run, want 0", saves)
-	}
-	if perBoundary := (checkpointed - plain) / rounds; perBoundary > 64 {
+	run(rounds) // warm the engine cache
+	coarse := run(rounds)
+	fine := run(1)
+	if perBoundary := (fine - coarse) / rounds; perBoundary > 64 {
 		t.Errorf("each skipped checkpoint boundary allocates %d B, want <= 64", perBoundary)
 	}
 }
 
 // TestWarmJobAllocations bounds what a warm single-schedule job allocates:
 // on gnp(2000, 4/n), a warm two-hop run and a warm A1 run each allocate at
-// most n plus a small constant — one phased node per vertex, and the
-// Result's copies of the outputs, the union and the metrics. A fresh slice
-// per vertex for the two-hop lister's neighbour words, or for A1's sample,
-// would add up to n more.
+// most a constant that does not grow with n — the Result's copies of the
+// outputs, the union and the metrics. The engine's one node and its handler
+// slots are pooled with the engine, and both algorithms share one handler
+// across vertices, so a per-vertex object anywhere on the run path would
+// add up to n.
 func TestWarmJobAllocations(t *testing.T) {
-	const n, slack = 2000, 128
+	const n, bound = 2000, 128
 	g := graph.Gnp(n, 4.0/n, rand.New(rand.NewSource(43)))
-	twoSched, twoMk := baseline.NewTwoHop(2, g.MaxDegree())
-	a1Sched, a1Mk := core.NewA1(core.Params{N: n, Eps: core.EpsFindingPure, B: 2})
+	twoSched, twoH := baseline.NewTwoHop(2, g.MaxDegree())
+	a1Sched, a1H := core.NewA1(core.Params{N: n, Eps: core.EpsFindingPure, B: 2})
 	c := core.NewEngineCache()
 	for _, job := range []struct {
 		name  string
 		sched *sim.Schedule
-		mk    func(int) sim.Node
-	}{{"twohop", twoSched, twoMk}, {"a1", a1Sched, a1Mk}} {
+		h     func(int) core.PhaseHandler
+	}{{"twohop", twoSched, twoH}, {"a1", a1Sched, a1H}} {
 		allocs := testing.AllocsPerRun(3, func() {
-			if _, err := c.RunSingle(g, job.sched, job.mk, sim.Config{Seed: 1}); err != nil {
+			if _, err := c.RunSingle(g, job.sched, job.h, sim.Config{Seed: 1}); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs > n+slack {
-			t.Errorf("%s: %v allocations per warm run, want at most n+%d", job.name, allocs, slack)
+		if allocs > bound {
+			t.Errorf("%s: %v allocations per warm run, want at most %d", job.name, allocs, bound)
 		}
 	}
 }

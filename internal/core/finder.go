@@ -37,10 +37,10 @@ func NewFinder(n, b int, opt FinderOptions) ([]Segment, error) {
 	p := Params{N: n, Eps: eps, B: b}
 	var segs []Segment
 	for i := 0; i < reps; i++ {
-		s1, mk1 := NewA1(p)
-		segs = append(segs, Segment{Name: fmt.Sprintf("a1#%d", i), Sched: s1, Mk: mk1})
-		s3, mk3 := NewA3(p)
-		segs = append(segs, Segment{Name: fmt.Sprintf("a3#%d", i), Sched: s3, Mk: mk3})
+		s1, h1 := NewA1(p)
+		segs = append(segs, Segment{Name: fmt.Sprintf("a1#%d", i), Sched: s1, Handler: h1})
+		s3, h3 := NewA3(p)
+		segs = append(segs, Segment{Name: fmt.Sprintf("a3#%d", i), Sched: s3, Handler: h3})
 	}
 	return segs, nil
 }
@@ -83,13 +83,13 @@ func NewLister(n, b int, opt ListerOptions) ([]Segment, error) {
 	reps := opt.Repetitions(n)
 	var segs []Segment
 	for i := 0; i < reps; i++ {
-		s2, mk2, err := NewA2(p)
+		s2, h2, err := NewA2(p)
 		if err != nil {
 			return nil, fmt.Errorf("lister rep %d: %w", i, err)
 		}
-		segs = append(segs, Segment{Name: fmt.Sprintf("a2#%d", i), Sched: s2, Mk: mk2})
-		s3, mk3 := NewA3(p)
-		segs = append(segs, Segment{Name: fmt.Sprintf("a3#%d", i), Sched: s3, Mk: mk3})
+		segs = append(segs, Segment{Name: fmt.Sprintf("a2#%d", i), Sched: s2, Handler: h2})
+		s3, h3 := NewA3(p)
+		segs = append(segs, Segment{Name: fmt.Sprintf("a3#%d", i), Sched: s3, Handler: h3})
 	}
 	return segs, nil
 }

@@ -27,61 +27,72 @@ type PhaseHandler interface {
 	Finish(ctx *sim.Context)
 }
 
-// phasedNode adapts a PhaseHandler + Schedule into a sim.Node.
-type phasedNode struct {
-	sched    *sim.Schedule
-	h        PhaseHandler
-	next     int
-	finished bool
-}
-
-// NewPhasedNode wraps handler h driven by schedule sched. The node needs
-// sched.Total()+1 rounds to run to completion (the +1 drains the final
-// phase's in-flight words).
-func NewPhasedNode(sched *sim.Schedule, h PhaseHandler) sim.Node {
-	return &phasedNode{sched: sched, h: h}
-}
-
 // TotalRounds returns the number of engine rounds a phased algorithm with
-// the given schedule needs: Total()+1 (see NewPhasedNode).
+// the given schedule needs: Total()+1, the +1 draining the final phase's
+// in-flight words.
 func TotalRounds(sched *sim.Schedule) int { return sched.Total() + 1 }
 
-func (p *phasedNode) Init(ctx *sim.Context) {}
+// phasedRun is the one sim.Node core runs: a single value drives every
+// vertex through the bound segment, the one that holds the engine's next
+// round. runPlanned binds each segment before its first round, refilling
+// handlers from the segment's factory, so a finished segment's handler
+// state is garbage once the next one is bound. Each round maps to a phase
+// of the bound schedule; there is no per-vertex cursor.
+type phasedRun struct {
+	handlers []PhaseHandler // indexed by vertex
+	sched    *sim.Schedule  // the bound segment's schedule
+	start    int            // the engine round of its local round 0
+	final    bool           // the bound segment is the run's last
+}
 
-func (p *phasedNode) Round(ctx *sim.Context, round int, inbox []sim.Delivery) {
-	// Words delivered at round r were in flight during round r-1, hence
-	// belong to the phase covering r-1.
-	for _, d := range inbox {
-		if round == 0 {
-			// Fault-free phased runs never see inbox words at round 0
-			// (Init sends nothing), but fault-injected delay or
-			// duplication can carry a previous segment's words across
-			// the boundary. Those belong to no phase of this schedule.
-			continue
-		}
-		ph, _ := p.sched.PhaseAt(round - 1)
-		p.h.Receive(ctx, ph, d)
+// bind makes seg, starting at engine round start, the bound segment.
+func (d *phasedRun) bind(seg Segment, start int, final bool) {
+	for v := range d.handlers {
+		d.handlers[v] = seg.Handler(v)
 	}
-	for p.next < p.sched.NumPhases() && p.sched.PhaseStart(p.next) == round {
-		p.h.Start(ctx, p.next)
-		p.next++
-	}
-	if round >= p.sched.Total() {
-		if !p.finished {
-			p.finished = true
-			p.h.Finish(ctx)
-			ctx.SetDone()
+	d.sched, d.start, d.final = seg.Sched, start, final
+}
+
+func (d *phasedRun) Init(ctx *sim.Context) {}
+
+// Round reproduces the phase contract of PhaseHandler. A vertex runs at
+// every phase start of the bound schedule, because it sleeps to the next
+// one (deliveries wake it early), so the phases starting at its local
+// round are exactly those not yet started.
+func (d *phasedRun) Round(ctx *sim.Context, round int, inbox []sim.Delivery) {
+	h := d.handlers[ctx.ID()]
+	s := d.sched
+	r := round - d.start
+	// Words delivered at local round r were in flight during r-1, hence
+	// belong to the phase covering r-1. At r = 0 they belong to no phase
+	// of this schedule: fault-free runs deliver nothing there, but a delay
+	// or duplication fault can carry the previous segment's words across
+	// the boundary.
+	if r > 0 && len(inbox) > 0 {
+		ph, _ := s.PhaseAt(r - 1)
+		for _, dl := range inbox {
+			h.Receive(ctx, ph, dl)
 		}
+	}
+	i := s.FirstPhaseFrom(r)
+	for ; i < s.NumPhases() && s.PhaseStart(i) == r; i++ {
+		h.Start(ctx, i)
+	}
+	if r < s.Total() {
+		next := s.Total() // the drain round, when no phase starts later
+		if i < s.NumPhases() {
+			next = s.PhaseStart(i)
+		}
+		ctx.SleepUntil(d.start + next)
+		return
+	}
+	h.Finish(ctx)
+	if d.final {
+		ctx.SetDone()
 		ctx.SleepUntil(math.MaxInt32)
 		return
 	}
-	// Sleep to the next phase boundary (or the drain round); deliveries
-	// still wake the node early.
-	nxt := p.sched.Total()
-	if p.next < p.sched.NumPhases() {
-		nxt = p.sched.PhaseStart(p.next)
-	}
-	ctx.SleepUntil(nxt)
+	ctx.SleepUntil(d.start + TotalRounds(s)) // the next segment's first round
 }
 
 // FixedAssembler reassembles fixed-size records that the engine may split

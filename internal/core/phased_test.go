@@ -181,12 +181,15 @@ func TestPhasedNodeAttribution(t *testing.T) {
 		{sched: sched, sendAt: map[int][]sim.Word{0: {1, 2, 3}, 2: {9}}},
 		{sched: sched, sendAt: map[int][]sim.Word{0: {1, 2, 3}, 2: {9}}},
 	}
-	nodes := []sim.Node{NewPhasedNode(sched, handlers[0]), NewPhasedNode(sched, handlers[1])}
-	eng, err := sim.NewEngine(g, nodes, sim.Config{BandwidthWords: 2, Seed: 1})
+	// A fault-free run that leaves words queued fails with a phase-budget
+	// error, so a nil error also proves every word drained.
+	res, err := NewEngineCache().RunSingle(g, sched, func(id int) PhaseHandler { return handlers[id] }, sim.Config{BandwidthWords: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Run(TotalRounds(sched))
+	if res.Meta.ExecutedRounds != TotalRounds(sched) {
+		t.Fatalf("executed %d rounds, want %d", res.Meta.ExecutedRounds, TotalRounds(sched))
+	}
 	for i, h := range handlers {
 		if len(h.starts) != 3 || h.starts[0] != 0 || h.starts[1] != 1 || h.starts[2] != 2 {
 			t.Fatalf("node %d starts = %v", i, h.starts)
@@ -206,13 +209,11 @@ func TestPhasedNodeAttribution(t *testing.T) {
 			t.Fatalf("node %d never finished", i)
 		}
 	}
-	if eng.PendingWords() != 0 {
-		t.Fatal("data left in queues")
-	}
 }
 
 // TestSequenceSegmentIsolation: two phased sub-algorithms run back to back
-// must not leak data across the segment boundary.
+// must not leak data across the segment boundary, and each segment's
+// handlers are built only when it is bound.
 func TestSequenceSegmentIsolation(t *testing.T) {
 	g := graph.Complete(2)
 	s1 := &sim.Schedule{}
@@ -222,26 +223,26 @@ func TestSequenceSegmentIsolation(t *testing.T) {
 	type tracked struct{ h1, h2 *traceHandler }
 	tr := make([]tracked, 2)
 	segs := []Segment{
-		{Name: "one", Sched: s1, Mk: func(id int) sim.Node {
+		{Name: "one", Sched: s1, Handler: func(id int) PhaseHandler {
 			h := &traceHandler{sched: s1, sendAt: map[int][]sim.Word{0: {11, 12, 13}}}
 			tr[id].h1 = h
-			return NewPhasedNode(s1, h)
+			return h
 		}},
-		{Name: "two", Sched: s2, Mk: func(id int) sim.Node {
+		{Name: "two", Sched: s2, Handler: func(id int) PhaseHandler {
+			if !tr[id].h1.finished {
+				t.Errorf("node %d: segment two bound before segment one finished", id)
+			}
 			h := &traceHandler{sched: s2, sendAt: map[int][]sim.Word{0: {21}}}
 			tr[id].h2 = h
-			return NewPhasedNode(s2, h)
+			return h
 		}},
 	}
-	nodes := []sim.Node{NewSequenceNode(segs, 0), NewSequenceNode(segs, 1)}
-	eng, err := sim.NewEngine(g, nodes, sim.Config{BandwidthWords: 2, Seed: 1})
-	if err != nil {
+	if _, err := NewEngineCache().RunSequence(g, segs, sim.Config{BandwidthWords: 2, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run(SequenceRounds(segs))
 	for i := range tr {
 		if tr[i].h1 == nil || tr[i].h2 == nil {
-			t.Fatal("sub-nodes not constructed")
+			t.Fatal("segment handlers not constructed")
 		}
 		if !tr[i].h1.finished || !tr[i].h2.finished {
 			t.Fatalf("node %d: finished flags %v %v", i, tr[i].h1.finished, tr[i].h2.finished)

@@ -53,13 +53,19 @@ type Result struct {
 	Meta RunMeta
 }
 
-// runPlanned drives an initialized engine through the plan, streaming to
-// obs. The Result's outputs are copied from the engine's per-node output
-// lists once the last round has run, and its union is built from that
-// copy, so a resumed run's Result includes the outputs restored with the
-// snapshot. On cancellation it returns the partial Result together with
-// ctx.Err(); the partial Result is bit-identical to the same run
-// truncated at the same round.
+// runPlanned drives an initialized engine through segs on d, its node,
+// streaming to obs. The Result's outputs are copied from the engine's
+// per-node output lists once the last round has run, and its union is
+// built from that copy, so a resumed run's Result includes the outputs
+// restored with the snapshot. On cancellation it returns the partial
+// Result together with ctx.Err(); the partial Result is bit-identical to
+// the same run truncated at the same round.
+//
+// At every round boundary the bound segment is the one that holds the
+// next round: segment i+1 is bound right after segment i's last round,
+// before any save at that boundary, and a resume binds the segment that
+// holds its round before restoring into it. A snapshot therefore records
+// exactly the handlers a restore reads back.
 //
 // With a CheckpointPlan, execution is additionally chunked at Every-round
 // boundaries (snapshots only exist at round boundaries, where engine
@@ -69,20 +75,34 @@ type Result struct {
 // the uninterrupted run's observation stream: segments that ended before
 // the resume point are silent, and the segment containing it announces
 // itself only when the resume lands exactly on its first round.
-func runPlanned(ctx context.Context, eng *sim.Engine, plan []SegmentPlan, obs Observer, ckpt *CheckpointPlan) (Result, error) {
-	resumeRound := 0
+func runPlanned(ctx context.Context, eng *sim.Engine, d *phasedRun, segs []Segment, obs Observer, ckpt *CheckpointPlan) (Result, error) {
+	plan := Plan(segs)
+	// starts[i] is segment i's first round; starts[len(segs)] is the
+	// scheduled total.
+	starts := make([]int, len(plan)+1)
+	for i, sp := range plan {
+		starts[i+1] = starts[i] + sp.Rounds
+	}
+	scheduled := starts[len(plan)]
+	bind := func(i int) { d.bind(segs[i], starts[i], i == len(segs)-1) }
+	resumeRound, first := 0, 0
 	if ckpt != nil && ckpt.Resume != nil {
+		resumeRound = ckpt.Resume.Round
+		for first+1 < len(segs) && starts[first+1] <= resumeRound {
+			first++
+		}
+		bind(first)
 		if err := eng.Restore(ckpt.Resume.Payload); err != nil {
 			return Result{}, err
 		}
-		resumeRound = eng.Round()
+		if got := eng.Round(); got != resumeRound {
+			return Result{}, fmt.Errorf("core: resume point at round %d holds a snapshot of round %d: %w", resumeRound, got, sim.ErrBadSnapshot)
+		}
+	} else {
+		bind(0)
 	}
 	eng.SetHooks(hooksFor(obs))
 	cfg := eng.Config()
-	scheduled := 0
-	for _, sp := range plan {
-		scheduled += sp.Rounds
-	}
 	saveAt := func(round int) error {
 		payload, err := eng.Snapshot()
 		if err != nil {
@@ -103,15 +123,10 @@ func runPlanned(ctx context.Context, eng *sim.Engine, plan []SegmentPlan, obs Ob
 		return eng.FastForwardedRounds()-lastSaveFF == round-lastSave
 	}
 	var runErr error
-	start := 0
-	for i, sp := range plan {
-		end := start + sp.Rounds
-		if end <= resumeRound {
-			start = end // segment fully behind the resume point
-			continue
-		}
+	for i := first; i < len(segs) && runErr == nil; i++ {
+		start, end := starts[i], starts[i+1]
 		if obs != nil && resumeRound <= start {
-			obs.OnSegment(SegmentInfo{Index: i, Name: sp.Name, StartRound: start, Rounds: sp.Rounds})
+			obs.OnSegment(SegmentInfo{Index: i, Name: plan[i].Name, StartRound: start, Rounds: plan[i].Rounds})
 		}
 		for cur := max(start, resumeRound); cur < end; {
 			next := end
@@ -125,6 +140,9 @@ func runPlanned(ctx context.Context, eng *sim.Engine, plan []SegmentPlan, obs Ob
 				break
 			}
 			cur = next
+			if cur == end && i+1 < len(segs) {
+				bind(i + 1)
+			}
 			if ckpt != nil && ckpt.Save != nil && ckpt.Every > 0 && cur%ckpt.Every == 0 && cur < scheduled && !idleSince(cur) {
 				if err := saveAt(cur); err != nil {
 					return Result{}, err
@@ -132,10 +150,6 @@ func runPlanned(ctx context.Context, eng *sim.Engine, plan []SegmentPlan, obs Ob
 				lastSave, lastSaveFF = cur, eng.FastForwardedRounds()
 			}
 		}
-		if runErr != nil {
-			break
-		}
-		start = end
 	}
 	if runErr != nil && ckpt != nil && ckpt.Save != nil {
 		// Preemption: persist the boundary the cancellation stopped at, so

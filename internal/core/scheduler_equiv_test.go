@@ -86,7 +86,7 @@ func zoo(t *testing.T, g *graph.Graph) map[string]zooRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single := func(sched *sim.Schedule, mk func(id int) sim.Node, mode sim.Mode) zooRun {
+	single := func(sched *sim.Schedule, mk func(id int) core.PhaseHandler, mode sim.Mode) zooRun {
 		return func(ctx context.Context, g *graph.Graph, cfg sim.Config, obs core.Observer) (core.Result, error) {
 			cfg.Mode = mode
 			return core.NewEngineCache().Run(ctx, g, core.Single(sched, mk), cfg, obs, nil)

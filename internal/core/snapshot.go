@@ -8,15 +8,15 @@ import (
 	"repro/internal/sim"
 )
 
-// This file gives every node machine in core (and, through the exported
-// assembler codecs and StateCodec interface, the baselines) engine-snapshot
-// support. The wrappers (phasedNode, seqNode) implement sim.Snapshotter;
-// per-algorithm handlers implement the lighter StateCodec, which the
-// wrappers drive. Map-backed state is serialized in sorted key order so a
+// This file gives core's one node machine, phasedRun, engine-snapshot
+// support, and through the exported assembler codecs and StateCodec
+// interface the baselines too. phasedRun implements sim.Snapshotter by
+// driving the bound segment's handlers, which implement the lighter
+// StateCodec. Map-backed state is serialized in sorted key order so a
 // restored node re-serializes byte-identically.
 
 // StateCodec is the handler-level half of sim.Snapshotter: phase handlers
-// implement it to make their phased (or sequenced) node snapshottable.
+// implement it to make their runs snapshottable.
 // SaveState writes all mutable state; LoadState rebuilds it into a freshly
 // constructed handler. Static configuration captured at construction time
 // is not serialized.
@@ -33,71 +33,26 @@ func codecOf(h PhaseHandler) (StateCodec, error) {
 	return c, nil
 }
 
-// SnapshotState implements sim.Snapshotter for phased nodes.
-func (p *phasedNode) SnapshotState(w *sim.SnapWriter) error {
-	c, err := codecOf(p.h)
+// SnapshotState implements sim.Snapshotter: it writes the state of the
+// vertex's handler in the bound segment. A snapshot at a segment boundary
+// therefore records the next segment's fresh handlers, which is what a
+// restore, binding the segment that holds the resume round, reads back.
+func (d *phasedRun) SnapshotState(ctx *sim.Context, w *sim.SnapWriter) error {
+	c, err := codecOf(d.handlers[ctx.ID()])
 	if err != nil {
 		return err
 	}
-	w.Int(p.next)
-	w.Bool(p.finished)
 	c.SaveState(w)
 	return nil
 }
 
-// RestoreState implements sim.Snapshotter for phased nodes.
-func (p *phasedNode) RestoreState(r *sim.SnapReader) error {
-	c, err := codecOf(p.h)
+// RestoreState implements sim.Snapshotter for the bound segment's handlers.
+func (d *phasedRun) RestoreState(ctx *sim.Context, r *sim.SnapReader) error {
+	c, err := codecOf(d.handlers[ctx.ID()])
 	if err != nil {
 		return err
 	}
-	p.next = r.Int()
-	p.finished = r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
 	return c.LoadState(r)
-}
-
-// SnapshotState implements sim.Snapshotter for sequence nodes by chaining
-// the segment nodes' snapshots.
-func (s *seqNode) SnapshotState(w *sim.SnapWriter) error {
-	w.Int(s.cur)
-	w.Bool(s.inited)
-	w.Bool(s.allDone)
-	for _, sub := range s.subs {
-		sn, ok := sub.(sim.Snapshotter)
-		if !ok {
-			return fmt.Errorf("%w: sequence segment %T", sim.ErrNotSnapshottable, sub)
-		}
-		if err := sn.SnapshotState(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RestoreState implements sim.Snapshotter for sequence nodes.
-func (s *seqNode) RestoreState(r *sim.SnapReader) error {
-	s.cur = r.Int()
-	s.inited = r.Bool()
-	s.allDone = r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if s.cur < 0 || s.cur >= len(s.subs) {
-		return fmt.Errorf("%w: sequence segment index %d of %d", sim.ErrBadSnapshot, s.cur, len(s.subs))
-	}
-	for _, sub := range s.subs {
-		sn, ok := sub.(sim.Snapshotter)
-		if !ok {
-			return fmt.Errorf("%w: sequence segment %T", sim.ErrNotSnapshottable, sub)
-		}
-		if err := sn.RestoreState(r); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func sortedIntKeys[V any](m map[int]V) []int {

@@ -19,7 +19,7 @@ import (
 // triangle-free, a constant fraction of probes hit triangles, so
 // O(1/epsilon) batches detect one with constant probability — each batch
 // costing only ceil(1/B) rounds. Every node of a job shares one handler.
-func NewPropertyTester(n, b, probes int) (*sim.Schedule, func(id int) sim.Node) {
+func NewPropertyTester(n, b, probes int) (*sim.Schedule, func(id int) PhaseHandler) {
 	if probes < 1 {
 		probes = 1
 	}
@@ -31,10 +31,7 @@ func NewPropertyTester(n, b, probes int) (*sim.Schedule, func(id int) sim.Node) 
 	}
 	sched.Add("probe", dur)
 	h := &testerHandler{probes: probes}
-	mk := func(id int) sim.Node {
-		return NewPhasedNode(sched, h)
-	}
-	return sched, mk
+	return sched, func(int) PhaseHandler { return h }
 }
 
 type testerHandler struct {

@@ -16,10 +16,10 @@ import (
 // re-points them at each cell's fresh graph and keeps the topology when
 // cells share a graph (the ab-good ablation), and the scratch pool reuses
 // the centralized oracle's buffers for per-cell verification. Together they cut a steady-state sweep's
-// allocations to graph generation plus the per-node state machines (see
-// the allocs-per-op bound in alloc_test.go).
+// allocations to graph generation plus the algorithms' per-vertex handlers
+// (see the allocs-per-op bound in alloc_test.go).
 
-// cells pools engines, with their node slices, across sweep cells. Safe for
+// cells pools engines, each with its phasedRun node, across sweep cells. Safe for
 // concurrent use by the bounded cell workers.
 var cells = core.NewEngineCache()
 

@@ -69,9 +69,9 @@ func faultPanel(cfg Config, g *graph.Graph) ([]faultAlgo, error) {
 	n, bw := g.N(), cfg.bandwidth()
 	pf := core.Params{N: n, Eps: core.EpsFindingPure, B: bw}
 	pl := core.Params{N: n, Eps: core.EpsListingPure, B: bw}
-	single := func(sched *sim.Schedule, mk func(id int) sim.Node) func(sim.Config) (core.Result, error) {
+	single := func(sched *sim.Schedule, h func(id int) core.PhaseHandler) func(sim.Config) (core.Result, error) {
 		return func(scfg sim.Config) (core.Result, error) {
-			return cells.RunSingle(g, sched, mk, scfg)
+			return cells.RunSingle(g, sched, h, scfg)
 		}
 	}
 	s1, mk1 := core.NewA1(pf)

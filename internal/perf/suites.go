@@ -151,8 +151,8 @@ func (s sparseNode) Round(ctx *sim.Context, round int, inbox []sim.Delivery) {
 // sparseNode carries no algorithm state beyond its construction parameters,
 // so its snapshot payload is empty — which makes the checkpoint benches
 // measure the engine container itself, not node serialization.
-func (sparseNode) SnapshotState(*sim.SnapWriter) error { return nil }
-func (sparseNode) RestoreState(*sim.SnapReader) error  { return nil }
+func (sparseNode) SnapshotState(*sim.Context, *sim.SnapWriter) error { return nil }
+func (sparseNode) RestoreState(*sim.Context, *sim.SnapReader) error  { return nil }
 
 // engineStep measures steady-state engine rounds: one benchmark op is
 // exactly one round, so allocs/op is allocs/round.

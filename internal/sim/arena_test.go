@@ -112,8 +112,8 @@ func (b *backlogNode) Round(ctx *Context, round int, inbox []Delivery) {
 	}
 }
 
-func (b *backlogNode) SnapshotState(w *SnapWriter) error { w.U64(b.digest); return nil }
-func (b *backlogNode) RestoreState(r *SnapReader) error  { b.digest = r.U64(); return nil }
+func (b *backlogNode) SnapshotState(_ *Context, w *SnapWriter) error { w.U64(b.digest); return nil }
+func (b *backlogNode) RestoreState(_ *Context, r *SnapReader) error  { b.digest = r.U64(); return nil }
 
 // backlogRun is everything observable about one backlog run.
 type backlogRun struct {
@@ -277,8 +277,8 @@ func (h *bulkNode) Round(ctx *Context, round int, inbox []Delivery) {
 	}
 }
 
-func (h *bulkNode) SnapshotState(w *SnapWriter) error { w.U64(h.digest); return nil }
-func (h *bulkNode) RestoreState(r *SnapReader) error  { h.digest = r.U64(); return nil }
+func (h *bulkNode) SnapshotState(_ *Context, w *SnapWriter) error { w.U64(h.digest); return nil }
+func (h *bulkNode) RestoreState(_ *Context, r *SnapReader) error  { h.digest = r.U64(); return nil }
 
 // hugeRun is everything observable about one run of TestHugeBandwidth,
 // plus what it cost.
@@ -348,9 +348,9 @@ func TestHugeBandwidth(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			r.allocated = after.TotalAlloc - before.TotalAlloc
 			r.metrics, r.round = eng.Metrics(), eng.Round()
-			for _, nd := range nodes {
+			for v, nd := range nodes {
 				var w SnapWriter
-				if err := nd.(Snapshotter).SnapshotState(&w); err != nil {
+				if err := nd.(Snapshotter).SnapshotState(eng.ctxs[v], &w); err != nil {
 					t.Fatal(err)
 				}
 				r.states = append(r.states, w.Bytes())

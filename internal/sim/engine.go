@@ -680,7 +680,6 @@ func (e *Engine) clearRun(nodes []Node, cfg Config) (recut bool) {
 		ctx.outputs = ctx.outputs[:0]
 		ctx.seenOut = 0
 		ctx.wake = 0
-		ctx.offset = 0
 		ctx.done = false
 		ctx.wordsSent = 0
 		e.consumeInbox(int32(v))

@@ -29,16 +29,56 @@ func poolNodes(n, rounds int) []sim.Node {
 	return nodes
 }
 
-// chatterMk builds chatter machines that stop sending after the given round.
-func chatterMk(rounds int) func(id int) sim.Node {
-	return func(int) sim.Node { return &chatterNode{rounds: rounds} }
+// chatterHandler is the chatter machine as a phase handler: at the start
+// of each of its first rounds one-round phases a vertex sends an oversized
+// unicast that trickles across rounds, a broadcast or a single word, and
+// it outputs a triangle named by every word it receives. It keeps no state
+// of its own, so every vertex of a run shares one.
+type chatterHandler struct{ rounds int }
+
+func (h *chatterHandler) Start(ctx *sim.Context, phase int) {
+	nbrs := ctx.CommNeighbors()
+	if phase >= h.rounds || len(nbrs) == 0 {
+		return
+	}
+	rng := ctx.RNG()
+	switch rng.Intn(3) {
+	case 0:
+		words := make([]sim.Word, 1+rng.Intn(7))
+		for i := range words {
+			words[i] = sim.Word(rng.Intn(ctx.N()))
+		}
+		ctx.Send(rng.Intn(len(nbrs)), words...)
+	case 1:
+		ctx.Broadcast(sim.Word(phase), sim.Word(ctx.ID()))
+	default:
+		ctx.Send(rng.Intn(len(nbrs)), sim.Word(rng.Intn(ctx.N())))
+	}
 }
 
-// chatterSched is a one-phase schedule long enough for chatter machines of
-// up to 8 rounds to finish and drain every queued word.
+func (h *chatterHandler) Receive(ctx *sim.Context, phase int, d sim.Delivery) {
+	for _, w := range d.Words {
+		ctx.Output(graph.NewTriangle(ctx.ID(), d.From+ctx.N(), int(w)+2*ctx.N()))
+	}
+}
+
+func (h *chatterHandler) Finish(*sim.Context) {}
+
+// chatterMk builds a chatter handler that stops sending after the given
+// number of phases (at most 8, the one-round phases of chatterSched).
+func chatterMk(rounds int) func(id int) core.PhaseHandler {
+	h := &chatterHandler{rounds: rounds}
+	return func(int) core.PhaseHandler { return h }
+}
+
+// chatterSched is eight one-round phases and a drain phase long enough for
+// every word the chatter handler queues to arrive.
 func chatterSched() *sim.Schedule {
 	s := &sim.Schedule{}
-	s.Add("chatter", 64)
+	for i := 0; i < 8; i++ {
+		s.Add("chatter", 1)
+	}
+	s.Add("drain", 64)
 	return s
 }
 
@@ -61,6 +101,22 @@ func (drawNode) Init(ctx *sim.Context) {
 }
 
 func (drawNode) Round(ctx *sim.Context, round int, inbox []sim.Delivery) { ctx.SetDone() }
+
+// drawHandler is the draw node as a phase handler: each vertex draws from
+// its private stream when the first phase starts and outputs a triangle
+// named by the draw.
+type drawHandler struct{}
+
+func (drawHandler) Start(ctx *sim.Context, phase int) {
+	if phase != 0 {
+		return
+	}
+	x := int(ctx.RNG().Int63n(1 << 20))
+	ctx.Output(graph.Triangle{A: x, B: x + 1, C: x + 2})
+}
+
+func (drawHandler) Receive(*sim.Context, int, sim.Delivery) {}
+func (drawHandler) Finish(*sim.Context)                     {}
 
 func drawNodes(n int) []sim.Node {
 	nodes := make([]sim.Node, n)
@@ -114,9 +170,9 @@ func TestPoolReusesEngines(t *testing.T) {
 // seed, unsharded and sharded.
 func TestPooledRunMatchesFresh(t *testing.T) {
 	sched := chatterSched()
-	for name, mk := range map[string]func(id int) sim.Node{
+	for name, mk := range map[string]func(id int) core.PhaseHandler{
 		"chatter": chatterMk(8),
-		"draw":    func(int) sim.Node { return drawNode{} },
+		"draw":    func(int) core.PhaseHandler { return drawHandler{} },
 	} {
 		rng := rand.New(rand.NewSource(23))
 		for trial := 0; trial < 5; trial++ {

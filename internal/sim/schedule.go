@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Schedule is a fixed sequence of named phases with known durations in
 // rounds. CONGEST algorithms in this repository are phase-synchronous: every
@@ -53,6 +56,14 @@ func (s *Schedule) PhaseEnd(i int) int {
 		return s.starts[i+1]
 	}
 	return s.total
+}
+
+// FirstPhaseFrom returns the index of the first phase that starts at or
+// after round, or NumPhases() when every phase starts earlier. The phases
+// starting exactly at round follow it in insertion order.
+func (s *Schedule) FirstPhaseFrom(round int) int {
+	i, _ := slices.BinarySearch(s.starts, round)
+	return i
 }
 
 // PhaseAt maps a global round to (phase index, local round within phase).

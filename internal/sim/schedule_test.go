@@ -28,6 +28,13 @@ func TestScheduleBasics(t *testing.T) {
 			t.Errorf("PhaseAt(%d) = (%d,%d), want (%d,%d)", c.round, p, l, c.phase, c.local)
 		}
 	}
+	// Phase b (zero-length) and c both start at round 3; nothing starts
+	// after round 3.
+	for round, want := range []int{0, 1, 1, 1, 3, 3} {
+		if got := s.FirstPhaseFrom(round); got != want {
+			t.Errorf("FirstPhaseFrom(%d) = %d, want %d", round, got, want)
+		}
+	}
 }
 
 func TestScheduleZeroPhaseBeforeFirst(t *testing.T) {

@@ -72,7 +72,6 @@ type Context struct {
 	outputs   []graph.Triangle
 	seenOut   int // outputs already streamed through Hooks.Triangle
 	wake      int
-	offset    int
 	done      bool
 	bcastOnly bool
 
@@ -217,25 +216,12 @@ func (c *Context) Output(t graph.Triangle) {
 
 // SleepUntil asks the engine not to call Round again before the given round
 // unless a delivery arrives. It is an optimization only; semantics are
-// unchanged for nodes that never sleep. The round is interpreted relative to
-// the current round offset (see SetRoundOffset).
-func (c *Context) SleepUntil(round int) { c.wake = round + c.offset }
-
-// WakeAt returns the absolute round before which the node asked to sleep.
-func (c *Context) WakeAt() int { return c.wake }
-
-// SetRoundOffset rebases SleepUntil for composed (sequenced) algorithms: a
-// wrapper running a sub-algorithm at global round `off` sets the offset so
-// the sub-algorithm can keep reasoning in local rounds. Wrappers only.
-func (c *Context) SetRoundOffset(off int) { c.offset = off }
+// unchanged for nodes that never sleep.
+func (c *Context) SleepUntil(round int) { c.wake = round }
 
 // SetDone marks this node finished; the engine quiesces once all nodes are
 // done and all queues are empty.
 func (c *Context) SetDone() { c.done = true }
-
-// ClearDone reverses SetDone. Composition wrappers use it when a finished
-// sub-algorithm is followed by another segment.
-func (c *Context) ClearDone() { c.done = false }
 
 func containsSorted(lst []int32, x int32) bool {
 	_, ok := slices.BinarySearch(lst, x)

@@ -33,14 +33,16 @@ import (
 
 // Snapshotter is implemented by node machines that support engine
 // snapshots. SnapshotState must serialize every bit of mutable per-node
-// algorithm state; RestoreState must rebuild it into a freshly constructed
-// node (Init is never called on a restored engine — restoring replaces
-// it). Static state derivable from the node's constructor arguments need
-// not be serialized. Wrapper nodes should return ErrNotSnapshottable
-// (wrapped) from both methods when an inner handler lacks support.
+// algorithm state of the vertex ctx names; RestoreState must rebuild it
+// into a freshly constructed node (Init is never called on a restored
+// engine — restoring replaces it). Both take the vertex's Context because
+// one node value may serve many vertices. Static state derivable from the
+// node's constructor arguments need not be serialized. A node driving
+// inner handlers should return ErrNotSnapshottable (wrapped) from both
+// methods when a handler lacks support.
 type Snapshotter interface {
-	SnapshotState(w *SnapWriter) error
-	RestoreState(r *SnapReader) error
+	SnapshotState(ctx *Context, w *SnapWriter) error
+	RestoreState(ctx *Context, r *SnapReader) error
 }
 
 // Typed snapshot errors, all errors.Is-able through wrapping.
@@ -68,8 +70,12 @@ var (
 // so "fault RNG state" rides the snapshot for free. Version 3 replaced
 // math/rand's per-node source with the splitmix64 counter stream: the
 // per-node draw count keeps its place but now positions the new stream,
-// so version-2 payloads (math/rand positions) are refused.
-const snapVersion = 3
+// so version-2 payloads (math/rand positions) are refused. Version 4
+// dropped the per-context round offset, and with it the word each context
+// wrote: composed runs now drive one bound segment at a time, so node
+// state holds one segment's handlers, and version-3 payloads (which carry
+// the offset and every segment's handler state) are refused.
+const snapVersion = 4
 
 // SnapWriter serializes snapshot state as little-endian binary. All
 // lengths are explicit so SnapReader can validate against the remaining
@@ -459,7 +465,6 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	// Per-context control state.
 	for _, ctx := range e.ctxs {
 		w.Int(ctx.wake)
-		w.Int(ctx.offset)
 		w.Bool(ctx.done)
 		w.I64(ctx.wordsSent)
 		w.U64(ctx.src.draws)
@@ -477,7 +482,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	for v, s := range snaps {
 		lenPos := len(w.b)
 		w.U32(0)
-		if err := s.SnapshotState(w); err != nil {
+		if err := s.SnapshotState(e.ctxs[v], w); err != nil {
 			return nil, fmt.Errorf("sim: snapshot node %d: %w", v, err)
 		}
 		binary.LittleEndian.PutUint32(w.b[lenPos:], uint32(len(w.b)-lenPos-4))
@@ -688,7 +693,6 @@ func (e *Engine) Restore(payload []byte) error {
 	notDone := 0
 	for v, ctx := range e.ctxs {
 		ctx.wake = r.Int()
-		ctx.offset = r.Int()
 		ctx.done = r.Bool()
 		ctx.wordsSent = r.I64()
 		ctx.src.draws = r.U64()
@@ -723,7 +727,7 @@ func (e *Engine) Restore(payload []byte) error {
 		}
 		blob := r.take(blobLen)
 		sub := NewSnapReader(blob)
-		if err := s.RestoreState(sub); err != nil {
+		if err := s.RestoreState(e.ctxs[v], sub); err != nil {
 			return fmt.Errorf("sim: restore node %d: %w", v, err)
 		}
 		if sub.Err() != nil {

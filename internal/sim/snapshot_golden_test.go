@@ -39,8 +39,8 @@ func (h *nbrListNode) Round(ctx *Context, round int, inbox []Delivery) {
 	}
 }
 
-func (h *nbrListNode) SnapshotState(w *SnapWriter) error { w.U64(h.digest); return nil }
-func (h *nbrListNode) RestoreState(r *SnapReader) error  { h.digest = r.U64(); return nil }
+func (h *nbrListNode) SnapshotState(_ *Context, w *SnapWriter) error { w.U64(h.digest); return nil }
+func (h *nbrListNode) RestoreState(_ *Context, r *SnapReader) error  { h.digest = r.U64(); return nil }
 
 // burstNode sends up to three messages of one to three words per round to
 // random neighbours, so a channel often queues several sends of odd
@@ -79,13 +79,13 @@ func (c *burstNode) Round(ctx *Context, round int, inbox []Delivery) {
 	}
 }
 
-func (c *burstNode) SnapshotState(w *SnapWriter) error {
+func (c *burstNode) SnapshotState(_ *Context, w *SnapWriter) error {
 	w.Int(c.doneAt)
 	w.U64(c.digest)
 	return nil
 }
 
-func (c *burstNode) RestoreState(r *SnapReader) error {
+func (c *burstNode) RestoreState(_ *Context, r *SnapReader) error {
 	c.doneAt = r.Int()
 	c.digest = r.U64()
 	return nil

@@ -21,11 +21,17 @@ import (
 // Snapshotter support for the chatter machines defined in
 // scheduler_test.go: doneAt is their only mutable state (the RNG stream
 // position is engine-owned).
-func (c *chatterNode) SnapshotState(w *SnapWriter) error { w.Int(c.doneAt); return nil }
-func (c *chatterNode) RestoreState(r *SnapReader) error  { c.doneAt = r.Int(); return nil }
+func (c *chatterNode) SnapshotState(_ *Context, w *SnapWriter) error { w.Int(c.doneAt); return nil }
+func (c *chatterNode) RestoreState(_ *Context, r *SnapReader) error  { c.doneAt = r.Int(); return nil }
 
-func (c *bcastChatterNode) SnapshotState(w *SnapWriter) error { w.Int(c.doneAt); return nil }
-func (c *bcastChatterNode) RestoreState(r *SnapReader) error  { c.doneAt = r.Int(); return nil }
+func (c *bcastChatterNode) SnapshotState(_ *Context, w *SnapWriter) error {
+	w.Int(c.doneAt)
+	return nil
+}
+func (c *bcastChatterNode) RestoreState(_ *Context, r *SnapReader) error {
+	c.doneAt = r.Int()
+	return nil
+}
 
 func snapNodes(n int, mode Mode) []Node {
 	nodes := make([]Node, n)
