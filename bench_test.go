@@ -440,6 +440,16 @@ func BenchmarkEngineNbrList(b *testing.B) {
 	b.Run("sharded", perf.EngineNbrList(4))
 }
 
+// BenchmarkLargeJob — one twohop job on gnp(10^5, 8/n) through a
+// congest.Session, pinned to one shard vs left to the session's placement
+// (GOMAXPROCS shards on this graph): the `speedup_large_job_auto_vs_one_shard`
+// floor in BENCH_engine.json. Expensive like the other large benches; opt
+// in with -bench BenchmarkLargeJob.
+func BenchmarkLargeJob(b *testing.B) {
+	b.Run("one-shard", perf.LargeJob(1))
+	b.Run("auto", perf.LargeJob(0))
+}
+
 // BenchmarkEngineResetLarge — one same-graph Rebind of the million-node
 // engine after a run in which every node drew from its private stream: the
 // rewind a pooled engine pays before each job. Expensive set-up, like

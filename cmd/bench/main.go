@@ -17,7 +17,9 @@
 // within a generous factor (-time-tol). Baseline files carry one run per
 // GOMAXPROCS setting; the gate compares against the run matching this
 // one's. The floors themselves depend on effective parallelism
-// (min(GOMAXPROCS, cores)): at >= 4 the multicore speedup floors arm —
+// (min(GOMAXPROCS, cores)): at >= 2 a twohop job the session places
+// itself must beat the same job pinned to one shard by >= 1.2x, and at
+// >= 4 the multicore speedup floors arm —
 // parallel CountTriangles must beat sequential by >= 2x, the sharded
 // million-node engine by >= 1.2x —
 // and CI passes -require-procs 4 so that gate cannot silently run

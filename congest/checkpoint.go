@@ -181,7 +181,7 @@ func (s *Session) Replay(spec JobSpec, from, to int, obs Observer) (ReplayInfo, 
 	if err != nil {
 		return ReplayInfo{}, err
 	}
-	cfg := spec.engineConfig()
+	cfg := spec.engineConfig(g)
 	rp, err := resumePoint(spec.Checkpoint.Dir, ckptMetaOf(spec, g, cfg), from)
 	if err != nil && !errors.Is(err, checkpoint.ErrNotFound) {
 		return ReplayInfo{}, err

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -161,28 +163,57 @@ func TestCutAndResumeAllAlgos(t *testing.T) {
 
 // TestCutAndResumePlacementMigration: a checkpoint written by one engine
 // layout restores under any other — sharded to unsharded serial and
-// back — with the straight-through Result.
+// back, and, on a graph above the placement threshold, a session-placed
+// run (Shards 0) to one pinned at one shard and back — with the
+// straight-through Result. Each checkpoint records the shard count its
+// run was placed at.
 func TestCutAndResumePlacementMigration(t *testing.T) {
-	want, err := Run(context.Background(), ckptSpec("list", t.TempDir(), 4))
-	if err != nil {
-		t.Fatal(err)
+	type job struct {
+		spec func(dir string) JobSpec
+		want Result // the straight-through run
 	}
-	cut := want.Meta.ExecutedRounds / 3
+	small := &job{spec: func(dir string) JobSpec { return ckptSpec("list", dir, 4) }}
+	big := &job{spec: func(dir string) JobSpec {
+		return JobSpec{Graph: bigGraph, Algo: "twohop", Seed: 7, Checkpoint: &CheckpointSpec{Every: 4, Dir: dir}}
+	}}
+	for _, j := range []*job{small, big} {
+		var err error
+		if j.want, err = Run(context.Background(), j.spec(t.TempDir())); err != nil {
+			t.Fatal(err)
+		}
+	}
 	layouts := []struct {
 		name             string
+		job              *job
 		shards0, shards1 int
 	}{
-		{"sharded-to-serial", 4, 0},
-		{"serial-to-sharded", 0, 4},
+		{"sharded-to-serial", small, 4, 0},
+		{"serial-to-sharded", small, 0, 4},
+		{"auto-to-one-shard", big, 0, 1},
+		{"one-shard-to-auto", big, 1, 0},
 	}
 	for _, lay := range layouts {
 		t.Run(lay.name, func(t *testing.T) {
+			want := lay.job.want
+			cut := want.Meta.ExecutedRounds / 3
+
 			dir := t.TempDir()
-			saver := ckptSpec("list", dir, 4)
+			saver := lay.job.spec(dir)
 			saver.Shards = lay.shards0
 			cancelRun(t, saver, cut)
+			g, err := LoadGraph(saver.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck, _, err := checkpoint.Nearest(dir, saver.SpecHash(), math.MaxInt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if placed := placeShards(lay.shards0, g.N()+2*g.M(), runtime.GOMAXPROCS(0)); ck.Meta.Shards != placed {
+				t.Errorf("checkpoint records %d shards, the saver was placed at %d", ck.Meta.Shards, placed)
+			}
 
-			resumer := ckptSpec("list", dir, 4)
+			resumer := lay.job.spec(dir)
 			resumer.Shards = lay.shards1
 			resumer.Checkpoint.Resume = true
 			got, err := Run(context.Background(), resumer)

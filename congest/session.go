@@ -19,8 +19,12 @@ import (
 // graphs and at most 48 idle engines. A Session is safe for concurrent
 // use; Service builds on it.
 //
+// The session also places jobs. A job that leaves JobSpec.Shards at 0
+// runs on one shard if its graph's n + 2m is below 16384. On a larger
+// graph it runs on one shard per 8192 of n + 2m, at most GOMAXPROCS.
+//
 // Results are deterministic: a job is fully determined by its JobSpec, and
-// pooled engines are bit-identical to fresh ones.
+// pooled engines are bit-identical to fresh ones, at every shard count.
 type Session struct {
 	opts    options
 	engines *core.EngineCache

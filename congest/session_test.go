@@ -133,3 +133,80 @@ func TestSessionOneEnginePerGraph(t *testing.T) {
 		}
 	}
 }
+
+// TestPlaceShards pins the placement rule: an explicit shard count is
+// kept; a job that leaves Shards at 0 keeps the one-shard plan on a graph
+// whose n + 2m is below autoShardSize, and on a larger one gets one shard
+// per autoShardSize/2 of n + 2m, at most one per proc.
+func TestPlaceShards(t *testing.T) {
+	for _, c := range []struct {
+		name                string
+		shards, size, procs int
+		want                int
+	}{
+		{"below the threshold", 0, autoShardSize - 1, 2, 0},
+		{"at the threshold on 2 procs", 0, autoShardSize, 2, 2},
+		{"at the threshold on 4 procs", 0, autoShardSize, 4, 2},
+		{"three shards' worth on 8 procs", 0, 3*autoShardSize/2 + 1, 8, 3},
+		{"large graph on 2 procs", 0, 1 << 20, 2, 2},
+		{"large graph on 4 procs", 0, 1 << 20, 4, 4},
+		{"one proc", 0, 1 << 20, 1, 1},
+		{"explicit one shard", 1, 1 << 20, 2, 1},
+		{"explicit shards above the procs", 4, 1 << 20, 2, 4},
+		{"explicit shards below the threshold", 4, 100, 2, 4},
+	} {
+		if got := placeShards(c.shards, c.size, c.procs); got != c.want {
+			t.Errorf("%s: placeShards(%d, %d, %d) = %d, want %d",
+				c.name, c.shards, c.size, c.procs, got, c.want)
+		}
+	}
+}
+
+// bigGraph is gnp(4096, 8/n): its n + 2m is about 37k, above
+// autoShardSize, so a job that leaves Shards at 0 is placed by the session.
+var bigGraph = GraphSpec{Generator: "gnp", N: 4096, P: 8.0 / 4096, Seed: 5}
+
+// TestAutoPlacedResultBytes runs jobs on a graph above the placement
+// threshold at Shards 0, 1 and 4 through one Session: the Result JSON is
+// byte-identical at all three. results.golden's graphs are all below the
+// threshold, so this is the test in which Shards 0 cuts more than one
+// shard (GOMAXPROCS of them, up to four).
+func TestAutoPlacedResultBytes(t *testing.T) {
+	s := NewSession()
+	g, err := s.Graph(bigGraph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size := g.N() + 2*g.M(); size < autoShardSize {
+		t.Fatalf("n + 2m = %d is below the placement threshold %d", size, autoShardSize)
+	}
+	specs := []JobSpec{
+		{Graph: bigGraph, Algo: "a1", Seed: 7},
+		{Graph: bigGraph, Algo: "twohop", Seed: 7},
+		{Graph: bigGraph, Algo: "tester", Seed: 7},
+		{Graph: bigGraph, Algo: "find", Seed: 7, Repetitions: 1},
+		{Graph: bigGraph, Algo: "count", Seed: 7},
+		{Graph: bigGraph, Algo: "find", Seed: 7, Repetitions: 1, Faults: &FaultSpec{
+			Seed: 11, Crashes: []FaultCrash{{Node: 3, Round: 5}}, Loss: 0.1, Dup: 0.05, DelayMax: 2,
+		}},
+	}
+	for _, spec := range specs {
+		var want []byte
+		for _, shards := range []int{0, 1, 4} {
+			spec.Shards = shards
+			res, err := s.Run(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", spec.Algo, shards, err)
+			}
+			got, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shards == 0 {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Errorf("%s (faults %v): Result at shards=%d differs from the auto-placed one", spec.Algo, spec.Faults != nil, shards)
+			}
+		}
+	}
+}

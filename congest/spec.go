@@ -122,7 +122,8 @@ type ChurnSpec struct {
 	// Workload is the churn workload name; see dynamic.WorkloadNames
 	// ("window", "flip", "growth").
 	Workload string `json:"workload"`
-	// BatchSize is the edges updated per epoch. Zero means N.
+	// BatchSize is the edges updated per epoch. Zero means N; an explicit
+	// value may be at most 1<<20 (1048576).
 	BatchSize int `json:"batchSize,omitempty"`
 	// Epochs is the number of batches applied. Zero means 4.
 	Epochs int `json:"epochs,omitempty"`
@@ -229,12 +230,13 @@ type JobSpec struct {
 	// means the algorithm's default.
 	Eps float64 `json:"eps,omitempty"`
 	// Repetitions overrides the repetition count (find/list). Zero means
-	// the default (5 for find, ceil(2 log n) for list).
+	// the default (5 for find, ceil(2 log n) for list); the maximum is 256.
 	Repetitions int `json:"repetitions,omitempty"`
 	// LogCorrected selects the paper's exact log-corrected eps thresholds
 	// (find/list).
 	LogCorrected bool `json:"logCorrected,omitempty"`
-	// Probes is the property tester's probe-batch count. Zero means 16.
+	// Probes is the property tester's probe-batch count. Zero means 16;
+	// the maximum is 256.
 	Probes int `json:"probes,omitempty"`
 	// Parallel is accepted and ignored: it has no effect on execution. It
 	// stays so specs that set it — stored journals, older clients — still
@@ -244,10 +246,12 @@ type JobSpec struct {
 	// Shards partitions the engine's per-round work into that many
 	// contiguous node shards with deterministic cross-shard message
 	// exchange — the large-graph execution path; the shards run on all
-	// CPUs. Zero or one runs the sequential single-shard engine; counts
-	// above 64 run at 64. Results are bit-identical at every shard count,
-	// so jobs over one graph share pooled engines whatever their shard
-	// counts.
+	// CPUs. One runs the sequential single-shard engine; counts above 64
+	// run at 64. Zero lets the session place the job (see Session): one
+	// shard on a small graph, and on a large one a shard count that grows
+	// with the graph, at most GOMAXPROCS. Results are bit-identical at
+	// every shard count, so jobs over one graph share pooled engines
+	// whatever their shard counts.
 	Shards int `json:"shards,omitempty"`
 	// Verify selects the verification mode; see VerifyAuto.
 	Verify string `json:"verify,omitempty"`
@@ -267,6 +271,17 @@ type JobSpec struct {
 	// Not supported for count/churn.
 	Faults *FaultSpec `json:"faults,omitempty"`
 }
+
+// Caps on the counts a spec sets, so that no request can size an
+// allocation without bound: find and list build every repetition's
+// segments before round 0, a tester vertex queues up to Probes words at
+// once, and a churn workload sizes its per-epoch edge set by BatchSize.
+// The field docs quote the values.
+const (
+	maxRepetitions = 256
+	maxProbes      = 256
+	maxBatchSize   = 1 << 20
+)
 
 // algoSet is the closed set of job algorithm names.
 var algoSet = map[string]bool{
@@ -311,6 +326,15 @@ func (s JobSpec) Validate() error {
 	if s.Repetitions < 0 {
 		return fmt.Errorf("congest: negative repetitions %d", s.Repetitions)
 	}
+	if s.Repetitions > maxRepetitions {
+		return fmt.Errorf("congest: repetitions %d above the maximum %d", s.Repetitions, maxRepetitions)
+	}
+	if s.Probes < 0 {
+		return fmt.Errorf("congest: negative probes %d", s.Probes)
+	}
+	if s.Probes > maxProbes {
+		return fmt.Errorf("congest: probes %d above the maximum %d", s.Probes, maxProbes)
+	}
 	if s.Shards < 0 {
 		return fmt.Errorf("congest: negative shards %d", s.Shards)
 	}
@@ -353,6 +377,9 @@ func (s JobSpec) Validate() error {
 		}
 		if s.Churn.BatchSize < 0 || s.Churn.Epochs < 0 || s.Churn.Window < 0 {
 			return fmt.Errorf("congest: negative churn parameter")
+		}
+		if s.Churn.BatchSize > maxBatchSize {
+			return fmt.Errorf("congest: churn batch size %d above the maximum %d", s.Churn.BatchSize, maxBatchSize)
 		}
 	}
 	return nil

@@ -82,19 +82,30 @@ func TestJobSpecValidate(t *testing.T) {
 		{Graph: GraphSpec{Generator: "gnp", N: 8}, Algo: "list", Bandwidth: -1},
 		{Graph: GraphSpec{Generator: "gnp", N: 8}, Algo: "list", Bandwidth: 1 << 32},
 		{Graph: GraphSpec{Generator: "gnp", N: 8}, Algo: "list", Shards: -2},
+		{Graph: GraphSpec{Generator: "gnp", N: 8}, Algo: "find", Repetitions: maxRepetitions + 1},
+		{Graph: GraphSpec{Generator: "gnp", N: 8}, Algo: "find", Repetitions: 1_000_000_000},
+		{Graph: GraphSpec{Generator: "gnp", N: 8}, Algo: "tester", Probes: -1},
+		{Graph: GraphSpec{Generator: "gnp", N: 8}, Algo: "tester", Probes: maxProbes + 1},
+		{Graph: GraphSpec{Generator: "gnp", N: 8}, Algo: "tester", Probes: 1_000_000_000_000},
+		{Graph: GraphSpec{Generator: "gnp", N: 8}, Algo: "churn", Churn: &ChurnSpec{Workload: "flip", BatchSize: maxBatchSize + 1}},
+		{Graph: GraphSpec{Generator: "gnp", N: 8}, Algo: "churn", Churn: &ChurnSpec{Workload: "window", BatchSize: 200_000_000}},
 	}
 	for i, spec := range bad {
 		if err := spec.Validate(); err == nil {
 			t.Errorf("case %d: bad spec validated", i)
 		}
 	}
-	good := JobSpec{Graph: GraphSpec{Generator: "gnp", N: 8, P: 0.5}, Algo: "list"}
-	if err := good.Validate(); err != nil {
-		t.Errorf("good spec rejected: %v", err)
+	good := []JobSpec{
+		{Graph: GraphSpec{Generator: "gnp", N: 8, P: 0.5}, Algo: "list"},
+		{Graph: GraphSpec{Generator: "gnp", N: 8, P: 0.5}, Algo: "list", Bandwidth: 1<<32 - 1},
+		{Graph: GraphSpec{Generator: "gnp", N: 8, P: 0.5}, Algo: "find", Repetitions: maxRepetitions},
+		{Graph: GraphSpec{Generator: "gnp", N: 8, P: 0.5}, Algo: "tester", Probes: maxProbes},
+		{Graph: GraphSpec{Generator: "gnp", N: 8, P: 0.5}, Algo: "churn", Churn: &ChurnSpec{Workload: "growth", BatchSize: maxBatchSize}},
 	}
-	good.Bandwidth = 1<<32 - 1
-	if err := good.Validate(); err != nil {
-		t.Errorf("spec at the maximum bandwidth rejected: %v", err)
+	for i, spec := range good {
+		if err := spec.Validate(); err != nil {
+			t.Errorf("case %d: good spec rejected: %v", i, err)
+		}
 	}
 }
 

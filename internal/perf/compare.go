@@ -33,6 +33,10 @@ type Tolerance struct {
 // sequential one at 1 proc, so "parallel strictly worse than sequential"
 // is a dispatch-overhead regression at any width, not a missing core.
 //
+// At >= 2 effective procs the session's placement must pay: a twohop job
+// on gnp(10^5, 8/n) left at Shards 0 must beat the same job pinned to one
+// shard by >= 1.2x.
+//
 // At >= 4 effective procs the multicore floors arm: this is the "make
 // parallel pay" contract — a 4-core machine must see >= 2x on streaming
 // triangle counting, >= 1.5x on listing (output writing has a sequential
@@ -70,6 +74,13 @@ func DefaultToleranceFor(procs int) Tolerance {
 		// per-round fault work. Same-run and same-workload, so it holds on
 		// any machine at any proc count.
 		"fault_nilplan_vs_sparse": 0.85,
+	}
+	if procs >= 2 {
+		// A job left to the session's placement must run well faster than
+		// the same job pinned to one shard once there is a second CPU to
+		// place it on. At 1 proc both sides are the same configuration, so
+		// a floor there would only measure noise.
+		floors["speedup_large_job_auto_vs_one_shard"] = 1.2
 	}
 	if procs >= 4 {
 		floors["speedup_oracle_count_par_vs_seq"] = 2.0

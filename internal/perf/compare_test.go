@@ -62,8 +62,9 @@ func TestRunForAndMergeRun(t *testing.T) {
 }
 
 // TestDefaultToleranceFor pins the proc-dependent floor contract: the
-// machine-independent floors always present, the multicore speedup floors
-// armed only at >= 4 effective procs.
+// machine-independent floors always present, the placement floor armed
+// from 2 effective procs, and the multicore speedup floors armed only at
+// >= 4.
 func TestDefaultToleranceFor(t *testing.T) {
 	lo := DefaultToleranceFor(1)
 	for _, key := range []string{
@@ -84,8 +85,17 @@ func TestDefaultToleranceFor(t *testing.T) {
 	if lo.Floors["speedup_large_sharded_vs_seq"] != 0.5 {
 		t.Fatalf("1-proc sharded floor = %v, want the 0.5 sharding-overhead guard", lo.Floors)
 	}
+	if _, ok := lo.Floors["speedup_large_job_auto_vs_one_shard"]; ok {
+		t.Fatalf("1-proc floors arm the placement floor: %v", lo.Floors)
+	}
+	two := DefaultToleranceFor(2)
+	if two.Floors["speedup_large_job_auto_vs_one_shard"] != 1.2 ||
+		two.Floors["speedup_oracle_count_par_vs_seq"] != 0.8 {
+		t.Fatalf("2-proc floors = %v", two.Floors)
+	}
 	hi := DefaultToleranceFor(4)
-	if hi.Floors["speedup_oracle_count_par_vs_seq"] != 2.0 ||
+	if hi.Floors["speedup_large_job_auto_vs_one_shard"] != 1.2 ||
+		hi.Floors["speedup_oracle_count_par_vs_seq"] != 2.0 ||
 		hi.Floors["speedup_oracle_list_par_vs_seq"] != 1.5 ||
 		hi.Floors["speedup_large_sharded_vs_seq"] != 1.2 {
 		t.Fatalf("4-proc floors = %v", hi.Floors)

@@ -130,6 +130,7 @@ var derivedRatios = []struct{ Key, Num, Den string }{
 	{"speedup_service_par_vs_seq", "ServiceThroughput/seq", "ServiceThroughput/par"},
 	{"speedup_large_load_csrbin_vs_text", "LargeLoad/text", "LargeLoad/csrbin"},
 	{"speedup_large_sharded_vs_seq", "EngineStepLarge/seq", "EngineStepLarge/sharded"},
+	{"speedup_large_job_auto_vs_one_shard", "LargeJob/one-shard", "LargeJob/auto"},
 	{"checkpoint_restore_vs_coldstart", "Checkpoint/coldstart", "Checkpoint/restore"},
 	// The fault layer's zero-overhead contract: a nil plan must run at the
 	// plain sparse workload's speed (ratio ~1.0; floored), while the

@@ -77,6 +77,8 @@ func Suites() []Suite {
 			{Name: "EngineStepLarge/seq", Fn: EngineStepLarge(0)},
 			{Name: "EngineStepLarge/sharded", Fn: EngineStepLarge(largeShards), NoAllocGate: true},
 			{Name: "EngineReset/large", Fn: EngineResetLarge()},
+			{Name: "LargeJob/one-shard", Fn: LargeJob(1)},
+			{Name: "LargeJob/auto", Fn: LargeJob(0), NoAllocGate: true},
 		}},
 	}
 }
@@ -583,6 +585,43 @@ func EngineNbrList(shards int) func(*testing.B) {
 		b.StopTimer()
 		words := eng.Metrics().WordsDelivered
 		b.ReportMetric(float64(words)*float64(b.N)/b.Elapsed().Seconds(), "words/sec")
+	}
+}
+
+// largeJobN is the node count of the LargeJob workload graph, gnp(10^5,
+// 8/n): the size of the benchmark harness's large graph.
+const largeJobN = 100_000
+
+// LargeJob measures one twohop job on gnp(10^5, 8/n) through a
+// congest.Session with the given JobSpec.Shards: 1 pins one shard, and 0
+// lets the session place the job, which on a graph this size runs on
+// GOMAXPROCS shards. One op is one job, without verification, on the
+// session's warm pooled engine. Their ratio is the
+// `speedup_large_job_auto_vs_one_shard` floor: placement must pay where
+// there are CPUs to place on.
+func LargeJob(shards int) func(*testing.B) {
+	return func(b *testing.B) {
+		sess := congest.NewSession()
+		spec := congest.JobSpec{
+			Graph:  congest.GraphSpec{Generator: "gnp", N: largeJobN, P: 8.0 / largeJobN, Seed: 47},
+			Algo:   "twohop",
+			Seed:   1,
+			Shards: shards,
+			Verify: congest.VerifyNone,
+		}
+		run := func() {
+			if _, err := sess.Run(context.Background(), spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		run() // build the graph and grow the pooled engine
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run()
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/sec")
 	}
 }
 
