@@ -9,7 +9,9 @@ package repro
 // EXPERIMENTS.md); these benches regenerate single rows reproducibly.
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 
 	"repro/internal/agg"
@@ -21,6 +23,17 @@ import (
 	"repro/internal/perf"
 	"repro/internal/sim"
 )
+
+// TestMain removes the large suite's temporary graph files once the
+// package's tests and benchmarks are done.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if err := perf.RemoveLargeFiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		code = 1
+	}
+	os.Exit(code)
+}
 
 const benchN = 64
 
@@ -440,8 +453,8 @@ func BenchmarkEngineNbrList(b *testing.B) {
 	b.Run("sharded", perf.EngineNbrList(4))
 }
 
-// BenchmarkLargeJob — one twohop job on gnp(10^5, 8/n) through a
-// congest.Session, pinned to one shard vs left to the session's placement
+// BenchmarkLargeJob — one twohop job on gnp(10^5, 8/n), run on an engine
+// pinned to one shard vs through a congest.Session, which places it
 // (GOMAXPROCS shards on this graph): the `speedup_large_job_auto_vs_one_shard`
 // floor in BENCH_engine.json. Expensive like the other large benches; opt
 // in with -bench BenchmarkLargeJob.

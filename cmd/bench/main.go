@@ -49,6 +49,11 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
+	defer func() {
+		if err := perf.RemoveLargeFiles(); err != nil {
+			fmt.Fprintf(stderr, "bench: %v\n", err)
+		}
+	}()
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (

@@ -54,7 +54,6 @@ func run(args []string) error {
 		b        = fs.Int("b", 2, "bandwidth in words per edge per round")
 		eps      = fs.Float64("eps", 0, "heaviness exponent override (0 = algorithm default)")
 		show     = fs.Int("show", 5, "triangles to print (0 = none)")
-		shards   = fs.Int("shards", 0, "engine node shards, run on all CPUs (0 = one shard below n+2m = 16384, else one per 8192 of n+2m, at most one per CPU; 1 = unsharded sequential engine; bit-identical)")
 		workers  = fs.Int("workers", 0, "centralized-oracle worker pool size (0 = all CPUs)")
 		verify   = fs.Bool("verify", true, "verify output against the centralized oracle")
 		explain  = fs.Bool("explain", false, "print the per-segment round budget")
@@ -79,7 +78,6 @@ func run(args []string) error {
 		Seed:      gf.Seed,
 		Eps:       *eps,
 		Probes:    *probes,
-		Shards:    *shards,
 	}
 	if !*verify {
 		spec.Verify = congest.VerifyNone

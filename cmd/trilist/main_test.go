@@ -24,7 +24,7 @@ func TestRunAlgorithms(t *testing.T) {
 		{"-gen", "gnp", "-n", "24", "-p", "0.5", "-algo", "count"},
 		{"-gen", "gnp", "-n", "24", "-p", "0.5", "-algo", "tester"},
 		{"-gen", "gnp", "-n", "24", "-p", "0.5", "-algo", "bcast-twohop"},
-		{"-gen", "ba", "-n", "24", "-k", "3", "-algo", "list", "-shards", "2"},
+		{"-gen", "ba", "-n", "24", "-k", "3", "-algo", "list"},
 		{"-gen", "planted", "-n", "30", "-k", "4", "-algo", "find", "-eps", "0.4"},
 		{"-gen", "bipartite", "-n", "20", "-p", "0.5", "-algo", "find"},
 	}
@@ -46,6 +46,10 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-load", "/definitely/missing/file"}); err == nil {
 		t.Fatal("missing file accepted")
+	}
+	// The session places every job, so there is no placement flag.
+	if err := run([]string{"-gen", "gnp", "-n", "10", "-shards", "2"}); err == nil {
+		t.Fatal("-shards accepted")
 	}
 }
 

@@ -46,7 +46,7 @@ type CheckpointMeta struct {
 }
 
 // SpecHash returns the job's checkpoint identity: an FNV-64a over the
-// canonical spec JSON with Shards, the ignored Parallel field and the
+// canonical spec JSON with the ignored Shards and Parallel fields and the
 // checkpoint config itself zeroed. Two specs with the same hash produce
 // bit-identical runs, so their checkpoints are interchangeable; placement
 // may legally differ between the saving and the resuming run.
@@ -181,7 +181,7 @@ func (s *Session) Replay(spec JobSpec, from, to int, obs Observer) (ReplayInfo, 
 	if err != nil {
 		return ReplayInfo{}, err
 	}
-	cfg := spec.engineConfig(g)
+	cfg := s.engineConfig(spec, g)
 	rp, err := resumePoint(spec.Checkpoint.Dir, ckptMetaOf(spec, g, cfg), from)
 	if err != nil && !errors.Is(err, checkpoint.ErrNotFound) {
 		return ReplayInfo{}, err

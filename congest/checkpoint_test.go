@@ -80,10 +80,10 @@ func TestSpecHashPlacementInvariance(t *testing.T) {
 	}
 }
 
-// cancelRun runs spec until exactly cut rounds executed, cancelling at the
-// round boundary (cut 0 cancels before the first round). It returns the
-// prefix recorder.
-func cancelRun(t *testing.T, spec JobSpec, cut int) *recorder {
+// cancelRun runs spec on s until exactly cut rounds executed, cancelling
+// at the round boundary (cut 0 cancels before the first round). It returns
+// the prefix recorder.
+func cancelRun(t *testing.T, s *Session, spec JobSpec, cut int) *recorder {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -97,7 +97,7 @@ func cancelRun(t *testing.T, spec JobSpec, cut int) *recorder {
 			}
 		}
 	}
-	res, err := RunObserved(ctx, spec, rec)
+	res, err := s.RunObserved(ctx, spec, rec)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cut %d: err %v", cut, err)
 	}
@@ -132,7 +132,7 @@ func TestCutAndResumeAllAlgos(t *testing.T) {
 			for _, cut := range cuts {
 				dir := t.TempDir()
 				spec := ckptSpec(algo, dir, 4)
-				prefix := cancelRun(t, spec, cut)
+				prefix := cancelRun(t, NewSession(), spec, cut)
 
 				spec.Checkpoint.Resume = true
 				suffix := &recorder{}
@@ -162,11 +162,10 @@ func TestCutAndResumeAllAlgos(t *testing.T) {
 }
 
 // TestCutAndResumePlacementMigration: a checkpoint written by one engine
-// layout restores under any other — sharded to unsharded serial and
+// layout restores under any other — four shards to the one-shard plan and
 // back, and, on a graph above the placement threshold, a session-placed
-// run (Shards 0) to one pinned at one shard and back — with the
-// straight-through Result. Each checkpoint records the shard count its
-// run was placed at.
+// run to one pinned at one shard and back — with the straight-through
+// Result. Each checkpoint records the shard count its run was placed at.
 func TestCutAndResumePlacementMigration(t *testing.T) {
 	type job struct {
 		spec func(dir string) JobSpec
@@ -182,6 +181,8 @@ func TestCutAndResumePlacementMigration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// shards0 and shards1 pin the saving and the resuming session; 0
+	// leaves the job to the session's placement.
 	layouts := []struct {
 		name             string
 		job              *job
@@ -199,8 +200,7 @@ func TestCutAndResumePlacementMigration(t *testing.T) {
 
 			dir := t.TempDir()
 			saver := lay.job.spec(dir)
-			saver.Shards = lay.shards0
-			cancelRun(t, saver, cut)
+			cancelRun(t, pinnedSession(lay.shards0), saver, cut)
 			g, err := LoadGraph(saver.Graph)
 			if err != nil {
 				t.Fatal(err)
@@ -209,14 +209,17 @@ func TestCutAndResumePlacementMigration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if placed := placeShards(lay.shards0, g.N()+2*g.M(), runtime.GOMAXPROCS(0)); ck.Meta.Shards != placed {
+			placed := lay.shards0
+			if placed == 0 {
+				placed = placeShards(g.N()+2*g.M(), runtime.GOMAXPROCS(0))
+			}
+			if ck.Meta.Shards != placed {
 				t.Errorf("checkpoint records %d shards, the saver was placed at %d", ck.Meta.Shards, placed)
 			}
 
 			resumer := lay.job.spec(dir)
-			resumer.Shards = lay.shards1
 			resumer.Checkpoint.Resume = true
-			got, err := Run(context.Background(), resumer)
+			got, err := pinnedSession(lay.shards1).Run(context.Background(), resumer)
 			if err != nil {
 				t.Fatal(err)
 			}

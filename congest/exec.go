@@ -62,34 +62,36 @@ func verifyModeFor(spec JobSpec) string {
 	}
 }
 
-// engineConfig is the engine configuration s runs under on g, with the
-// shard count placed by placeShards. Parallel is not part of it: the field
-// is accepted for wire compatibility and has no effect on execution.
-func (s JobSpec) engineConfig(g *graph.Graph) sim.Config {
-	shards := placeShards(s.Shards, g.N()+2*g.M(), runtime.GOMAXPROCS(0))
-	return sim.Config{Mode: modeFor(s.Algo), BandwidthWords: s.bandwidth(), Seed: s.Seed,
-		Shards: shards, Faults: s.Faults.plan()}
+// engineConfig is the engine configuration spec runs under on g, in
+// runJob and Replay alike. The shard count is placeShards' unless s.shards
+// pins one; JobSpec.Shards and JobSpec.Parallel have no effect.
+func (s *Session) engineConfig(spec JobSpec, g *graph.Graph) sim.Config {
+	shards := s.shards
+	if shards == 0 {
+		shards = placeShards(g.N()+2*g.M(), runtime.GOMAXPROCS(0))
+	}
+	return sim.Config{Mode: modeFor(spec.Algo), BandwidthWords: spec.bandwidth(), Seed: spec.Seed,
+		Shards: shards, Faults: spec.Faults.plan()}
 }
 
-// autoShardSize is the graph size n + 2m from which a job that leaves
-// Shards at 0 is cut into more than one shard. Below it a round's work is
-// too small to pay for the cross-shard exchange: summed over a1, twohop
-// and tester on a 2-CPU box, two shards lost to one up to gnp(1500, 8/n)
-// (n + 2m ≈ 13k), tied at gnp(1750, 8/n) (≈ 15.5k) and won from
-// gnp(2000, 8/n) (≈ 18k) on, by 1.4× at gnp(4000, 8/n). So each placed
-// shard gets at least autoShardSize/2 of n + 2m. The Session doc quotes
-// both values.
+// autoShardSize is the graph size n + 2m from which the session cuts a job
+// into more than one shard. Below it a round's work is too small to pay
+// for the cross-shard exchange: summed over a1, twohop and tester on a
+// 2-CPU box, two shards lost to one up to gnp(1500, 8/n) (n + 2m ≈ 13k),
+// tied at gnp(1750, 8/n) (≈ 15.5k) and won from gnp(2000, 8/n) (≈ 18k) on,
+// by 1.4× at gnp(4000, 8/n). So each placed shard gets at least
+// autoShardSize/2 of n + 2m. The Session doc quotes both values.
 const autoShardSize = 1 << 14
 
-// placeShards is the placement rule: an explicit shard count is kept, a
-// graph of size n + 2m below autoShardSize keeps the one-shard plan (0),
-// and a larger one gets one shard per autoShardSize/2 of its size, at most
-// procs. The Session doc describes it.
-func placeShards(shards, size, procs int) int {
-	if shards > 0 || size < autoShardSize {
-		return shards
+// placeShards is the placement rule: a graph of size n + 2m below
+// autoShardSize keeps the one-shard plan (0), and a larger one gets one
+// shard per autoShardSize/2 of its size, at most procs and sim.MaxShards.
+// The Session doc describes it.
+func placeShards(size, procs int) int {
+	if size < autoShardSize {
+		return 0
 	}
-	return min(procs, size/(autoShardSize/2))
+	return min(procs, size/(autoShardSize/2), sim.MaxShards)
 }
 
 // bandwidth resolves the spec's B through the engine's own defaulting.
@@ -118,7 +120,7 @@ func (s *Session) runJob(ctx context.Context, spec JobSpec, obs Observer) (Resul
 	if err != nil {
 		return Result{}, err
 	}
-	cfg := spec.engineConfig(g)
+	cfg := s.engineConfig(spec, g)
 	if spec.Algo == "count" {
 		return s.runCount(ctx, spec, g, cfg, obs)
 	}

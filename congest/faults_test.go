@@ -191,7 +191,7 @@ func TestFaultyCutAndResume(t *testing.T) {
 				dir := t.TempDir()
 				spec := faultySpec(algo)
 				spec.Checkpoint = &CheckpointSpec{Every: 4, Dir: dir}
-				cancelRun(t, spec, cut)
+				cancelRun(t, NewSession(), spec, cut)
 
 				spec.Checkpoint.Resume = true
 				got, err := Run(context.Background(), spec)
@@ -214,7 +214,7 @@ func TestFaultyCheckpointPlanMismatch(t *testing.T) {
 	dir := t.TempDir()
 	saver := faultySpec("a1")
 	saver.Checkpoint = &CheckpointSpec{Every: 4, Dir: dir}
-	cancelRun(t, saver, 6)
+	cancelRun(t, NewSession(), saver, 6)
 
 	other := faultySpec("a1")
 	other.Faults.Seed++
@@ -234,8 +234,9 @@ func TestFaultyCheckpointPlanMismatch(t *testing.T) {
 }
 
 // TestFaultyParallelShardParity: the facade-level determinism matrix —
-// the faulty job's Result is bit-identical at every shard count, and the
-// ignored Parallel field changes nothing but its own echo in the meta.
+// the faulty job's Result is bit-identical at every shard count the
+// session is pinned to, and the ignored Parallel field changes nothing
+// but its own echo in the meta.
 func TestFaultyParallelShardParity(t *testing.T) {
 	base := faultySpec("list")
 	want, err := Run(context.Background(), base)
@@ -248,8 +249,7 @@ func TestFaultyParallelShardParity(t *testing.T) {
 	}{{true, 0}, {false, 2}, {false, 4}, {true, 7}} {
 		spec := base
 		spec.Parallel = alt.parallel
-		spec.Shards = alt.shards
-		got, err := Run(context.Background(), spec)
+		got, err := pinnedSession(alt.shards).Run(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}

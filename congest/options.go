@@ -80,9 +80,10 @@ func WithJobDeadline(d time.Duration) Option {
 	return func(o *options) { o.jobDeadline = d }
 }
 
-// WithJournal makes the Service durable: every job submission, status
-// transition and terminal result is appended (with fsync) to the
-// crash-safe journal at path, and OpenService replays it — terminal jobs
+// WithJournal makes the Service durable: every job submission, terminal
+// result and deletion is appended to the crash-safe journal at path
+// (group-committed: concurrent appends share one fsync), and OpenService
+// replays it — terminal jobs
 // reappear in the history, and jobs that were queued or running when the
 // process died are resubmitted, resuming from their latest checkpoint
 // when they have one (byte-identical to an uninterrupted run either way).

@@ -63,14 +63,17 @@ func TestResultsGolden(t *testing.T) {
 			continue
 		}
 
-		sharded := spec
-		sharded.Shards = 4
-		if d := add(algo+"/shards4", sharded, run(sharded)); d != plain {
+		// The same session, pinned to four shards: its pooled engine is
+		// re-cut for the run.
+		s.shards = 4
+		sharded := run(spec)
+		s.shards = 0
+		if d := add(algo+"/shards4", spec, sharded); d != plain {
 			t.Errorf("%s: 4-shard Result differs from the plain run", algo)
 		}
 
 		resumed := ckptSpec(algo, t.TempDir(), 4)
-		cancelRun(t, resumed, plainRes.Meta.ExecutedRounds/2)
+		cancelRun(t, NewSession(), resumed, plainRes.Meta.ExecutedRounds/2)
 		resumed.Checkpoint.Resume = true
 		res := run(resumed)
 		// The checkpoint provenance is the one declared difference from the

@@ -133,8 +133,9 @@ func (j *Job) Wait(ctx context.Context) (Result, error) {
 // Queued jobs run highest-priority first, FIFO within a priority.
 //
 // With WithJournal the Service is durable: every submission, terminal
-// result and deletion is fsync'd to an append-only journal, and
-// OpenService rebuilds the job table from it — jobs with no terminal
+// result and deletion is appended to a group-committed (one fsync per
+// batch of concurrent appends), self-compacting journal, and a job runs
+// only once its submission is durable. OpenService rebuilds the job table from it — jobs with no terminal
 // record (in flight when the process died, or preempted by a drain) are
 // re-run, resuming from their latest checkpoint when they have one, with
 // byte-identical results.

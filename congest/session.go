@@ -19,15 +19,18 @@ import (
 // graphs and at most 48 idle engines. A Session is safe for concurrent
 // use; Service builds on it.
 //
-// The session also places jobs. A job that leaves JobSpec.Shards at 0
-// runs on one shard if its graph's n + 2m is below 16384. On a larger
-// graph it runs on one shard per 8192 of n + 2m, at most GOMAXPROCS.
+// The session also places every job: a job runs on one shard if its
+// graph's n + 2m is below 16384, and otherwise on one shard per 8192 of
+// n + 2m, at most GOMAXPROCS and at most 64. Nothing in a JobSpec changes
+// the placement; JobSpec.Shards and JobSpec.Parallel are accepted and
+// ignored.
 //
 // Results are deterministic: a job is fully determined by its JobSpec, and
 // pooled engines are bit-identical to fresh ones, at every shard count.
 type Session struct {
 	opts    options
 	engines *core.EngineCache
+	shards  int // when positive, every job's shard count; only tests set it
 
 	mu     sync.Mutex
 	graphs []cachedGraph // least recently used first

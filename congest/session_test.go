@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
+	"runtime"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // TestSessionRetentionBounded sends 200 jobs over distinct generated
@@ -45,8 +49,8 @@ func TestSessionRetentionBounded(t *testing.T) {
 // TestSessionWorkloadMixesNeverEvict runs a pass of each of the benchmark
 // harness's three mixes through its own Session: serve's (four graphs,
 // five algorithms, two engine shapes), large's (one graph, three
-// algorithms, unsharded and at four shards — one shape, as the shard
-// count is a per-run setting, here on a small graph) and paper's (the lister on 16 graphs and the finder on 8, gnp and
+// algorithms, each also asking for four shards, which the session
+// ignores — one shape, here on a small graph) and paper's (the lister on 16 graphs and the finder on 8, gnp and
 // Barabási–Albert alternating, n from 64 to 256 — 24 graphs and 22 shapes,
 // one per vertex count). Afterwards every graph is still cached and one
 // idle engine per shape remains, so the next pass reuses them all:
@@ -99,20 +103,22 @@ func TestSessionWorkloadMixesNeverEvict(t *testing.T) {
 }
 
 // TestSessionOneEnginePerGraph runs jobs over one graph at several shard
-// counts and bandwidths through one Session: they share one pooled engine,
-// which the session keeps as its only idle engine, and every Result is
-// byte-identical to the same job's on a fresh Session.
+// counts and bandwidths through one Session, pinned to each count in turn:
+// they share one pooled engine, which the session keeps as its only idle
+// engine, and every Result is byte-identical to the same job's on a fresh
+// Session pinned alike.
 func TestSessionOneEnginePerGraph(t *testing.T) {
 	gs := GraphSpec{Generator: "gnp", N: 80, P: 0.1, Seed: 5}
 	s := NewSession()
 	for i, st := range []struct{ shards, b int }{{0, 0}, {4, 1}, {1, 5}, {7, 2}, {64, 3}, {4, 1}} {
+		s.shards = st.shards
 		for _, algo := range []string{"a1", "twohop", "tester"} {
-			spec := JobSpec{Graph: gs, Algo: algo, Seed: int64(i), Shards: st.shards, Bandwidth: st.b}
+			spec := JobSpec{Graph: gs, Algo: algo, Seed: int64(i), Bandwidth: st.b}
 			got, err := s.Run(context.Background(), spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := NewSession().Run(context.Background(), spec)
+			want, err := pinnedSession(st.shards).Run(context.Background(), spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,43 +140,50 @@ func TestSessionOneEnginePerGraph(t *testing.T) {
 	}
 }
 
-// TestPlaceShards pins the placement rule: an explicit shard count is
-// kept; a job that leaves Shards at 0 keeps the one-shard plan on a graph
-// whose n + 2m is below autoShardSize, and on a larger one gets one shard
-// per autoShardSize/2 of n + 2m, at most one per proc.
+// pinnedSession returns a fresh Session that runs every job on the given
+// number of shards; 0 leaves each job to the session's placement.
+func pinnedSession(shards int) *Session {
+	s := NewSession()
+	s.shards = shards
+	return s
+}
+
+// TestPlaceShards pins the placement rule: a graph whose n + 2m is below
+// autoShardSize keeps the one-shard plan, and a larger one gets one shard
+// per autoShardSize/2 of n + 2m, at most one per proc and at most
+// sim.MaxShards.
 func TestPlaceShards(t *testing.T) {
 	for _, c := range []struct {
-		name                string
-		shards, size, procs int
-		want                int
+		name        string
+		size, procs int
+		want        int
 	}{
-		{"below the threshold", 0, autoShardSize - 1, 2, 0},
-		{"at the threshold on 2 procs", 0, autoShardSize, 2, 2},
-		{"at the threshold on 4 procs", 0, autoShardSize, 4, 2},
-		{"three shards' worth on 8 procs", 0, 3*autoShardSize/2 + 1, 8, 3},
-		{"large graph on 2 procs", 0, 1 << 20, 2, 2},
-		{"large graph on 4 procs", 0, 1 << 20, 4, 4},
-		{"one proc", 0, 1 << 20, 1, 1},
-		{"explicit one shard", 1, 1 << 20, 2, 1},
-		{"explicit shards above the procs", 4, 1 << 20, 2, 4},
-		{"explicit shards below the threshold", 4, 100, 2, 4},
+		{"below the threshold", autoShardSize - 1, 2, 0},
+		{"at the threshold on 2 procs", autoShardSize, 2, 2},
+		{"at the threshold on 4 procs", autoShardSize, 4, 2},
+		{"three shards' worth on 8 procs", 3*autoShardSize/2 + 1, 8, 3},
+		{"large graph on 2 procs", 1 << 20, 2, 2},
+		{"large graph on 4 procs", 1 << 20, 4, 4},
+		{"one proc", 1 << 20, 1, 1},
+		{"more procs than sim.MaxShards", 1 << 24, 128, sim.MaxShards},
 	} {
-		if got := placeShards(c.shards, c.size, c.procs); got != c.want {
-			t.Errorf("%s: placeShards(%d, %d, %d) = %d, want %d",
-				c.name, c.shards, c.size, c.procs, got, c.want)
+		if got := placeShards(c.size, c.procs); got != c.want {
+			t.Errorf("%s: placeShards(%d, %d) = %d, want %d", c.name, c.size, c.procs, got, c.want)
 		}
 	}
 }
 
 // bigGraph is gnp(4096, 8/n): its n + 2m is about 37k, above
-// autoShardSize, so a job that leaves Shards at 0 is placed by the session.
+// autoShardSize, so the session cuts a job on it into more than one shard
+// wherever there are two procs.
 var bigGraph = GraphSpec{Generator: "gnp", N: 4096, P: 8.0 / 4096, Seed: 5}
 
 // TestAutoPlacedResultBytes runs jobs on a graph above the placement
-// threshold at Shards 0, 1 and 4 through one Session: the Result JSON is
-// byte-identical at all three. results.golden's graphs are all below the
-// threshold, so this is the test in which Shards 0 cuts more than one
-// shard (GOMAXPROCS of them, up to four).
+// threshold through one Session, placed by the session and pinned to one
+// and to four shards: the Result JSON is byte-identical at all three.
+// results.golden's graphs are all below the threshold, so this is the test
+// in which the session's own placement cuts more than one shard
+// (GOMAXPROCS of them, up to four).
 func TestAutoPlacedResultBytes(t *testing.T) {
 	s := NewSession()
 	g, err := s.Graph(bigGraph)
@@ -193,7 +206,7 @@ func TestAutoPlacedResultBytes(t *testing.T) {
 	for _, spec := range specs {
 		var want []byte
 		for _, shards := range []int{0, 1, 4} {
-			spec.Shards = shards
+			s.shards = shards
 			res, err := s.Run(context.Background(), spec)
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", spec.Algo, shards, err)
@@ -206,6 +219,54 @@ func TestAutoPlacedResultBytes(t *testing.T) {
 				want = got
 			} else if !bytes.Equal(got, want) {
 				t.Errorf("%s (faults %v): Result at shards=%d differs from the auto-placed one", spec.Algo, spec.Faults != nil, shards)
+			}
+		}
+	}
+}
+
+// TestSessionPlacesEveryJob runs checkpointed jobs on bigGraph whose specs
+// differ only in Shards and Parallel: the session ignores both, so every
+// run writes checkpoints recording placeShards(n + 2m, GOMAXPROCS), and
+// every Result JSON is byte-identical once the two fields a spec echoes,
+// Meta.Parallel and the checkpoint directory, are cleared.
+func TestSessionPlacesEveryJob(t *testing.T) {
+	s := NewSession()
+	g, err := s.Graph(bigGraph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	placed := placeShards(g.N()+2*g.M(), runtime.GOMAXPROCS(0))
+	for _, algo := range []string{"a1", "twohop"} {
+		var want []byte
+		for _, v := range []struct {
+			shards   int
+			parallel bool
+		}{{0, false}, {1, false}, {7, false}, {0, true}, {1, true}, {7, true}} {
+			dir := t.TempDir()
+			spec := JobSpec{Graph: bigGraph, Algo: algo, Seed: 7, Shards: v.shards, Parallel: v.parallel,
+				Checkpoint: &CheckpointSpec{Every: 2, Dir: dir}}
+			res, err := s.Run(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", algo, v.shards, err)
+			}
+			ck, _, err := checkpoint.Nearest(dir, spec.SpecHash(), math.MaxInt)
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", algo, v.shards, err)
+			}
+			if ck.Meta.Shards != placed {
+				t.Errorf("%s shards=%d parallel=%v: checkpoint records %d shards, the session places %d",
+					algo, v.shards, v.parallel, ck.Meta.Shards, placed)
+			}
+			res.Meta.Parallel = false
+			res.Meta.Checkpoint.Dir = ""
+			got, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Errorf("%s shards=%d parallel=%v: Result differs from the Shards 0 one", algo, v.shards, v.parallel)
 			}
 		}
 	}

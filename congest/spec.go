@@ -154,7 +154,7 @@ type FaultLink struct {
 // per-link loss/duplication coins and non-uniform delivery delay. All
 // randomness derives from Seed (independent of the engine seed), so a
 // faulty job remains fully determined by its spec — bit-identical across
-// Parallel, Shards and checkpoint cut-and-resume, like every other job.
+// placement and checkpoint cut-and-resume, like every other job.
 // Fault injection is supported for every engine-run algorithm; count and
 // churn jobs reject it.
 type FaultSpec struct {
@@ -241,17 +241,12 @@ type JobSpec struct {
 	// Parallel is accepted and ignored: it has no effect on execution. It
 	// stays so specs that set it — stored journals, older clients — still
 	// parse under ParseJobSpec's strict decoding, and Result.Meta.Parallel
-	// echoes it. Shards is the placement setting.
+	// echoes it.
 	Parallel bool `json:"parallel,omitempty"`
-	// Shards partitions the engine's per-round work into that many
-	// contiguous node shards with deterministic cross-shard message
-	// exchange — the large-graph execution path; the shards run on all
-	// CPUs. One runs the sequential single-shard engine; counts above 64
-	// run at 64. Zero lets the session place the job (see Session): one
-	// shard on a small graph, and on a large one a shard count that grows
-	// with the graph, at most GOMAXPROCS. Results are bit-identical at
-	// every shard count, so jobs over one graph share pooled engines
-	// whatever their shard counts.
+	// Shards is accepted and ignored, like Parallel: the session places
+	// every job on its own (see Session), and no placement changes a
+	// Result. It stays so specs that set it still parse; a negative value
+	// is rejected.
 	Shards int `json:"shards,omitempty"`
 	// Verify selects the verification mode; see VerifyAuto.
 	Verify string `json:"verify,omitempty"`

@@ -111,9 +111,9 @@ func TestJobSpecValidate(t *testing.T) {
 
 // TestRunCSRBinFileAndShards pins the large-graph plumbing end to end: a
 // .csrbin GraphSpec file is detected by suffix and loaded through the
-// binary (mmap) path, a sharded job runs over it, and the result
-// is bit-identical to the same job over the generator-sourced graph with
-// the default unsharded engine.
+// binary (mmap) path, a job on a session pinned to four shards runs over
+// it, and the result is bit-identical to the same job over the
+// generator-sourced graph with the default one-shard plan.
 func TestRunCSRBinFileAndShards(t *testing.T) {
 	gspec := GraphSpec{Generator: "gnp", N: 48, P: 0.2, Seed: 6}
 	g, err := LoadGraph(gspec)
@@ -139,8 +139,7 @@ func TestRunCSRBinFileAndShards(t *testing.T) {
 	}
 	sharded := base
 	sharded.Graph = GraphSpec{File: path}
-	sharded.Shards = 4
-	got, err := Run(context.Background(), sharded)
+	got, err := pinnedSession(4).Run(context.Background(), sharded)
 	if err != nil {
 		t.Fatal(err)
 	}

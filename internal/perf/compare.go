@@ -34,8 +34,8 @@ type Tolerance struct {
 // is a dispatch-overhead regression at any width, not a missing core.
 //
 // At >= 2 effective procs the session's placement must pay: a twohop job
-// on gnp(10^5, 8/n) left at Shards 0 must beat the same job pinned to one
-// shard by >= 1.2x.
+// on gnp(10^5, 8/n) placed by the session must beat the same job pinned
+// to one shard by >= 1.2x.
 //
 // At >= 4 effective procs the multicore floors arm: this is the "make
 // parallel pay" contract — a 4-core machine must see >= 2x on streaming
@@ -76,10 +76,10 @@ func DefaultToleranceFor(procs int) Tolerance {
 		"fault_nilplan_vs_sparse": 0.85,
 	}
 	if procs >= 2 {
-		// A job left to the session's placement must run well faster than
-		// the same job pinned to one shard once there is a second CPU to
-		// place it on. At 1 proc both sides are the same configuration, so
-		// a floor there would only measure noise.
+		// A job the session places must run well faster than the same job
+		// pinned to one shard once there is a second CPU to place it on.
+		// At 1 proc both sides run on one shard, so a floor there would
+		// only measure noise.
 		floors["speedup_large_job_auto_vs_one_shard"] = 1.2
 	}
 	if procs >= 4 {

@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"repro/congest"
+	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/dynamic"
 	"repro/internal/expt"
 	"repro/internal/faults"
@@ -367,6 +369,7 @@ const (
 var largeState struct {
 	once     sync.Once
 	g        *graph.Graph
+	dir      string
 	txt, bin string
 	err      error
 }
@@ -383,6 +386,7 @@ func largeWorkload(b *testing.B) (g *graph.Graph, txt, bin string) {
 			largeState.err = err
 			return
 		}
+		largeState.dir = dir
 		largeState.txt = filepath.Join(dir, "large.txt")
 		largeState.bin = filepath.Join(dir, "large.csrbin")
 		largeState.err = writeLargeFiles(largeState.g, largeState.txt, largeState.bin)
@@ -391,6 +395,17 @@ func largeWorkload(b *testing.B) (g *graph.Graph, txt, bin string) {
 		b.Fatal(largeState.err)
 	}
 	return largeState.g, largeState.txt, largeState.bin
+}
+
+// RemoveLargeFiles removes the large suite's temporary graph files, about
+// 87 MB, if this process wrote them; the suite cannot run again after it.
+// cmd/bench calls it before it returns, and the root package's TestMain
+// after its tests and benchmarks.
+func RemoveLargeFiles() error {
+	if largeState.dir == "" {
+		return nil
+	}
+	return os.RemoveAll(largeState.dir)
 }
 
 func writeLargeFiles(g *graph.Graph, txt, bin string) error {
@@ -592,13 +607,14 @@ func EngineNbrList(shards int) func(*testing.B) {
 // 8/n): the size of the benchmark harness's large graph.
 const largeJobN = 100_000
 
-// LargeJob measures one twohop job on gnp(10^5, 8/n) through a
-// congest.Session with the given JobSpec.Shards: 1 pins one shard, and 0
-// lets the session place the job, which on a graph this size runs on
-// GOMAXPROCS shards. One op is one job, without verification, on the
-// session's warm pooled engine. Their ratio is the
-// `speedup_large_job_auto_vs_one_shard` floor: placement must pay where
-// there are CPUs to place on.
+// LargeJob measures one twohop job on gnp(10^5, 8/n), without
+// verification. With shards 0 the job runs through a congest.Session,
+// which places it: GOMAXPROCS shards on a graph this size. With shards
+// ≥ 1 the same twohop handlers run on the session's graph through a
+// core.EngineCache pinned to that many shards, skipping only the
+// session's Result conversion. One op is one job on a warm pooled engine.
+// LargeJob(1) over LargeJob(0) is the `speedup_large_job_auto_vs_one_shard`
+// floor: placement must pay where there are CPUs to place on.
 func LargeJob(shards int) func(*testing.B) {
 	return func(b *testing.B) {
 		sess := congest.NewSession()
@@ -606,15 +622,25 @@ func LargeJob(shards int) func(*testing.B) {
 			Graph:  congest.GraphSpec{Generator: "gnp", N: largeJobN, P: 8.0 / largeJobN, Seed: 47},
 			Algo:   "twohop",
 			Seed:   1,
-			Shards: shards,
 			Verify: congest.VerifyNone,
 		}
+		g, err := sess.Graph(spec.Graph)
+		if err != nil {
+			b.Fatal(err)
+		}
+		engines := core.NewEngineCache()
 		run := func() {
-			if _, err := sess.Run(context.Background(), spec); err != nil {
+			if shards == 0 {
+				_, err = sess.Run(context.Background(), spec)
+			} else {
+				sched, h := baseline.NewTwoHop(2, g.MaxDegree())
+				_, err = engines.RunSingle(g, sched, h, sim.Config{Seed: 1, Shards: shards})
+			}
+			if err != nil {
 				b.Fatal(err)
 			}
 		}
-		run() // build the graph and grow the pooled engine
+		run() // grow the pooled engine
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -112,9 +112,9 @@ func (c Config) Normalized() Config {
 }
 
 // MaxShards bounds Config.Shards. A plan of S shards keeps S*S staging
-// lists and parks S-1 worker goroutines, and the count can come from an
-// untrusted request, so it is clamped; no shard count changes a Result.
-// congest.JobSpec's Shards doc quotes its value.
+// lists and parks S-1 worker goroutines, so the count is clamped; no
+// shard count changes a Result. The congest.Session doc quotes its value:
+// the session never places a job on more shards.
 const MaxShards = 64
 
 // ErrMaxRounds is returned when a run exceeds Config.MaxRounds without
