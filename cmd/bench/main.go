@@ -16,10 +16,11 @@
 // activity-scheduler speedup must stay >= 2x); wall-time is only held
 // within a generous factor (-time-tol). Baseline files carry one run per
 // GOMAXPROCS setting; the gate compares against the run matching this
-// one's. The floors themselves depend on effective parallelism
-// (min(GOMAXPROCS, cores)): at >= 2 a twohop job the session places
-// itself must beat the same job pinned to one shard by >= 1.2x, and at
-// >= 4 the multicore speedup floors arm —
+// one's, and prints a note when that run's GOMAXPROCS, Go version or
+// num_cpu differs from this one's. The floors themselves depend on
+// effective parallelism (min(GOMAXPROCS, cores)): at >= 2 a twohop job
+// the session places itself must beat the same job pinned to one shard
+// by >= 1.2x, and at >= 4 the multicore speedup floors arm —
 // parallel CountTriangles must beat sequential by >= 2x, the sharded
 // million-node engine by >= 1.2x —
 // and CI passes -require-procs 4 so that gate cannot silently run
@@ -207,9 +208,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "bench: baseline %s has no runs\nrun UPDATE_BENCH=1 go run ./cmd/bench to create one\n", *baseline)
 		return 2
 	}
-	if !exact || base.GoVersion != fresh.GoVersion {
-		fmt.Fprintf(stdout, "note: baseline run from %s GOMAXPROCS=%d, this run %s GOMAXPROCS=%d (wall-time compared at %.1fx tolerance)\n",
-			base.GoVersion, base.GOMAXPROCS, fresh.GoVersion, fresh.GOMAXPROCS, tol.TimeFactor)
+	if !exact || base.GoVersion != fresh.GoVersion || base.NumCPU != fresh.NumCPU {
+		fmt.Fprintf(stdout, "note: baseline run from %s GOMAXPROCS=%d num_cpu=%d, this run %s GOMAXPROCS=%d num_cpu=%d (wall-time compared at %.1fx tolerance)\n",
+			base.GoVersion, base.GOMAXPROCS, base.NumCPU, fresh.GoVersion, fresh.GOMAXPROCS, fresh.NumCPU, tol.TimeFactor)
 	}
 	regs := perf.Compare(*base, fresh, tol)
 	if len(regs) == 0 {

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -87,6 +89,9 @@ func TestGateLifecycle(t *testing.T) {
 	if !strings.Contains(out, "regression gate: PASS") {
 		t.Fatalf("gate output: %s", out)
 	}
+	if strings.Contains(out, "note: baseline run from") {
+		t.Fatalf("same-machine baseline noted as foreign: %s", out)
+	}
 
 	// Tamper the baseline so every wall-time bound is violated even at the
 	// wide-open tolerance (limit becomes ~1ns).
@@ -99,6 +104,33 @@ func TestGateLifecycle(t *testing.T) {
 	code, _, errb = runBench(t, "-baseline", base, "-suite", "engine", "-benchtime", "1x", "-time-tol", "1e6", "-floors=false")
 	if code != 1 || !strings.Contains(errb, "regression gate: FAIL") {
 		t.Fatalf("tampered gate: exit %d, stderr %q", code, errb)
+	}
+}
+
+// TestBaselineFromOtherCPUCountNoted: a baseline run recorded with a
+// different num_cpu, but the same GOMAXPROCS and Go version, is a
+// time-sliced or wider machine, so the gate notes it beside its wall-time
+// comparison.
+func TestBaselineFromOtherCPUCountNoted(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "BENCH_engine.json")
+	if code, _, errb := runBench(t, "-baseline", base, "-suite", "engine", "-benchtime", "1x", "-update"); code != 0 {
+		t.Fatalf("update: exit %d\nstderr: %s", code, errb)
+	}
+	file, err := perf.ReadFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file.Runs[0].NumCPU = runtime.NumCPU() + 3
+	if err := perf.WriteFile(base, file); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errb := runBench(t, "-baseline", base, "-suite", "engine", "-benchtime", "1x", "-time-tol", "1e6", "-floors=false")
+	if code != 0 {
+		t.Fatalf("gate: exit %d\nstdout: %s\nstderr: %s", code, out, errb)
+	}
+	want := fmt.Sprintf("num_cpu=%d, this run %s GOMAXPROCS=%d num_cpu=%d", runtime.NumCPU()+3, runtime.Version(), runtime.GOMAXPROCS(0), runtime.NumCPU())
+	if !strings.Contains(out, "note: baseline run from") || !strings.Contains(out, want) {
+		t.Fatalf("gate output lacks the num_cpu note %q:\n%s", want, out)
 	}
 }
 

@@ -116,13 +116,14 @@ func (s *Session) runJob(ctx context.Context, spec JobSpec, obs Observer) (Resul
 	if spec.Algo == "churn" {
 		return s.runChurn(ctx, spec, obs)
 	}
-	g, err := s.Graph(spec.Graph)
+	c, err := s.graph(spec.Graph)
 	if err != nil {
 		return Result{}, err
 	}
+	g := c.g
 	cfg := s.engineConfig(spec, g)
 	if spec.Algo == "count" {
-		return s.runCount(ctx, spec, g, cfg, obs)
+		return s.runCount(ctx, spec, c, cfg, obs)
 	}
 
 	ab, err := buildAlgo(spec, g)
@@ -158,7 +159,7 @@ func (s *Session) runJob(ctx context.Context, spec JobSpec, obs Observer) (Resul
 		return out, runErr
 	}
 	if mode := verifyModeFor(spec); mode != "" {
-		out.Verify = s.verify(mode, g, res)
+		out.Verify = s.verify(mode, c, res)
 	}
 	if spec.LowerBound {
 		out.LowerBound = lowerBoundOf(g, res)
@@ -247,32 +248,32 @@ func buildAlgo(spec JobSpec, g *graph.Graph) (algoBuild, error) {
 	return ab, nil
 }
 
-// verify runs the selected check against the centralized oracle.
-func (s *Session) verify(mode string, g *graph.Graph, res core.Result) *VerifyReport {
+// verify runs the selected check against the centralized oracle. Listing
+// and finding read |T(G)| from the graph's cache entry, c. Once the
+// one-sided check passes, the union is a subset of T(G), so the listing
+// is complete iff the union has |T(G)| triangles; only an incomplete one
+// lists T(G), to name the first triangle it misses.
+func (s *Session) verify(mode string, c cachedGraph, res core.Result) *VerifyReport {
 	rep := &VerifyReport{Mode: mode, OK: true}
-	fail := func(err error) {
-		rep.OK = false
-		rep.Detail = err.Error()
-	}
-	oracle := &graph.OracleScratch{Workers: s.opts.oracleWorkers}
+	var err error
 	switch mode {
 	case VerifyOneSided:
-		if err := core.VerifyOneSided(g, res); err != nil {
-			fail(err)
-		}
+		err = core.VerifyOneSided(c.g, res)
 	case VerifyListing:
-		truth := oracle.ListTriangles(g)
-		count := len(truth)
+		count := s.triangles(c)
 		rep.OracleTriangles = &count
-		if err := core.VerifyListingAgainst(g, truth, res); err != nil {
-			fail(err)
+		if err = core.VerifyOneSided(c.g, res); err == nil && len(res.Union) != count {
+			oracle := graph.OracleScratch{Workers: s.opts.oracleWorkers}
+			err = core.VerifyListingAgainst(c.g, oracle.ListTriangles(c.g), res)
 		}
 	case VerifyFinding:
-		count := oracle.CountTriangles(g)
+		count := s.triangles(c)
 		rep.OracleTriangles = &count
-		if err := core.VerifyFindingWithCount(g, count, res); err != nil {
-			fail(err)
-		}
+		err = core.VerifyFindingWithCount(c.g, count, res)
+	}
+	if err != nil {
+		rep.OK = false
+		rep.Detail = err.Error()
 	}
 	return rep
 }
@@ -283,7 +284,8 @@ func (s *Session) verify(mode string, g *graph.Graph, res core.Result) *VerifyRe
 // count returns the prefix it ran, without a count or a verification, and
 // with ScheduledRounds 0: its schedule ends at a quiescence it never
 // reached.
-func (s *Session) runCount(ctx context.Context, spec JobSpec, g *graph.Graph, cfg sim.Config, obs Observer) (Result, error) {
+func (s *Session) runCount(ctx context.Context, spec JobSpec, c cachedGraph, cfg sim.Config, obs Observer) (Result, error) {
+	g := c.g
 	var onRound func(int, sim.RoundDelta)
 	if o := coreObs(obs); o != nil {
 		onRound = o.OnRound
@@ -309,15 +311,18 @@ func (s *Session) runCount(ctx context.Context, spec JobSpec, g *graph.Graph, cf
 		return out, err
 	}
 	if verifyModeFor(spec) != "" {
-		oracle := &graph.OracleScratch{Workers: s.opts.oracleWorkers}
-		count := oracle.CountTriangles(g)
-		rep := &VerifyReport{Mode: "count", OK: int64(count) == cres.Count, OracleTriangles: &count}
-		if !rep.OK {
-			rep.Detail = fmt.Sprintf("distributed count %d, oracle %d", cres.Count, count)
-		}
-		out.Verify = rep
+		out.Verify = countReport(s.triangles(c), cres.Count)
 	}
 	return out, nil
+}
+
+// countReport checks a distributed triangle count against |T(G)|.
+func countReport(triangles int, count int64) *VerifyReport {
+	rep := &VerifyReport{Mode: "count", OK: int64(triangles) == count, OracleTriangles: &triangles}
+	if !rep.OK {
+		rep.Detail = fmt.Sprintf("distributed count %d, oracle %d", count, triangles)
+	}
+	return rep
 }
 
 // runChurn executes the dynamic-graph churn job: the graph spec seeds a

@@ -5,13 +5,15 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 )
 
 // Session executes jobs while caching the expensive state between them:
-// graphs are materialized once per GraphSpec, and engines are pooled in
+// graphs are materialized once per GraphSpec, each with its triangle count
+// |T(G)| once a verification needs it, and engines are pooled in
 // one core.EngineCache keyed by engine shape (vertex count, mode and
 // fault plan; seed, bandwidth and shard count are per-job settings), so
 // repeated jobs reuse one slab allocation. Both caches are bounded,
@@ -32,14 +34,39 @@ type Session struct {
 	engines *core.EngineCache
 	shards  int // when positive, every job's shard count; only tests set it
 
+	// oraclePasses counts the oracle's triangle counts; only tests read it.
+	oraclePasses atomic.Int64
+
 	mu     sync.Mutex
 	graphs []cachedGraph // least recently used first
 }
 
-// cachedGraph is one materialized graph and its GraphSpec key.
+// cachedGraph is one materialized graph, its GraphSpec key and its
+// triangle count.
 type cachedGraph struct {
 	key string
 	g   *graph.Graph
+	tri *triangleCount
+}
+
+// triangleCount is |T(G)| of one cached graph, counted by the centralized
+// oracle when a job's verification first needs it. It is one int per
+// cached graph and goes with the graph's cache entry; a job holds the
+// count of the entry it took its graph from, so a graph evicted while the
+// job runs is still counted, once, for that job alone.
+type triangleCount struct {
+	once sync.Once
+	n    int
+}
+
+// triangles returns |T(G)| of c's graph, running the oracle on first use.
+func (s *Session) triangles(c cachedGraph) int {
+	c.tri.once.Do(func() {
+		s.oraclePasses.Add(1)
+		oracle := graph.OracleScratch{Workers: s.opts.oracleWorkers}
+		c.tri.n = oracle.CountTriangles(c.g)
+	})
+	return c.tri.n
 }
 
 // maxCachedGraphs bounds the graphs a Session keeps materialized; using
@@ -61,55 +88,62 @@ func NewSession(opts ...Option) *Session {
 // specs are cached by path. The session keeps the 32 most recently used
 // graphs.
 func (s *Session) Graph(gs GraphSpec) (*graph.Graph, error) {
+	c, err := s.graph(gs)
+	return c.g, err
+}
+
+// graph is Graph returning the whole cache entry.
+func (s *Session) graph(gs GraphSpec) (cachedGraph, error) {
 	key := gs.key()
-	if g := s.cachedGraph(key); g != nil {
-		return g, nil
+	if c, ok := s.cachedGraph(key); ok {
+		return c, nil
 	}
 	// Admission control BEFORE materialization where the size is declared
 	// (generator and inline specs): an oversized spec must not cost the
 	// build. File specs reveal their size only after reading.
 	max := s.opts.maxVertices
 	if max > 0 && gs.File == "" && gs.N > max {
-		return nil, fmt.Errorf("congest: graph spec declares %d vertices, session admits at most %d", gs.N, max)
+		return cachedGraph{}, fmt.Errorf("congest: graph spec declares %d vertices, session admits at most %d", gs.N, max)
 	}
 	// Build outside the lock; racing builders are rare and the loser's
 	// graph is dropped.
 	g, err := gs.build()
 	if err != nil {
-		return nil, err
+		return cachedGraph{}, err
 	}
 	if max > 0 && g.N() > max {
-		return nil, fmt.Errorf("congest: graph has %d vertices, session admits at most %d", g.N(), max)
+		return cachedGraph{}, fmt.Errorf("congest: graph has %d vertices, session admits at most %d", g.N(), max)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cached := s.touchGraph(key); cached != nil {
-		return cached, nil
+	if c, ok := s.touchGraph(key); ok {
+		return c, nil
 	}
-	s.graphs = append(s.graphs, cachedGraph{key: key, g: g})
+	c := cachedGraph{key: key, g: g, tri: &triangleCount{}}
+	s.graphs = append(s.graphs, c)
 	if len(s.graphs) > maxCachedGraphs {
 		s.graphs = slices.Delete(s.graphs, 0, 1)
 	}
-	return g, nil
+	return c, nil
 }
 
-// cachedGraph returns the cached graph for key, or nil.
-func (s *Session) cachedGraph(key string) *graph.Graph {
+// cachedGraph returns the cache entry for key, if there is one.
+func (s *Session) cachedGraph(key string) (cachedGraph, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.touchGraph(key)
 }
 
-// touchGraph returns the cached graph for key, marking it the most
-// recently used, or nil. The caller holds s.mu.
-func (s *Session) touchGraph(key string) *graph.Graph {
+// touchGraph returns the cache entry for key, if there is one, marking it
+// the most recently used. The caller holds s.mu.
+func (s *Session) touchGraph(key string) (cachedGraph, bool) {
 	for i, c := range s.graphs {
 		if c.key == key {
 			s.graphs = append(slices.Delete(s.graphs, i, i+1), c)
-			return c.g
+			return c, true
 		}
 	}
-	return nil
+	return cachedGraph{}, false
 }
 
 // Run executes one job to completion (or cancellation) and returns its

@@ -92,7 +92,7 @@ func TestSessionWorkloadMixesNeverEvict(t *testing.T) {
 			}
 		}
 		for _, spec := range mix.specs {
-			if s.cachedGraph(spec.Graph.key()) == nil {
+			if _, ok := s.cachedGraph(spec.Graph.key()); !ok {
 				t.Fatalf("%s: graph %s was evicted", mix.name, spec.Graph.key())
 			}
 		}

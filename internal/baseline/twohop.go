@@ -19,6 +19,12 @@ import (
 // contains it, so the same algorithm is also the local lister of
 // Proposition 5.
 //
+// Node v outputs {v, j, l} when neighbour j sends a word l above j that is
+// also v's neighbour, so a fault-free run outputs each of v's triangles at
+// v once. The order test comes first, so the membership probe, a binary
+// search of v's neighbour list, runs only for words above their sender:
+// about half.
+//
 // maxDegree is the schedule bound every node is assumed to know (a standard
 // assumption; computing it distributedly costs O(D) extra rounds). Every
 // node of a job shares one handler.
@@ -53,19 +59,14 @@ func (h *twoHopHandler) Start(ctx *sim.Context, phase int) {
 	}
 }
 
+// Receive outputs {me, j, l} for each word l above its sender j that closes
+// a triangle. Duplicates are allowed by the listing definition, but the
+// (j,l)/(l,j) double report is suppressed to keep outputs tight.
 func (h *twoHopHandler) Receive(ctx *sim.Context, phase int, d sim.Delivery) {
 	me := ctx.ID()
 	for _, w := range d.Words {
-		l := int(w)
-		if l == me || !ctx.HasInputEdge(l) {
-			continue
-		}
-		t := graph.NewTriangle(me, d.From, l)
-		// t always contains me. Duplicates are allowed by the listing
-		// definition, but the (j,l)/(l,j) double report is suppressed to
-		// keep outputs tight.
-		if d.From < l {
-			ctx.Output(t)
+		if l := int(w); d.From < l && l != me && ctx.HasInputEdge(l) {
+			ctx.Output(graph.NewTriangle(me, d.From, l))
 		}
 	}
 }

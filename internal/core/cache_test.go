@@ -328,23 +328,24 @@ func TestCheckpointBoundariesAllocateNothing(t *testing.T) {
 }
 
 // TestWarmJobAllocations bounds what a warm single-schedule job allocates:
-// on gnp(2000, 4/n), a warm two-hop run and a warm A1 run each allocate at
-// most a constant that does not grow with n — the Result's copies of the
-// outputs, the union and the metrics. The engine's one node and its handler
-// slots are pooled with the engine, and both algorithms share one handler
-// across vertices, so a per-vertex object anywhere on the run path would
-// add up to n.
+// on gnp(2000, 4/n), a warm two-hop run, a warm A1 run and a warm tester
+// run at its default 16 probes each allocate at most a constant that does
+// not grow with n — the Result's copies of the outputs, the union and the
+// metrics. The engine's one node and its handler slots are pooled with the
+// engine, and all three algorithms share one handler across vertices, so a
+// per-vertex object anywhere on the run path would add up to n.
 func TestWarmJobAllocations(t *testing.T) {
 	const n, bound = 2000, 128
 	g := graph.Gnp(n, 4.0/n, rand.New(rand.NewSource(43)))
 	twoSched, twoH := baseline.NewTwoHop(2, g.MaxDegree())
 	a1Sched, a1H := core.NewA1(core.Params{N: n, Eps: core.EpsFindingPure, B: 2})
+	testSched, testH := core.NewPropertyTester(n, 2, 16)
 	c := core.NewEngineCache()
 	for _, job := range []struct {
 		name  string
 		sched *sim.Schedule
 		h     func(int) core.PhaseHandler
-	}{{"twohop", twoSched, twoH}, {"a1", a1Sched, a1H}} {
+	}{{"twohop", twoSched, twoH}, {"a1", a1Sched, a1H}, {"tester", testSched, testH}} {
 		allocs := testing.AllocsPerRun(3, func() {
 			if _, err := c.RunSingle(g, job.sched, job.h, sim.Config{Seed: 1}); err != nil {
 				t.Fatal(err)

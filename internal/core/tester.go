@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -19,6 +21,12 @@ import (
 // triangle-free, a constant fraction of probes hit triangles, so
 // O(1/epsilon) batches detect one with constant probability — each batch
 // costing only ceil(1/B) rounds. Every node of a job shares one handler.
+//
+// A node draws all its probes in round 0 and sends each neighbor the words
+// of its probes, in draw order, as one message: every channel carries the
+// same words in the same rounds as one message per probe would. Drawing
+// and grouping cost O(p log p) time per node for p probes, and allocate
+// nothing up to 16 probes.
 func NewPropertyTester(n, b, probes int) (*sim.Schedule, func(id int) PhaseHandler) {
 	if probes < 1 {
 		probes = 1
@@ -38,18 +46,44 @@ type testerHandler struct {
 	probes int
 }
 
+// stackProbes is the probe count Start groups in a stack buffer; more
+// probes get one heap buffer per node. It is the congest tester's default.
+const stackProbes = 16
+
+// Start draws the node's probes, then groups them by neighbour through
+// one sort of keys that hold a probe's neighbour index above its draw
+// number, so each group keeps draw order. Both halves fit 32 bits: vertex
+// ids are int32, and 2^32 probes would need a 96 GiB buffer.
 func (h *testerHandler) Start(ctx *sim.Context, phase int) {
 	nbrs := ctx.InputNeighbors()
 	if len(nbrs) < 2 {
 		return
 	}
-	for p := 0; p < h.probes; p++ {
+	p := h.probes
+	var stack [3 * stackProbes]uint64
+	buf := stack[:]
+	if p > stackProbes {
+		buf = make([]uint64, 3*p)
+	}
+	keys, drawn, words := buf[:0:p], buf[p:p:2*p], buf[2*p:2*p:3*p]
+	for range p {
 		ji := ctx.RNG().Intn(len(nbrs))
 		li := ctx.RNG().Intn(len(nbrs))
 		if ji == li {
 			continue
 		}
-		ctx.SendTo(int(nbrs[ji]), sim.Word(nbrs[li]))
+		keys = append(keys, uint64(ji)<<32|uint64(len(drawn)))
+		drawn = append(drawn, sim.Word(nbrs[li]))
+	}
+	slices.Sort(keys)
+	for len(keys) > 0 {
+		ji := keys[0] >> 32
+		words = words[:0]
+		for len(keys) > 0 && keys[0]>>32 == ji {
+			words = append(words, drawn[uint32(keys[0])])
+			keys = keys[1:]
+		}
+		ctx.SendTo(int(nbrs[ji]), words...)
 	}
 }
 
