@@ -39,14 +39,13 @@ func main() {
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		exp     = fs.String("exp", "", "comma-separated experiment ids (empty = all); see -list")
-		list    = fs.Bool("list", false, "list experiment ids and exit")
-		sizes   = fs.String("sizes", "", "comma-separated network sizes (empty = defaults)")
-		seed    = fs.Int64("seed", 1, "random seed")
-		b       = fs.Int("b", 2, "bandwidth in words per edge per round")
-		quick   = fs.Bool("quick", false, "smoke sizes")
-		workers = fs.Int("workers", 0, "sweep-cell worker pool size (0 = all CPUs, 1 = sequential); tables are byte-identical for every value")
-		csvDir  = fs.String("csv", "", "also write one CSV per experiment into this directory")
+		exp    = fs.String("exp", "", "comma-separated experiment ids (empty = all); see -list")
+		list   = fs.Bool("list", false, "list experiment ids and exit")
+		sizes  = fs.String("sizes", "", "comma-separated network sizes (empty = defaults)")
+		seed   = fs.Int64("seed", 1, "random seed")
+		b      = fs.Int("b", 2, "bandwidth in words per edge per round")
+		quick  = fs.Bool("quick", false, "smoke sizes")
+		csvDir = fs.String("csv", "", "also write one CSV per experiment into this directory")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -57,7 +56,7 @@ func run(ctx context.Context, args []string) error {
 		}
 		return nil
 	}
-	spec := congest.SweepSpec{Seed: *seed, Bandwidth: *b, Quick: *quick, Workers: *workers}
+	spec := congest.SweepSpec{Seed: *seed, Bandwidth: *b, Quick: *quick}
 	if *sizes != "" {
 		for _, s := range strings.Split(*sizes, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(s))

@@ -54,7 +54,6 @@ func run(args []string) error {
 		b        = fs.Int("b", 2, "bandwidth in words per edge per round")
 		eps      = fs.Float64("eps", 0, "heaviness exponent override (0 = algorithm default)")
 		show     = fs.Int("show", 5, "triangles to print (0 = none)")
-		workers  = fs.Int("workers", 0, "centralized-oracle worker pool size (0 = all CPUs)")
 		verify   = fs.Bool("verify", true, "verify output against the centralized oracle")
 		explain  = fs.Bool("explain", false, "print the per-segment round budget")
 		timeout  = fs.Duration("timeout", 0, "cancel the run after this duration (0 = never); a cancelled run prints its deterministic prefix")
@@ -96,7 +95,7 @@ func run(args []string) error {
 	}
 	spec.Faults = fspec
 	if *replayR >= 0 {
-		return replay(spec, *replayR, *workers)
+		return replay(spec, *replayR)
 	}
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -113,7 +112,7 @@ func run(args []string) error {
 		// exactly k+1 rounds, so this executes exactly cancelAt rounds.
 		obs = &cancelAtObserver{at: *cancelAt, cancel: cancel}
 	}
-	res, err := congest.RunObserved(ctx, spec, obs, congest.WithOracleWorkers(*workers))
+	res, err := congest.RunObserved(ctx, spec, obs)
 	if err != nil && !res.Meta.Cancelled {
 		return err
 	}
@@ -290,12 +289,11 @@ func parseFaultsFlag(s string) (*congest.FaultSpec, error) {
 
 // replay re-derives one round's observation stream from the nearest
 // checkpoint and prints it.
-func replay(spec congest.JobSpec, round, workers int) error {
+func replay(spec congest.JobSpec, round int) error {
 	if spec.Checkpoint == nil {
 		return fmt.Errorf("-replay-round requires -checkpoint")
 	}
-	sess := congest.NewSession(congest.WithOracleWorkers(workers))
-	info, err := sess.Replay(spec, round, round, replayPrinter{})
+	info, err := congest.NewSession().Replay(spec, round, round, replayPrinter{})
 	if err != nil {
 		return err
 	}

@@ -189,7 +189,8 @@ func runDrill(t *testing.T, interrupt func(t *testing.T, s *drillServer)) {
 
 	// Ground truth: the same spec straight through, in-process (the
 	// checkpoint files are deterministic, so sharing the directory is
-	// idempotent). Oracle workers pinned to the service default of 1.
+	// idempotent), its oracle pinned to one worker; Results match at any
+	// oracle width.
 	want, err := congest.NewSession(congest.WithOracleWorkers(1)).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)

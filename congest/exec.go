@@ -249,10 +249,9 @@ func buildAlgo(spec JobSpec, g *graph.Graph) (algoBuild, error) {
 }
 
 // verify runs the selected check against the centralized oracle. Listing
-// and finding read |T(G)| from the graph's cache entry, c. Once the
-// one-sided check passes, the union is a subset of T(G), so the listing
-// is complete iff the union has |T(G)| triangles; only an incomplete one
-// lists T(G), to name the first triangle it misses.
+// and finding read |T(G)| from the graph's cache entry, c, and hand it to
+// core's checks, which list T(G) only to name the first triangle an
+// incomplete listing misses.
 func (s *Session) verify(mode string, c cachedGraph, res core.Result) *VerifyReport {
 	rep := &VerifyReport{Mode: mode, OK: true}
 	var err error
@@ -262,14 +261,11 @@ func (s *Session) verify(mode string, c cachedGraph, res core.Result) *VerifyRep
 	case VerifyListing:
 		count := s.triangles(c)
 		rep.OracleTriangles = &count
-		if err = core.VerifyOneSided(c.g, res); err == nil && len(res.Union) != count {
-			oracle := graph.OracleScratch{Workers: s.opts.oracleWorkers}
-			err = core.VerifyListingAgainst(c.g, oracle.ListTriangles(c.g), res)
-		}
+		err = core.VerifyListing(c.g, count, res)
 	case VerifyFinding:
 		count := s.triangles(c)
 		rep.OracleTriangles = &count
-		err = core.VerifyFindingWithCount(c.g, count, res)
+		err = core.VerifyFinding(c.g, count, res)
 	}
 	if err != nil {
 		rep.OK = false
@@ -311,16 +307,18 @@ func (s *Session) runCount(ctx context.Context, spec JobSpec, c cachedGraph, cfg
 		return out, err
 	}
 	if verifyModeFor(spec) != "" {
-		out.Verify = countReport(s.triangles(c), cres.Count)
+		out.Verify = countReport(s.triangles(c), s.rootTriangles(c), cres.Count)
 	}
 	return out, nil
 }
 
-// countReport checks a distributed triangle count against |T(G)|.
-func countReport(triangles int, count int64) *VerifyReport {
-	rep := &VerifyReport{Mode: "count", OK: int64(triangles) == count, OracleTriangles: &triangles}
+// countReport checks a distributed count against root, the oracle's count
+// of the triangles in vertex 0's connected component, where the count job
+// counts. OracleTriangles reports |T(G)|, triangles.
+func countReport(triangles, root int, count int64) *VerifyReport {
+	rep := &VerifyReport{Mode: "count", OK: int64(root) == count, OracleTriangles: &triangles}
 	if !rep.OK {
-		rep.Detail = fmt.Sprintf("distributed count %d, oracle %d", count, triangles)
+		rep.Detail = fmt.Sprintf("distributed count %d, oracle %d in root 0's component", count, root)
 	}
 	return rep
 }

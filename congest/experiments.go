@@ -35,9 +35,6 @@ type SweepSpec struct {
 	Bandwidth int `json:"bandwidth,omitempty"`
 	// Quick shrinks defaults for smoke runs.
 	Quick bool `json:"quick,omitempty"`
-	// Workers bounds the sweep-cell worker pool (0 = all CPUs, 1 =
-	// sequential); tables are byte-identical for every value.
-	Workers int `json:"workers,omitempty"`
 }
 
 // Table is a finished experiment's scaling table.
@@ -54,8 +51,9 @@ func (t *Table) Render(w io.Writer) error { return t.t.Render(w) }
 // WriteCSV writes the table's points as CSV.
 func (t *Table) WriteCSV(w io.Writer) error { return t.t.WriteCSV(w) }
 
-// RunExperiment runs one registered experiment by id. Cancelling ctx stops
-// the sweep between cells and returns ctx.Err().
+// RunExperiment runs one registered experiment by id on GOMAXPROCS sweep
+// workers; the table is byte-identical at every width. Cancelling ctx
+// stops the sweep between cells and returns ctx.Err().
 func RunExperiment(ctx context.Context, id string, spec SweepSpec) (*Table, error) {
 	e, err := expt.ByID(id)
 	if err != nil {
@@ -67,7 +65,6 @@ func RunExperiment(ctx context.Context, id string, spec SweepSpec) (*Table, erro
 		Seed:      spec.Seed,
 		Bandwidth: spec.Bandwidth,
 		Quick:     spec.Quick,
-		Workers:   spec.Workers,
 	})
 	if err != nil {
 		return nil, err

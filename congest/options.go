@@ -9,7 +9,7 @@ import (
 // Service.
 type options struct {
 	workers       int           // concurrent jobs a Service runs; 0 = GOMAXPROCS
-	oracleWorkers int           // verification oracle pool; 0 = GOMAXPROCS
+	oracleWorkers int           // oracle count pool; 0 = GOMAXPROCS
 	maxVertices   int           // 0 = unlimited
 	jobHistory    int           // terminal jobs a Service retains; 0 = default, <0 = unlimited
 	queueDepth    int           // pending jobs a Service queues; 0 = default, <0 = unlimited
@@ -29,11 +29,11 @@ func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
 }
 
-// WithOracleWorkers bounds the centralized-oracle worker pool used by
-// verification passes. The default is all CPUs for a Session (one job at a
-// time deserves the whole machine) and 1 for a Service (verification runs
-// inside already-concurrent jobs, where a nested GOMAXPROCS-wide oracle
-// would oversubscribe the CPU).
+// WithOracleWorkers bounds the worker pool of the centralized oracle's
+// triangle counts, which verification reads. The default is all CPUs, for
+// a Session and a Service alike: each cached graph is counted once, under
+// a sync.Once its concurrent jobs wait on, so the count is no per-job cost
+// to bound. Results are identical for every value.
 func WithOracleWorkers(n int) Option {
 	return func(o *options) { o.oracleWorkers = n }
 }

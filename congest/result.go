@@ -141,7 +141,9 @@ type VerifyReport struct {
 	// Detail describes a failed check.
 	Detail string `json:"detail,omitempty"`
 	// OracleTriangles is |T(G)| from the centralized oracle, when the
-	// check computed it.
+	// check computed it. A count is checked against the triangles of
+	// vertex 0's connected component instead, which is |T(G)| on a
+	// connected graph.
 	OracleTriangles *int `json:"oracleTriangles,omitempty"`
 }
 
@@ -197,7 +199,8 @@ type Result struct {
 	// Triangles is the deduplicated, sorted output union, capped by
 	// JobSpec.MaxTriangles.
 	Triangles []Triangle `json:"triangles,omitempty"`
-	// Count is the exact count reported by the counting job.
+	// Count is the exact count reported by the counting job: the
+	// triangles of vertex 0's connected component, counted at root 0.
 	Count int64 `json:"count,omitempty"`
 	// Verify is the verification outcome (nil when verification was off).
 	Verify *VerifyReport `json:"verify,omitempty"`

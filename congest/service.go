@@ -124,8 +124,8 @@ func (j *Job) Wait(ctx context.Context) (Result, error) {
 // pooled engines are shared, execution is bounded by the WithWorkers
 // budget (a fixed worker pool — the budget is structural, not advisory),
 // and every job is isolated (own engine, own node set, own cancellation)
-// so per-job output is deterministic. It is the in-process backend of
-// cmd/triserve.
+// so per-job output is deterministic. Its oracle counts take a Session's
+// WithOracleWorkers default. It is the in-process backend of cmd/triserve.
 //
 // Admission is controlled: the pending queue is bounded (WithQueueDepth),
 // tenants are quota-bounded (WithTenantQuota), and a rejected submission
@@ -165,12 +165,10 @@ type Service struct {
 	workersWG sync.WaitGroup // the worker pool
 }
 
-// NewService returns a Service. Unless overridden, verification oracles
-// run single-worker here (jobs are already concurrent; see
-// WithOracleWorkers) and the last 512 finished jobs are retained (see
-// WithJobHistory). NewService panics where OpenService would return an
-// error — which cannot happen without WithJournal; journaled services
-// should use OpenService.
+// NewService returns a Service. Unless overridden, the last 512 finished
+// jobs are retained (see WithJobHistory). NewService panics where
+// OpenService would return an error — which cannot happen without
+// WithJournal; journaled services should use OpenService.
 func NewService(opts ...Option) *Service {
 	s, err := OpenService(opts...)
 	if err != nil {
@@ -188,7 +186,6 @@ func NewService(opts ...Option) *Service {
 // determinism contract. A corrupt or unwritable journal is an error here,
 // never a silently empty service.
 func OpenService(opts ...Option) (*Service, error) {
-	opts = append([]Option{WithOracleWorkers(1)}, opts...)
 	session := NewSession(opts...)
 	o := session.opts
 	history := o.jobHistory

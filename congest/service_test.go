@@ -37,8 +37,8 @@ func serviceSpecs() []JobSpec {
 // the same specs. Run under -race in CI.
 func TestServiceConcurrentParity(t *testing.T) {
 	specs := serviceSpecs()
-	// Sequential ground truth (oracle workers pinned to the service's
-	// default so verification output matches too).
+	// Sequential ground truth, its oracle pinned to one worker while the
+	// service counts at all CPUs: verification output matches at any width.
 	seq := NewSession(WithOracleWorkers(1))
 	want := make([]Result, len(specs))
 	for i, spec := range specs {

@@ -50,23 +50,53 @@ type cachedGraph struct {
 }
 
 // triangleCount is |T(G)| of one cached graph, counted by the centralized
-// oracle when a job's verification first needs it. It is one int per
-// cached graph and goes with the graph's cache entry; a job holds the
-// count of the entry it took its graph from, so a graph evicted while the
-// job runs is still counted, once, for that job alone.
+// oracle when a job's verification first needs it, and the triangles of
+// vertex 0's connected component, counted when a count job's verification
+// first needs them. It is two ints per cached graph and goes with the
+// graph's cache entry; a job holds the counts of the entry it took its
+// graph from, so a graph evicted while the job runs is still counted,
+// once, for that job alone.
 type triangleCount struct {
 	once sync.Once
 	n    int
+
+	rootOnce sync.Once
+	root     int
 }
 
 // triangles returns |T(G)| of c's graph, running the oracle on first use.
 func (s *Session) triangles(c cachedGraph) int {
-	c.tri.once.Do(func() {
-		s.oraclePasses.Add(1)
-		oracle := graph.OracleScratch{Workers: s.opts.oracleWorkers}
-		c.tri.n = oracle.CountTriangles(c.g)
-	})
+	c.tri.once.Do(func() { c.tri.n = s.oracleCount(c.g) })
 	return c.tri.n
+}
+
+// rootTriangles returns the triangles of vertex 0's connected component in
+// c's graph: the number a count job, which counts at root 0, is checked
+// against. On a connected graph that is |T(G)|. A triangle lies in one
+// component, so on a disconnected one it is |T(G)| less the triangles
+// among the vertices 0 does not reach, which are counted on first use.
+func (s *Session) rootTriangles(c cachedGraph) int {
+	c.tri.rootOnce.Do(func() {
+		c.tri.root = s.triangles(c)
+		var rest []int
+		for v, d := range graph.BFSDepths(c.g, 0) {
+			if d < 0 {
+				rest = append(rest, v)
+			}
+		}
+		if len(rest) > 0 {
+			sub, _ := c.g.Subgraph(rest)
+			c.tri.root -= s.oracleCount(sub)
+		}
+	})
+	return c.tri.root
+}
+
+// oracleCount is one oracle pass: the triangle count of g.
+func (s *Session) oracleCount(g *graph.Graph) int {
+	s.oraclePasses.Add(1)
+	oracle := graph.OracleScratch{Workers: s.opts.oracleWorkers}
+	return oracle.CountTriangles(g)
 }
 
 // maxCachedGraphs bounds the graphs a Session keeps materialized; using
@@ -75,8 +105,7 @@ func (s *Session) triangles(c cachedGraph) int {
 // quote its value.
 const maxCachedGraphs = 32
 
-// NewSession returns an empty session. WithOracleWorkers defaults to all
-// CPUs here; see the option docs.
+// NewSession returns an empty session.
 func NewSession(opts ...Option) *Session {
 	return &Session{
 		opts:    resolveOptions(opts),

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -13,8 +14,9 @@ import (
 )
 
 // listReport is the list-based reference for a verification report: T(G)
-// listed by graph.ListTriangles, then checked by core.VerifyListingAgainst
-// or core.VerifyFindingWithCount, or compared with a distributed count.
+// listed by graph.ListTriangles, then every listed triangle probed in the
+// union in order, its length compared with a finding, or the listed
+// triangles of vertex 0's component compared with a distributed count.
 func listReport(mode string, g *graph.Graph, res core.Result, count int64) *VerifyReport {
 	truth := graph.ListTriangles(g)
 	n := len(truth)
@@ -22,12 +24,38 @@ func listReport(mode string, g *graph.Graph, res core.Result, count int64) *Veri
 	var err error
 	switch mode {
 	case VerifyListing:
-		err = core.VerifyListingAgainst(g, truth, res)
+		if err = core.VerifyOneSided(g, res); err == nil {
+			for _, t := range truth {
+				if !res.Union.Has(t) {
+					err = fmt.Errorf("triangle %v of G missing from output (got %d of %d)", t, len(res.Union), n)
+					break
+				}
+			}
+		}
 	case VerifyFinding:
-		err = core.VerifyFindingWithCount(g, n, res)
+		if err = core.VerifyOneSided(g, res); err == nil && n > 0 && len(res.Union) == 0 {
+			err = errors.New("G has triangles but none was found")
+		}
 	case "count":
-		if int64(n) != count {
-			err = fmt.Errorf("distributed count %d, oracle %d", count, n)
+		// Grow the set of vertices 0 reaches to its fixpoint, then count
+		// the listed triangles that lie in it.
+		reach := map[int]bool{0: true}
+		for grew := true; grew; {
+			grew = false
+			for _, e := range g.Edges() {
+				if reach[e.U] != reach[e.V] {
+					reach[e.U], reach[e.V], grew = true, true, true
+				}
+			}
+		}
+		root := 0
+		for _, t := range truth {
+			if reach[t.A] {
+				root++
+			}
+		}
+		if int64(root) != count {
+			err = fmt.Errorf("distributed count %d, oracle %d in root 0's component", count, root)
 		}
 	}
 	if err != nil {
@@ -125,7 +153,7 @@ func TestCountVerificationMatchesList(t *testing.T) {
 			for _, mode := range []string{VerifyListing, VerifyFinding, "count"} {
 				var got *VerifyReport
 				if mode == "count" {
-					got = countReport(s.triangles(c), int64(len(res.Union)))
+					got = countReport(s.triangles(c), s.rootTriangles(c), int64(len(res.Union)))
 				} else {
 					got = s.verify(mode, c, res)
 				}
@@ -159,6 +187,48 @@ func TestCountVerificationMatchesList(t *testing.T) {
 	}
 	if want := listReport("count", g, core.Result{}, res.Count); !reflect.DeepEqual(res.Verify, want) {
 		t.Errorf("count job: report %+v, list-based %+v", res.Verify, want)
+	}
+}
+
+// TestCountVerifiesRootComponent: a count job counts the triangles of
+// vertex 0's connected component, and its verification checks that count
+// against the triangles of the component, while OracleTriangles still
+// reports |T(G)|. Two disjoint triangles count 1 of 2, and a root
+// component with none counts 0 while the other component holds one. Each
+// report equals the list-based reference's, and the component count is one
+// more oracle pass per cached graph: a second job adds none.
+func TestCountVerifiesRootComponent(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		edges  [][2]int
+		count  int64
+		oracle int
+	}{
+		{"two triangles", [][2]int{{0, 1}, {0, 2}, {1, 2}, {3, 4}, {3, 5}, {4, 5}}, 1, 2},
+		{"triangle elsewhere", [][2]int{{0, 1}, {3, 4}, {3, 5}, {4, 5}}, 0, 1},
+	} {
+		s := NewSession()
+		spec := JobSpec{Graph: GraphSpec{N: 6, Edges: tc.edges}, Algo: "count"}
+		g, err := s.Graph(spec.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for job := 0; job < 2; job++ {
+			res, err := s.Run(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Count != tc.count || res.Verify == nil || !res.Verify.OK || *res.Verify.OracleTriangles != tc.oracle {
+				t.Fatalf("%s job %d: count %d, verification %+v; want count %d verified OK with %d oracle triangles",
+					tc.name, job, res.Count, res.Verify, tc.count, tc.oracle)
+			}
+			if want := listReport("count", g, core.Result{}, res.Count); !reflect.DeepEqual(res.Verify, want) {
+				t.Errorf("%s: report %+v, list-based %+v", tc.name, res.Verify, want)
+			}
+		}
+		if passes := s.oraclePasses.Load(); passes != 2 {
+			t.Errorf("%s: %d oracle passes, want 2: |T(G)| and the other component's triangles", tc.name, passes)
+		}
 	}
 }
 

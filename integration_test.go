@@ -164,7 +164,7 @@ func TestEmptyAndTinyGraphsEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d lister: %v", n, err)
 		}
-		if err := core.VerifyListing(g, res); err != nil {
+		if err := core.VerifyListing(g, graph.CountTriangles(g), res); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		found, _, err := core.NewEngineCache().FindTriangles(g, core.FinderOptions{Repetitions: 3}, sim.Config{Seed: int64(n)})

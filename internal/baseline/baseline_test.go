@@ -18,7 +18,7 @@ func TestTwoHopListsEverything(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := core.VerifyListing(g, res); err != nil {
+		if err := core.VerifyListing(g, graph.CountTriangles(g), res); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -53,7 +53,7 @@ func TestDolevCubeRootListsEverything(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := core.VerifyListing(g, res); err != nil {
+		if err := core.VerifyListing(g, graph.CountTriangles(g), res); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		t.Logf("n=40 dolev rounds=%d", res.ScheduledRounds)
@@ -71,7 +71,7 @@ func TestDolevDegreeAwareListsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.VerifyListing(g, res); err != nil {
+	if err := core.VerifyListing(g, graph.CountTriangles(g), res); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -133,7 +136,7 @@ func TestA2DegenerateBucketCountListsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyListing(g, res); err != nil {
+	if err := VerifyListing(g, graph.CountTriangles(g), res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -370,7 +373,7 @@ func TestFinderLogCorrectedOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyFinding(g, res); err != nil {
+	if err := VerifyFinding(g, graph.CountTriangles(g), res); err != nil {
 		t.Fatal(err)
 	}
 	if !found {
@@ -401,7 +404,7 @@ func TestListerAcrossFamilies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := VerifyListing(tc.g, res); err != nil {
+			if err := VerifyListing(tc.g, graph.CountTriangles(tc.g), res); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -428,7 +431,7 @@ func TestListerLogCorrectedOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyListing(g, res); err != nil {
+	if err := VerifyListing(g, graph.CountTriangles(g), res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -444,7 +447,7 @@ func TestListerOddBandwidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyListing(g, res); err != nil {
+	if err := VerifyListing(g, graph.CountTriangles(g), res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -470,7 +473,7 @@ func TestVerifyListingCatchesOmission(t *testing.T) {
 		Outputs: [][]graph.Triangle{{graph.NewTriangle(0, 1, 2)}},
 		Union:   graph.NewTriangleSet([]graph.Triangle{graph.NewTriangle(0, 1, 2)}),
 	}
-	if err := VerifyListing(g, res); err == nil {
+	if err := VerifyListing(g, graph.CountTriangles(g), res); err == nil {
 		t.Fatal("incomplete listing accepted")
 	}
 }
@@ -478,8 +481,87 @@ func TestVerifyListingCatchesOmission(t *testing.T) {
 func TestVerifyFindingRequiresOutputOnTriangles(t *testing.T) {
 	g := graph.Complete(3)
 	res := Result{Outputs: [][]graph.Triangle{nil, nil, nil}, Union: make(graph.TriangleSet)}
-	if err := VerifyFinding(g, res); err == nil {
+	if err := VerifyFinding(g, graph.CountTriangles(g), res); err == nil {
 		t.Fatal("empty finding output on a triangle accepted")
+	}
+}
+
+// listedMiss is the list-based reference for an incomplete listing's
+// error: T(G) listed by graph.ListTriangles and probed in the union in
+// order, naming the first triangle the union misses.
+func listedMiss(g *graph.Graph, res Result) string {
+	truth := graph.ListTriangles(g)
+	for _, t := range truth {
+		if !res.Union.Has(t) {
+			return fmt.Sprintf("triangle %v of G missing from output (got %d of %d)", t, len(res.Union), len(truth))
+		}
+	}
+	return ""
+}
+
+// TestVerifyAgainstCount: VerifyListing and VerifyFinding check a run
+// against a given |T(G)|. A complete run passes both. An incomplete listing
+// fails with the list-based reference's error, and an empty output fails
+// finding too. A non-triangle output fails the one-sided check first. A
+// count that disagrees with a one-sided union missing nothing, above it or
+// below it, fails the listing.
+func TestVerifyAgainstCount(t *testing.T) {
+	b := graph.NewBuilder(5) // K5 less the edge {3,4}: 7 triangles
+	for u := 0; u < 5; u++ {
+		for v := u + 1; v < 5; v++ {
+			if u != 3 {
+				if err := b.AddEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	g := b.Build()
+	truth := graph.ListTriangles(g)
+	n := len(truth)
+	result := func(ts ...graph.Triangle) Result {
+		out := make([][]graph.Triangle, g.N())
+		for _, tr := range ts {
+			out[tr.A] = append(out[tr.A], tr)
+		}
+		return Result{Outputs: out, Union: graph.NewTriangleSet(ts)}
+	}
+	complete := result(truth...)
+	incomplete := result(truth[0], truth[2], truth[n-1])
+	empty := result()
+	fabricated := result(append(slices.Clone(truth), graph.NewTriangle(0, 3, 4))...)
+	miscount := func(k int) string {
+		return fmt.Sprintf("given |T(G)| = %d, but the one-sided output lists all %d triangles of G", k, n)
+	}
+	const nonTriangle = "node 0 output non-triangle {0,3,4}"
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	for _, tc := range []struct {
+		name             string
+		triangles        int
+		res              Result
+		listing, finding string
+	}{
+		{"complete", n, complete, "", ""},
+		{"incomplete", n, incomplete, listedMiss(g, incomplete), ""},
+		{"empty", n, empty, listedMiss(g, empty), "G has triangles but none was found"},
+		{"non-triangle", n, fabricated, nonTriangle, nonTriangle},
+		{"count above union", n + 1, complete, miscount(n + 1), ""},
+		{"count below union", n - 1, complete, miscount(n - 1), ""},
+	} {
+		if got := errText(VerifyListing(g, tc.triangles, tc.res)); got != tc.listing {
+			t.Errorf("%s: VerifyListing = %q, want %q", tc.name, got, tc.listing)
+		}
+		if got := errText(VerifyFinding(g, tc.triangles, tc.res)); got != tc.finding {
+			t.Errorf("%s: VerifyFinding = %q, want %q", tc.name, got, tc.finding)
+		}
+	}
+	if want := fmt.Sprintf("triangle %v of G missing", truth[1]); !strings.HasPrefix(listedMiss(g, incomplete), want) {
+		t.Fatalf("reference %q does not name the first missing triangle %v", listedMiss(g, incomplete), truth[1])
 	}
 }
 

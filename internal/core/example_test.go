@@ -20,7 +20,7 @@ func ExampleEngineCache_ListAllTriangles() {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Println("complete:", core.VerifyListing(g, res) == nil)
+	fmt.Println("complete:", core.VerifyListing(g, graph.CountTriangles(g), res) == nil)
 	fmt.Println("distinct:", len(res.Union) == graph.CountTriangles(g))
 	// Output:
 	// complete: true

@@ -46,17 +46,13 @@ type FaultObserver interface {
 	OnFault(ev sim.FaultEvent)
 }
 
-// hooksFor bridges obs into engine hooks. A Triangle hook is installed on
-// every run, observed or not: emitting a node's outputs through it is what
-// advances the node's streamed-output mark, which every engine snapshot
-// records. Without it, a checkpoint of an unobserved run would mark none of
-// its outputs as streamed, and a replay or an observed resume from it
-// would stream them all again. The round and fault hooks are installed
-// only when someone listens, so an unobserved engine jumps idle rounds in
-// one step.
+// hooksFor bridges obs into engine hooks. An unobserved run gets none, so
+// its engine jumps idle rounds in one step; the engine advances each
+// node's streamed-output mark, which snapshots record, with or without a
+// Triangle hook.
 func hooksFor(obs Observer) sim.Hooks {
 	if obs == nil {
-		return sim.Hooks{Triangle: func(int, graph.Triangle) {}}
+		return sim.Hooks{}
 	}
 	h := sim.Hooks{Round: obs.OnRound, Triangle: obs.OnTriangle}
 	if fo, ok := obs.(FaultObserver); ok {

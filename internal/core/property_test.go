@@ -92,7 +92,7 @@ func TestListerCompletenessProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return VerifyListing(g, res) == nil
+		return VerifyListing(g, graph.CountTriangles(g), res) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)

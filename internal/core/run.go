@@ -207,41 +207,31 @@ func VerifyOneSided(g *graph.Graph, res Result) error {
 	return nil
 }
 
-// VerifyListing checks that the run listed T(G) completely (and one-sided).
-// The oracle pass runs sequentially: verification is routinely called from
-// already-parallel sweep cells, where a nested GOMAXPROCS-wide oracle would
-// oversubscribe the CPU. Callers that hold a triangle list (e.g. from a
-// worker-bounded OracleScratch) should use VerifyListingAgainst instead.
-func VerifyListing(g *graph.Graph, res Result) error {
-	s := graph.OracleScratch{Workers: 1}
-	return VerifyListingAgainst(g, s.ListTriangles(g), res)
-}
-
-// VerifyListingAgainst is VerifyListing with a caller-supplied ground-truth
-// triangle list, so one oracle pass can serve several checks.
-func VerifyListingAgainst(g *graph.Graph, truth []graph.Triangle, res Result) error {
+// VerifyListing checks that the run listed T(G) completely and one-sided,
+// given triangles = |T(G)|. Once every output is a triangle of g, the union
+// is a subset of T(G), so it is all of T(G) iff it holds triangles members.
+// Only on a mismatch does it list T(G), to name the first triangle, in the
+// oracle's order, that the union misses; a count that disagrees with a
+// one-sided union missing nothing is an error too, since it is not |T(G)|.
+func VerifyListing(g *graph.Graph, triangles int, res Result) error {
 	if err := VerifyOneSided(g, res); err != nil {
 		return err
 	}
+	if len(res.Union) == triangles {
+		return nil
+	}
+	truth := graph.ListTriangles(g)
 	for _, t := range truth {
 		if !res.Union.Has(t) {
 			return fmt.Errorf("triangle %v of G missing from output (got %d of %d)", t, len(res.Union), len(truth))
 		}
 	}
-	return nil
+	return fmt.Errorf("given |T(G)| = %d, but the one-sided output lists all %d triangles of G", triangles, len(truth))
 }
 
-// VerifyFinding checks the finding contract: one-sided outputs, and a
-// nonempty output whenever G has a triangle. Like VerifyListing, the oracle
-// count runs sequentially; callers that already know |T(G)| should use
-// VerifyFindingWithCount.
-func VerifyFinding(g *graph.Graph, res Result) error {
-	s := graph.OracleScratch{Workers: 1}
-	return VerifyFindingWithCount(g, s.CountTriangles(g), res)
-}
-
-// VerifyFindingWithCount is VerifyFinding with a caller-supplied |T(G)|.
-func VerifyFindingWithCount(g *graph.Graph, triangles int, res Result) error {
+// VerifyFinding checks the finding contract, given triangles = |T(G)|:
+// one-sided outputs, and a nonempty output whenever G has a triangle.
+func VerifyFinding(g *graph.Graph, triangles int, res Result) error {
 	if err := VerifyOneSided(g, res); err != nil {
 		return err
 	}

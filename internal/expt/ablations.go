@@ -165,7 +165,7 @@ func runAbRoute(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := verifyListing(rc.g, res); err != nil {
+			if err := core.VerifyListing(rc.g, oracleCount(rc.g), res); err != nil {
 				return nil, fmt.Errorf("ab-route n=%d %s: %w", n, rc.key, err)
 			}
 			vals[rc.key] = float64(res.ScheduledRounds)

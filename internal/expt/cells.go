@@ -30,20 +30,6 @@ var oracleScratches = sync.Pool{
 	New: func() any { return &graph.OracleScratch{Workers: 1} },
 }
 
-// verifyListing checks a complete-listing run against the pooled oracle.
-func verifyListing(g *graph.Graph, res core.Result) error {
-	s := oracleScratches.Get().(*graph.OracleScratch)
-	defer oracleScratches.Put(s)
-	return core.VerifyListingAgainst(g, s.ListTriangles(g), res)
-}
-
-// verifyFinding checks the finding contract against the pooled oracle.
-func verifyFinding(g *graph.Graph, res core.Result) error {
-	s := oracleScratches.Get().(*graph.OracleScratch)
-	defer oracleScratches.Put(s)
-	return core.VerifyFindingWithCount(g, s.CountTriangles(g), res)
-}
-
 // oracleCount is |T(G)| from the pooled oracle.
 func oracleCount(g *graph.Graph) int {
 	s := oracleScratches.Get().(*graph.OracleScratch)

@@ -146,7 +146,7 @@ func runE1(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := verifyListing(g, res); err != nil {
+		if err := core.VerifyListing(g, oracleCount(g), res); err != nil {
 			return nil, fmt.Errorf("e1 n=%d: %w", n, err)
 		}
 		_, maxBits := res.Metrics.MaxBitsReceived()
@@ -191,7 +191,7 @@ func runE2(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := verifyListing(g, res); err != nil {
+		if err := core.VerifyListing(g, oracleCount(g), res); err != nil {
 			return nil, fmt.Errorf("e2 n=%d: %w", n, err)
 		}
 		return map[string]float64{
@@ -259,7 +259,7 @@ func runE4(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := verifyFinding(g, res); err != nil {
+		if err := core.VerifyFinding(g, oracleCount(g), res); err != nil {
 			return nil, fmt.Errorf("e4 n=%d: %w", n, err)
 		}
 		gp, _ := graph.PlantedTriangles(n, 2+n/16, rng)
@@ -324,7 +324,7 @@ func runE5(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		complete := 1.0
-		if err := verifyListing(g, res); err != nil {
+		if err := core.VerifyListing(g, oracleCount(g), res); err != nil {
 			complete = 0 // probabilistic miss; reported, not fatal
 		}
 		if err := core.VerifyOneSided(g, res); err != nil {
@@ -374,7 +374,7 @@ func runE6(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := verifyListing(g, res); err != nil {
+		if err := core.VerifyListing(g, oracleCount(g), res); err != nil {
 			return nil, fmt.Errorf("e6 n=%d: %w", n, err)
 		}
 		// Algorithm A1 is also broadcast-legal; on dense G(n,1/2) almost
@@ -524,7 +524,7 @@ func runE9(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := verifyListing(g, res); err != nil {
+		if err := core.VerifyListing(g, oracleCount(g), res); err != nil {
 			return nil, fmt.Errorf("e9 n=%d: %w", n, err)
 		}
 		return map[string]float64{

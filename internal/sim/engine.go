@@ -136,7 +136,9 @@ type RoundDelta struct {
 // on the engine's sequential spine (never from a delivery or node worker),
 // in a deterministic order that does not depend on Config.Shards:
 // Triangle fires during the merge phase in ascending node order, once per
-// newly recorded output; Round fires after each round completes.
+// newly recorded output; Round fires after each round completes. An output
+// recorded while no Triangle hook was set, in this engine or in the one a
+// snapshot was taken from, never fires it.
 //
 // Hooks survive until the next Rebind, which clears them.
 type Hooks struct {
@@ -464,15 +466,15 @@ func (e *Engine) trackNode(v, floor int) {
 }
 
 // emitOutputs streams node v's not-yet-reported outputs through the
-// Triangle hook. Called only on the sequential spine (init loop and merge
-// phase), in ascending node order, so the emission order is deterministic.
+// Triangle hook, if one is set, and advances v's streamed-output mark either
+// way. Called only on the sequential spine (init loop and merge phase), in
+// ascending node order, so the emission order is deterministic.
 func (e *Engine) emitOutputs(v int) {
-	if e.hooks.Triangle == nil {
-		return
-	}
 	ctx := e.ctxs[v]
-	for _, t := range ctx.outputs[ctx.seenOut:] {
-		e.hooks.Triangle(v, t)
+	if e.hooks.Triangle != nil {
+		for _, t := range ctx.outputs[ctx.seenOut:] {
+			e.hooks.Triangle(v, t)
+		}
 	}
 	ctx.seenOut = len(ctx.outputs)
 }

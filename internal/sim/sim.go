@@ -70,7 +70,7 @@ type Context struct {
 	input     []int32    // input-graph neighbors (sorted); == comm in CONGEST mode
 	arena     *sendArena // the node's shard arena; Send and Broadcast append here
 	outputs   []graph.Triangle
-	seenOut   int // outputs already streamed through Hooks.Triangle
+	seenOut   int // outputs already passed to Hooks.Triangle, or passed over with none set
 	wake      int
 	done      bool
 	bcastOnly bool

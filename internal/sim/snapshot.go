@@ -74,7 +74,10 @@ var (
 // dropped the per-context round offset, and with it the word each context
 // wrote: composed runs now drive one bound segment at a time, so node
 // state holds one segment's handlers, and version-3 payloads (which carry
-// the offset and every segment's handler state) are refused.
+// the offset and every segment's handler state) are refused. Each
+// context's last word counts its outputs not yet streamed; older version-4
+// payloads held the streamed count there, so an observed resume from one
+// streams its earlier outputs again.
 const snapVersion = 4
 
 // SnapWriter serializes snapshot state as little-endian binary. All
@@ -474,7 +477,7 @@ func (e *Engine) Snapshot() ([]byte, error) {
 			w.I32(int32(t.B))
 			w.I32(int32(t.C))
 		}
-		w.Int(ctx.seenOut)
+		w.Int(len(ctx.outputs) - ctx.seenOut) // not yet streamed: 0 at a round boundary
 	}
 
 	// Per-node algorithm state, length-prefixed so restore can bound each
@@ -705,13 +708,14 @@ func (e *Engine) Restore(payload []byte) error {
 			a, b, c := r.I32(), r.I32(), r.I32()
 			ctx.outputs = append(ctx.outputs, graph.Triangle{A: int(a), B: int(b), C: int(c)})
 		}
-		ctx.seenOut = r.Int()
+		unseen := r.Int()
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if ctx.seenOut < 0 || ctx.seenOut > len(ctx.outputs) {
-			return fmt.Errorf("%w: node %d seenOut %d of %d outputs", ErrBadSnapshot, v, ctx.seenOut, len(ctx.outputs))
+		if unseen < 0 || unseen > len(ctx.outputs) {
+			return fmt.Errorf("%w: node %d has %d unstreamed of %d outputs", ErrBadSnapshot, v, unseen, len(ctx.outputs))
 		}
+		ctx.seenOut = len(ctx.outputs) - unseen
 		e.doneMark[v] = ctx.done
 		if !ctx.done {
 			notDone++

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -166,6 +167,57 @@ func TestSnapshotShardedCut(t *testing.T) {
 	for _, k := range []int{1, full.round / 2} {
 		assertSameRun(t, "sharded->single", full, runCut(t, g, cfg1, cfg2, k))
 		assertSameRun(t, "single->sharded", full, runCut(t, g, cfg2, cfg1, k))
+	}
+}
+
+// TestUnobservedSnapshotStreamsOnlyLaterOutputs runs the chatter machines
+// with no hooks, snapshots them mid-run and restores the snapshot into an
+// engine with a Triangle hook, on one shard and on four: the hook must
+// stream exactly the outputs made after the snapshot. The snapshot records
+// each node's streamed-output mark, which the engine advances whether or
+// not a hook is set.
+func TestUnobservedSnapshotStreamsOnlyLaterOutputs(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	g := graph.Gnp(48, 0.15, rng)
+	for _, shards := range []int{1, 4} {
+		cfg := Config{Seed: 5, Shards: shards}
+		eng, err := NewEngine(g, snapNodes(g.N(), cfg.Mode), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Run(12)
+		before := eng.Outputs()
+		payload, err := eng.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng2, err := NewEngine(g, snapNodes(g.N(), cfg.Mode), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng2.Restore(payload); err != nil {
+			t.Fatal(err)
+		}
+		rec := &hookRec{}
+		eng2.SetHooks(rec.hooks())
+		if err := eng2.RunUntilQuiescent(); err != nil {
+			t.Fatal(err)
+		}
+		streamed := make([][]graph.Triangle, g.N())
+		for i, v := range rec.nodes {
+			streamed[v] = append(streamed[v], rec.tris[i])
+		}
+		earlier := 0
+		for v, out := range eng2.Outputs() {
+			if want := out[len(before[v]):]; !slices.Equal(streamed[v], want) {
+				t.Fatalf("shards=%d node %d: streamed %v, want the %d outputs after the snapshot %v",
+					shards, v, streamed[v], len(want), want)
+			}
+			earlier += len(before[v])
+		}
+		if earlier == 0 || len(rec.tris) == 0 {
+			t.Fatalf("shards=%d: %d outputs before the snapshot, %d after; the test needs both", shards, earlier, len(rec.tris))
+		}
 	}
 }
 
