@@ -9,12 +9,12 @@ package repro
 // EXPERIMENTS.md); these benches regenerate single rows reproducibly.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
 	"testing"
 
-	"repro/internal/agg"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/expt"
@@ -278,13 +278,15 @@ func BenchmarkDolevRelayRouting(b *testing.B) {
 }
 
 // BenchmarkExtCounting — extension bench: exact distributed triangle
-// counting via BFS convergecast (Theta(d_max + D) rounds).
+// counting via BFS convergecast (Theta(d_max + D) rounds), on a pooled
+// engine.
 func BenchmarkExtCounting(b *testing.B) {
 	g := benchGnp(b, 14)
 	want := int64(graph.CountTriangles(g))
+	c := core.NewEngineCache()
 	var rounds int
 	for i := 0; i < b.N; i++ {
-		res, err := agg.CountTriangles(g, 0, sim.Config{Seed: int64(i)})
+		res, err := c.Count(context.Background(), g, 0, sim.Config{Seed: int64(i)}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -166,16 +166,60 @@ func run(args []string) error {
 		}
 	}
 	if res.Verify != nil {
-		if res.Verify.OK {
-			fmt.Printf("check: %s OK\n", res.Verify.Mode)
-		} else {
-			fmt.Printf("check: %s FAILED (probabilistic miss or bug): %s\n", res.Verify.Mode, res.Verify.Detail)
-		}
+		fmt.Println(checkLine(res.Verify, res.Meta.Faults))
 		if res.Verify.Mode == "count" && !res.Verify.OK {
 			return fmt.Errorf("count mismatch: %s", res.Verify.Detail)
 		}
 	}
 	return nil
+}
+
+// checkLine is the line reporting a verification. A failed check names
+// its possible causes: a probabilistic miss or a bug for the Monte Carlo
+// listing and finding checks, a bug for the exact one-sided, count and
+// churn checks, and, under a plan that injects faults, those faults first.
+func checkLine(v *congest.VerifyReport, fm *congest.FaultSummary) string {
+	if v.OK {
+		return fmt.Sprintf("check: %s OK", v.Mode)
+	}
+	monteCarlo := v.Mode == congest.VerifyListing || v.Mode == congest.VerifyFinding
+	injected := injectedFaults(fm)
+	var cause string
+	switch {
+	case injected != "" && monteCarlo:
+		cause = "injected faults [" + injected + "], probabilistic miss or bug"
+	case injected != "":
+		cause = "injected faults [" + injected + "] or bug"
+	case monteCarlo:
+		cause = "probabilistic miss or bug"
+	default:
+		cause = "bug"
+	}
+	return fmt.Sprintf("check: %s FAILED (%s): %s", v.Mode, cause, v.Detail)
+}
+
+// injectedFaults names the faults a plan injects, "" for none.
+func injectedFaults(fm *congest.FaultSummary) string {
+	if fm == nil {
+		return ""
+	}
+	var names []string
+	if fm.Crashes > 0 {
+		names = append(names, fmt.Sprintf("crashes=%d", fm.Crashes))
+	}
+	if fm.Loss > 0 {
+		names = append(names, fmt.Sprintf("loss=%g", fm.Loss))
+	}
+	if fm.Dup > 0 {
+		names = append(names, fmt.Sprintf("dup=%g", fm.Dup))
+	}
+	if fm.DelayMax > 0 {
+		names = append(names, fmt.Sprintf("delayMax=%d", fm.DelayMax))
+	}
+	if fm.DelayLinks > 0 {
+		names = append(names, fmt.Sprintf("links=%d", fm.DelayLinks))
+	}
+	return strings.Join(names, " ")
 }
 
 // parseCheckpointFlag parses "-checkpoint every=N,dir=PATH".

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/congest"
 	"repro/internal/graph"
 )
 
@@ -144,5 +145,44 @@ func TestReplayRoundPrintsFaults(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("replay output lacks %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestCheckLine pins the cause a failed check names, for all five
+// verification modes, without and with a fault plan: the Monte Carlo
+// listing and finding checks blame a probabilistic miss or a bug, the
+// exact one-sided, count and churn checks a bug, and under a plan any
+// check also the faults it injects. A plan that injects nothing is not
+// blamed.
+func TestCheckLine(t *testing.T) {
+	plan := &congest.FaultSummary{Hash: "00000000000000ab", Crashes: 1, Loss: 0.1, DelayMax: 2}
+	seedOnly := &congest.FaultSummary{Hash: "00000000000000cd"}
+	for _, c := range []struct {
+		mode   string
+		faults *congest.FaultSummary
+		want   string
+	}{
+		{congest.VerifyListing, nil, "check: listing FAILED (probabilistic miss or bug): detail"},
+		{congest.VerifyFinding, nil, "check: finding FAILED (probabilistic miss or bug): detail"},
+		{congest.VerifyOneSided, nil, "check: one-sided FAILED (bug): detail"},
+		{"count", nil, "check: count FAILED (bug): detail"},
+		{"churn", nil, "check: churn FAILED (bug): detail"},
+		{congest.VerifyListing, plan, "check: listing FAILED (injected faults [crashes=1 loss=0.1 delayMax=2], probabilistic miss or bug): detail"},
+		{congest.VerifyFinding, plan, "check: finding FAILED (injected faults [crashes=1 loss=0.1 delayMax=2], probabilistic miss or bug): detail"},
+		{congest.VerifyOneSided, plan, "check: one-sided FAILED (injected faults [crashes=1 loss=0.1 delayMax=2] or bug): detail"},
+		{"count", plan, "check: count FAILED (injected faults [crashes=1 loss=0.1 delayMax=2] or bug): detail"},
+		{"churn", plan, "check: churn FAILED (injected faults [crashes=1 loss=0.1 delayMax=2] or bug): detail"},
+		{congest.VerifyOneSided, seedOnly, "check: one-sided FAILED (bug): detail"},
+	} {
+		if got := checkLine(&congest.VerifyReport{Mode: c.mode, Detail: "detail"}, c.faults); got != c.want {
+			t.Errorf("%s (plan %v):\n got %q\nwant %q", c.mode, c.faults != nil, got, c.want)
+		}
+		if got, want := checkLine(&congest.VerifyReport{Mode: c.mode, OK: true}, c.faults), "check: "+c.mode+" OK"; got != want {
+			t.Errorf("%s: OK line %q, want %q", c.mode, got, want)
+		}
+	}
+	links := &congest.FaultSummary{Dup: 0.05, DelayLinks: 3}
+	if got, want := injectedFaults(links), "dup=0.05 links=3"; got != want {
+		t.Errorf("injectedFaults = %q, want %q", got, want)
 	}
 }

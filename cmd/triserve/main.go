@@ -116,8 +116,3 @@ func run(args []string) error {
 		return shutErr
 	}
 }
-
-// newMux is the test seam: the production handler over one service.
-func newMux(svc *congest.Service) http.Handler {
-	return httpapi.New(svc)
-}

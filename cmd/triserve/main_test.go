@@ -12,12 +12,13 @@ import (
 	"time"
 
 	"repro/congest"
+	"repro/internal/httpapi"
 )
 
 func startServer(t *testing.T, opts ...congest.Option) (*httptest.Server, *congest.Service) {
 	t.Helper()
 	svc := congest.NewService(opts...)
-	srv := httptest.NewServer(newMux(svc))
+	srv := httptest.NewServer(httpapi.New(svc))
 	t.Cleanup(func() {
 		srv.Close()
 		svc.Close()

@@ -16,8 +16,9 @@ import (
 )
 
 // ErrNotCheckpointable rejects checkpoint specs for algorithm families
-// whose node state cannot be snapshotted (the counting job's aggregation
-// nodes carry callback closures; churn is not an engine run at all).
+// that cannot be cut and resumed: the counting job runs to quiescence, so
+// it has no schedule to resume into and its counter writes no snapshot
+// state; churn is not an engine run at all.
 var ErrNotCheckpointable = errors.New("congest: algorithm does not support checkpointing")
 
 // CheckpointSpec configures periodic engine snapshots for a job, and

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"slices"
 
-	"repro/internal/agg"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/dynamic"
@@ -274,19 +273,15 @@ func (s *Session) verify(mode string, c cachedGraph, res core.Result) *VerifyRep
 	return rep
 }
 
-// runCount executes the exact-counting job (quiescence-driven, so its
-// schedule is data dependent). obs receives every executed round; a count
-// outputs no triangles and runs as one unannounced segment. A cancelled
-// count returns the prefix it ran, without a count or a verification, and
-// with ScheduledRounds 0: its schedule ends at a quiescence it never
-// reached.
+// runCount executes the exact-counting job on a pooled engine
+// (quiescence-driven, so its schedule is data dependent). obs receives
+// every executed round; a count outputs no triangles and runs as one
+// unannounced segment. A cancelled count returns the prefix it ran,
+// without a count or a verification, and with ScheduledRounds 0: its
+// schedule ends at a quiescence it never reached.
 func (s *Session) runCount(ctx context.Context, spec JobSpec, c cachedGraph, cfg sim.Config, obs Observer) (Result, error) {
 	g := c.g
-	var onRound func(int, sim.RoundDelta)
-	if o := coreObs(obs); o != nil {
-		onRound = o.OnRound
-	}
-	cres, err := agg.CountTrianglesContext(ctx, g, 0, cfg, onRound)
+	cres, err := s.engines.Count(ctx, g, 0, cfg, coreObs(obs))
 	cancelled := err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err())
 	if err != nil && !cancelled {
 		return Result{}, err

@@ -104,15 +104,15 @@ func TestSessionWorkloadMixesNeverEvict(t *testing.T) {
 
 // TestSessionOneEnginePerGraph runs jobs over one graph at several shard
 // counts and bandwidths through one Session, pinned to each count in turn:
-// they share one pooled engine, which the session keeps as its only idle
-// engine, and every Result is byte-identical to the same job's on a fresh
-// Session pinned alike.
+// phased jobs and count jobs alternate on one pooled engine, which the
+// session keeps as its only idle engine, and every Result is
+// byte-identical to the same job's on a fresh Session pinned alike.
 func TestSessionOneEnginePerGraph(t *testing.T) {
 	gs := GraphSpec{Generator: "gnp", N: 80, P: 0.1, Seed: 5}
 	s := NewSession()
 	for i, st := range []struct{ shards, b int }{{0, 0}, {4, 1}, {1, 5}, {7, 2}, {64, 3}, {4, 1}} {
 		s.shards = st.shards
-		for _, algo := range []string{"a1", "twohop", "tester"} {
+		for _, algo := range []string{"a1", "count", "twohop", "tester", "count", "list"} {
 			spec := JobSpec{Graph: gs, Algo: algo, Seed: int64(i), Bandwidth: st.b}
 			got, err := s.Run(context.Background(), spec)
 			if err != nil {

@@ -155,8 +155,9 @@ type FaultLink struct {
 // randomness derives from Seed (independent of the engine seed), so a
 // faulty job remains fully determined by its spec — bit-identical across
 // placement and checkpoint cut-and-resume, like every other job.
-// Fault injection is supported for every engine-run algorithm; count and
-// churn jobs reject it.
+// Fault injection is supported for every phase-scheduled algorithm; count
+// jobs, which run to quiescence, and churn jobs, which run no engine,
+// reject it.
 type FaultSpec struct {
 	// Seed derives every fault coin.
 	Seed int64 `json:"seed,omitempty"`

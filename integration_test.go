@@ -5,10 +5,10 @@ package repro
 // oracle and against each other.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
-	"repro/internal/agg"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -90,7 +90,7 @@ func TestAllAlgorithmsAgreeOnOneGraph(t *testing.T) {
 	})
 
 	t.Run("counter", func(t *testing.T) {
-		cres, err := agg.CountTriangles(g, 0, sim.Config{Seed: 8})
+		cres, err := core.NewEngineCache().Count(context.Background(), g, 0, sim.Config{Seed: 8}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestModelSeparationOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, err := agg.CountTriangles(g, 0, sim.Config{Seed: 4})
+	count, err := core.NewEngineCache().Count(context.Background(), g, 0, sim.Config{Seed: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestEmptyAndTinyGraphsEndToEnd(t *testing.T) {
 		if n < 3 && found {
 			t.Fatalf("n=%d: impossible triangle", n)
 		}
-		cres, err := agg.CountTriangles(g, 0, sim.Config{Seed: int64(n)})
+		cres, err := core.NewEngineCache().Count(context.Background(), g, 0, sim.Config{Seed: int64(n)}, nil)
 		if err != nil {
 			t.Fatalf("n=%d counter: %v", n, err)
 		}

@@ -42,22 +42,8 @@ func NewTwoHop(b, maxDegree int) (*sim.Schedule, func(id int) core.PhaseHandler)
 // twoHopHandler is the two-hop lister's node logic; it holds no state.
 type twoHopHandler struct{}
 
-// Start broadcasts the node's neighbour list in pieces of at most 64 words
-// converted on the stack. The engine stores each piece's words right after
-// the previous piece's, so every channel queues the list as one span, just
-// as one Broadcast of the whole list would.
-func (h *twoHopHandler) Start(ctx *sim.Context, phase int) {
-	var buf [64]sim.Word
-	nbrs := ctx.InputNeighbors()
-	for len(nbrs) > 0 {
-		piece := buf[:min(len(nbrs), len(buf))]
-		for i := range piece {
-			piece[i] = sim.Word(nbrs[i])
-		}
-		ctx.Broadcast(piece...)
-		nbrs = nbrs[len(piece):]
-	}
-}
+// Start broadcasts the node's neighbour list.
+func (h *twoHopHandler) Start(ctx *sim.Context, phase int) { core.BroadcastNeighbors(ctx) }
 
 // Receive outputs {me, j, l} for each word l above its sender j that closes
 // a triangle. Duplicates are allowed by the listing definition, but the

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 
@@ -11,11 +12,15 @@ import (
 	"repro/internal/sim"
 )
 
-// EngineCache is core's only runner: every run goes through Run. It pools
-// idle engines, each with the phasedRun node that runs on it, keyed by what
-// sizes an engine's slabs or compiles into it — vertex count, mode,
-// scheduler and fault plan. The seed, bandwidth and shard count are
-// per-run settings, and so is the graph: a borrowed engine takes them in
+// EngineCache runs every job core executes: phased runs through Run, and
+// counts through Count. It pools idle engines, each with the phasedRun
+// node Run drives it with, keyed by what sizes an engine's slabs or
+// compiles into it — vertex count, mode, scheduler and fault plan — so
+// count jobs and phased jobs on one graph share engines. Every borrow
+// fills the engine's node slice with its own node (the phase driver for
+// Run, a fresh counter for Count), so an engine never runs the previous
+// borrower's node. The seed, bandwidth and shard count are per-run
+// settings, and so is the graph: a borrowed engine takes them in
 // Engine.Rebind, its one rewind, which keeps every slab allocation, swaps
 // the topology only for another graph and re-cuts the shard plan only for
 // a new shard count or graph. By the determinism contract none of those
@@ -29,21 +34,22 @@ import (
 //
 // The cache is safe for concurrent use; each borrowed engine belongs to one
 // run until it is returned, so k concurrent runs of one shape cost k
-// engines. Config.MaxRounds is not part of the key either: the planned
-// runs the cache executes drive the engine with explicit round budgets and
-// never consult it. Idle retention is bounded at MaxIdleEngines engines
-// across all shapes: a return beyond the bound drops the oldest idle one.
-// Every key field and run setting can come from an untrusted request, so a
-// long-lived process's memory then scales with concurrent load, not with
-// the variety of shapes and settings it has ever served.
+// engines. Config.MaxRounds is not part of the key either: only Count
+// consults it, and a rewind takes it with the other run settings. Idle
+// retention is bounded at MaxIdleEngines engines across all shapes: a
+// return beyond the bound drops the oldest idle one. Every key field and
+// run setting can come from an untrusted request, so a long-lived
+// process's memory then scales with concurrent load, not with the variety
+// of shapes and settings it has ever served.
 type EngineCache struct {
 	mu   sync.Mutex
 	idle []idleEngine // oldest first
 }
 
-// idleEngine is a returned engine, the phasedRun that ran on it (its
-// handler slots cleared, so it pins no handler), the node slice naming
-// that phasedRun for every vertex, and the shape it was keyed under.
+// idleEngine is a returned engine, the phasedRun Run drives it with (its
+// handler slots cleared, so it pins no handler), the node slice the engine
+// runs, which each borrow fills with its node and put clears, and the
+// shape it was keyed under.
 type idleEngine struct {
 	key   engineKey
 	eng   *sim.Engine
@@ -78,8 +84,8 @@ func keyFor(n int, cfg sim.Config) engineKey {
 }
 
 // get takes the most recently returned idle engine of shape key, or
-// returns an idleEngine with no engine and a fresh phasedRun for key.n
-// vertices.
+// returns an idleEngine with no engine, a fresh phasedRun and an empty
+// node slice for key.n vertices.
 func (c *EngineCache) get(key engineKey) idleEngine {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -90,17 +96,28 @@ func (c *EngineCache) get(key engineKey) idleEngine {
 		}
 	}
 	run := &phasedRun{handlers: make([]PhaseHandler, key.n)}
-	nodes := make([]sim.Node, key.n)
-	for v := range nodes {
-		nodes[v] = run
+	return idleEngine{key: key, run: run, nodes: make([]sim.Node, key.n)}
+}
+
+// bind readies ie's engine for a run of node, driving every vertex, on g
+// under cfg, building the engine on its first borrow.
+func (ie *idleEngine) bind(g *graph.Graph, node sim.Node, cfg sim.Config) (err error) {
+	for v := range ie.nodes {
+		ie.nodes[v] = node
 	}
-	return idleEngine{key: key, run: run, nodes: nodes}
+	if ie.eng == nil {
+		ie.eng, err = sim.NewEngine(g, ie.nodes, cfg)
+	} else {
+		err = ie.eng.Rebind(g, ie.nodes, cfg)
+	}
+	return err
 }
 
 // put returns ie to the pool, dropping the oldest idle engine beyond
 // MaxIdleEngines.
 func (c *EngineCache) put(ie idleEngine) {
-	clear(ie.run.handlers) // drop handler references before pooling
+	clear(ie.nodes) // drop the borrower's node and handlers before pooling
+	clear(ie.run.handlers)
 	ie.run.sched = nil
 	c.mu.Lock()
 	c.idle = append(c.idle, ie)
@@ -151,13 +168,7 @@ func (c *EngineCache) Run(ctx context.Context, g *graph.Graph, segs []Segment, c
 		return Result{}, errEmptySequence
 	}
 	ie := c.get(keyFor(g.N(), cfg))
-	var err error
-	if ie.eng == nil {
-		ie.eng, err = sim.NewEngine(g, ie.nodes, cfg)
-	} else {
-		err = ie.eng.Rebind(g, ie.nodes, cfg)
-	}
-	if err != nil {
+	if err := ie.bind(g, ie.run, cfg); err != nil {
 		return Result{}, err
 	}
 	res, err := runPlanned(ctx, ie.eng, ie.run, segs, obs, ckpt)
@@ -165,6 +176,35 @@ func (c *EngineCache) Run(ctx context.Context, g *graph.Graph, segs []Segment, c
 	// Rebind drains them, so returning it is safe either way.
 	c.put(ie)
 	return res, err
+}
+
+// Count runs the exact triangle counter on g from root and returns the
+// triangle count of root's connected component, with cancellation at
+// round boundaries and streaming observation; a nil obs disables it. The
+// count runs to quiescence, so its Rounds is the quiescence round. A
+// cancelled count returns ctx.Err() with the Rounds and Metrics of the
+// prefix it ran; its Count is meaningless and reads 0.
+func (c *EngineCache) Count(ctx context.Context, g *graph.Graph, root int, cfg sim.Config, obs Observer) (CountResult, error) {
+	if root < 0 || root >= g.N() {
+		return CountResult{}, fmt.Errorf("core: count root %d out of range", root)
+	}
+	cnt := newCounter(g, root, cfg.Normalized().BandwidthWords)
+	ie := c.get(keyFor(g.N(), cfg))
+	if err := ie.bind(g, cnt, cfg); err != nil {
+		return CountResult{}, err
+	}
+	ie.eng.SetHooks(hooksFor(obs))
+	err := ie.eng.RunUntilQuiescentContext(ctx)
+	res := CountResult{Rounds: ie.eng.Round(), Metrics: ie.eng.Metrics()}
+	c.put(ie)
+	if err == nil {
+		res.Count = cnt.total
+		return res, nil
+	}
+	if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+		return res, err
+	}
+	return CountResult{}, err
 }
 
 // RunSingle executes a single-schedule algorithm on g.

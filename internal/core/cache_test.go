@@ -327,27 +327,42 @@ func TestCheckpointBoundariesAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestWarmJobAllocations bounds what a warm single-schedule job allocates:
-// on gnp(2000, 4/n), a warm two-hop run, a warm A1 run and a warm tester
-// run at its default 16 probes each allocate at most a constant that does
-// not grow with n — the Result's copies of the outputs, the union and the
-// metrics. The engine's one node and its handler slots are pooled with the
-// engine, and all three algorithms share one handler across vertices, so a
-// per-vertex object anywhere on the run path would add up to n.
+// TestWarmJobAllocations bounds what a warm job allocates: on gnp(2000,
+// 4/n), a warm two-hop run, a warm A1 run, a warm tester run at its
+// default 16 probes and a warm count each allocate at most a constant that
+// does not grow with n — the Result's copies of the outputs, the union and
+// the metrics, and the count's counter with its flat per-vertex state. The
+// engine's node slice and the phase driver's handler slots are pooled with
+// the engine, and every algorithm drives all vertices with one node value,
+// so a per-vertex object anywhere on the run path would add up to n.
 func TestWarmJobAllocations(t *testing.T) {
 	const n, bound = 2000, 128
 	g := graph.Gnp(n, 4.0/n, rand.New(rand.NewSource(43)))
 	twoSched, twoH := baseline.NewTwoHop(2, g.MaxDegree())
 	a1Sched, a1H := core.NewA1(core.Params{N: n, Eps: core.EpsFindingPure, B: 2})
 	testSched, testH := core.NewPropertyTester(n, 2, 16)
+	cfg := sim.Config{Seed: 1}
 	c := core.NewEngineCache()
+	single := func(sched *sim.Schedule, h func(int) core.PhaseHandler) func() error {
+		return func() error {
+			_, err := c.RunSingle(g, sched, h, cfg)
+			return err
+		}
+	}
 	for _, job := range []struct {
-		name  string
-		sched *sim.Schedule
-		h     func(int) core.PhaseHandler
-	}{{"twohop", twoSched, twoH}, {"a1", a1Sched, a1H}, {"tester", testSched, testH}} {
+		name string
+		run  func() error
+	}{
+		{"twohop", single(twoSched, twoH)},
+		{"a1", single(a1Sched, a1H)},
+		{"tester", single(testSched, testH)},
+		{"count", func() error {
+			_, err := c.Count(context.Background(), g, 0, cfg, nil)
+			return err
+		}},
+	} {
 		allocs := testing.AllocsPerRun(3, func() {
-			if _, err := c.RunSingle(g, job.sched, job.h, sim.Config{Seed: 1}); err != nil {
+			if err := job.run(); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -1,12 +1,21 @@
-package agg
+package core
 
 import (
+	"context"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
+
+// countTriangles runs one count on an empty cache, that is on a fresh
+// engine.
+func countTriangles(g *graph.Graph, root int, cfg sim.Config) (CountResult, error) {
+	return NewEngineCache().Count(context.Background(), g, root, cfg, nil)
+}
 
 func TestCountMatchesOracleOnConnectedGraphs(t *testing.T) {
 	cases := []struct {
@@ -25,7 +34,7 @@ func TestCountMatchesOracleOnConnectedGraphs(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			g := tc.mk(rng)
 			want := int64(graph.CountTriangles(g))
-			res, err := CountTriangles(g, 0, sim.Config{Seed: 1})
+			res, err := countTriangles(g, 0, sim.Config{Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +51,7 @@ func TestCountAllRootsAgree(t *testing.T) {
 	g := graph.Gnp(24, 0.5, rng) // connected w.h.p.
 	want := int64(graph.CountTriangles(g))
 	for root := 0; root < g.N(); root += 5 {
-		res, err := CountTriangles(g, root, sim.Config{Seed: int64(root)})
+		res, err := countTriangles(g, root, sim.Config{Seed: int64(root)})
 		if err != nil {
 			t.Fatalf("root %d: %v", root, err)
 		}
@@ -57,7 +66,7 @@ func TestCountBandwidthIndependence(t *testing.T) {
 	g := graph.Gnp(26, 0.4, rng)
 	want := int64(graph.CountTriangles(g))
 	for _, b := range []int{1, 2, 3, 8} {
-		res, err := CountTriangles(g, 0, sim.Config{Seed: 5, BandwidthWords: b})
+		res, err := countTriangles(g, 0, sim.Config{Seed: 5, BandwidthWords: b})
 		if err != nil {
 			t.Fatalf("B=%d: %v", b, err)
 		}
@@ -80,7 +89,7 @@ func TestCountDisconnectedCountsRootComponent(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	res, err := CountTriangles(g, 0, sim.Config{Seed: 6})
+	res, err := countTriangles(g, 0, sim.Config{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +101,7 @@ func TestCountDisconnectedCountsRootComponent(t *testing.T) {
 func TestCountRoundsScaleWithDmaxPlusDiameter(t *testing.T) {
 	// A long ring has tiny d_max but large diameter: rounds ~ D.
 	g := graph.Ring(60)
-	res, err := CountTriangles(g, 0, sim.Config{Seed: 7})
+	res, err := countTriangles(g, 0, sim.Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +114,7 @@ func TestCountRoundsScaleWithDmaxPlusDiameter(t *testing.T) {
 	// A dense graph has diameter ~2 but d_max ~ n: rounds ~ d_max/B.
 	rng := rand.New(rand.NewSource(8))
 	gd := graph.Gnp(60, 0.5, rng)
-	resD, err := CountTriangles(gd, 0, sim.Config{Seed: 9})
+	resD, err := countTriangles(gd, 0, sim.Config{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +135,7 @@ func TestCountRoundBudgetFormula(t *testing.T) {
 		if !graph.Connected(g) {
 			continue
 		}
-		res, err := CountTriangles(g, 0, sim.Config{Seed: 12, BandwidthWords: 2})
+		res, err := countTriangles(g, 0, sim.Config{Seed: 12, BandwidthWords: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,18 +150,29 @@ func TestCountRoundBudgetFormula(t *testing.T) {
 
 func TestCountRejectsBadRoot(t *testing.T) {
 	g := graph.Complete(4)
-	if _, err := CountTriangles(g, -1, sim.Config{}); err == nil {
+	if _, err := countTriangles(g, -1, sim.Config{}); err == nil {
 		t.Fatal("negative root accepted")
 	}
-	if _, err := CountTriangles(g, 4, sim.Config{}); err == nil {
+	if _, err := countTriangles(g, 4, sim.Config{}); err == nil {
 		t.Fatal("out-of-range root accepted")
 	}
 }
 
+// TestSumEncoding round-trips subtree sums through encodeSum and the
+// receiver's digit fold, and checks that C(n,3) always fits.
 func TestSumEncoding(t *testing.T) {
+	decodeSum := func(ws [sumWords]sim.Word, n int) int64 {
+		place := sumPlaces(n)
+		var v int64
+		for i, w := range ws {
+			v += int64(w) * place[i]
+		}
+		return v
+	}
+	maxCount := func(n int) int64 { return int64(math.Pow(float64(sumBase(n)), sumWords)) - 1 }
 	for _, n := range []int{2, 3, 10, 64, 500} {
-		for _, v := range []int64{0, 1, int64(n) - 1, int64(n), 12345 % MaxCount(n)} {
-			if v > MaxCount(n) {
+		for _, v := range []int64{0, 1, int64(n) - 1, int64(n), 12345 % maxCount(n)} {
+			if v > maxCount(n) {
 				continue
 			}
 			got := decodeSum(encodeSum(v, n), n)
@@ -162,8 +182,34 @@ func TestSumEncoding(t *testing.T) {
 		}
 		// C(n,3) must fit.
 		c3 := int64(n) * int64(n-1) * int64(n-2) / 6
-		if c3 > MaxCount(n) {
-			t.Fatalf("n=%d: C(n,3)=%d exceeds MaxCount=%d", n, c3, MaxCount(n))
+		if c3 > maxCount(n) {
+			t.Fatalf("n=%d: C(n,3)=%d exceeds maxCount=%d", n, c3, maxCount(n))
 		}
+	}
+}
+
+// TestCountShardsAgree counts a graph with a giant component and isolated
+// vertices on one pooled engine at 0, 1 and 4 shards: the shard workers
+// drive one shared counter, and every CountResult is identical. CI runs it
+// under -race.
+func TestCountShardsAgree(t *testing.T) {
+	g := graph.Gnp(3000, 6.0/3000, rand.New(rand.NewSource(21)))
+	c := NewEngineCache()
+	var want CountResult
+	for _, shards := range []int{0, 1, 4} {
+		got, err := c.Count(context.Background(), g, 0, sim.Config{Seed: 3, Shards: shards}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shards == 0 {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: count %d in %d rounds, want %d in %d", shards, got.Count, got.Rounds, want.Count, want.Rounds)
+		}
+	}
+	if want.Count == 0 || want.Count > int64(graph.CountTriangles(g)) {
+		t.Fatalf("count %d, want a positive count of at most |T(G)| = %d", want.Count, graph.CountTriangles(g))
 	}
 }

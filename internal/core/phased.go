@@ -1,7 +1,9 @@
 // Package core implements the paper's algorithms: A1 (Proposition 1),
 // A2 (Proposition 2 / Figure 1), A(X,r) (Figure 2 / Proposition 4),
 // A3 (Proposition 3), the Theorem-1 triangle finder and the Theorem-2
-// triangle lister, all as phase-synchronous CONGEST state machines.
+// triangle lister, all as phase-synchronous CONGEST state machines, plus
+// the exact distributed triangle counter, which runs to quiescence. Every
+// run executes on an EngineCache's pooled engines.
 package core
 
 import (
@@ -93,6 +95,24 @@ func (d *phasedRun) Round(ctx *sim.Context, round int, inbox []sim.Delivery) {
 		return
 	}
 	ctx.SleepUntil(d.start + TotalRounds(s)) // the next segment's first round
+}
+
+// BroadcastNeighbors broadcasts the vertex's input neighbour list in
+// pieces of at most 64 words converted on the stack. The engine stores
+// each piece's words right after the previous piece's, so every channel
+// queues the list as one span, just as one Broadcast of the whole list
+// would.
+func BroadcastNeighbors(ctx *sim.Context) {
+	var buf [64]sim.Word
+	nbrs := ctx.InputNeighbors()
+	for len(nbrs) > 0 {
+		piece := buf[:min(len(nbrs), len(buf))]
+		for i := range piece {
+			piece[i] = sim.Word(nbrs[i])
+		}
+		ctx.Broadcast(piece...)
+		nbrs = nbrs[len(piece):]
+	}
 }
 
 // FixedAssembler reassembles fixed-size records that the engine may split

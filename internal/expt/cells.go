@@ -19,8 +19,9 @@ import (
 // allocations to graph generation plus the algorithms' per-vertex handlers
 // (see the allocs-per-op bound in alloc_test.go).
 
-// cells pools engines, each with its phasedRun node, across sweep cells. Safe for
-// concurrent use by the bounded cell workers.
+// cells pools engines, each with its phasedRun node, across sweep cells,
+// ext-count's counts included. Safe for concurrent use by the bounded cell
+// workers.
 var cells = core.NewEngineCache()
 
 // oracleScratches pools verification oracles. Workers=1 on purpose:

@@ -1,10 +1,10 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
-	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -27,7 +27,7 @@ func runExtCount(cfg Config) (*Table, error) {
 		seed := cfg.Seed + 1000 + int64(i)
 		rng := rand.New(rand.NewSource(seed))
 		g := graph.Gnp(n, 0.5, rng)
-		cres, err := agg.CountTriangles(g, 0, cfg.simCfg(seed, sim.ModeCONGEST))
+		cres, err := cells.Count(context.Background(), g, 0, cfg.simCfg(seed, sim.ModeCONGEST), nil)
 		if err != nil {
 			return nil, err
 		}
