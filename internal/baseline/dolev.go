@@ -23,24 +23,21 @@ const (
 )
 
 // dolevPlan is the deterministic, globally-known routing plan: the group
-// partition and the assignment of sorted group-triples to nodes. All nodes
+// partition and the assignment of sorted group triples to nodes. All nodes
 // derive the identical plan from (n, variant, d_max), mirroring the
-// deterministic algorithm.
+// deterministic algorithm. The sorted triples a <= b <= c are numbered in
+// lexicographic order, and node idx mod n owns triple idx; the index has a
+// closed form, so the plan is three integers however many triples there
+// are.
 type dolevPlan struct {
 	n         int
 	groupSize int
 	numGroups int
-	// ownerOf[tripleIndex] = node responsible for that sorted group triple.
-	ownerOf []int
-	// tripleIdx maps a sorted triple (a<=b<=c) to its index.
-	tripleIdx map[[3]int]int
-	// ownTriples[v] lists the triple indices node v is responsible for.
-	ownTriples [][]int
 }
 
-func newDolevPlan(n int, variant DolevVariant, maxDegree int) (*dolevPlan, error) {
+func newDolevPlan(n int, variant DolevVariant, maxDegree int) (dolevPlan, error) {
 	if n < 1 {
-		return nil, fmt.Errorf("baseline: empty network")
+		return dolevPlan{}, fmt.Errorf("baseline: empty network")
 	}
 	var gs int
 	switch variant {
@@ -59,56 +56,70 @@ func newDolevPlan(n int, variant DolevVariant, maxDegree int) (*dolevPlan, error
 			gs = n
 		}
 	default:
-		return nil, fmt.Errorf("baseline: unknown Dolev variant %d", variant)
+		return dolevPlan{}, fmt.Errorf("baseline: unknown Dolev variant %d", variant)
 	}
-	p := &dolevPlan{
-		n:          n,
-		groupSize:  gs,
-		numGroups:  (n + gs - 1) / gs,
-		tripleIdx:  make(map[[3]int]int),
-		ownTriples: make([][]int, n),
-	}
-	idx := 0
-	for a := 0; a < p.numGroups; a++ {
-		for b := a; b < p.numGroups; b++ {
-			for c := b; c < p.numGroups; c++ {
-				key := [3]int{a, b, c}
-				p.tripleIdx[key] = idx
-				owner := idx % n
-				p.ownerOf = append(p.ownerOf, owner)
-				p.ownTriples[owner] = append(p.ownTriples[owner], idx)
-				idx++
-			}
-		}
-	}
-	return p, nil
+	return dolevPlan{n: n, groupSize: gs, numGroups: (n + gs - 1) / gs}, nil
 }
 
-func (p *dolevPlan) group(v int) int { return v / p.groupSize }
+func (p dolevPlan) group(v int) int { return v / p.groupSize }
 
-// destinations returns the distinct owners of triples containing the group
-// pair {group(u), group(v)}.
-func (p *dolevPlan) destinations(u, v int) []int {
+// multisets returns the number of sorted triples over the last k groups:
+// k(k+1)(k+2)/6.
+func multisets(k int) int { return k * (k + 1) * (k + 2) / 6 }
+
+// owner returns the node responsible for the triple of groups {a, b, c},
+// given in any order. The lexicographic index of the sorted triple counts
+// the triples whose first group is below a, then those that start with a
+// and whose second group is below b, then c - b.
+func (p dolevPlan) owner(a, b, c int) int {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b, c = c, b
+	}
+	if a > b {
+		a, b = b, a
+	}
+	g := p.numGroups
+	idx := multisets(g) - multisets(g-a) + (g-a)*(g-a+1)/2 - (g-b)*(g-b+1)/2 + c - b
+	return idx % p.n
+}
+
+// dolevDests is one caller's scratch for dolevPlan.destinations: the owner
+// list it returns, and, on plans with more triples than nodes, where owners
+// repeat, a bitset over nodes that deduplicates it.
+type dolevDests struct {
+	owners []int
+	seen   []uint64
+}
+
+// destinations returns the distinct owners of the triples containing the
+// group pair {group(u), group(v)}, in first-occurrence order over the third
+// group. The slice is d's and valid until the next call with d.
+func (p dolevPlan) destinations(u, v int, d *dolevDests) []int {
+	out := d.owners[:0]
+	dedupe := multisets(p.numGroups) > p.n
+	if dedupe && d.seen == nil {
+		d.seen = make([]uint64, (p.n+63)/64)
+	}
 	gu, gv := p.group(u), p.group(v)
-	if gu > gv {
-		gu, gv = gv, gu
-	}
-	seen := make(map[int]struct{}, p.numGroups)
-	out := make([]int, 0, p.numGroups)
 	for x := 0; x < p.numGroups; x++ {
-		a, b, c := gu, gv, x
-		if b > c {
-			b, c = c, b
+		w := p.owner(gu, gv, x)
+		if dedupe {
+			if d.seen[w>>6]&(1<<(w&63)) != 0 {
+				continue
+			}
+			d.seen[w>>6] |= 1 << (w & 63)
 		}
-		if a > b {
-			a, b = b, a
-		}
-		owner := p.ownerOf[p.tripleIdx[[3]int{a, b, c}]]
-		if _, dup := seen[owner]; !dup {
-			seen[owner] = struct{}{}
-			out = append(out, owner)
+		out = append(out, w)
+	}
+	if dedupe {
+		for _, w := range out {
+			d.seen[w>>6] = 0
 		}
 	}
+	d.owners = out
 	return out
 }
 
@@ -148,39 +159,42 @@ func NewDolevRouted(g *graph.Graph, b int, variant DolevVariant, routing DolevRo
 	sched := &sim.Schedule{}
 	switch routing {
 	case DirectRouting:
-		maxLoad := 0
-		load := make(map[[2]int]int)
+		// The announcements come sender by sender, so one array counts the
+		// current sender's words per channel.
+		load := make([]int, g.N())
+		sender, maxLoad := -1, 0
 		forEachAnnouncement(g, plan, func(u, v, w int) {
-			key := [2]int{u, w}
-			load[key]++
-			if load[key] > maxLoad {
-				maxLoad = load[key]
+			if u != sender {
+				clear(load)
+				sender = u
 			}
+			load[w]++
+			maxLoad = max(maxLoad, load[w])
 		})
 		sched.Add("dolev-direct", atLeast1(sim.RoundsFor(maxLoad, b)))
 	case RelayRouting:
 		// Replicate each node's deterministic relay assignment to size both
-		// phases exactly.
-		scatter := make(map[[2]int]int)
+		// phases exactly. Scatter loads are per sender, like direct loads;
+		// forward loads add up over all senders.
+		scatter := make([]int, g.N())
 		forward := make(map[[2]int]int)
-		seq := make([]int, g.N())
+		sender, seq := -1, 0
 		max0, max1 := 0, 0
 		forEachAnnouncement(g, plan, func(u, v, w int) {
-			r := relayOf(u, seq[u], g.N())
-			seq[u]++
-			k0 := [2]int{u, r}
-			scatter[k0] += 2 // (dest, v)
-			if scatter[k0] > max0 {
-				max0 = scatter[k0]
+			if u != sender {
+				clear(scatter)
+				sender, seq = u, 0
 			}
+			r := relayOf(u, seq, g.N())
+			seq++
+			scatter[r] += 2 // (dest, v)
+			max0 = max(max0, scatter[r])
 			if r == w {
 				return // relay is the destination; no forward hop
 			}
 			k1 := [2]int{r, w}
 			forward[k1] += 2 // (u, v)
-			if forward[k1] > max1 {
-				max1 = forward[k1]
-			}
+			max1 = max(max1, forward[k1])
 		})
 		sched.Add("dolev-scatter", atLeast1(sim.RoundsFor(max0, b)))
 		sched.Add("dolev-forward", atLeast1(sim.RoundsFor(max1, b)))
@@ -188,26 +202,26 @@ func NewDolevRouted(g *graph.Graph, b int, variant DolevVariant, routing DolevRo
 		return nil, nil, fmt.Errorf("baseline: unknown routing %d", routing)
 	}
 	h := func(int) core.PhaseHandler {
-		return &dolevHandler{
-			plan:    plan,
-			routing: routing,
-			relayIn: core.NewFixedAssembler(2),
-			fwdIn:   core.NewFixedAssembler(2),
+		h := &dolevHandler{plan: plan, routing: routing}
+		if routing == RelayRouting {
+			h.relayIn, h.fwdIn = core.NewFixedAssembler(2), core.NewFixedAssembler(2)
 		}
+		return h
 	}
 	return sched, h, nil
 }
 
 // forEachAnnouncement visits every (owner u, other endpoint v, responsible
 // node w) triple, in the exact deterministic order nodes themselves use.
-func forEachAnnouncement(g *graph.Graph, plan *dolevPlan, visit func(u, v, w int)) {
+func forEachAnnouncement(g *graph.Graph, plan dolevPlan, visit func(u, v, w int)) {
+	var dests dolevDests
 	for u := 0; u < g.N(); u++ {
 		for _, v32 := range g.Neighbors(u) {
 			v := int(v32)
 			if u > v {
 				continue // the lower endpoint owns the edge
 			}
-			for _, w := range plan.destinations(u, v) {
+			for _, w := range plan.destinations(u, v, &dests) {
 				if w == u || w == v {
 					continue // endpoints already know the edge
 				}
@@ -237,11 +251,12 @@ func atLeast1(x int) int {
 }
 
 type dolevHandler struct {
-	plan    *dolevPlan
+	plan    dolevPlan
 	routing DolevRouting
+	dests   dolevDests
 	edges   []graph.Edge
-	relayIn *core.FixedAssembler // phase-0 records at relays: (dest, v)
-	fwdIn   *core.FixedAssembler // phase-1 records at owners: (u, v)
+	relayIn *core.FixedAssembler // relay routing only: phase-0 records at relays, (dest, v)
+	fwdIn   *core.FixedAssembler // relay routing only: phase-1 records at owners, (u, v)
 	relayed []relayMsg
 }
 
@@ -256,7 +271,7 @@ func (h *dolevHandler) Start(ctx *sim.Context, phase int) {
 			if me > v {
 				continue
 			}
-			for _, w := range h.plan.destinations(me, v) {
+			for _, w := range h.plan.destinations(me, v, &h.dests) {
 				if w == me || w == v {
 					continue
 				}
@@ -270,7 +285,7 @@ func (h *dolevHandler) Start(ctx *sim.Context, phase int) {
 			if me > v {
 				continue
 			}
-			for _, w := range h.plan.destinations(me, v) {
+			for _, w := range h.plan.destinations(me, v, &h.dests) {
 				if w == me || w == v {
 					continue
 				}
@@ -319,27 +334,13 @@ func (h *dolevHandler) Finish(ctx *sim.Context) {
 	for _, v := range ctx.InputNeighbors() {
 		h.edges = append(h.edges, graph.NewEdge(me, int(v)))
 	}
+	// A node outputs the triangles through itself and those of the group
+	// triples it owns: every triangle is output at least by its triple's
+	// owner, and duplicates are allowed by the listing definition.
+	p := h.plan
 	for _, t := range graph.TrianglesAmongEdges(h.edges) {
-		if t.Contains(me) || h.ownsTripleOf(t, me) {
+		if t.Contains(me) || p.owner(p.group(t.A), p.group(t.B), p.group(t.C)) == me {
 			ctx.Output(t)
 		}
 	}
-}
-
-// ownsTripleOf reports whether node me owns the sorted group-triple of t —
-// the responsibility criterion that guarantees every triangle is output by
-// at least its triple's owner. (Triangles containing me are also output;
-// duplicates are allowed by the listing definition.)
-func (h *dolevHandler) ownsTripleOf(t graph.Triangle, me int) bool {
-	a, b, c := h.plan.group(t.A), h.plan.group(t.B), h.plan.group(t.C)
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b, c = c, b
-	}
-	if a > b {
-		a, b = b, a
-	}
-	return h.plan.ownerOf[h.plan.tripleIdx[[3]int{a, b, c}]] == me
 }

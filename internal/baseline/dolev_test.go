@@ -3,6 +3,8 @@ package baseline
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -17,36 +19,148 @@ func TestDolevPlanCoversAllTriples(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := plan.numGroups
-		wantTriples := g * (g + 1) * (g + 2) / 6 // combos with repetition
-		if len(plan.ownerOf) != wantTriples {
-			t.Fatalf("n=%d: %d triples, want %d", n, len(plan.ownerOf), wantTriples)
-		}
 		// Every vertex maps to a valid group.
 		for v := 0; v < n; v++ {
 			if gg := plan.group(v); gg < 0 || gg >= g {
 				t.Fatalf("group(%d) = %d out of range", v, gg)
 			}
 		}
-		// Every owner is a real node and ownTriples is consistent.
-		count := 0
-		for ti, owner := range plan.ownerOf {
-			if owner < 0 || owner >= n {
-				t.Fatalf("triple %d owned by %d", ti, owner)
-			}
-			found := false
-			for _, oti := range plan.ownTriples[owner] {
-				if oti == ti {
-					found = true
+		// Every sorted triple has a real owner, and the triples spread
+		// evenly: each node owns floor(T/n) or ceil(T/n) of the T triples.
+		owned := make([]int, n)
+		triples := 0
+		for a := 0; a < g; a++ {
+			for b := a; b < g; b++ {
+				for c := b; c < g; c++ {
+					owner := plan.owner(a, b, c)
+					if owner < 0 || owner >= n {
+						t.Fatalf("n=%d: triple (%d,%d,%d) owned by %d", n, a, b, c, owner)
+					}
+					owned[owner]++
+					triples++
 				}
 			}
-			if !found {
-				t.Fatalf("triple %d missing from ownTriples[%d]", ti, owner)
+		}
+		if want := g * (g + 1) * (g + 2) / 6; triples != want { // combos with repetition
+			t.Fatalf("n=%d: %d triples, want %d", n, triples, want)
+		}
+		for v, k := range owned {
+			if k < triples/n || k > (triples+n-1)/n {
+				t.Fatalf("n=%d: node %d owns %d of %d triples", n, v, k, triples)
 			}
-			count++
 		}
-		if count != wantTriples {
-			t.Fatal("ownership count mismatch")
+	}
+}
+
+// dolevTable is the table-driven plan the closed form replaced: every
+// sorted group triple numbered in enumeration order, node idx mod n owning
+// triple idx.
+type dolevTable struct {
+	ownerOf   []int
+	tripleIdx map[[3]int]int
+}
+
+func newDolevTable(p dolevPlan) dolevTable {
+	t := dolevTable{tripleIdx: make(map[[3]int]int)}
+	idx := 0
+	for a := 0; a < p.numGroups; a++ {
+		for b := a; b < p.numGroups; b++ {
+			for c := b; c < p.numGroups; c++ {
+				t.tripleIdx[[3]int{a, b, c}] = idx
+				t.ownerOf = append(t.ownerOf, idx%p.n)
+				idx++
+			}
 		}
+	}
+	return t
+}
+
+// destinations is the table plan's destination list: the distinct owners
+// of the triples containing the group pair of u and v, deduplicated in a
+// map, in first-occurrence order over the third group.
+func (t dolevTable) destinations(p dolevPlan, u, v int) []int {
+	gu, gv := p.group(u), p.group(v)
+	seen := make(map[int]struct{}, p.numGroups)
+	var out []int
+	for x := 0; x < p.numGroups; x++ {
+		key := [3]int{gu, gv, x}
+		sort3(&key)
+		owner := t.ownerOf[t.tripleIdx[key]]
+		if _, dup := seen[owner]; !dup {
+			seen[owner] = struct{}{}
+			out = append(out, owner)
+		}
+	}
+	return out
+}
+
+// TestDolevOwnerMatchesTable: the closed-form owner is the table's for
+// every sorted triple, and destinations lists the table's owners in the
+// table's order for every group pair, at every n in 1..200 for both
+// variants. The degree-aware plans take group sizes that make about 40, 7,
+// 2 and 1 groups, so plans with more triples than nodes, where owners
+// repeat, are covered as well as plans with fewer.
+func TestDolevOwnerMatchesTable(t *testing.T) {
+	for n := 1; n <= 200; n++ {
+		var plans []dolevPlan
+		for _, variant := range []DolevVariant{DolevCubeRoot, DolevDegreeAware} {
+			for _, d := range []int{(n + 39) / 40, (n + 6) / 7, n/2 + 1, n} {
+				plan, err := newDolevPlan(n, variant, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plans = append(plans, plan)
+				if variant == DolevCubeRoot {
+					break // the cube-root plan ignores d_max
+				}
+			}
+		}
+		for _, plan := range plans {
+			table := newDolevTable(plan)
+			g := plan.numGroups
+			for key, idx := range table.tripleIdx {
+				if got, want := plan.owner(key[0], key[1], key[2]), table.ownerOf[idx]; got != want {
+					t.Fatalf("n=%d groups=%d: owner%v = %d, table %d", n, g, key, got, want)
+				}
+				if got := plan.owner(key[2], key[0], key[1]); got != table.ownerOf[idx] {
+					t.Fatalf("n=%d groups=%d: owner of unsorted %v = %d, table %d", n, g, key, got, table.ownerOf[idx])
+				}
+			}
+			var dests dolevDests
+			for gu := 0; gu < g; gu++ {
+				for gv := 0; gv < g; gv++ {
+					u, v := gu*plan.groupSize, gv*plan.groupSize
+					want := table.destinations(plan, u, v)
+					if got := plan.destinations(u, v, &dests); !slices.Equal(got, want) {
+						t.Fatalf("n=%d groups=%d: destinations(%d,%d) = %v, table %v", n, g, u, v, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDolevPlanBounded: the degree-aware plan on a sparse graph makes
+// (n/d_max)^3/6 group triples, 6.2M on this 1000-vertex graph of maximum
+// degree 3, and building the schedule allocates nothing per triple.
+func TestDolevPlanBounded(t *testing.T) {
+	g := graph.NearRegular(1000, 3, rand.New(rand.NewSource(5)))
+	if g.MaxDegree() != 3 {
+		t.Fatalf("max degree %d, want 3", g.MaxDegree())
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sched, _, err := NewDolevRouted(g, 2, DolevDegreeAware, DirectRouting)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sched.Total() < 1 {
+		t.Fatalf("schedule of %d rounds", sched.Total())
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("NewDolevRouted allocated %d bytes, want under 1 MiB", alloc)
 	}
 }
 
@@ -55,25 +169,16 @@ func TestDolevDestinationsContainTripleOwners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var dests dolevDests
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		u, v, w := rng.Intn(30), rng.Intn(30), rng.Intn(30)
 		// Owner of the triple of groups {g(u),g(v),g(w)} must be among the
 		// destinations of every pair of the triple.
-		a, b, c := plan.group(u), plan.group(v), plan.group(w)
-		key := [3]int{a, b, c}
-		sort3(&key)
-		owner := plan.ownerOf[plan.tripleIdx[key]]
+		owner := plan.owner(plan.group(u), plan.group(v), plan.group(w))
 		for _, pair := range [][2]int{{u, v}, {u, w}, {v, w}} {
-			dests := plan.destinations(pair[0], pair[1])
-			found := false
-			for _, d := range dests {
-				if d == owner {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("owner %d of triple %v not reached from pair %v", owner, key, pair)
+			if !slices.Contains(plan.destinations(pair[0], pair[1], &dests), owner) {
+				t.Fatalf("owner %d of the groups of %d, %d, %d not reached from pair %v", owner, u, v, w, pair)
 			}
 		}
 	}

@@ -18,8 +18,9 @@ func (h *twoHopHandler) LoadState(r *sim.SnapReader) error { return nil }
 // is not serialized.
 func (h *dolevHandler) SaveState(w *sim.SnapWriter) {
 	core.SaveEdges(w, h.edges)
-	h.relayIn.SaveState(w)
-	h.fwdIn.SaveState(w)
+	relayIn, fwdIn := h.assemblers()
+	relayIn.SaveState(w)
+	fwdIn.SaveState(w)
 	w.U32(uint32(len(h.relayed)))
 	for _, m := range h.relayed {
 		w.Int(m.dest)
@@ -30,10 +31,11 @@ func (h *dolevHandler) SaveState(w *sim.SnapWriter) {
 
 func (h *dolevHandler) LoadState(r *sim.SnapReader) error {
 	h.edges = core.LoadEdges(r, h.edges)
-	if err := h.relayIn.LoadState(r); err != nil {
+	relayIn, fwdIn := h.assemblers()
+	if err := relayIn.LoadState(r); err != nil {
 		return err
 	}
-	if err := h.fwdIn.LoadState(r); err != nil {
+	if err := fwdIn.LoadState(r); err != nil {
 		return err
 	}
 	n := int(r.U32())
@@ -41,4 +43,14 @@ func (h *dolevHandler) LoadState(r *sim.SnapReader) error {
 		h.relayed = append(h.relayed, relayMsg{dest: r.Int(), u: r.Int(), v: r.Int()})
 	}
 	return r.Err()
+}
+
+// assemblers returns the relay routing's record assemblers. Direct routing
+// builds none and gets two empty ones, so both routings share one snapshot
+// layout.
+func (h *dolevHandler) assemblers() (relayIn, fwdIn *core.FixedAssembler) {
+	if h.relayIn == nil {
+		return core.NewFixedAssembler(2), core.NewFixedAssembler(2)
+	}
+	return h.relayIn, h.fwdIn
 }

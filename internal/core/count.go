@@ -131,6 +131,9 @@ func (c *counter) join(ctx *sim.Context, v *countVertex, round, parent int) {
 	}
 	ctx.Broadcast(tagWave)
 	v.cutoff = round + 1 + c.lag
+	// A member steps every round until it reports: undo the sleep of a
+	// vertex that waited for the wave, or it would miss its cutoff round.
+	ctx.SleepUntil(round + 1)
 }
 
 // consume parses one delivery of tree messages. Channels are FIFO, so a
@@ -170,9 +173,14 @@ func (c *counter) consume(ctx *sim.Context, v *countVertex, round int, d sim.Del
 // sum is in.
 func (c *counter) maybeReport(ctx *sim.Context, v *countVertex, round int) {
 	if !v.joined {
-		if round > c.bfsStart+2*ctx.N() {
+		deadline := c.bfsStart + 2*ctx.N()
+		if round > deadline {
 			ctx.SetDone() // unreachable from the root: never participates
+			return
 		}
+		// Nothing happens here before the root's wave arrives, which wakes
+		// the vertex; without one, it sleeps through to the deadline.
+		ctx.SleepUntil(deadline + 1)
 		return
 	}
 	if v.reported || round < v.cutoff || v.waiting > 0 {

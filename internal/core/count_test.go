@@ -98,6 +98,43 @@ func TestCountDisconnectedCountsRootComponent(t *testing.T) {
 	}
 }
 
+// TestCountUnreachableVerticesSleep: a vertex the root's wave never reaches
+// sleeps until its deadline, bfsStart + 2n, instead of stepping every
+// round, and wakes once, the round after, to finish. On two disjoint
+// triangles the count still ends at that round, and it steps only the
+// rounds a count of the root's triangle alone steps, plus that one.
+func TestCountUnreachableVerticesSleep(t *testing.T) {
+	b := graph.NewBuilder(6)
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 2}, {3, 4}, {3, 5}, {4, 5}} {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	two := b.Build()
+	stepped := func(res CountResult) int { return res.Rounds - res.Metrics.FastForwardedRounds }
+	for _, bw := range []int{1, 2} {
+		cfg := sim.Config{Seed: 1, BandwidthWords: bw}
+		res, err := countTriangles(two, 0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone, err := countTriangles(graph.Complete(3), 0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Count != 1 || alone.Count != 1 {
+			t.Fatalf("B=%d: counts %d and %d, want 1 and 1", bw, res.Count, alone.Count)
+		}
+		deadline := newCounter(two, 0, bw).bfsStart + 2*two.N()
+		if res.Rounds != deadline+2 {
+			t.Fatalf("B=%d: %d rounds, want the deadline %d plus 2", bw, res.Rounds, deadline)
+		}
+		if got, want := stepped(res), stepped(alone)+1; got != want {
+			t.Fatalf("B=%d: stepped %d of %d rounds, want %d", bw, got, res.Rounds, want)
+		}
+	}
+}
+
 func TestCountRoundsScaleWithDmaxPlusDiameter(t *testing.T) {
 	// A long ring has tiny d_max but large diameter: rounds ~ D.
 	g := graph.Ring(60)

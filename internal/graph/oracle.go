@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math"
+	"slices"
+	"sync"
 )
 
 // ListTrianglesBrute enumerates T(G) by checking all O(n^3) triples. It is a
@@ -222,41 +224,91 @@ func (s TriangleSet) Slice() []Triangle {
 }
 
 // TrianglesAmongEdges lists the triangles of the graph formed by the given
-// edge multiset (duplicates ignored). Vertex ids are arbitrary non-negative
-// integers; results use the original ids, sorted canonically.
+// edge multiset: duplicates and self-loops are ignored, and vertex ids are
+// arbitrary integers. Results use the original ids, sorted canonically; nil
+// when there are none.
+//
+// It is the local listing step of A2 and of the Dolev-Lenzen-Peled lister,
+// run once per node. The ids are compressed by sorting, which keeps their
+// order, so a triangle u < v < w of the compressed graph is the canonical
+// triangle of the original ids. Each compressed edge is oriented from its
+// lower to its higher endpoint into a small forward CSR, and the triangles
+// through u and its forward neighbour v are the forward neighbours of v
+// that follow v in u's row: visiting u, then v, in ascending order and
+// intersecting ascending rows emits them in canonical order. The working
+// set comes from a pool, so a warm call allocates only its result.
 func TrianglesAmongEdges(edges []Edge) []Triangle {
-	if len(edges) == 0 {
+	s := localPool.Get().(*localScratch)
+	defer localPool.Put(s)
+	ids := s.ids[:0]
+	for _, e := range edges {
+		if e.U != e.V {
+			ids = append(ids, e.U, e.V)
+		}
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	s.ids = ids
+	if len(ids) < 3 {
 		return nil
 	}
-	ids := make(map[int]int)
-	var orig []int
-	idOf := func(v int) int {
-		if x, ok := ids[v]; ok {
-			return x
-		}
-		x := len(orig)
-		ids[v] = x
-		orig = append(orig, v)
-		return x
-	}
-	seen := make(map[Edge]struct{}, len(edges))
+	// Compressed edges as lower<<32 | higher: sorted, they are the forward
+	// rows in order, each row ascending.
+	keys := s.keys[:0]
 	for _, e := range edges {
-		seen[NewEdge(idOf(e.U), idOf(e.V))] = struct{}{}
+		if e.U == e.V {
+			continue
+		}
+		u, _ := slices.BinarySearch(ids, e.U)
+		v, _ := slices.BinarySearch(ids, e.V)
+		if u > v {
+			u, v = v, u
+		}
+		keys = append(keys, uint64(u)<<32|uint64(v))
 	}
-	b := NewBuilder(len(orig))
-	for e := range seen {
-		// Compressed edges are in-range non-loops by construction.
-		_ = b.AddEdge(e.U, e.V)
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	s.keys = keys
+	offs := resizeI32(s.offs, len(ids)+1)
+	clear(offs)
+	tgts := resizeI32(s.tgts, len(keys))
+	for i, k := range keys {
+		offs[k>>32+1]++
+		tgts[i] = int32(uint32(k))
 	}
-	g := b.Build()
-	ts := ListTriangles(g)
-	out := make([]Triangle, 0, len(ts))
-	for _, t := range ts {
-		out = append(out, NewTriangle(orig[t.A], orig[t.B], orig[t.C]))
+	for u := range ids {
+		offs[u+1] += offs[u]
 	}
-	SortTriangles(out)
-	return out
+	s.offs, s.tgts = offs, tgts
+	out, common := s.out[:0], s.common
+	for u := range ids {
+		row := tgts[offs[u]:offs[u+1]]
+		for i, v := range row {
+			common = adaptiveInto(row[i+1:], tgts[offs[v]:offs[v+1]], common[:0])
+			for _, w := range common {
+				out = append(out, Triangle{A: ids[u], B: ids[v], C: ids[w]})
+			}
+		}
+	}
+	s.out, s.common = out, common
+	if len(out) == 0 {
+		return nil
+	}
+	return slices.Clone(out)
 }
+
+// localScratch is TrianglesAmongEdges' working set. Every call takes its
+// own from localPool, so concurrent calls (shard workers) never share one.
+type localScratch struct {
+	ids    []int    // the distinct endpoint ids, ascending
+	keys   []uint64 // the distinct compressed edges, lower<<32 | higher
+	offs   []int32  // forward CSR offsets, by compressed id
+	tgts   []int32  // forward CSR targets: higher compressed ids, ascending
+	common []int32  // one intersection's result
+	out    []Triangle
+}
+
+var localPool = sync.Pool{New: func() any { return new(localScratch) }}
 
 // PEdges returns P(R): the set of edges covered by some triangle in R
 // (Section 2). The information-theoretic lower bound of Theorem 3 is driven

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -268,5 +269,109 @@ func TestTrianglesAmongEdgesMatchesSubgraphOracle(t *testing.T) {
 	want := NewTriangleSet(ListTriangles(g))
 	if !got.Equal(want) {
 		t.Fatalf("got %d, want %d", len(got), len(want))
+	}
+}
+
+// trianglesAmongEdgesRef is the map-based reference for
+// TrianglesAmongEdges: it compresses ids through a map, deduplicates edges
+// in a map, and lists the triangles of the built graph with the oracle.
+func trianglesAmongEdgesRef(edges []Edge) []Triangle {
+	if len(edges) == 0 {
+		return nil
+	}
+	ids := make(map[int]int)
+	var orig []int
+	idOf := func(v int) int {
+		if x, ok := ids[v]; ok {
+			return x
+		}
+		x := len(orig)
+		ids[v] = x
+		orig = append(orig, v)
+		return x
+	}
+	seen := make(map[Edge]struct{}, len(edges))
+	for _, e := range edges {
+		seen[NewEdge(idOf(e.U), idOf(e.V))] = struct{}{}
+	}
+	b := NewBuilder(len(orig))
+	for e := range seen {
+		// The Builder rejects self-loops; every other compressed edge is
+		// in range.
+		_ = b.AddEdge(e.U, e.V)
+	}
+	g := b.Build()
+	ts := ListTriangles(g)
+	out := make([]Triangle, 0, len(ts))
+	for _, t := range ts {
+		out = append(out, NewTriangle(orig[t.A], orig[t.B], orig[t.C]))
+	}
+	SortTriangles(out)
+	return out
+}
+
+// fuzzEdges decodes data into an edge list: after a scale byte, each byte
+// pair is one edge, in either orientation. A byte names an id in [-8, 16)
+// times the scale, so the ids are negative, zero and positive, as large as
+// 255·2^33+1 times 15, and collide often enough to close triangles.
+func fuzzEdges(data []byte) []Edge {
+	if len(data) == 0 {
+		return nil
+	}
+	scale := 1 + int(data[0])<<33
+	id := func(b byte) int { return (int(b)%24 - 8) * scale }
+	var edges []Edge
+	for i := 1; i+1 < len(data); i += 2 {
+		edges = append(edges, Edge{U: id(data[i]), V: id(data[i+1])})
+	}
+	return edges
+}
+
+// FuzzTrianglesAmongEdges pins the sort-based local lister to the
+// map-based reference: the same triangles in the same order.
+func FuzzTrianglesAmongEdges(f *testing.F) {
+	f.Add([]byte{0, 8, 9, 9, 10, 8, 10})                 // one triangle
+	f.Add([]byte{0, 8, 9, 9, 8, 9, 10, 10, 8, 8, 9})     // duplicates, both orientations
+	f.Add([]byte{0, 8, 8, 8, 9, 9, 9, 9, 10, 10, 8, 10}) // self-loops
+	f.Add([]byte{0, 0, 1, 1, 2, 0, 2, 2, 3, 3, 0, 1, 3}) // negative ids
+	f.Add([]byte{255, 8, 23, 23, 9, 9, 8, 0, 23})        // ids far above any n
+	f.Add([]byte{3, 8, 9, 8, 10, 8, 11, 9, 10, 9, 11, 10, 11, 11, 12, 12, 8})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		edges := fuzzEdges(data)
+		want := trianglesAmongEdgesRef(edges)
+		got := TrianglesAmongEdges(edges)
+		if !slices.Equal(got, want) {
+			t.Fatalf("TrianglesAmongEdges(%v) = %v, reference %v", edges, got, want)
+		}
+	})
+}
+
+// TestTrianglesAmongEdgesAllocs: a warm call allocates only its result.
+func TestTrianglesAmongEdgesAllocs(t *testing.T) {
+	edges := Gnp(40, 0.3, rand.New(rand.NewSource(9))).Edges()
+	if len(TrianglesAmongEdges(edges)) == 0 {
+		t.Fatal("no triangles to list")
+	}
+	if a := testing.AllocsPerRun(20, func() { TrianglesAmongEdges(edges) }); a > 1 {
+		t.Fatalf("%.1f allocations per warm call, want at most 1", a)
+	}
+}
+
+// BenchmarkTrianglesAmongEdges lists the triangles of every edge of a
+// graph: gnp(48, 0.2) is about the edge set one Dolev node lists in the
+// serve workload, and gnp(160, 0.5) the dense regime.
+func BenchmarkTrianglesAmongEdges(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		n    int
+		p    float64
+	}{{"gnp48", 48, 0.2}, {"gnp160", 160, 0.5}} {
+		edges := Gnp(tc.n, tc.p, rand.New(rand.NewSource(1))).Edges()
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				TrianglesAmongEdges(edges)
+			}
+		})
 	}
 }
